@@ -122,6 +122,23 @@ pub fn bench<T>(name: &str, config: BenchConfig, mut f: impl FnMut() -> T) -> Be
 pub fn bench_with_setup<S, T>(
     name: &str,
     config: BenchConfig,
+    setup: impl FnMut() -> S,
+    f: impl FnMut(S) -> T,
+) -> BenchReport {
+    let report = measure_with_setup(name, config, setup, f);
+    println!("{}", report.to_line());
+    report
+}
+
+/// Times `f` exactly like [`bench()`] but prints nothing — for callers
+/// that add fields to the `BENCH` line before printing it.
+pub fn measure<T>(name: &str, config: BenchConfig, mut f: impl FnMut() -> T) -> BenchReport {
+    measure_with_setup(name, config, || (), move |()| f())
+}
+
+fn measure_with_setup<S, T>(
+    name: &str,
+    config: BenchConfig,
     mut setup: impl FnMut() -> S,
     mut f: impl FnMut(S) -> T,
 ) -> BenchReport {
@@ -140,16 +157,14 @@ pub fn bench_with_setup<S, T>(
     let median = median_of_sorted(&samples);
     let mut deviations: Vec<u64> = samples.iter().map(|&s| s.abs_diff(median)).collect();
     deviations.sort_unstable();
-    let report = BenchReport {
+    BenchReport {
         name: name.to_string(),
         iters,
         median_ns: median,
         mad_ns: median_of_sorted(&deviations),
         min_ns: samples[0],
         max_ns: samples[samples.len() - 1],
-    };
-    println!("{}", report.to_line());
-    report
+    }
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub mod fault;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{bench, bench_with_setup, BenchConfig, BenchReport};
+pub use bench::{bench, bench_with_setup, measure, BenchConfig, BenchReport};
 pub use fault::{DataFault, ExecFault, FaultPlan};
 pub use prop::{check, CheckConfig, Failed, Gen, PropResult};
 pub use rng::XorShift64;

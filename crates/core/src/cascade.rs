@@ -12,9 +12,9 @@
 use vlpp_predict::{BranchObserver, Counter2, IndirectPredictor};
 use vlpp_trace::{Addr, BranchRecord};
 
+use crate::kernel::IndKernel;
 use crate::path::PathConfig;
 use crate::select::HashAssignment;
-use crate::PathIndirect;
 
 /// A two-component, dual-path-length indirect hybrid.
 ///
@@ -32,8 +32,8 @@ use crate::PathIndirect;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DualLengthPathIndirect {
-    short: PathIndirect,
-    long: PathIndirect,
+    short: IndKernel,
+    long: IndKernel,
     /// ≥ 2 selects the long component.
     chooser: Vec<Counter2>,
     chooser_mask: u64,
@@ -67,8 +67,8 @@ impl DualLengthPathIndirect {
             "chooser index width must be in 1..=24, got {chooser_bits}"
         );
         DualLengthPathIndirect {
-            short: PathIndirect::new(component_config.clone(), HashAssignment::fixed(short_length)),
-            long: PathIndirect::new(component_config, HashAssignment::fixed(long_length)),
+            short: IndKernel::new(&component_config, &HashAssignment::fixed(short_length)),
+            long: IndKernel::new(&component_config, &HashAssignment::fixed(long_length)),
             chooser: vec![Counter2::WEAK_TAKEN; 1 << chooser_bits],
             chooser_mask: (1u64 << chooser_bits) - 1,
             short_length,

@@ -5,17 +5,16 @@
 //! This is the pattern-history mirror of the paper's contribution: same
 //! per-branch length selection, but over gshare's outcome bits instead
 //! of path target addresses. Comparing [`ElasticGshare`] against
-//! [`PathConditional`](crate::PathConditional) isolates *what kind of
-//! history* is being varied — the workspace's `related-cond` experiment
+//! [`CondKernel`](crate::CondKernel) isolates *what kind of history* is
+//! being varied — the workspace's `related-cond` experiment
 //! does exactly that.
 
 use std::collections::HashMap;
 
-use vlpp_predict::{BranchObserver, ConditionalPredictor, OutcomeHistory};
+use vlpp_predict::{BranchObserver, ConditionalPredictor, CounterPlane, OutcomeHistory};
 use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
 use crate::select::HashAssignment;
-use crate::table::CounterTable;
 
 /// A gshare-style predictor whose history length is selected per static
 /// branch (lengths come from a [`HashAssignment`], 1..=32 bits, clamped
@@ -36,7 +35,7 @@ use crate::table::CounterTable;
 #[derive(Debug, Clone)]
 pub struct ElasticGshare {
     history: OutcomeHistory,
-    table: CounterTable,
+    table: CounterPlane,
     assignment: HashAssignment,
     index_bits: u32,
 }
@@ -52,7 +51,7 @@ impl ElasticGshare {
         assert!((1..=28).contains(&index_bits), "index width must be in 1..=28, got {index_bits}");
         ElasticGshare {
             history: OutcomeHistory::new(index_bits.min(32)),
-            table: CounterTable::new(index_bits),
+            table: CounterPlane::new(1 << index_bits),
             assignment,
             index_bits,
         }
@@ -63,15 +62,17 @@ impl ElasticGshare {
         (self.assignment.get(pc) as u32).min(self.index_bits)
     }
 
+    /// The table index for `pc`: its selected history bits XOR its
+    /// word address, masked to the index width.
     #[inline]
-    fn index(&self, pc: Addr) -> u64 {
+    fn index(&self, pc: Addr) -> usize {
         let length = self.selected_length(pc);
         let history = if length >= 64 {
             self.history.bits()
         } else {
             self.history.bits() & ((1u64 << length) - 1)
         };
-        history ^ pc.word()
+        ((history ^ pc.word()) & ((1u64 << self.index_bits) - 1)) as usize
     }
 }
 
@@ -85,11 +86,11 @@ impl BranchObserver for ElasticGshare {
 
 impl ConditionalPredictor for ElasticGshare {
     fn predict(&mut self, pc: Addr) -> bool {
-        self.table.predict(self.index(pc))
+        self.table.predict_taken(self.index(pc))
     }
 
     fn train(&mut self, pc: Addr, taken: bool) {
-        self.table.train(self.index(pc), taken);
+        self.table.update(self.index(pc), taken);
     }
 
     fn name(&self) -> String {
@@ -118,8 +119,9 @@ impl ConditionalPredictor for ElasticGshare {
 pub fn profile_lengths(trace: &Trace, index_bits: u32) -> HashAssignment {
     let lengths: Vec<u32> = (1..=index_bits.min(16)).collect();
     let mut history = OutcomeHistory::new(index_bits);
-    let mut tables: Vec<CounterTable> =
-        lengths.iter().map(|_| CounterTable::new(index_bits)).collect();
+    let mask = (1u64 << index_bits) - 1;
+    let mut tables: Vec<CounterPlane> =
+        lengths.iter().map(|_| CounterPlane::new(1 << index_bits)).collect();
     let mut correct: HashMap<u64, Vec<u32>> = HashMap::new();
     let mut totals = vec![0u64; lengths.len()];
 
@@ -128,13 +130,11 @@ pub fn profile_lengths(trace: &Trace, index_bits: u32) -> HashAssignment {
             let tally = correct.entry(record.pc().raw()).or_insert_with(|| vec![0; lengths.len()]);
             for (i, &length) in lengths.iter().enumerate() {
                 let bits = history.bits() & ((1u64 << length) - 1);
-                let index = bits ^ record.pc().word();
-                let prediction = tables[i].predict(index);
-                if prediction == record.taken() {
+                let index = ((bits ^ record.pc().word()) & mask) as usize;
+                if tables[i].predict_update(index, record.taken()) == record.taken() {
                     tally[i] += 1;
                     totals[i] += 1;
                 }
-                tables[i].train(index, record.taken());
             }
             history.push(record.taken());
         }

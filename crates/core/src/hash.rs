@@ -1,171 +1,21 @@
 //! The path hash functions `HF_1 … HF_N` (paper §3.3) and their O(1)
-//! incremental evaluation (paper §4.1).
+//! evaluation (paper §4.1).
 //!
 //! `HF_X` combines the `X` most recent compressed targets into a `k`-bit
 //! index: target `T_i` is rotated left by `i − 1` bits (so the *order* of
 //! targets is encoded, not just their set) and all rotated targets are
-//! XORed together.
-//!
-//! Evaluating each hash from scratch costs O(X) XORs; the paper's §4.1
-//! observes that `I_X(t+1) = rot1(I_{X−1}(t)) XOR newtarget`, so keeping a
-//! register with the previous value of `I_{X−1}` evaluates every hash
-//! with a single rotate-XOR per inserted target. [`IncrementalHashers`]
-//! implements that scheme (and the tests prove it equal to the direct
-//! evaluation).
+//! XORed together. Evaluating each hash from scratch costs O(X) XORs;
+//! [`RollingHashers`] keeps every hash current for one rotate-XOR per
+//! retired branch.
 
 use vlpp_trace::Addr;
 
-use crate::thb::Thb;
-
-/// Rotates a `k`-bit value left by `amount` within `k` bits.
-#[inline]
-fn rotl(value: u64, amount: u32, k: u32) -> u64 {
-    let amount = amount % k;
-    if amount == 0 {
-        return value;
-    }
-    if k == 64 {
-        return value.rotate_left(amount);
-    }
-    let mask = (1u64 << k) - 1;
-    ((value << amount) | (value >> (k - amount))) & mask
-}
-
-/// Directly evaluates `HF_len(PATH_len)` from the THB contents:
-/// `XOR_{i=1..len} rotl(T_i, i−1)`.
+/// The §4.1 register file folded into a single running register: every
+/// hash function `HF_1 … HF_count` for O(1) per retired branch.
 ///
-/// This is the specification; predictors use [`IncrementalHashers`] which
-/// computes the same value in O(1) per retired branch.
-///
-/// # Panics
-///
-/// Panics if `len` is 0 or exceeds the THB capacity.
-///
-/// # Example
-///
-/// ```
-/// use vlpp_core::{hash_path, Thb};
-/// use vlpp_trace::Addr;
-///
-/// let mut thb = Thb::new(4, 8);
-/// thb.push(Addr::new(0x3 << 2)); // T2 after next push
-/// thb.push(Addr::new(0x5 << 2)); // T1
-/// // HF_2 = rotl(T1, 0) ^ rotl(T2, 1) = 0x5 ^ 0x6 = 0x3
-/// assert_eq!(hash_path(&thb, 2), 0x3);
-/// ```
-pub fn hash_path(thb: &Thb, len: usize) -> u64 {
-    let k = thb.k();
-    thb.path(len).enumerate().fold(0u64, |acc, (i, target)| acc ^ rotl(target, i as u32, k))
-}
-
-/// The §4.1 partial-sum registers: maintains the current value of every
-/// hash function `HF_1 … HF_n` with one rotate-XOR per hash per inserted
-/// target.
-///
-/// Register `X` holds `I_X`, the index `HF_X` would produce for the
-/// current THB contents. When a new target arrives,
-/// `I_X ← rotl(I_{X−1}, 1) XOR target` for `X = n..1` (computed high to
-/// low so each update reads the *previous* value of its neighbor).
-///
-/// # Example
-///
-/// ```
-/// use vlpp_core::{hash_path, IncrementalHashers, Thb};
-/// use vlpp_trace::Addr;
-///
-/// let mut thb = Thb::new(8, 10);
-/// let mut inc = IncrementalHashers::new(8, 10);
-/// for raw in [0x123, 0x456, 0x789] {
-///     let t = Addr::new(raw << 2);
-///     thb.push(t);
-///     inc.push(t);
-/// }
-/// assert_eq!(inc.index(5), hash_path(&thb, 5));
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalHashers {
-    /// `indices[x-1]` = current `I_x`.
-    indices: Vec<u64>,
-    k: u32,
-}
-
-impl IncrementalHashers {
-    /// Creates registers for hash functions `HF_1 … HF_count` producing
-    /// `k`-bit indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is 0 or `k` is not in `1..=64`.
-    pub fn new(count: usize, k: u32) -> Self {
-        assert!(count >= 1, "need at least one hash function");
-        assert!((1..=64).contains(&k), "index width must be in 1..=64, got {k}");
-        IncrementalHashers { indices: vec![0; count], k }
-    }
-
-    /// Updates every register for a newly inserted target address
-    /// (compressed to `k` bits, like the THB entry it mirrors).
-    pub fn push(&mut self, target: Addr) {
-        let t = target.low_bits(self.k);
-        // I_X(t+1) = rotl(I_{X-1}(t), 1) ^ t ; I_0 is the empty hash, 0.
-        for x in (1..self.indices.len()).rev() {
-            self.indices[x] = rotl(self.indices[x - 1], 1, self.k) ^ t;
-        }
-        self.indices[0] = t;
-    }
-
-    /// The current index `I_x` produced by `HF_x` (`x` is 1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is 0 or exceeds the number of hash functions.
-    #[inline]
-    pub fn index(&self, x: usize) -> u64 {
-        assert!(x >= 1 && x <= self.indices.len(), "hash number must be in 1..=count, got {x}");
-        self.indices[x - 1]
-    }
-
-    /// All current indices, `I_1` first.
-    pub fn indices(&self) -> &[u64] {
-        &self.indices
-    }
-
-    /// The number of hash functions maintained.
-    pub fn count(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// The index width in bits.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Resets all registers to the empty-history state.
-    pub fn clear(&mut self) {
-        self.indices.fill(0);
-    }
-
-    /// Restores registers from a snapshot taken with
-    /// [`snapshot`](Self::snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a differently-configured
-    /// hasher.
-    pub fn restore(&mut self, snapshot: &[u64]) {
-        assert_eq!(snapshot.len(), self.indices.len(), "snapshot size mismatch");
-        self.indices.copy_from_slice(snapshot);
-    }
-
-    /// Captures the register state (used by the §6 history stack).
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.indices.clone()
-    }
-}
-
-/// The §4.1 register file folded into a single running register: the
-/// throughput kernel's O(1)-per-retire form of [`IncrementalHashers`].
-///
-/// Unrolling the §4.1 recurrence shows every partial-sum register is a
+/// §4.1 keeps one register per hash function, `I_X`, updated as
+/// `I_X(t+1) = rot1(I_{X−1}(t)) XOR target` — `count` rotate-XORs per
+/// retired branch. Unrolling that recurrence shows every partial-sum register is a
 /// window of one *infinite-history* sum. Let
 /// `S(t) = rot1(S(t−1)) XOR target_t` (one register, never truncated).
 /// Then, because rotation distributes over XOR and the targets older
@@ -182,25 +32,25 @@ impl IncrementalHashers {
 /// demand. Warmup falls out for free: ring slots not yet written are
 /// zero, which is exactly `S` of the empty history.
 ///
-/// The values produced are bit-identical to [`IncrementalHashers`] (and
-/// therefore to the direct [`hash_path`] evaluation) — the tests prove
-/// all three equal.
+/// The values produced are bit-identical to the §4.1 registers and to a
+/// from-scratch evaluation of the §3.3 hashes over the THB — the
+/// property suite checks both against the test-only reference after
+/// every push.
 ///
 /// # Example
 ///
 /// ```
-/// use vlpp_core::{IncrementalHashers, RollingHashers};
+/// use vlpp_core::RollingHashers;
 /// use vlpp_trace::Addr;
 ///
-/// let mut registers = IncrementalHashers::new(8, 10);
-/// let mut rolling = RollingHashers::new(8, 10);
-/// for raw in [0x123, 0x456, 0x789] {
-///     registers.push(Addr::new(raw << 2));
-///     rolling.push(Addr::new(raw << 2));
-/// }
-/// for x in 1..=8 {
-///     assert_eq!(rolling.index(x), registers.index(x));
-/// }
+/// let mut hashers = RollingHashers::new(4, 8);
+/// hashers.push(Addr::new(0x3 << 2)); // T2 after the next push
+/// hashers.push(Addr::new(0x5 << 2)); // T1
+/// assert_eq!(hashers.index(1), 0x5); // HF_1 = T1
+/// // HF_2 = rotl(T1, 0) ^ rotl(T2, 1) = 0x5 ^ 0x6
+/// assert_eq!(hashers.index(2), 0x3);
+/// // Longer paths read zeros past the two recorded targets.
+/// assert_eq!(hashers.index(4), 0x3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RollingHashers {
@@ -341,119 +191,85 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn direct_hash_of_single_target_is_target() {
-        let mut thb = Thb::new(4, 12);
-        thb.push(Addr::new(0xabc << 2));
-        assert_eq!(hash_path(&thb, 1), 0xabc);
+    /// `HF_len` evaluated from scratch per §3.3 over the pushed targets
+    /// (newest last): `XOR_{i=1..len} rotl_k(T_i, i−1)`, with `T_i = 0`
+    /// before the first `i` pushes.
+    fn direct(targets: &[Addr], len: usize, k: u32) -> u64 {
+        let mask = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
+        let rotl = |v: u64, r: u32| if r == 0 { v } else { ((v << r) | (v >> (k - r))) & mask };
+        targets
+            .iter()
+            .rev()
+            .take(len)
+            .enumerate()
+            .fold(0, |acc, (i, t)| acc ^ rotl(t.low_bits(k), i as u32 % k))
     }
 
-    #[test]
-    fn direct_hash_encodes_order() {
-        let (a, b) = (Addr::new(0x11 << 2), Addr::new(0x22 << 2));
-        let mut ab = Thb::new(4, 8);
-        ab.push(a);
-        ab.push(b);
-        let mut ba = Thb::new(4, 8);
-        ba.push(b);
-        ba.push(a);
-        assert_ne!(hash_path(&ab, 2), hash_path(&ba, 2));
-    }
-
-    #[test]
-    fn incremental_matches_direct_for_all_lengths() {
-        let cap = 32;
-        let k = 14;
-        let mut thb = Thb::new(cap, k);
-        let mut inc = IncrementalHashers::new(cap, k);
-        for target in pseudo_targets(300) {
-            thb.push(target);
-            inc.push(target);
-            for len in 1..=cap {
-                assert_eq!(inc.index(len), hash_path(&thb, len), "mismatch at length {len}");
+    /// Pushes `targets` one at a time, checking every hash `1..=count`
+    /// against [`direct`] after each push.
+    fn assert_matches_direct(count: usize, k: u32, targets: &[Addr]) {
+        let mut hashers = RollingHashers::new(count, k);
+        for (step, &target) in targets.iter().enumerate() {
+            hashers.push(target);
+            for len in 1..=count {
+                let want = direct(&targets[..=step], len, k);
+                assert_eq!(hashers.index(len), want, "HF_{len} after push {step}");
             }
         }
     }
 
     #[test]
+    fn incremental_matches_direct_for_all_lengths() {
+        // Non-power-of-two counts and awkward widths included.
+        for (count, k) in [(1, 1), (5, 9), (16, 14), (31, 10), (32, 14), (32, 28)] {
+            assert_matches_direct(count, k, &pseudo_targets(3 * count + 40));
+        }
+    }
+
+    #[test]
     fn incremental_matches_direct_during_warmup() {
-        // Fewer targets than hash length: missing slots are zero in both.
-        let mut thb = Thb::new(8, 10);
-        let mut inc = IncrementalHashers::new(8, 10);
-        for target in pseudo_targets(5) {
-            thb.push(target);
-            inc.push(target);
-        }
-        for len in 1..=8 {
-            assert_eq!(inc.index(len), hash_path(&thb, len));
-        }
+        // Fewer targets than the deepest hash: unwritten ring slots must
+        // act as the empty history.
+        assert_matches_direct(12, 10, &pseudo_targets(5));
     }
 
     #[test]
     fn incremental_matches_direct_at_k_64() {
-        let mut thb = Thb::new(8, 64);
-        let mut inc = IncrementalHashers::new(8, 64);
-        for target in pseudo_targets(50) {
-            thb.push(target);
-            inc.push(target);
-            assert_eq!(inc.index(8), hash_path(&thb, 8));
-        }
+        assert_matches_direct(8, 64, &pseudo_targets(50));
     }
 
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut inc = IncrementalHashers::new(8, 10);
-        for target in pseudo_targets(20) {
-            inc.push(target);
-        }
-        let saved = inc.snapshot();
-        let at_save: Vec<u64> = inc.indices().to_vec();
-        for target in pseudo_targets(7) {
-            inc.push(target);
-        }
-        inc.restore(&saved);
-        assert_eq!(inc.indices(), &at_save[..]);
-    }
-
-    #[test]
-    fn clear_resets_to_empty_state() {
-        let mut inc = IncrementalHashers::new(4, 10);
-        inc.push(Addr::new(0x40));
-        inc.clear();
-        assert!(inc.indices().iter().all(|&i| i == 0));
-    }
-
-    #[test]
-    fn indices_stay_within_k_bits() {
-        let mut inc = IncrementalHashers::new(16, 9);
-        for target in pseudo_targets(100) {
-            inc.push(target);
-            assert!(inc.indices().iter().all(|&i| i < (1 << 9)));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "hash number")]
-    fn index_rejects_zero() {
-        IncrementalHashers::new(4, 8).index(0);
+    /// The §4.1 register file evaluated as the paper writes it: one
+    /// register per hash function, `I_X ← rotl_k(I_{X−1}, 1) XOR target`
+    /// on every push. Returns `I_1 … I_count` after each push.
+    fn registers(targets: &[Addr], count: usize, k: u32) -> Vec<Vec<u64>> {
+        let mask = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
+        let rot1 = |v: u64| if k == 1 { v } else { ((v << 1) | (v >> (k - 1))) & mask };
+        let mut indices = vec![0u64; count];
+        targets
+            .iter()
+            .map(|target| {
+                let t = target.low_bits(k);
+                for x in (1..count).rev() {
+                    indices[x] = rot1(indices[x - 1]) ^ t;
+                }
+                indices[0] = t;
+                indices.clone()
+            })
+            .collect()
     }
 
     #[test]
     fn rolling_matches_incremental_for_all_lengths() {
         // Non-power-of-two counts and awkward widths included.
         for (count, k) in [(1, 1), (5, 9), (16, 14), (31, 10), (32, 28), (8, 64)] {
-            let mut registers = IncrementalHashers::new(count, k);
+            let targets = pseudo_targets(3 * count + 40);
             let mut rolling = RollingHashers::new(count, k);
-            for target in pseudo_targets(3 * count + 40) {
-                registers.push(target);
+            for (step, (&target, want)) in
+                targets.iter().zip(registers(&targets, count, k)).enumerate()
+            {
                 rolling.push(target);
-                for x in 1..=count {
-                    assert_eq!(
-                        rolling.index(x),
-                        registers.index(x),
-                        "count {count} k {k} length {x}"
-                    );
-                }
+                let got: Vec<u64> = (1..=count).map(|x| rolling.index(x)).collect();
+                assert_eq!(got, want, "count {count} k {k} after push {step}");
             }
         }
     }
@@ -462,15 +278,79 @@ mod tests {
     fn rolling_warmup_matches_incremental() {
         // Fewer targets than the deepest hash: unwritten ring slots must
         // act as the empty-history S.
-        let mut registers = IncrementalHashers::new(12, 10);
+        let targets = pseudo_targets(5);
         let mut rolling = RollingHashers::new(12, 10);
-        for target in pseudo_targets(5) {
-            registers.push(target);
+        for &target in &targets {
             rolling.push(target);
         }
-        for x in 1..=12 {
-            assert_eq!(rolling.index(x), registers.index(x));
+        let got: Vec<u64> = (1..=12).map(|x| rolling.index(x)).collect();
+        assert_eq!(Some(&got), registers(&targets, 12, 10).last());
+    }
+
+    #[test]
+    fn clear_resets_to_empty_state() {
+        // After `clear`, the hashers evolve exactly like fresh ones.
+        let mut reused = RollingHashers::new(8, 10);
+        for target in pseudo_targets(30) {
+            reused.push(target);
         }
+        reused.clear();
+        let mut fresh = RollingHashers::new(8, 10);
+        for target in pseudo_targets(5) {
+            reused.push(target);
+            fresh.push(target);
+        }
+        assert_eq!(reused.snapshot(), fresh.snapshot());
+    }
+
+    #[test]
+    fn snapshot_restore_round_trips() {
+        // A snapshot restored into *another* instance of the same shape
+        // reproduces every hash (the model-snapshot path).
+        let mut original = RollingHashers::new(8, 10);
+        for target in pseudo_targets(20) {
+            original.push(target);
+        }
+        let mut copy = RollingHashers::new(8, 10);
+        copy.restore(&original.snapshot());
+        assert_eq!(copy.snapshot_len(), original.snapshot().len());
+        for x in 1..=8 {
+            assert_eq!(copy.index(x), original.index(x));
+        }
+    }
+
+    #[test]
+    fn direct_hash_of_single_target_is_target() {
+        let mut hashers = RollingHashers::new(4, 12);
+        hashers.push(Addr::new(0xabc << 2));
+        assert_eq!(hashers.index(1), 0xabc);
+    }
+
+    #[test]
+    fn direct_hash_encodes_order() {
+        let (a, b) = (Addr::new(0x11 << 2), Addr::new(0x22 << 2));
+        let mut ab = RollingHashers::new(4, 8);
+        ab.push(a);
+        ab.push(b);
+        let mut ba = RollingHashers::new(4, 8);
+        ba.push(b);
+        ba.push(a);
+        assert_ne!(ab.index(2), ba.index(2));
+    }
+
+    #[test]
+    fn indices_stay_within_k_bits() {
+        let mut hashers = RollingHashers::new(16, 9);
+        for target in pseudo_targets(100) {
+            hashers.push(target);
+            assert!((1..=16).all(|x| hashers.index(x) < (1 << 9)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hash number")]
+    fn index_rejects_zero() {
+        RollingHashers::new(4, 8).index(0);
     }
 
     #[test]

@@ -1,17 +1,8 @@
-//! The structure-of-arrays throughput kernel: the serve/simulate hot
-//! loop as flat arrays instead of boxed per-record dispatch.
-//!
-//! [`PathConditional`](crate::PathConditional) and
-//! [`PathIndirect`](crate::PathIndirect) are the *reference*
-//! implementations: one heap structure per concern, trait dispatch per
-//! record, and a `HashMap` probe for every hash-number lookup and every
-//! per-branch statistic. That shape is ideal for reading the paper back
-//! out of the code and hopeless for serving millions of predictions —
-//! each record pays several unpredictable indirect calls and two or
-//! three SipHash probes.
-//!
-//! [`CondKernel`] and [`IndKernel`] run the *same* predictor as flat
-//! state:
+//! The structure-of-arrays path predictor: the paper's predictor as
+//! flat state, and the only implementation production runs — the
+//! offline runners, the §3.5 profiler, the paper experiments, the
+//! hybrids and the serve shards all drive [`CondKernel`] /
+//! [`IndKernel`].
 //!
 //! * the second-level table is one contiguous plane — packed 2-bit
 //!   counters ([`CounterPlane`]) or packed target registers
@@ -27,14 +18,14 @@
 //!   direct-mapped, exact-tag cache in front of the `HashMap`s, so in
 //!   steady state a record costs zero hash probes.
 //!
-//! The kernels are **bit-for-bit** equivalent to the reference: same
-//! prediction stream, same counter/target state, same statistics. That
-//! is not an aspiration but a test surface — `tests/prop_kernel.rs`
-//! drives both sides over seeded configs × synthetic traces and
-//! asserts exact equality, and the serve loadgen oracle re-proves it
-//! end-to-end on every CI run. Dynamic (§3.4 hardware-selected) hash
-//! selection intentionally stays on the boxed path: it is an ablation,
-//! not a serving configuration.
+//! The kernels are **bit-for-bit** equal to the paper's predictor
+//! written one structure per concept (a THB, §4.1 registers, boxed
+//! tables): that reference lives in `tests/reference/` as the
+//! differential oracle, and `tests/prop_kernel.rs` drives both over
+//! seeded configs × synthetic traces and asserts exact equality of
+//! predictions, table state and statistics. The §3.4 hardware-selected
+//! variant is [`DynamicPathConditional`](crate::DynamicPathConditional),
+//! built on the same first-level history.
 
 use std::collections::HashMap;
 
@@ -46,12 +37,10 @@ use crate::path::PathConfig;
 use crate::select::HashAssignment;
 use crate::stack::HistoryStack;
 
-/// A contiguous plane of packed target registers: the
-/// structure-of-arrays form of a
-/// [`TargetTable`](crate::TargetTable) — full 64-bit targets in one
-/// dense array, validity as one bit per entry. (The paper's footnote-1
-/// low-32 splice lives on only in the CHP baselines; the VLPP planes
-/// store full targets so addresses ≥ 2^32 never alias. The
+/// A contiguous plane of packed target registers: full 64-bit targets
+/// in one dense array, validity as one bit per entry. (The paper's
+/// footnote-1 low-32 splice lives on only in the CHP baselines; the
+/// VLPP planes store full targets so addresses ≥ 2^32 never alias. The
 /// 4-bytes-per-entry budget accounting is unchanged.)
 ///
 /// # Example
@@ -152,7 +141,7 @@ impl TargetPlane {
     }
 
     /// Every register in index order — the diagnostic form the
-    /// differential tests compare against the boxed table.
+    /// differential tests compare against the reference table.
     pub fn entries(&self) -> Vec<Option<u64>> {
         (0..self.len).map(|i| self.entry(i)).collect()
     }
@@ -200,17 +189,72 @@ struct BranchRow {
     mispredictions: u64,
 }
 
+/// First-level history: the §4.1 partial sums in rolling form, the
+/// §3.2 recording policy and the optional §6 history stack. Shared by
+/// the kernels and the §3.4 [`DynamicPathConditional`](crate::DynamicPathConditional).
+#[derive(Debug, Clone)]
+pub(crate) struct PathHistory {
+    /// §4.1 partial sums in rolling form — one register plus a ring of
+    /// its history, O(1) per retired branch — sized to the longest hash
+    /// in use.
+    hashers: RollingHashers,
+    store_returns: bool,
+    stack: Option<HistoryStack>,
+}
+
+impl PathHistory {
+    /// History for `config`, able to evaluate `HF_1 … HF_longest`.
+    pub(crate) fn new(config: &PathConfig, longest: usize) -> Self {
+        PathHistory {
+            hashers: RollingHashers::new(longest, config.index_bits),
+            store_returns: config.store_returns,
+            stack: config.history_stack_depth.map(HistoryStack::new),
+        }
+    }
+
+    /// The `k`-bit index `HF_hash` produces for the current history.
+    #[inline]
+    pub(crate) fn index(&self, hash: u8) -> u64 {
+        self.hashers.index(hash as usize)
+    }
+
+    /// Records a target the caller already knows enters the path: a
+    /// conditional or indirect branch's, which always does (§3.2) and
+    /// never touches the history stack.
+    #[inline]
+    pub(crate) fn push(&mut self, target: Addr) {
+        self.hashers.push(target);
+    }
+
+    /// The full observe step: §6 history stack at call/return, then the
+    /// §3.2 recording policy.
+    #[inline]
+    pub(crate) fn observe(&mut self, record: &BranchRecord) {
+        if let Some(stack) = &mut self.stack {
+            match record.kind() {
+                BranchKind::Call => stack.push(self.hashers.snapshot()),
+                BranchKind::Return => {
+                    if let Some(snapshot) = stack.pop() {
+                        self.hashers.restore(&snapshot);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let store =
+            record.enters_thb() || (self.store_returns && record.kind() == BranchKind::Return);
+        if store {
+            self.hashers.push(record.target());
+        }
+    }
+}
+
 /// First-level history, hash selection, and statistics — the part of
 /// the kernel shared between the conditional and indirect variants.
 #[derive(Debug, Clone)]
 struct KernelCore {
-    /// §4.1 partial sums in rolling form — one register plus a ring of
-    /// its history, O(1) per retired branch — sized to the longest hash
-    /// the assignment uses.
-    hashers: RollingHashers,
+    history: PathHistory,
     mask: u64,
-    store_returns: bool,
-    stack: Option<HistoryStack>,
     default_hash: u8,
     /// Explicit per-branch hash numbers, already clamped to the THB
     /// capacity (the reference clamps on every lookup; the kernel
@@ -233,10 +277,8 @@ impl KernelCore {
         // can be dropped without changing any maintained value.
         let longest = assigned.values().copied().max().unwrap_or(1).max(default_hash) as usize;
         KernelCore {
-            hashers: RollingHashers::new(longest, config.index_bits),
+            history: PathHistory::new(config, longest),
             mask: (1u64 << config.index_bits) - 1,
-            store_returns: config.store_returns,
-            stack: config.history_stack_depth.map(HistoryStack::new),
             default_hash,
             assigned,
             cache: vec![CacheLine { tag: 0, hash: 0, row: 0 }; 1 << CACHE_BITS].into_boxed_slice(),
@@ -283,7 +325,7 @@ impl KernelCore {
     fn index(&self, hash: u8) -> usize {
         // Rolling values are already k-bit; the mask documents (and
         // guarantees) the plane-index range without narrowing anything.
-        (self.hashers.index(hash as usize) & self.mask) as usize
+        (self.history.index(hash) & self.mask) as usize
     }
 
     /// Scores one prediction into its branch row, branchlessly. The
@@ -307,37 +349,6 @@ impl KernelCore {
         self.rows.iter().map(|r| r.mispredictions).sum()
     }
 
-    /// The observe step specialized to a record the caller has already
-    /// matched as conditional or indirect: such a record always enters
-    /// the THB (§3.2) and is never a call or return, so the history
-    /// stack and the recording policy need no per-record checks.
-    #[inline]
-    fn observe_predicted(&mut self, record: &BranchRecord) {
-        self.hashers.push(record.target());
-    }
-
-    /// The reference `observe` protocol: §6 history stack at
-    /// call/return, then the §3.2 recording policy.
-    #[inline]
-    fn observe(&mut self, record: &BranchRecord) {
-        if let Some(stack) = &mut self.stack {
-            match record.kind() {
-                BranchKind::Call => stack.push(self.hashers.snapshot()),
-                BranchKind::Return => {
-                    if let Some(snapshot) = stack.pop() {
-                        self.hashers.restore(&snapshot);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let store =
-            record.enters_thb() || (self.store_returns && record.kind() == BranchKind::Return);
-        if store {
-            self.hashers.push(record.target());
-        }
-    }
-
     fn name(&self) -> String {
         if self.assigned.is_empty() {
             "fixed length path".into()
@@ -348,8 +359,8 @@ impl KernelCore {
 
     fn export_state(&self) -> KernelState {
         KernelState {
-            hashers: self.hashers.snapshot(),
-            stack: self.stack.as_ref().map(|s| s.contents().to_vec()).unwrap_or_default(),
+            hashers: self.history.hashers.snapshot(),
+            stack: self.history.stack.as_ref().map(|s| s.contents().to_vec()).unwrap_or_default(),
             rows: self.rows.iter().map(|r| (r.pc, r.predictions, r.mispredictions)).collect(),
         }
     }
@@ -359,14 +370,14 @@ impl KernelCore {
     /// before anything is mutated, so a damaged snapshot yields a
     /// typed error and never a panic (or a half-restored kernel).
     fn restore_state(&mut self, state: &KernelState) -> Result<(), String> {
-        let want = self.hashers.snapshot_len();
+        let want = self.history.hashers.snapshot_len();
         if state.hashers.len() != want {
             return Err(format!(
                 "hasher state has {} words, this configuration needs {want}",
                 state.hashers.len()
             ));
         }
-        match &self.stack {
+        match &self.history.stack {
             Some(stack) => {
                 if state.stack.len() > stack.depth() {
                     return Err(format!(
@@ -394,8 +405,8 @@ impl KernelCore {
                 return Err(format!("duplicate branch row for pc {pc:#x}"));
             }
         }
-        self.hashers.restore(&state.hashers);
-        if let Some(stack) = &mut self.stack {
+        self.history.hashers.restore(&state.hashers);
+        if let Some(stack) = &mut self.history.stack {
             while stack.pop().is_some() {}
             for snapshot in &state.stack {
                 stack.push(snapshot.clone());
@@ -413,15 +424,17 @@ impl KernelCore {
     }
 }
 
-/// The structure-of-arrays conditional path predictor: bit-identical
-/// to [`PathConditional`](crate::PathConditional) with a static hash
-/// assignment, built for throughput.
+/// The conditional path predictor (paper Figure 1 with a counter
+/// table) over a static hash assignment: a [`HashAssignment::fixed`]
+/// one gives the paper's *fixed length path* predictor, a profiled one
+/// the *variable length path* predictor.
 ///
 /// Drive it record-at-a-time through the fused [`apply`](Self::apply)
 /// (which also accumulates [`RunStats`-shaped](Self::predictions)
 /// statistics internally, with no per-record `HashMap` traffic), or
-/// through the standard `ConditionalPredictor` trait where a call site
-/// expects the reference protocol.
+/// through the standard `ConditionalPredictor` trait (predict → train →
+/// observe as three calls) where a call site is generic over
+/// predictors.
 ///
 /// # Example
 ///
@@ -443,13 +456,14 @@ pub struct CondKernel {
 }
 
 impl CondKernel {
-    /// Builds the kernel for `config` and a static `assignment` — the
-    /// same parameters `PathConditional::new` takes.
+    /// Builds the kernel for `config` and a static `assignment`.
+    /// Hash numbers above the THB capacity clamp to it.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as the reference constructor
-    /// (index width out of `1..=28`, zero THB capacity).
+    /// The configuration must keep [`PathConfig::new`]'s ranges (index
+    /// width `1..=28`, THB capacity ≥ 1); otherwise construction or the
+    /// first prediction panics.
     pub fn new(config: &PathConfig, assignment: &HashAssignment) -> Self {
         CondKernel {
             plane: CounterPlane::new(1 << config.index_bits),
@@ -469,10 +483,10 @@ impl CondKernel {
             let predicted = self.plane.predict_update(index, taken);
             let correct = predicted == taken;
             self.core.score(row, correct);
-            self.core.observe_predicted(record);
+            self.core.history.push(record.target());
             Some((predicted, correct))
         } else {
-            self.core.observe(record);
+            self.core.history.observe(record);
             None
         }
     }
@@ -534,7 +548,7 @@ impl CondKernel {
 
 impl BranchObserver for CondKernel {
     fn observe(&mut self, record: &BranchRecord) {
-        self.core.observe(record);
+        self.core.history.observe(record);
     }
 }
 
@@ -554,9 +568,9 @@ impl ConditionalPredictor for CondKernel {
     }
 }
 
-/// The structure-of-arrays indirect path predictor: bit-identical to
-/// [`PathIndirect`](crate::PathIndirect) with a static hash
-/// assignment. See [`CondKernel`] for the layout story.
+/// The indirect path predictor (paper Figure 1 with a table of target
+/// registers) over a static hash assignment. See [`CondKernel`] and the
+/// module docs for the layout.
 ///
 /// # Example
 ///
@@ -577,12 +591,11 @@ pub struct IndKernel {
 }
 
 impl IndKernel {
-    /// Builds the kernel for `config` and a static `assignment` — the
-    /// same parameters `PathIndirect::new` takes.
+    /// Builds the kernel for `config` and a static `assignment`.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as the reference constructor.
+    /// Panics under the same conditions as [`CondKernel::new`].
     pub fn new(config: &PathConfig, assignment: &HashAssignment) -> Self {
         IndKernel {
             plane: TargetPlane::new(1 << config.index_bits),
@@ -604,10 +617,10 @@ impl IndKernel {
             let predicted = self.plane.predict_train(index, pc, target);
             let correct = predicted == target;
             self.core.score(row, correct);
-            self.core.observe_predicted(record);
+            self.core.history.push(record.target());
             Some((predicted, correct))
         } else {
-            self.core.observe(record);
+            self.core.history.observe(record);
             None
         }
     }
@@ -675,7 +688,7 @@ impl IndKernel {
 
 impl BranchObserver for IndKernel {
     fn observe(&mut self, record: &BranchRecord) {
-        self.core.observe(record);
+        self.core.history.observe(record);
     }
 }
 
@@ -698,7 +711,6 @@ impl IndirectPredictor for IndKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::{PathConditional, PathIndirect};
 
     fn cond(pc: u64, target: u64, taken: bool) -> BranchRecord {
         BranchRecord::conditional(Addr::new(pc), Addr::new(target), taken)
@@ -727,51 +739,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn cond_kernel_matches_reference_on_a_mixed_stream() {
-        let config = PathConfig::new(10);
-        let mut assignment = HashAssignment::fixed(6);
-        assignment.assign(Addr::new(0x44), 1);
-        assignment.assign(Addr::new(0x48), 13);
-        let mut kernel = CondKernel::new(&config, &assignment);
-        let mut reference = PathConditional::new(config, assignment);
-        for record in stream(4000, 7) {
-            if record.is_conditional() {
-                let expected = reference.predict(record.pc());
-                reference.train(record.pc(), record.taken());
-                let (predicted, correct) = kernel.apply(&record).expect("conditional");
-                assert_eq!(predicted, expected);
-                assert_eq!(correct, expected == record.taken());
-            } else {
-                assert_eq!(kernel.apply(&record), None);
-            }
-            reference.observe(&record);
-        }
-        assert_eq!(kernel.counter_values(), reference.counter_values());
-    }
-
-    #[test]
-    fn ind_kernel_matches_reference_on_a_mixed_stream() {
-        let config = PathConfig::new(8);
-        let mut assignment = HashAssignment::fixed(3);
-        assignment.assign(Addr::new(0x50), 8);
-        let mut kernel = IndKernel::new(&config, &assignment);
-        let mut reference = PathIndirect::new(config, assignment);
-        for record in stream(4000, 21) {
-            if record.is_indirect() {
-                let expected = reference.predict(record.pc());
-                reference.train(record.pc(), record.target());
-                let (predicted, correct) = kernel.apply(&record).expect("indirect");
-                assert_eq!(predicted, expected);
-                assert_eq!(correct, expected == record.target());
-            } else {
-                assert_eq!(kernel.apply(&record), None);
-            }
-            reference.observe(&record);
-        }
-        assert_eq!(kernel.target_entries(), reference.target_entries());
     }
 
     #[test]
@@ -808,52 +775,6 @@ mod tests {
             stepwise.observe(&record);
         }
         assert_eq!(fused.counter_values(), stepwise.counter_values());
-    }
-
-    #[test]
-    fn history_stack_restores_like_reference() {
-        let config = PathConfig::new(10).with_history_stack(4);
-        let assignment = HashAssignment::fixed(4);
-        let mut kernel = CondKernel::new(&config, &assignment);
-        let mut reference = PathConditional::new(config, assignment);
-        let mut x = 11u64;
-        for i in 0..3000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let record = match i % 7 {
-                0 => BranchRecord::call(Addr::new(0x200), Addr::new(0x4000)),
-                3 => BranchRecord::ret(Addr::new(0x4100), Addr::new(0x204)),
-                _ => cond(0x100 + (i % 5) * 4, ((x >> 30) & 0xff) << 2, (x >> 9) & 1 == 1),
-            };
-            if record.is_conditional() {
-                let expected = reference.predict(record.pc());
-                reference.train(record.pc(), record.taken());
-                let (predicted, _) = kernel.apply(&record).expect("conditional");
-                assert_eq!(predicted, expected, "record {i}");
-            } else {
-                kernel.apply(&record);
-            }
-            reference.observe(&record);
-        }
-        assert_eq!(kernel.counter_values(), reference.counter_values());
-    }
-
-    #[test]
-    fn assignment_above_capacity_clamps_like_reference() {
-        let mut config = PathConfig::new(8);
-        config.thb_capacity = 4;
-        let assignment = HashAssignment::fixed(32); // clamps to 4
-        let mut kernel = CondKernel::new(&config, &assignment);
-        let mut reference = PathConditional::new(config, assignment);
-        for record in stream(1000, 5) {
-            if record.is_conditional() {
-                let expected = reference.predict(record.pc());
-                reference.train(record.pc(), record.taken());
-                assert_eq!(kernel.apply(&record).map(|(p, _)| p), Some(expected));
-            } else {
-                kernel.apply(&record);
-            }
-            reference.observe(&record);
-        }
     }
 
     #[test]

@@ -20,42 +20,47 @@
 //!
 //! | Paper section | Module |
 //! |---|---|
-//! | §3.1 predictor structure (Fig. 1, 2) | [`thb`], [`hash`], [`table`], [`path`] |
-//! | §3.2 recording the path | [`thb`] ([`Thb::observe`](thb::Thb::observe)) |
+//! | §3.1 predictor structure (Fig. 1, 2) | [`path`] ([`PathConfig`]), [`kernel`] |
+//! | §3.2 recording the path | [`kernel`] (the observe step) |
 //! | §3.3 rotate-then-XOR hash functions | [`hash`] |
-//! | §3.4 hash selection | [`select`] |
+//! | §3.4 hash selection | [`select`] ([`HashAssignment`], [`DynamicPathConditional`]) |
 //! | §3.5 profiling heuristic | [`profile`] |
-//! | §4.1 single-XOR evaluation | [`hash::IncrementalHashers`] |
+//! | §4.1 single-XOR evaluation | [`hash::RollingHashers`] |
 //! | §4 practicality: the throughput kernel | [`kernel`] |
 //! | §4.3 pipelining / HFNT (Fig. 3, 4) | [`hfnt`] |
 //! | §6 future work: call/return history stack | [`stack`] |
 //! | §2 related work: Tarlescu elastic history | [`elastic`] |
 //! | §2 related work: Driesen–Hölzle dual-length hybrid | [`cascade`] |
 //!
-//! The user-facing predictors are [`PathConditional`] and
-//! [`PathIndirect`]; both implement the `vlpp-predict` traits, so the
-//! `vlpp-sim` runner drives them interchangeably with the baselines.
+//! The user-facing predictors are [`CondKernel`] and [`IndKernel`]
+//! (static hash assignment) and [`DynamicPathConditional`] (§3.4
+//! hardware selection). All implement the `vlpp-predict` traits, so the
+//! `vlpp-sim` runner drives them interchangeably with the baselines;
+//! the kernels also have a fused [`CondKernel::apply`] that keeps
+//! per-branch statistics. A boxed, one-structure-per-concept rendering
+//! of the same predictor lives in the crate's `tests/reference/` as the
+//! differential oracle.
 //!
 //! ## Example: fixed- and variable-length path prediction
 //!
 //! ```
-//! use vlpp_core::{HashAssignment, PathConditional, PathConfig};
-//! use vlpp_predict::ConditionalPredictor;
-//! use vlpp_trace::Addr;
+//! use vlpp_core::{CondKernel, HashAssignment, PathConfig};
+//! use vlpp_trace::{Addr, BranchRecord};
 //!
 //! let config = PathConfig::conditional_for_bytes(4096);
+//! let record = BranchRecord::conditional(Addr::new(0x1000), Addr::new(0x2000), true);
 //!
 //! // Fixed length: every branch hashes the last 9 targets (Table 2's
 //! // best length for a 4 KB table).
-//! let mut flp = PathConditional::new(config.clone(), HashAssignment::fixed(9));
-//! let _ = flp.predict(Addr::new(0x1000));
+//! let mut flp = CondKernel::new(&config, &HashAssignment::fixed(9));
+//! let _ = flp.apply(&record);
 //!
 //! // Variable length: per-branch lengths, normally produced by
 //! // `profile::ProfileBuilder`.
 //! let mut assignment = HashAssignment::fixed(9);
 //! assignment.assign(Addr::new(0x1000), 3);
-//! let mut vlp = PathConditional::new(config, assignment);
-//! let _ = vlp.predict(Addr::new(0x1000));
+//! let mut vlp = CondKernel::new(&config, &assignment);
+//! let (_taken, _correct) = vlp.apply(&record).expect("a conditional record");
 //! ```
 
 #![warn(missing_docs)]
@@ -70,20 +75,16 @@ pub mod path;
 pub mod profile;
 pub mod select;
 pub mod stack;
-pub mod table;
-pub mod thb;
 
 pub use cascade::DualLengthPathIndirect;
 pub use elastic::ElasticGshare;
-pub use hash::{hash_path, IncrementalHashers, RollingHashers};
+pub use hash::RollingHashers;
 pub use hfnt::{Hfnt, HfntStats};
 pub use kernel::{CondKernel, IndKernel, KernelState, TargetPlane};
-pub use path::{PathConditional, PathConfig, PathIndirect};
+pub use path::PathConfig;
 pub use profile::{ProfileBuilder, ProfileConfig, ProfileReport};
-pub use select::{DynamicSelector, HashAssignment};
+pub use select::{DynamicPathConditional, DynamicSelector, HashAssignment};
 pub use stack::HistoryStack;
-pub use table::{CounterTable, TargetTable};
-pub use thb::Thb;
 
 /// The THB capacity the paper uses: at most 32 target addresses, hence
 /// hash functions `HF_1 … HF_32`.

@@ -1,20 +1,17 @@
-//! The path predictors themselves: [`PathConditional`] and
-//! [`PathIndirect`] (paper §3.1, Figures 1 and 2).
+//! The path predictor's structure (paper §3.1, Figures 1 and 2):
+//! [`PathConfig`], shared by every path predictor in the crate.
 //!
-//! Both share [`PathConfig`] (first-level structure) and a selection
-//! source: a static [`HashAssignment`] (profile- or compiler-provided,
-//! §3.5) or a [`DynamicSelector`] (hardware-only, §3.4). A fixed
-//! assignment yields the paper's *fixed length path* predictor; a
-//! profiled assignment yields the *variable length path* predictor.
+//! The predictors themselves are [`CondKernel`](crate::CondKernel) and
+//! [`IndKernel`](crate::IndKernel) over a static [`HashAssignment`]
+//! (a fixed assignment yields the paper's *fixed length path*
+//! predictor, a profiled one the *variable length path* predictor) and
+//! [`DynamicPathConditional`](crate::DynamicPathConditional) for §3.4
+//! hardware selection. This module's tests pin their behaviour.
+//!
+//! [`HashAssignment`]: crate::HashAssignment
 
-use vlpp_predict::{BranchObserver, Budget, ConditionalPredictor, IndirectPredictor};
-use vlpp_trace::{Addr, BranchKind, BranchRecord};
+use vlpp_predict::Budget;
 
-use crate::hash::IncrementalHashers;
-use crate::select::{DynamicSelector, HashAssignment};
-use crate::stack::HistoryStack;
-use crate::table::{CounterTable, TargetTable};
-use crate::thb::Thb;
 use crate::MAX_PATH_LENGTH;
 
 /// Structural parameters of a path predictor: everything except the
@@ -100,320 +97,12 @@ impl PathConfig {
     }
 }
 
-/// The hash-selection source shared by both predictor variants.
-#[derive(Debug, Clone)]
-enum Selection {
-    Static(HashAssignment),
-    Dynamic(DynamicSelector),
-}
-
-/// First-level history plus hash evaluation: the part of the predictor
-/// shared between the conditional and indirect variants.
-#[derive(Debug, Clone)]
-struct PathCore {
-    thb: Thb,
-    hashers: IncrementalHashers,
-    selection: Selection,
-    stack: Option<HistoryStack>,
-}
-
-impl PathCore {
-    fn new(config: &PathConfig, selection: Selection) -> Self {
-        let thb = if config.store_returns {
-            Thb::with_returns(config.thb_capacity, config.index_bits)
-        } else {
-            Thb::new(config.thb_capacity, config.index_bits)
-        };
-        PathCore {
-            thb,
-            hashers: IncrementalHashers::new(config.thb_capacity, config.index_bits),
-            selection,
-            stack: config.history_stack_depth.map(HistoryStack::new),
-        }
-    }
-
-    /// The hash number selected for `pc`, clamped to the THB capacity.
-    #[inline]
-    fn hash_number(&self, pc: Addr) -> usize {
-        let n = match &self.selection {
-            Selection::Static(assignment) => assignment.get(pc),
-            Selection::Dynamic(selector) => selector.select(pc),
-        } as usize;
-        n.min(self.thb.capacity())
-    }
-
-    /// The table index for `pc` under the current history.
-    #[inline]
-    fn index(&self, pc: Addr) -> u64 {
-        self.hashers.index(self.hash_number(pc))
-    }
-
-    /// The index produced by a specific hash number (used by dynamic
-    /// selection training).
-    #[inline]
-    fn index_for(&self, n: u8) -> u64 {
-        self.hashers.index((n as usize).min(self.thb.capacity()))
-    }
-
-    fn observe(&mut self, record: &BranchRecord) {
-        // §6 history stack: snapshot at calls, restore at returns.
-        if let Some(stack) = &mut self.stack {
-            match record.kind() {
-                BranchKind::Call => stack.push(self.hashers.snapshot()),
-                BranchKind::Return => {
-                    if let Some(snapshot) = stack.pop() {
-                        self.hashers.restore(&snapshot);
-                        // The THB mirror is only diagnostic; clearing it
-                        // keeps it consistent with "history replaced".
-                        self.thb.clear();
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Keep the hash registers in lockstep with the THB's §3.2 policy.
-        let store = record.enters_thb()
-            || (self.thb.stores_returns() && record.kind() == BranchKind::Return);
-        if store {
-            self.thb.push(record.target());
-            self.hashers.push(record.target());
-        }
-    }
-}
-
-/// A path-based conditional-branch predictor (paper Figure 1 with a
-/// counter table).
-///
-/// With a [`HashAssignment::fixed`] selection this is the paper's **fixed
-/// length path** predictor; with a profiled assignment it is the
-/// **variable length path** predictor; with [`new_dynamic`] it is the
-/// §3.4 hardware-selected variant.
-///
-/// [`new_dynamic`]: Self::new_dynamic
-///
-/// # Example
-///
-/// ```
-/// use vlpp_core::{HashAssignment, PathConditional, PathConfig};
-/// use vlpp_predict::{BranchObserver, ConditionalPredictor};
-/// use vlpp_trace::{Addr, BranchRecord};
-///
-/// let mut p = PathConditional::new(
-///     PathConfig::conditional_for_bytes(1024),
-///     HashAssignment::fixed(6),
-/// );
-/// let pc = Addr::new(0x1000);
-/// let _ = p.predict(pc);
-/// p.train(pc, true);
-/// p.observe(&BranchRecord::conditional(pc, Addr::new(0x2000), true));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PathConditional {
-    core: PathCore,
-    table: CounterTable,
-}
-
-impl PathConditional {
-    /// Creates a predictor with a static (compiler/profile) hash
-    /// assignment.
-    pub fn new(config: PathConfig, assignment: HashAssignment) -> Self {
-        PathConditional {
-            table: CounterTable::new(config.index_bits),
-            core: PathCore::new(&config, Selection::Static(assignment)),
-        }
-    }
-
-    /// Creates a predictor with hardware-dynamic hash selection over the
-    /// given candidate hash numbers, with `2^selector_set_bits` selector
-    /// sets.
-    ///
-    /// Note the structural handicap the `ablate-select` experiment
-    /// quantifies: all candidates score their accuracy against the one
-    /// *shared* table, but only the currently selected candidate's index
-    /// is ever trained, so unselected candidates are judged on stale
-    /// entries and the selector tends to lock in early — §3.4 describes
-    /// the idea without resolving this; profiling (the paper's choice)
-    /// sidesteps it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty or contains hash numbers outside
-    /// `1..=32`.
-    pub fn new_dynamic(config: PathConfig, candidates: &[u8], selector_set_bits: u32) -> Self {
-        PathConditional {
-            table: CounterTable::new(config.index_bits),
-            core: PathCore::new(
-                &config,
-                Selection::Dynamic(DynamicSelector::new(candidates, selector_set_bits)),
-            ),
-        }
-    }
-
-    /// The hash number the predictor would use for `pc` right now.
-    pub fn selected_hash(&self, pc: Addr) -> usize {
-        self.core.hash_number(pc)
-    }
-
-    /// The second-level table size in bytes.
-    pub fn table_bytes(&self) -> u64 {
-        self.table.bytes()
-    }
-
-    /// Every counter value in index order — the diagnostic surface the
-    /// kernel differential tests compare against.
-    pub fn counter_values(&self) -> Vec<u8> {
-        self.table.values()
-    }
-}
-
-impl BranchObserver for PathConditional {
-    fn observe(&mut self, record: &BranchRecord) {
-        self.core.observe(record);
-    }
-}
-
-impl ConditionalPredictor for PathConditional {
-    fn predict(&mut self, pc: Addr) -> bool {
-        self.table.predict(self.core.index(pc))
-    }
-
-    fn train(&mut self, pc: Addr, taken: bool) {
-        // Dynamic selection trains the per-candidate accuracy counters by
-        // checking what each candidate would have predicted.
-        if let Selection::Dynamic(selector) = &self.core.selection {
-            let verdicts: Vec<(usize, bool)> = selector
-                .candidates()
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (i, self.table.predict(self.core.index_for(c)) == taken))
-                .collect();
-            if let Selection::Dynamic(selector) = &mut self.core.selection {
-                for (i, correct) in verdicts {
-                    selector.reward(pc, i, correct);
-                }
-            }
-        }
-        self.table.train(self.core.index(pc), taken);
-    }
-
-    fn name(&self) -> String {
-        match &self.core.selection {
-            Selection::Static(a) if a.is_fixed() => "fixed length path".into(),
-            Selection::Static(_) => "variable length path".into(),
-            Selection::Dynamic(_) => "dynamic path".into(),
-        }
-    }
-}
-
-/// A path-based indirect-branch predictor (paper Figure 1 with a table of
-/// target registers).
-///
-/// # Example
-///
-/// ```
-/// use vlpp_core::{HashAssignment, PathConfig, PathIndirect};
-/// use vlpp_predict::IndirectPredictor;
-/// use vlpp_trace::Addr;
-///
-/// let mut p = PathIndirect::new(
-///     PathConfig::indirect_for_bytes(2048),
-///     HashAssignment::fixed(21),
-/// );
-/// let pc = Addr::new(0x1000);
-/// assert_eq!(p.predict(pc), Addr::NULL); // cold table
-/// p.train(pc, Addr::new(0x9000));
-/// assert_eq!(p.predict(pc), Addr::new(0x9000));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PathIndirect {
-    core: PathCore,
-    table: TargetTable,
-}
-
-impl PathIndirect {
-    /// Creates a predictor with a static (compiler/profile) hash
-    /// assignment.
-    pub fn new(config: PathConfig, assignment: HashAssignment) -> Self {
-        PathIndirect {
-            table: TargetTable::new(config.index_bits),
-            core: PathCore::new(&config, Selection::Static(assignment)),
-        }
-    }
-
-    /// Creates a predictor with hardware-dynamic hash selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty or contains hash numbers outside
-    /// `1..=32`.
-    pub fn new_dynamic(config: PathConfig, candidates: &[u8], selector_set_bits: u32) -> Self {
-        PathIndirect {
-            table: TargetTable::new(config.index_bits),
-            core: PathCore::new(
-                &config,
-                Selection::Dynamic(DynamicSelector::new(candidates, selector_set_bits)),
-            ),
-        }
-    }
-
-    /// The hash number the predictor would use for `pc` right now.
-    pub fn selected_hash(&self, pc: Addr) -> usize {
-        self.core.hash_number(pc)
-    }
-
-    /// The second-level table size in bytes.
-    pub fn table_bytes(&self) -> u64 {
-        self.table.bytes()
-    }
-
-    /// Every entry's stored target in index order (`None` for
-    /// never-written entries) — the diagnostic surface the kernel
-    /// differential tests compare against.
-    pub fn target_entries(&self) -> Vec<Option<u64>> {
-        self.table.stored()
-    }
-}
-
-impl BranchObserver for PathIndirect {
-    fn observe(&mut self, record: &BranchRecord) {
-        self.core.observe(record);
-    }
-}
-
-impl IndirectPredictor for PathIndirect {
-    fn predict(&mut self, pc: Addr) -> Addr {
-        self.table.predict(self.core.index(pc), pc)
-    }
-
-    fn train(&mut self, pc: Addr, target: Addr) {
-        if let Selection::Dynamic(selector) = &self.core.selection {
-            let verdicts: Vec<(usize, bool)> = selector
-                .candidates()
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (i, self.table.predict(self.core.index_for(c), pc) == target))
-                .collect();
-            if let Selection::Dynamic(selector) = &mut self.core.selection {
-                for (i, correct) in verdicts {
-                    selector.reward(pc, i, correct);
-                }
-            }
-        }
-        self.table.train(self.core.index(pc), target);
-    }
-
-    fn name(&self) -> String {
-        match &self.core.selection {
-            Selection::Static(a) if a.is_fixed() => "fixed length path".into(),
-            Selection::Static(_) => "variable length path".into(),
-            Selection::Dynamic(_) => "dynamic path".into(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CondKernel, DynamicPathConditional, HashAssignment, IndKernel};
+    use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
+    use vlpp_trace::{Addr, BranchRecord};
 
     fn cond(pc: u64, target: u64, taken: bool) -> BranchRecord {
         BranchRecord::conditional(Addr::new(pc), Addr::new(target), taken)
@@ -428,13 +117,13 @@ mod tests {
     #[test]
     fn names_distinguish_fixed_and_variable() {
         let config = PathConfig::new(8);
-        let fixed = PathConditional::new(config.clone(), HashAssignment::fixed(4));
+        let fixed = CondKernel::new(&config, &HashAssignment::fixed(4));
         assert_eq!(fixed.name(), "fixed length path");
         let mut a = HashAssignment::fixed(4);
         a.assign(Addr::new(0x10), 2);
-        let variable = PathConditional::new(config.clone(), a);
+        let variable = CondKernel::new(&config, &a);
         assert_eq!(variable.name(), "variable length path");
-        let dynamic = PathConditional::new_dynamic(config, &[1, 2, 4], 6);
+        let dynamic = DynamicPathConditional::new(&config, &[1, 2, 4], 6);
         assert_eq!(dynamic.name(), "dynamic path");
     }
 
@@ -442,8 +131,7 @@ mod tests {
     fn conditional_learns_a_path_determined_branch() {
         // Branch at 0x9000 is taken iff the previous branch's target was
         // block A. A path predictor with length >= 1 nails this.
-        let config = PathConfig::new(10);
-        let mut p = PathConditional::new(config, HashAssignment::fixed(1));
+        let mut p = CondKernel::new(&PathConfig::new(10), &HashAssignment::fixed(1));
         let block_a = Addr::new(0x100 << 2);
         let block_b = Addr::new(0x200 << 2);
         let mut correct = 0;
@@ -452,12 +140,9 @@ mod tests {
             x = x.wrapping_mul(1664525).wrapping_add(1013904223);
             let go_a = (x >> 16) & 1 == 1;
             let lead_target = if go_a { block_a } else { block_b };
-            p.observe(&cond(0x50, lead_target.raw(), true));
-            let pc = Addr::new(0x9000);
-            let prediction = p.predict(pc);
-            p.train(pc, go_a);
-            p.observe(&cond(0x9000, 0x9100, go_a));
-            if prediction == go_a && i >= 200 {
+            p.apply(&cond(0x50, lead_target.raw(), true));
+            let (_, hit) = p.apply(&cond(0x9000, 0x9100, go_a)).expect("conditional");
+            if hit && i >= 200 {
                 correct += 1;
             }
         }
@@ -466,8 +151,7 @@ mod tests {
 
     #[test]
     fn indirect_learns_path_determined_targets() {
-        let config = PathConfig::new(8);
-        let mut p = PathIndirect::new(config, HashAssignment::fixed(1));
+        let mut p = IndKernel::new(&PathConfig::new(8), &HashAssignment::fixed(1));
         let (ta, tb) = (Addr::new(0x4000), Addr::new(0x8000));
         // Lead targets must stay distinguishable after 8-bit word
         // compression.
@@ -478,79 +162,103 @@ mod tests {
         for i in 0..2000 {
             x = x.wrapping_mul(1664525).wrapping_add(1013904223);
             let go_a = (x >> 16) & 1 == 1;
-            p.observe(&cond(0x50, if go_a { block_a } else { block_b }.raw(), true));
-            let pc = Addr::new(0x9000);
+            p.apply(&cond(0x50, if go_a { block_a } else { block_b }.raw(), true));
             let actual = if go_a { ta } else { tb };
-            if p.predict(pc) == actual && i >= 200 {
+            let (_, hit) =
+                p.apply(&BranchRecord::indirect(Addr::new(0x9000), actual)).expect("indirect");
+            if hit && i >= 200 {
                 correct += 1;
             }
-            p.train(pc, actual);
-            p.observe(&BranchRecord::indirect(pc, actual));
         }
         assert!(correct as f64 / 1800.0 > 0.95, "got {correct}");
     }
 
     #[test]
-    fn variable_assignment_uses_different_indices_per_branch() {
-        let config = PathConfig::new(12);
-        let mut a = HashAssignment::fixed(8);
-        a.assign(Addr::new(0x10), 1);
-        a.assign(Addr::new(0x20), 32);
-        let p = PathConditional::new(config, a);
-        assert_eq!(p.selected_hash(Addr::new(0x10)), 1);
-        assert_eq!(p.selected_hash(Addr::new(0x20)), 32);
-        assert_eq!(p.selected_hash(Addr::new(0x999)), 8);
-    }
-
-    #[test]
     fn hash_number_clamps_to_thb_capacity() {
+        // HF_32 over a 4-entry THB is HF_4: both kernels predict alike.
         let mut config = PathConfig::new(8);
         config.thb_capacity = 4;
-        let p = PathConditional::new(config, HashAssignment::fixed(32));
-        assert_eq!(p.selected_hash(Addr::new(0)), 4);
+        let mut overlong = CondKernel::new(&config, &HashAssignment::fixed(32));
+        let mut at_capacity = CondKernel::new(&config, &HashAssignment::fixed(4));
+        let mut x = 9u64;
+        for _ in 0..2000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let record = cond(0x40 + ((x >> 40) & 0xf) * 4, ((x >> 20) & 0xff) << 2, x & 1 == 1);
+            assert_eq!(overlong.apply(&record), at_capacity.apply(&record));
+        }
+        assert_eq!(overlong.counter_values(), at_capacity.counter_values());
+    }
+
+    /// The §4.1 history state a kernel would snapshot right now.
+    fn history(p: &CondKernel) -> Vec<u64> {
+        p.export_state().0.hashers
     }
 
     #[test]
     fn history_stack_restores_caller_path() {
         let config = PathConfig::new(10).with_history_stack(8);
-        let mut p = PathConditional::new(config, HashAssignment::fixed(4));
+        let mut p = CondKernel::new(&config, &HashAssignment::fixed(4));
         // Build caller history.
         for i in 0..4u64 {
             p.observe(&cond(0x100 + 4 * i, (0x500 + i) << 2, true));
         }
-        let caller_index = p.core.index(Addr::new(0x9000));
+        let caller = history(&p);
         // Call; the callee pollutes history.
         p.observe(&BranchRecord::call(Addr::new(0x200), Addr::new(0x4000)));
         for i in 0..6u64 {
             p.observe(&cond(0x4000 + 4 * i, (0x900 + i) << 2, true));
         }
-        assert_ne!(p.core.index(Addr::new(0x9000)), caller_index);
+        assert_ne!(history(&p), caller);
         // Return restores the caller's history.
         p.observe(&BranchRecord::ret(Addr::new(0x4100), Addr::new(0x204)));
-        assert_eq!(p.core.index(Addr::new(0x9000)), caller_index);
+        assert_eq!(history(&p), caller);
     }
 
     #[test]
     fn without_stack_callee_history_persists() {
-        let config = PathConfig::new(10);
-        let mut p = PathConditional::new(config, HashAssignment::fixed(4));
+        let mut p = CondKernel::new(&PathConfig::new(10), &HashAssignment::fixed(4));
         for i in 0..4u64 {
             p.observe(&cond(0x100 + 4 * i, (0x500 + i) << 2, true));
         }
-        let caller_index = p.core.index(Addr::new(0x9000));
+        let caller = history(&p);
         p.observe(&BranchRecord::call(Addr::new(0x200), Addr::new(0x4000)));
         for i in 0..6u64 {
             p.observe(&cond(0x4000 + 4 * i, (0x900 + i) << 2, true));
         }
         p.observe(&BranchRecord::ret(Addr::new(0x4100), Addr::new(0x204)));
-        assert_ne!(p.core.index(Addr::new(0x9000)), caller_index);
+        assert_ne!(history(&p), caller);
+    }
+
+    #[test]
+    fn observe_policy_matches_section_3_2() {
+        // Only conditional and indirect targets enter the path history.
+        let mut p = CondKernel::new(&PathConfig::new(10), &HashAssignment::fixed(4));
+        let empty = history(&p);
+        p.observe(&BranchRecord::unconditional(Addr::new(0x10), Addr::new(0x300)));
+        p.observe(&BranchRecord::call(Addr::new(0x10), Addr::new(0x400)));
+        p.observe(&BranchRecord::ret(Addr::new(0x10), Addr::new(0x500)));
+        assert_eq!(history(&p), empty, "unconditional, call and return are not recorded");
+        p.observe(&cond(0x10, 0x100, true));
+        let after_conditional = history(&p);
+        assert_ne!(after_conditional, empty);
+        p.observe(&BranchRecord::indirect(Addr::new(0x10), Addr::new(0x200)));
+        assert_ne!(history(&p), after_conditional);
+    }
+
+    #[test]
+    fn with_returns_also_records_returns() {
+        let mut p = CondKernel::new(&PathConfig::new(10).with_returns(), &HashAssignment::fixed(4));
+        let empty = history(&p);
+        p.observe(&BranchRecord::call(Addr::new(0x10), Addr::new(0x400)));
+        assert_eq!(history(&p), empty, "calls are never recorded");
+        p.observe(&BranchRecord::ret(Addr::new(0x10), Addr::new(0x500)));
+        assert_ne!(history(&p), empty);
     }
 
     #[test]
     fn dynamic_selection_converges_to_useful_length() {
         // Outcome depends on the path 2 back; HF_1 can't see it, HF_2 can.
-        let config = PathConfig::new(10);
-        let mut p = PathConditional::new_dynamic(config, &[1, 2], 4);
+        let mut p = DynamicPathConditional::new(&PathConfig::new(10), &[1, 2], 4);
         let pc = Addr::new(0x9000);
         let mut x: u32 = 3;
         let mut correct = 0;
@@ -578,7 +286,7 @@ mod tests {
 
     #[test]
     fn indirect_cold_predicts_null() {
-        let mut p = PathIndirect::new(PathConfig::new(8), HashAssignment::fixed(3));
+        let mut p = IndKernel::new(&PathConfig::new(8), &HashAssignment::fixed(3));
         assert_eq!(p.predict(Addr::new(0x10)), Addr::NULL);
     }
 }

@@ -26,11 +26,11 @@
 
 use std::collections::HashMap;
 
-use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::{Addr, BranchKind, Trace};
 
-use crate::hash::IncrementalHashers;
-use crate::path::{PathConditional, PathConfig, PathIndirect};
+use crate::hash::RollingHashers;
+use crate::kernel::{CondKernel, IndKernel};
+use crate::path::PathConfig;
 use crate::select::HashAssignment;
 
 /// Parameters of the profiling heuristic.
@@ -177,7 +177,7 @@ fn best_hash(stats: &[HashStat]) -> u8 {
 /// # Example
 ///
 /// ```
-/// use vlpp_core::{PathConditional, PathConfig, ProfileBuilder, ProfileConfig};
+/// use vlpp_core::{CondKernel, PathConfig, ProfileBuilder, ProfileConfig};
 /// use vlpp_trace::{Addr, BranchRecord, Trace};
 ///
 /// let mut trace = Trace::new();
@@ -187,7 +187,7 @@ fn best_hash(stats: &[HashStat]) -> u8 {
 /// }
 /// let config = ProfileConfig::new(PathConfig::new(8));
 /// let report = ProfileBuilder::new(config.clone()).profile_conditional(&trace);
-/// let _vlp = PathConditional::new(config.path, report.assignment);
+/// let _vlp = CondKernel::new(&config.path, &report.assignment);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProfileBuilder {
@@ -251,16 +251,14 @@ impl ProfileBuilder {
     /// all simulated in a single *fused* pass.
     ///
     /// This is the hottest loop in the repo (32 predictors × every
-    /// dynamic branch), so instead of 32 separately-allocated
-    /// [`CounterTable`](crate::CounterTable)s /
-    /// [`TargetTable`](crate::TargetTable)s and a per-hash `match` on
-    /// the population, the per-hash state lives in one contiguous
-    /// `[hash × index]` array (hash `hi`'s table occupies
-    /// `hi·2^k .. (hi+1)·2^k`) and the population dispatch is hoisted
-    /// out of the per-record work entirely. Each `(hash, index)` cell
-    /// sees exactly the predict/train sequence the per-table version
-    /// gave it, so the results are bit-identical — a property test
-    /// checks the fused kernel against the per-table reference.
+    /// dynamic branch), so instead of 32 separately-allocated tables
+    /// and a per-hash `match` on the population, the per-hash state
+    /// lives in one contiguous `[hash × index]` array (hash `hi`'s table
+    /// occupies `hi·2^k .. (hi+1)·2^k`) and the population dispatch is
+    /// hoisted out of the per-record work entirely. Each `(hash, index)`
+    /// cell sees exactly the predict/train sequence a private table per
+    /// hash would, so the results are bit-identical — a property test
+    /// checks the fused loop against a per-table reference.
     fn step1(
         &self,
         trace: &Trace,
@@ -268,13 +266,10 @@ impl ProfileBuilder {
     ) -> (HashMap<u64, BranchTally>, Vec<HashStat>) {
         let cfg = &self.config;
         let k = cfg.path.index_bits;
-        let capacity = cfg.path.thb_capacity;
         let n_hashes = cfg.hash_set.len();
         let table_len = 1usize << k;
-        // Register slot of each configured hash number (0-based).
-        let slots: Vec<usize> = cfg.hash_set.iter().map(|&hash| hash as usize - 1).collect();
-
-        let mut hashers = IncrementalHashers::new(capacity, k);
+        let longest = cfg.hash_set.iter().copied().max().expect("non-empty hash set") as usize;
+        let mut hashers = RollingHashers::new(longest, k);
         let mut tallies: HashMap<u64, BranchTally> = HashMap::new();
 
         match population {
@@ -287,14 +282,16 @@ impl ProfileBuilder {
                             BranchTally { correct: vec![0; n_hashes], executed: 0 }
                         });
                         tally.executed += 1;
-                        let indices = hashers.indices();
-                        for (hi, &slot) in slots.iter().enumerate() {
-                            let cell = hi * table_len + indices[slot] as usize;
-                            let counter = &mut counters[cell];
-                            if counter.predict_taken() == taken {
-                                tally.correct[hi] += 1;
-                            }
-                            counter.update(taken);
+                        // Branchless per hash: which of the predictors
+                        // were right is data-dependent, so a branch on
+                        // each verdict would mispredict often.
+                        for (hi, (&hash, correct)) in
+                            cfg.hash_set.iter().zip(tally.correct.iter_mut()).enumerate()
+                        {
+                            let cell = hi * table_len + hashers.index(hash as usize) as usize;
+                            let counter = counters[cell];
+                            *correct += (counter.predict_taken() == taken) as u32;
+                            counters[cell] = counter.updated(taken);
                         }
                     }
                     if record.enters_thb()
@@ -316,14 +313,13 @@ impl ProfileBuilder {
                             executed: 0,
                         });
                         tally.executed += 1;
-                        let indices = hashers.indices();
-                        for (hi, &slot) in slots.iter().enumerate() {
-                            let cell = hi * table_len + indices[slot] as usize;
+                        for (hi, (&hash, correct)) in
+                            cfg.hash_set.iter().zip(tally.correct.iter_mut()).enumerate()
+                        {
+                            let cell = hi * table_len + hashers.index(hash as usize) as usize;
                             let prediction =
                                 if valid[cell] { Addr::new(targets[cell]) } else { Addr::NULL };
-                            if prediction == target {
-                                tally.correct[hi] += 1;
-                            }
+                            *correct += (prediction == target) as u32;
                             targets[cell] = target.raw();
                             valid[cell] = true;
                         }
@@ -417,7 +413,7 @@ impl ProfileBuilder {
             for (&pc, &ci) in &chosen {
                 assignment.assign(Addr::new(pc), candidates[&pc][ci]);
             }
-            let iteration_misses = self.simulate(trace, population, assignment);
+            let iteration_misses = self.simulate(trace, population, &assignment);
             for (&pc, &ci) in &chosen {
                 let count = iteration_misses.get(&pc).copied().unwrap_or(0);
                 misses.get_mut(&pc).expect("tracked branch")[ci] = Some(count);
@@ -434,43 +430,31 @@ impl ProfileBuilder {
     }
 
     /// Simulates one variable length path predictor over the profile
-    /// trace, returning per-branch misprediction counts.
+    /// trace through the kernel, returning each predicted branch's
+    /// misprediction count.
     fn simulate(
         &self,
         trace: &Trace,
         population: Population,
-        assignment: HashAssignment,
+        assignment: &HashAssignment,
     ) -> HashMap<u64, u64> {
-        let mut misses: HashMap<u64, u64> = HashMap::new();
+        let path = &self.config.path;
         match population {
             Population::Conditional => {
-                let mut p = PathConditional::new(self.config.path.clone(), assignment);
+                let mut kernel = CondKernel::new(path, assignment);
                 for record in trace.iter() {
-                    if record.is_conditional() {
-                        let prediction = p.predict(record.pc());
-                        if prediction != record.taken() {
-                            *misses.entry(record.pc().raw()).or_insert(0) += 1;
-                        }
-                        p.train(record.pc(), record.taken());
-                    }
-                    p.observe(record);
+                    kernel.apply(record);
                 }
+                kernel.branch_stats().map(|(pc, _, misses)| (pc, misses)).collect()
             }
             Population::Indirect => {
-                let mut p = PathIndirect::new(self.config.path.clone(), assignment);
+                let mut kernel = IndKernel::new(path, assignment);
                 for record in trace.iter() {
-                    if record.is_indirect() {
-                        let prediction = p.predict(record.pc());
-                        if prediction != record.target() {
-                            *misses.entry(record.pc().raw()).or_insert(0) += 1;
-                        }
-                        p.train(record.pc(), record.target());
-                    }
-                    p.observe(record);
+                    kernel.apply(record);
                 }
+                kernel.branch_stats().map(|(pc, _, misses)| (pc, misses)).collect()
             }
         }
-        misses
     }
 }
 
@@ -576,23 +560,12 @@ mod tests {
         // The long-need branch must be nearly perfectly predicted with
         // the chosen assignment: verify via a fresh simulation.
         let test_trace = two_needs_trace(800, 99);
-        let mut p = PathConditional::new(config().path, report.assignment);
-        let mut misses = 0u64;
-        let mut total = 0u64;
+        let mut p = CondKernel::new(&config().path, &report.assignment);
         for record in test_trace.iter() {
-            if record.is_conditional() {
-                if record.pc() == Addr::new(0x400) {
-                    total += 1;
-                    if p.predict(record.pc()) != record.taken() {
-                        misses += 1;
-                    }
-                } else {
-                    let _ = p.predict(record.pc());
-                }
-                p.train(record.pc(), record.taken());
-            }
-            p.observe(record);
+            p.apply(record);
         }
+        let (_, total, misses) =
+            p.branch_stats().find(|&(pc, _, _)| pc == 0x400).expect("0x400 was predicted");
         assert!(
             (misses as f64 / total as f64) < 0.1,
             "long-path branch should be well predicted: {misses}/{total}"
@@ -607,18 +580,11 @@ mod tests {
         let report = ProfileBuilder::new(cfg.clone()).profile_conditional(&profile_trace);
 
         let run = |assignment: HashAssignment| -> u64 {
-            let mut p = PathConditional::new(cfg.path.clone(), assignment);
-            let mut misses = 0;
+            let mut p = CondKernel::new(&cfg.path, &assignment);
             for record in test_trace.iter() {
-                if record.is_conditional() {
-                    if p.predict(record.pc()) != record.taken() {
-                        misses += 1;
-                    }
-                    p.train(record.pc(), record.taken());
-                }
-                p.observe(record);
+                p.apply(record);
             }
-            misses
+            p.mispredictions()
         };
 
         let vlp_misses = run(report.assignment.clone());

@@ -3,14 +3,19 @@
 //!
 //! The paper discusses three selection agents: the compiler (via profiling
 //! and ISA bits — [`HashAssignment`]), the hardware (run-time accuracy
-//! bookkeeping — [`DynamicSelector`]), or a combination. A fixed global
-//! hash number (a [`HashAssignment::fixed`] assignment) degenerates to the
-//! fixed-length path predictor.
+//! bookkeeping — [`DynamicSelector`], driving the
+//! [`DynamicPathConditional`] predictor), or a combination. A fixed
+//! global hash number (a [`HashAssignment::fixed`] assignment)
+//! degenerates to the fixed-length path predictor.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use vlpp_trace::Addr;
+use vlpp_predict::{BranchObserver, ConditionalPredictor, CounterPlane};
+use vlpp_trace::{Addr, BranchRecord};
+
+use crate::kernel::PathHistory;
+use crate::path::PathConfig;
 
 /// A per-static-branch assignment of hash-function numbers, plus the
 /// default used for branches never profiled (§3.4: "the default value
@@ -265,6 +270,113 @@ impl DynamicSelector {
         } else {
             *counter = counter.saturating_sub(1);
         }
+    }
+}
+
+/// The §3.4 hardware-selected conditional path predictor: a
+/// [`DynamicSelector`] picks each branch's hash function at run time
+/// from accuracy counters, over the same first-level history and packed
+/// counter plane as [`CondKernel`](crate::CondKernel).
+///
+/// Training scores every candidate's current prediction against the
+/// outcome, rewards the selector, and only then trains the entry of the
+/// (possibly newly) selected candidate. Note the structural handicap
+/// the `ablate-select` experiment quantifies: all candidates score
+/// against the one *shared* table, but only the selected candidate's
+/// entry is ever trained, so unselected candidates are judged on stale
+/// entries and the selector tends to lock in early — §3.4 describes the
+/// idea without resolving this; profiling (the paper's choice)
+/// sidesteps it.
+///
+/// # Example
+///
+/// ```
+/// use vlpp_core::{DynamicPathConditional, PathConfig};
+/// use vlpp_predict::ConditionalPredictor;
+/// use vlpp_trace::Addr;
+///
+/// let mut p = DynamicPathConditional::new(&PathConfig::new(10), &[1, 2, 4, 8], 6);
+/// let pc = Addr::new(0x400);
+/// assert!(!p.predict(pc)); // cold counters predict not-taken
+/// p.train(pc, true);
+/// assert_eq!(p.selected_hash(pc), 1); // every candidate was wrong alike
+/// ```
+#[derive(Debug, Clone)]
+pub struct DynamicPathConditional {
+    history: PathHistory,
+    /// THB capacity: candidate hash numbers above it clamp to it.
+    capacity: u8,
+    selector: DynamicSelector,
+    plane: CounterPlane,
+}
+
+impl DynamicPathConditional {
+    /// Creates the predictor for `config`, choosing among `candidates`
+    /// (hash numbers, clamped to the THB capacity) with
+    /// `2^selector_set_bits` selector sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidates` is empty or contains hash numbers outside
+    /// `1..=32`, `selector_set_bits` exceeds 24, or the configuration
+    /// leaves [`PathConfig::new`]'s ranges (index width `1..=28`, THB
+    /// capacity ≥ 1).
+    pub fn new(config: &PathConfig, candidates: &[u8], selector_set_bits: u32) -> Self {
+        let selector = DynamicSelector::new(candidates, selector_set_bits);
+        let capacity = config.thb_capacity.min(crate::MAX_PATH_LENGTH) as u8;
+        let longest = candidates.iter().map(|&c| c.min(capacity)).max().unwrap_or(1);
+        DynamicPathConditional {
+            history: PathHistory::new(config, longest as usize),
+            capacity,
+            selector,
+            plane: CounterPlane::new(1 << config.index_bits),
+        }
+    }
+
+    /// The hash number the predictor would use for `pc` right now.
+    pub fn selected_hash(&self, pc: Addr) -> usize {
+        self.selector.select(pc).min(self.capacity) as usize
+    }
+
+    /// The plane index hash number `hash` produces for the current
+    /// history.
+    #[inline]
+    fn index(&self, hash: u8) -> usize {
+        self.history.index(hash.min(self.capacity)) as usize
+    }
+
+    /// Every counter value in index order (diagnostic; the differential
+    /// tests compare this against the reference table).
+    pub fn counter_values(&self) -> Vec<u8> {
+        self.plane.values()
+    }
+}
+
+impl BranchObserver for DynamicPathConditional {
+    fn observe(&mut self, record: &BranchRecord) {
+        self.history.observe(record);
+    }
+}
+
+impl ConditionalPredictor for DynamicPathConditional {
+    fn predict(&mut self, pc: Addr) -> bool {
+        self.plane.predict_taken(self.index(self.selector.select(pc)))
+    }
+
+    fn train(&mut self, pc: Addr, taken: bool) {
+        // A verdict reads only the plane, which rewarding leaves alone,
+        // so scoring each candidate right before its reward equals
+        // scoring all of them first.
+        for i in 0..self.selector.candidates().len() {
+            let candidate = self.selector.candidates()[i];
+            let correct = self.plane.predict_taken(self.index(candidate)) == taken;
+            self.selector.reward(pc, i, correct);
+        }
+        self.plane.update(self.index(self.selector.select(pc)), taken);
+    }
+
+    fn name(&self) -> String {
+        "dynamic path".into()
     }
 }
 

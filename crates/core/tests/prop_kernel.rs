@@ -1,7 +1,7 @@
 //! The differential test layer pinning the structure-of-arrays
-//! throughput kernels bit-for-bit to the boxed reference predictors,
-//! plus the §4.1 incremental-hashing properties the kernel's O(1)
-//! lookup rests on.
+//! kernels bit-for-bit to the boxed reference predictors (the
+//! test-only oracle in `reference/`), plus the §4.1 properties of the
+//! rolling hashers the kernels' O(1) lookup rests on.
 //!
 //! Seeded configurations × synthetic traces drive [`CondKernel`] /
 //! [`IndKernel`] and [`PathConditional`] / [`PathIndirect`] side by
@@ -9,12 +9,16 @@
 //! state, and final statistics are exactly equal — not approximately,
 //! not statistically: any single differing bit fails the property.
 
+mod reference;
+
 use std::collections::HashMap;
 
+use reference::hash::hash_path;
+use reference::path::{PathConditional, PathIndirect};
+use reference::thb::Thb;
 use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig};
 use vlpp_core::{
-    hash_path, CondKernel, HashAssignment, IncrementalHashers, IndKernel, PathConditional,
-    PathConfig, PathIndirect, Thb, MAX_PATH_LENGTH,
+    CondKernel, HashAssignment, IndKernel, PathConfig, RollingHashers, MAX_PATH_LENGTH,
 };
 use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::{Addr, BranchRecord, Trace};
@@ -219,30 +223,35 @@ fn kernel_matches_reference_under_deep_call_return_nesting() {
     });
 }
 
-/// §4.1 soundness, step by step: after every push, each partial-sum
-/// register `I_X` equals a from-scratch §3.3 re-hash of the THB's
-/// current path — including at and past the history-length boundary,
-/// where the sliding window starts dropping old targets.
+/// Every value of `HF_1 … HF_count` the hashers produce right now.
+fn all_indices(hashers: &RollingHashers) -> Vec<u64> {
+    (1..=hashers.count()).map(|x| hashers.index(x)).collect()
+}
+
+/// §4.1 soundness, step by step: after every push, the rolling hashers'
+/// `I_X` equals a from-scratch §3.3 re-hash of the THB's current path —
+/// including at and past the history-length boundary, where the sliding
+/// window starts dropping old targets, and at the full 64-bit width.
 #[test]
 fn partial_sums_equal_rehash_after_every_step() {
     check("partial_sums_equal_rehash_after_every_step", CheckConfig::default(), |g| {
-        let k = g.range_u32(1, 28);
+        let k = g.range_u32(1, 64);
         let capacity = g.range_usize(1, MAX_PATH_LENGTH);
-        // Push well past the capacity so every register crosses its
+        // Push well past the capacity so every hash crosses its
         // history-length boundary (the wrap from a partially-filled to
         // a saturated window).
         let targets = g.vec(capacity + 1, capacity * 2 + 40, |g| g.u64());
         let mut thb = Thb::new(capacity, k);
-        let mut inc = IncrementalHashers::new(capacity, k);
+        let mut rolling = RollingHashers::new(capacity, k);
         for (step, &raw) in targets.iter().enumerate() {
             let t = Addr::new(raw);
             thb.push(t);
-            inc.push(t);
+            rolling.push(t);
             for len in 1..=capacity {
                 prop_assert_eq!(
-                    inc.index(len),
+                    rolling.index(len),
                     hash_path(&thb, len),
-                    "register {} at step {}",
+                    "HF_{} at step {}",
                     len,
                     step
                 );
@@ -252,62 +261,62 @@ fn partial_sums_equal_rehash_after_every_step() {
     });
 }
 
-/// §4.1 rollback: restoring a snapshot rewinds every register to its
-/// exact value at the snapshot point, and the recurrence then evolves
-/// from the restored state exactly as it evolved from the original —
-/// the property the §6 history stack (and crash-safe resume) rely on.
+/// §4.1 rollback: restoring a snapshot rewinds every hash to its exact
+/// value at the snapshot point, and the hashers then evolve from the
+/// restored state exactly as they evolved from the original — the
+/// property the §6 history stack (and model snapshots) rely on.
 #[test]
 fn snapshot_restore_rolls_registers_back_exactly() {
     check("snapshot_restore_rolls_registers_back_exactly", CheckConfig::default(), |g| {
-        let k = g.range_u32(1, 28);
+        let k = g.range_u32(1, 64);
         let capacity = g.range_usize(1, MAX_PATH_LENGTH);
         let prefix = g.vec(0, 40, |g| g.u64());
         let detour = g.vec(1, 40, |g| g.u64());
         let suffix = g.vec(0, 40, |g| g.u64());
 
-        let mut inc = IncrementalHashers::new(capacity, k);
+        let mut rolling = RollingHashers::new(capacity, k);
         for &raw in &prefix {
-            inc.push(Addr::new(raw));
+            rolling.push(Addr::new(raw));
         }
-        let snapshot = inc.snapshot();
+        let snapshot = rolling.snapshot();
+        let at_snapshot = all_indices(&rolling);
         for &raw in &detour {
-            inc.push(Addr::new(raw));
+            rolling.push(Addr::new(raw));
         }
-        inc.restore(&snapshot);
-        prop_assert_eq!(inc.indices(), &snapshot[..], "registers after rollback");
+        rolling.restore(&snapshot);
+        prop_assert_eq!(all_indices(&rolling), at_snapshot, "hashes after rollback");
 
         // From the restored state, the future must look exactly as it
         // would have had the detour never happened.
-        let mut replay = IncrementalHashers::new(capacity, k);
+        let mut replay = RollingHashers::new(capacity, k);
         for &raw in prefix.iter().chain(&suffix) {
             replay.push(Addr::new(raw));
         }
         for &raw in &suffix {
-            inc.push(Addr::new(raw));
+            rolling.push(Addr::new(raw));
         }
-        prop_assert_eq!(inc.indices(), replay.indices(), "post-rollback evolution");
+        prop_assert_eq!(all_indices(&rolling), all_indices(&replay), "post-rollback evolution");
         Ok(())
     });
 }
 
-/// Register-file truncation is sound: because the §4.1 recurrence for
-/// `I_X` reads only registers below `X`, a hasher truncated to `m`
-/// registers maintains exactly the first `m` registers of the
-/// full-capacity hasher through arbitrary pushes — the property that
-/// lets the kernel size its register file to the longest hash actually
-/// assigned.
+/// Truncation is sound: `I_X` depends only on the last `X` targets, so
+/// hashers sized for `m` hash functions produce exactly the first `m`
+/// hashes of full-capacity hashers through arbitrary pushes — the
+/// property that lets the kernel size its ring to the longest hash
+/// actually assigned.
 #[test]
 fn truncated_registers_match_full_capacity_prefix() {
     check("truncated_registers_match_full_capacity_prefix", CheckConfig::default(), |g| {
-        let k = g.range_u32(1, 28);
+        let k = g.range_u32(1, 64);
         let m = g.range_usize(1, MAX_PATH_LENGTH);
         let targets = g.vec(0, 100, |g| g.u64());
-        let mut truncated = IncrementalHashers::new(m, k);
-        let mut full = IncrementalHashers::new(MAX_PATH_LENGTH, k);
+        let mut truncated = RollingHashers::new(m, k);
+        let mut full = RollingHashers::new(MAX_PATH_LENGTH, k);
         for &raw in &targets {
             truncated.push(Addr::new(raw));
             full.push(Addr::new(raw));
-            prop_assert_eq!(truncated.indices(), &full.indices()[..m]);
+            prop_assert_eq!(all_indices(&truncated), &all_indices(&full)[..m]);
         }
         Ok(())
     });

@@ -19,9 +19,9 @@
 //! them, and — with `--baseline FILE` — compares each bench's
 //! `median_ns` against the committed baseline, failing if any regresses
 //! by more than `--max-regress PCT` (default 30). Baseline entries may
-//! also set absolute floors: `min_records_per_sec` (gates the BENCH
-//! line's `records_per_sec`) and `min_speedup` (gates
-//! `speedup_vs_boxed`); a floor whose bench or field is missing fails.
+//! also set an absolute floor, `min_records_per_sec`, gating the BENCH
+//! line's `records_per_sec`; a floor whose bench or field is missing
+//! fails.
 //! Benches absent from the baseline pass with a note, so adding a bench
 //! does not require a lockstep baseline update. Used by the CI
 //! bench-smoke job.
@@ -57,10 +57,10 @@ counter NAME with a value >= MIN (default 0, i.e. present at all).
 --bench: validate every `BENCH {json}` line, and with --baseline also
 compare each bench's median_ns against the baseline file (a JSON object
 mapping bench name -> {\"median_ns\": N}), failing on > PCT regression.
-Baseline entries may set absolute floors instead of (or besides) a
-median: {\"min_records_per_sec\": N} and {\"min_speedup\": X} gate the
-BENCH line's records_per_sec / speedup_vs_boxed fields; a floor fails
-when its bench or field is missing or below the floor.
+Baseline entries may set an absolute floor instead of (or besides) a
+median: {\"min_records_per_sec\": N} gates the BENCH line's
+records_per_sec field; a floor fails when its bench or field is missing
+or below the floor.
 --tourney: validate the `TOURNEY {json}` league line, and with
 --baseline (TOURNEY_baseline.json: {\"min_cells\": N, \"cells\":
 {key: {\"max_miss_rate\": X}}}) fail if any baseline cell is missing
@@ -274,10 +274,10 @@ fn check_bench_lines(input: &str, baseline_path: Option<&str>, max_regress_pct: 
             );
         }
 
-        // Absolute floors: throughput and speedup-over-boxed-dispatch,
-        // where the baseline entry sets one. A floor with no matching
-        // field on the BENCH line is a failure — a bench that stopped
-        // reporting must not pass its gate by omission.
+        // Absolute floor: throughput, where the baseline entry sets one.
+        // A floor with no matching field on the BENCH line is a failure
+        // — a bench that stopped reporting must not pass its gate by
+        // omission.
         if let Some(floor) = entry.get("min_records_per_sec").and_then(JsonValue::as_u64) {
             gated += 1;
             match report.get("records_per_sec").and_then(JsonValue::as_u64) {
@@ -298,28 +298,6 @@ fn check_bench_lines(input: &str, baseline_path: Option<&str>, max_regress_pct: 
                 }
             }
         }
-        if let Some(floor) = entry.get("min_speedup").and_then(JsonValue::as_f64) {
-            gated += 1;
-            match report.get("speedup_vs_boxed").and_then(JsonValue::as_f64) {
-                None => {
-                    return fail(&format!(
-                        "bench `{name}`: baseline sets min_speedup but the BENCH line carries \
-                         no speedup_vs_boxed field"
-                    ));
-                }
-                Some(value) if value < floor => {
-                    return fail(&format!(
-                        "bench `{name}`: speedup_vs_boxed {value:.2} is below the baseline \
-                         floor {floor:.2}"
-                    ));
-                }
-                Some(value) => {
-                    println!(
-                        "ok: bench `{name}` speedup_vs_boxed {value:.2}x >= floor {floor:.2}x"
-                    );
-                }
-            }
-        }
     }
     if checked == 0 {
         return fail("no `BENCH {json}` line found on stdin");
@@ -330,9 +308,7 @@ fn check_bench_lines(input: &str, baseline_path: Option<&str>, max_regress_pct: 
     // that passes.
     if let Some(entries) = baseline.as_ref().and_then(JsonValue::as_object) {
         for (name, entry) in entries {
-            let has_floor =
-                entry.get("min_records_per_sec").is_some() || entry.get("min_speedup").is_some();
-            if has_floor && !seen.iter().any(|s| s == name) {
+            if entry.get("min_records_per_sec").is_some() && !seen.iter().any(|s| s == name) {
                 return fail(&format!(
                     "baseline sets a floor for bench `{name}` but no such BENCH line was on stdin"
                 ));

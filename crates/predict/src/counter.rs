@@ -206,7 +206,7 @@ impl CounterPlane {
     }
 
     /// Every counter value in index order — the diagnostic form the
-    /// differential tests compare against the boxed table.
+    /// differential tests compare against the reference table.
     pub fn values(&self) -> Vec<u8> {
         (0..self.len).map(|i| self.value(i)).collect()
     }
@@ -337,7 +337,7 @@ mod tests {
 
     #[test]
     fn plane_budget_accounting_matches_table() {
-        // 2^14 counters = 4 KB, the same accounting CounterTable uses.
+        // 2^14 two-bit counters = 4 KB, the paper's budget accounting.
         assert_eq!(CounterPlane::new(1 << 14).bytes(), 4096);
     }
 

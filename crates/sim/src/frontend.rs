@@ -147,7 +147,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlpp_core::{HashAssignment, PathConditional, PathConfig, PathIndirect};
+    use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
     use vlpp_predict::{Gshare, LastTargetBtb};
     use vlpp_synth::{suite, InputSet};
 
@@ -180,8 +180,8 @@ mod tests {
         let mut btb = LastTargetBtb::new(9);
         let baseline = run_frontend(&mut gshare, &mut btb, None, &trace, penalties);
 
-        let mut vlp_cond = PathConditional::new(PathConfig::new(14), HashAssignment::fixed(10));
-        let mut vlp_ind = PathIndirect::new(PathConfig::new(9), HashAssignment::fixed(4));
+        let mut vlp_cond = CondKernel::new(&PathConfig::new(14), &HashAssignment::fixed(10));
+        let mut vlp_ind = IndKernel::new(&PathConfig::new(9), &HashAssignment::fixed(4));
         let path = run_frontend(&mut vlp_cond, &mut vlp_ind, None, &trace, penalties);
 
         assert!(
@@ -204,8 +204,8 @@ mod tests {
             }
             a
         };
-        let mut vlp = PathConditional::new(PathConfig::new(14), assignment.clone());
-        let mut ind = PathIndirect::new(PathConfig::new(9), HashAssignment::fixed(4));
+        let mut vlp = CondKernel::new(&PathConfig::new(14), &assignment);
+        let mut ind = IndKernel::new(&PathConfig::new(9), &HashAssignment::fixed(4));
         let mut hfnt = Hfnt::new(10, 8);
         let lookup = |pc: vlpp_trace::Addr| assignment.get(pc);
         let cost = run_frontend(&mut vlp, &mut ind, Some((&mut hfnt, &lookup)), &trace, penalties);

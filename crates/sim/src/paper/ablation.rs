@@ -2,7 +2,9 @@
 //! gcc workload (the paper's case study) at 16 KB (conditional) / 2 KB
 //! (indirect).
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig, ProfileBuilder, ProfileConfig};
+use vlpp_core::{
+    DynamicPathConditional, HashAssignment, PathConfig, ProfileBuilder, ProfileConfig,
+};
 use vlpp_predict::Budget;
 use vlpp_synth::suite;
 
@@ -73,7 +75,7 @@ pub fn ablate_dynamic_select(workloads: &Workloads) -> Vec<AblationRow> {
         run_path_conditional(&PathConfig::new(bits), &report.assignment, &test).miss_rate();
 
     let mut dynamic =
-        PathConditional::new_dynamic(PathConfig::new(bits), &[1, 2, 4, 8, 16, 32], 10);
+        DynamicPathConditional::new(&PathConfig::new(bits), &[1, 2, 4, 8, 16, 32], 10);
     let dynamic_rate = run_conditional(&mut dynamic, &test).miss_rate();
 
     let fixed_rate = run_path_conditional(

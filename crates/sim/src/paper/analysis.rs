@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig};
+use vlpp_core::{CondKernel, HashAssignment, PathConfig};
 use vlpp_predict::{BranchObserver, Budget, ConditionalPredictor, Gshare, ReturnAddressStack};
 use vlpp_synth::{suite, CondBehavior};
 use vlpp_trace::BranchKind;
@@ -141,15 +141,9 @@ pub fn analyze_gcc(workloads: &Workloads) -> Vec<AnalysisRow> {
         ("gshare", Box::new(Gshare::new(bits))),
         (
             "fixed",
-            Box::new(PathConditional::new(
-                PathConfig::new(bits),
-                HashAssignment::fixed(fixed_length),
-            )),
+            Box::new(CondKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(fixed_length))),
         ),
-        (
-            "variable",
-            Box::new(PathConditional::new(PathConfig::new(bits), report.assignment.clone())),
-        ),
+        ("variable", Box::new(CondKernel::new(&PathConfig::new(bits), &report.assignment))),
     ];
 
     // misses[predictor][class], executions[class]

@@ -3,7 +3,7 @@
 //! thrown away"); this experiment converts each predictor configuration's
 //! accuracy — plus the §4.3 HFNT bubble — into fetch cycles per branch.
 
-use vlpp_core::{HashAssignment, Hfnt, PathConditional, PathConfig, PathIndirect};
+use vlpp_core::{CondKernel, HashAssignment, Hfnt, IndKernel, PathConfig};
 use vlpp_predict::{Budget, Gshare, LastTargetBtb, PatternTargetCache};
 use vlpp_synth::suite;
 
@@ -87,9 +87,9 @@ pub fn frontend_experiment(workloads: &Workloads) -> Vec<FrontendRow> {
         let cond_length = workloads.best_fixed_conditional_length(cond_bits);
         let ind_length = workloads.best_fixed_indirect_length(ind_bits);
         let mut flp_cond =
-            PathConditional::new(PathConfig::new(cond_bits), HashAssignment::fixed(cond_length));
+            CondKernel::new(&PathConfig::new(cond_bits), &HashAssignment::fixed(cond_length));
         let mut flp_ind =
-            PathIndirect::new(PathConfig::new(ind_bits), HashAssignment::fixed(ind_length));
+            IndKernel::new(&PathConfig::new(ind_bits), &HashAssignment::fixed(ind_length));
         rows.push(FrontendRow {
             benchmark: name.into(),
             configuration: "fixed length path".into(),
@@ -98,10 +98,8 @@ pub fn frontend_experiment(workloads: &Workloads) -> Vec<FrontendRow> {
 
         let cond_report = workloads.profile_conditional(&spec, cond_bits);
         let ind_report = workloads.profile_indirect(&spec, ind_bits);
-        let mut vlp_cond =
-            PathConditional::new(PathConfig::new(cond_bits), cond_report.assignment.clone());
-        let mut vlp_ind =
-            PathIndirect::new(PathConfig::new(ind_bits), ind_report.assignment.clone());
+        let mut vlp_cond = CondKernel::new(&PathConfig::new(cond_bits), &cond_report.assignment);
+        let mut vlp_ind = IndKernel::new(&PathConfig::new(ind_bits), &ind_report.assignment);
         let mut hfnt = Hfnt::new(10, cond_report.default_hash);
         let assignment = cond_report.assignment.clone();
         let lookup = move |pc: vlpp_trace::Addr| assignment.get(pc);

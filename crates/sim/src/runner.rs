@@ -7,9 +7,10 @@
 //! path for the paper's own predictor: they instantiate the
 //! structure-of-arrays kernels from `vlpp-core` and run the fused
 //! per-record step, which the differential suite pins bit-for-bit to
-//! the boxed reference. Both emit the same [`RunStats`]; the kernel
-//! loops additionally publish `sim.predict_ns` and
-//! `sim.records_per_sec` metrics.
+//! the test-only boxed reference in `vlpp-core`. Run over the same
+//! kernel, both emit the same [`RunStats`]; the kernel loops
+//! additionally publish `sim.predict_ns` and `sim.records_per_sec`
+//! metrics.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -142,10 +143,9 @@ fn kernel_stats(
 }
 
 /// Runs the paper's conditional path predictor over a trace through the
-/// structure-of-arrays kernel — the same protocol (and bit-identical
-/// results) as [`run_conditional`] over a boxed
-/// [`PathConditional`](vlpp_core::PathConditional), at a fraction of
-/// the per-record cost.
+/// kernel's fused [`CondKernel::apply`] loop — the same protocol (and
+/// bit-identical results) as [`run_conditional`] over the kernel's
+/// trait interface, at a fraction of the per-record cost.
 pub fn run_path_conditional(
     config: &PathConfig,
     assignment: &HashAssignment,
@@ -162,10 +162,9 @@ pub fn run_path_conditional(
 }
 
 /// Runs the paper's indirect path predictor over a trace through the
-/// structure-of-arrays kernel — the same protocol (and bit-identical
-/// results) as [`run_indirect`] over a boxed
-/// [`PathIndirect`](vlpp_core::PathIndirect). Returns are excluded, as
-/// in the paper.
+/// kernel's fused [`IndKernel::apply`] loop — the same protocol (and
+/// bit-identical results) as [`run_indirect`] over the kernel's trait
+/// interface. Returns are excluded, as in the paper.
 pub fn run_path_indirect(
     config: &PathConfig,
     assignment: &HashAssignment,
@@ -268,28 +267,26 @@ mod tests {
     }
 
     #[test]
-    fn kernel_conditional_runner_matches_boxed_reference_exactly() {
-        use vlpp_core::PathConditional;
+    fn kernel_conditional_runner_matches_trait_protocol_exactly() {
         let trace = mixed_trace(5000, 99);
         let config = PathConfig::new(10);
         let mut assignment = HashAssignment::fixed(7);
         assignment.assign(Addr::new(0x44), 2);
         assignment.assign(Addr::new(0x48), 19);
-        let mut boxed = PathConditional::new(config.clone(), assignment.clone());
-        let expected = run_conditional(&mut boxed, &trace);
+        let mut stepwise = CondKernel::new(&config, &assignment);
+        let expected = run_conditional(&mut stepwise, &trace);
         let got = run_path_conditional(&config, &assignment, &trace);
         assert_eq!(got, expected, "totals and per-branch stats must be bit-identical");
     }
 
     #[test]
-    fn kernel_indirect_runner_matches_boxed_reference_exactly() {
-        use vlpp_core::PathIndirect;
+    fn kernel_indirect_runner_matches_trait_protocol_exactly() {
         let trace = mixed_trace(5000, 123);
         let config = PathConfig::new(9);
         let mut assignment = HashAssignment::fixed(4);
         assignment.assign(Addr::new(0x50), 11);
-        let mut boxed = PathIndirect::new(config.clone(), assignment.clone());
-        let expected = run_indirect(&mut boxed, &trace);
+        let mut stepwise = IndKernel::new(&config, &assignment);
+        let expected = run_indirect(&mut stepwise, &trace);
         let got = run_path_indirect(&config, &assignment, &trace);
         assert_eq!(got, expected, "totals and per-branch stats must be bit-identical");
     }

@@ -116,8 +116,8 @@ impl ToJson for Prediction {
 
 /// The kernel variant one shard owns. Shards run the structure-of-
 /// arrays kernels from `vlpp-core` — the fused per-record step whose
-/// bit-identity to the boxed reference the differential suite pins
-/// (and the loadgen oracle re-proves end-to-end).
+/// bit-identity to the test-only boxed reference the differential suite
+/// pins (and the loadgen oracle re-proves end-to-end).
 enum ShardPredictor {
     Conditional(CondKernel),
     Indirect(IndKernel),
@@ -144,8 +144,8 @@ impl ShardState {
     /// (predict → score → train on population members, observe on every
     /// record), returning the prediction for population members and
     /// `None` otherwise. This is the same state evolution as
-    /// `runner::run_conditional` / `run_indirect` over the boxed
-    /// reference, record at a time — the kernel is bit-identical.
+    /// `runner::run_conditional` / `run_indirect` over the kernel's
+    /// trait interface, record at a time.
     pub fn apply(&mut self, record: &BranchRecord) -> Option<Prediction> {
         match &mut self.predictor {
             ShardPredictor::Conditional(kernel) => {
@@ -484,7 +484,7 @@ mod tests {
     use super::*;
     use crate::experiment::Scale;
     use crate::runner::RunStats;
-    use vlpp_core::PathConditional;
+    use vlpp_core::CondKernel;
     use vlpp_predict::{BranchObserver, ConditionalPredictor};
 
     fn spec(shards: usize) -> ModelSpec {
@@ -539,7 +539,7 @@ mod tests {
         let predictions = model.apply_sequential(&records);
 
         let report = workloads.profile_conditional(&benchmark, 10);
-        let mut offline = PathConditional::new(PathConfig::new(10), report.assignment.clone());
+        let mut offline = CondKernel::new(&PathConfig::new(10), &report.assignment);
         let mut stats = RunStats::default();
         for (record, slot) in records.iter().zip(&predictions) {
             if record.is_conditional() {

@@ -6,7 +6,7 @@
 //! cargo run --release -p vlpp-sim --example gcc_case_study
 //! ```
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig};
+use vlpp_core::{CondKernel, HashAssignment, PathConfig};
 use vlpp_predict::{Budget, Gshare};
 use vlpp_sim::{run_conditional, Scale, Workloads};
 use vlpp_synth::suite;
@@ -37,17 +37,17 @@ fn main() {
         // Fixed length: the cross-benchmark best length for this size
         // (Table 2's methodology, computed from profile inputs).
         let length = workloads.best_fixed_conditional_length(bits);
-        let mut fixed = PathConditional::new(config.clone(), HashAssignment::fixed(length));
+        let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(length));
         let fixed_rate = run_conditional(&mut fixed, &test).miss_percent();
 
         // Tuned fixed length: gcc's own profile-best length.
         let report = workloads.profile_conditional(&spec, bits);
         let tuned_length = report.best_fixed_hash();
-        let mut tuned = PathConditional::new(config.clone(), HashAssignment::fixed(tuned_length));
+        let mut tuned = CondKernel::new(&config, &HashAssignment::fixed(tuned_length));
         let tuned_rate = run_conditional(&mut tuned, &test).miss_percent();
 
         // Variable length: the profiled per-branch assignment.
-        let mut variable = PathConditional::new(config, report.assignment.clone());
+        let mut variable = CondKernel::new(&config, &report.assignment);
         let variable_rate = run_conditional(&mut variable, &test).miss_percent();
 
         println!(

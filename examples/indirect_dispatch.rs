@@ -7,7 +7,7 @@
 //! cargo run --release -p vlpp-sim --example indirect_dispatch
 //! ```
 
-use vlpp_core::{HashAssignment, PathConfig, PathIndirect};
+use vlpp_core::{HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{Budget, LastTargetBtb, PathTargetCache, PatternTargetCache};
 use vlpp_sim::{run_indirect, Scale, Workloads};
 use vlpp_synth::suite;
@@ -44,11 +44,11 @@ fn main() {
         // The paper's contribution, without and with profiling.
         let config = PathConfig::new(bits);
         let fixed_length = workloads.best_fixed_indirect_length(bits);
-        let mut fixed = PathIndirect::new(config.clone(), HashAssignment::fixed(fixed_length));
+        let mut fixed = IndKernel::new(&config, &HashAssignment::fixed(fixed_length));
         let fixed_rate = run_indirect(&mut fixed, &test).miss_percent();
 
         let report = workloads.profile_indirect(&spec, bits);
-        let mut variable = PathIndirect::new(config, report.assignment.clone());
+        let mut variable = IndKernel::new(&config, &report.assignment);
         let variable_rate = run_indirect(&mut variable, &test).miss_percent();
 
         println!(

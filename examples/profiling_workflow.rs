@@ -6,7 +6,7 @@
 //! cargo run --release -p vlpp-sim --example profiling_workflow
 //! ```
 
-use vlpp_core::{HashAssignment, Hfnt, PathConditional, PathConfig, ProfileBuilder, ProfileConfig};
+use vlpp_core::{CondKernel, HashAssignment, Hfnt, PathConfig, ProfileBuilder, ProfileConfig};
 use vlpp_predict::Budget;
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
@@ -46,10 +46,9 @@ fn main() {
     }
 
     // --- Payoff on the test input ---------------------------------------
-    let mut fixed =
-        PathConditional::new(config.clone(), HashAssignment::fixed(report.default_hash));
+    let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(report.default_hash));
     let fixed_rate = run_conditional(&mut fixed, &test_trace).miss_percent();
-    let mut variable = PathConditional::new(config, report.assignment.clone());
+    let mut variable = CondKernel::new(&config, &report.assignment);
     let variable_rate = run_conditional(&mut variable, &test_trace).miss_percent();
     println!(
         "\ntest input: fixed (default HF_{}) {:.2}%  ->  variable {:.2}%",

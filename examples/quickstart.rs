@@ -6,7 +6,7 @@
 //! cargo run --release -p vlpp-sim --example quickstart
 //! ```
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig, ProfileBuilder, ProfileConfig};
+use vlpp_core::{CondKernel, HashAssignment, PathConfig, ProfileBuilder, ProfileConfig};
 use vlpp_predict::{Budget, Gshare};
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
@@ -34,7 +34,7 @@ fn main() {
     // 4. The fixed length path predictor: same structure as the paper's
     //    predictor, but one global path length for every branch.
     let config = PathConfig::new(index_bits);
-    let mut fixed = PathConditional::new(config.clone(), HashAssignment::fixed(9));
+    let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(9));
     let fixed_stats = run_conditional(&mut fixed, &test_trace);
     println!("fixed length path (N=9):      {:.2}%", fixed_stats.miss_percent());
 
@@ -46,7 +46,7 @@ fn main() {
         "profiled {} static branches; default hash HF_{}",
         report.profiled_branches, report.default_hash
     );
-    let mut variable = PathConditional::new(config, report.assignment);
+    let mut variable = CondKernel::new(&config, &report.assignment);
     let variable_stats = run_conditional(&mut variable, &test_trace);
     println!("variable length path:         {:.2}%", variable_stats.miss_percent());
 

@@ -9,7 +9,7 @@
 
 use std::error::Error;
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig, ProfileBuilder, ProfileConfig};
+use vlpp_core::{CondKernel, HashAssignment, PathConfig, ProfileBuilder, ProfileConfig};
 use vlpp_predict::ConditionalPredictor;
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let loaded = HashAssignment::from_text(&std::fs::read_to_string(&assignment_path)?)?;
     assert_eq!(loaded, report.assignment);
     let test_trace = program.execute_conditionals(InputSet::Test, 300_000);
-    let mut vlp = PathConditional::new(config, loaded);
+    let mut vlp = CondKernel::new(&config, &loaded);
     let stats = run_conditional(&mut vlp, &test_trace);
     println!("{} on the test input: {:.2}% misprediction", vlp.name(), stats.miss_percent());
 

@@ -97,9 +97,8 @@ else
 fi
 echo "BENCH {\"bench\":\"$bench_name\",\"iters\":1,\"median_ns\":$wall_ns,\"mad_ns\":0,\"min_ns\":$wall_ns,\"max_ns\":$wall_ns}"
 
-# The predictions/sec microbench: four more BENCH lines (boxed dispatch
-# vs the structure-of-arrays kernel, conditional and indirect). The
-# `*_soa` lines carry `records_per_sec` and `speedup_vs_boxed` fields,
-# which `vlpp-metrics-check --bench` gates against the
-# `min_records_per_sec` / `min_speedup` floors in BENCH_baseline.json.
+# The predictions/sec microbench: two more BENCH lines (the conditional
+# and indirect kernels). Each carries a `records_per_sec` field, which
+# `vlpp-metrics-check --bench` gates against the `min_records_per_sec`
+# floors in BENCH_baseline.json.
 ./target/release/vlpp microbench --records "${VLPP_MICROBENCH_RECORDS:-200000}"

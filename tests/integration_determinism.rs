@@ -2,7 +2,7 @@
 //! and identical prediction statistics, run to run, in-process. Every
 //! experiment (and every CI rerun) depends on this.
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig, PathIndirect};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{Gshare, LastTargetBtb, PathTargetCache, PatternTargetCache};
 use vlpp_sim::{run_conditional, run_indirect, RunStats, Scale, Workloads};
 use vlpp_synth::suite;
@@ -44,7 +44,7 @@ fn variable_length_path_is_deterministic() {
     let workloads = Workloads::new(Scale::new(1_000_000));
     let report = workloads.profile_conditional(&spec, 12);
     assert_deterministic("vlpp", |trace| {
-        let mut p = PathConditional::new(PathConfig::new(12), report.assignment.clone());
+        let mut p = CondKernel::new(&PathConfig::new(12), &report.assignment);
         run_conditional(&mut p, trace)
     });
 }
@@ -52,7 +52,7 @@ fn variable_length_path_is_deterministic() {
 #[test]
 fn fixed_length_path_indirect_is_deterministic() {
     assert_deterministic("fixed-path-indirect", |trace| {
-        let mut p = PathIndirect::new(PathConfig::new(10), HashAssignment::fixed(4));
+        let mut p = IndKernel::new(&PathConfig::new(10), &HashAssignment::fixed(4));
         run_indirect(&mut p, trace)
     });
 }

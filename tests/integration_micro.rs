@@ -1,7 +1,7 @@
 //! Analytic validation: on the hand-crafted micro-workloads, predictor
 //! results must match what theory says — not statistics, arithmetic.
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig, PathIndirect};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{Bimodal, Gshare, LastTargetBtb};
 use vlpp_sim::{run_conditional, run_indirect};
 use vlpp_synth::{micro, InputSet};
@@ -32,7 +32,7 @@ fn history_schemes_learn_the_loop_exit() {
         stats.miss_rate()
     );
     // And so does a path predictor with length >= the loop period.
-    let mut path = PathConditional::new(PathConfig::new(12), HashAssignment::fixed(10));
+    let mut path = CondKernel::new(&PathConfig::new(12), &HashAssignment::fixed(10));
     let stats = run_conditional(&mut path, &trace);
     assert!(
         stats.miss_rate() < 0.01,
@@ -49,7 +49,7 @@ fn correlated_ladder_needs_sufficient_path_length() {
     let gap = 6u8;
     let trace = micro::correlated_ladder(gap).execute(InputSet::Test, 120_000);
 
-    let mut enough = PathConditional::new(PathConfig::new(12), HashAssignment::fixed(gap));
+    let mut enough = CondKernel::new(&PathConfig::new(12), &HashAssignment::fixed(gap));
     let enough_rate = run_conditional(&mut enough, &trace).miss_rate();
 
     // Expected composition: per loop iteration there are gap+1
@@ -64,7 +64,7 @@ fn correlated_ladder_needs_sufficient_path_length() {
 
     // Length 1 cannot see the source: the sink also degenerates toward
     // a coin flip, roughly doubling the rate.
-    let mut short = PathConditional::new(PathConfig::new(12), HashAssignment::fixed(1));
+    let mut short = CondKernel::new(&PathConfig::new(12), &HashAssignment::fixed(1));
     let short_rate = run_conditional(&mut short, &trace).miss_rate();
     assert!(
         short_rate > enough_rate + 0.5 * expected,
@@ -80,7 +80,7 @@ fn alternating_dispatch_defeats_btb_but_not_path() {
         btb_rate > 0.99,
         "a strict alternation must defeat last-target completely, got {btb_rate:.3}"
     );
-    let mut path = PathIndirect::new(PathConfig::new(8), HashAssignment::fixed(1));
+    let mut path = IndKernel::new(&PathConfig::new(8), &HashAssignment::fixed(1));
     let path_rate = run_indirect(&mut path, &trace).miss_rate();
     assert!(path_rate < 0.01, "one target of path determines the alternation, got {path_rate:.3}");
 }
@@ -92,7 +92,7 @@ fn nobody_beats_the_coin_flip() {
         run_conditional(&mut Gshare::new(12), &trace).miss_rate(),
         run_conditional(&mut Bimodal::new(12), &trace).miss_rate(),
         run_conditional(
-            &mut PathConditional::new(PathConfig::new(12), HashAssignment::fixed(8)),
+            &mut CondKernel::new(&PathConfig::new(12), &HashAssignment::fixed(8)),
             &trace,
         )
         .miss_rate(),

@@ -2,7 +2,7 @@
 //! family over it, profile, and verify the paper's qualitative claims
 //! hold across the crate boundaries.
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig, PathIndirect};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{
     Bimodal, Budget, Gas, Gshare, LastTargetBtb, Pas, PathTargetCache, PatternTargetCache,
 };
@@ -21,7 +21,7 @@ fn every_benchmark_runs_every_conditional_predictor() {
             run_conditional(&mut Gas::new(bits - 2, 2), &test).miss_rate(),
             run_conditional(&mut Pas::new(8, 10, 4), &test).miss_rate(),
             run_conditional(
-                &mut PathConditional::new(PathConfig::new(bits), HashAssignment::fixed(8)),
+                &mut CondKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(8)),
                 &test,
             )
             .miss_rate(),
@@ -51,7 +51,7 @@ fn indirect_predictors_rank_as_the_paper_found() {
         let btb = run_indirect(&mut LastTargetBtb::new(bits), &test).miss_rate();
         let pattern = run_indirect(&mut PatternTargetCache::new(bits), &test).miss_rate();
         let path = run_indirect(&mut PathTargetCache::new(bits, 3), &test).miss_rate();
-        let mut flp = PathIndirect::new(PathConfig::new(bits), HashAssignment::fixed(5));
+        let mut flp = IndKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(5));
         let deep = run_indirect(&mut flp, &test).miss_rate();
         // The paper's claim is against the *pattern* cache (its Table 3
         // comparison column); the shallow path cache trades wins.
@@ -83,9 +83,9 @@ fn profiling_transfers_across_inputs() {
         let report = workloads.profile_conditional(&spec, bits);
         let test = workloads.test_trace(&spec);
         let mut fixed =
-            PathConditional::new(PathConfig::new(bits), HashAssignment::fixed(report.default_hash));
+            CondKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(report.default_hash));
         let fixed_rate = run_conditional(&mut fixed, &test).miss_rate();
-        let mut variable = PathConditional::new(PathConfig::new(bits), report.assignment.clone());
+        let mut variable = CondKernel::new(&PathConfig::new(bits), &report.assignment);
         let variable_rate = run_conditional(&mut variable, &test).miss_rate();
         if variable_rate < fixed_rate {
             improved += 1;
@@ -112,8 +112,8 @@ fn bigger_tables_do_not_hurt_once_trained() {
     let large = run_conditional(&mut Gshare::new(large_bits), &test).miss_rate();
     assert!(large <= small + 0.01, "gshare: 16KB ({large}) worse than 1KB ({small})");
 
-    let mut flp_small = PathConditional::new(PathConfig::new(small_bits), HashAssignment::fixed(8));
-    let mut flp_large = PathConditional::new(PathConfig::new(large_bits), HashAssignment::fixed(8));
+    let mut flp_small = CondKernel::new(&PathConfig::new(small_bits), &HashAssignment::fixed(8));
+    let mut flp_large = CondKernel::new(&PathConfig::new(large_bits), &HashAssignment::fixed(8));
     let small = run_conditional(&mut flp_small, &test).miss_rate();
     let large = run_conditional(&mut flp_large, &test).miss_rate();
     assert!(large <= small + 0.01, "path: 16KB ({large}) worse than 1KB ({small})");

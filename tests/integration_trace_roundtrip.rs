@@ -2,7 +2,7 @@
 //! and identical traces drive identical predictions (determinism of the
 //! whole pipeline).
 
-use vlpp_core::{HashAssignment, PathConditional, PathConfig};
+use vlpp_core::{CondKernel, HashAssignment, PathConfig};
 use vlpp_predict::Gshare;
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
@@ -38,7 +38,7 @@ fn identical_traces_drive_identical_predictions() {
     let run = |trace: &vlpp_trace::Trace| {
         let mut gshare = Gshare::new(12);
         let gshare_stats = run_conditional(&mut gshare, trace);
-        let mut path = PathConditional::new(PathConfig::new(12), HashAssignment::fixed(6));
+        let mut path = CondKernel::new(&PathConfig::new(12), &HashAssignment::fixed(6));
         let path_stats = run_conditional(&mut path, trace);
         (gshare_stats.mispredictions, path_stats.mispredictions)
     };
