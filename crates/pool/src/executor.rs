@@ -261,9 +261,6 @@ struct PoolMetrics {
     /// `pool.tasks.timed_out`: task attempts that exceeded the watchdog
     /// deadline (abandoned mid-run or rejected post-completion).
     timed_out: Arc<Counter>,
-    /// `pool.tasks.sharded`: items dispatched through
-    /// [`Pool::map_sharded`]'s shard-affinity grouping.
-    sharded: Arc<Counter>,
 }
 
 /// A bounded work-queue executor with order-preserving parallel map,
@@ -331,7 +328,6 @@ impl Pool {
             inline: vlpp_metrics::counter("pool.tasks.inline"),
             retried: vlpp_metrics::counter("pool.tasks.retried"),
             timed_out: vlpp_metrics::counter("pool.tasks.timed_out"),
-            sharded: vlpp_metrics::counter("pool.tasks.sharded"),
         };
         let workers = (0..threads - 1)
             .map(|worker| {
@@ -503,54 +499,6 @@ impl Pool {
             resume_unwind(payload);
         }
         results
-    }
-
-    /// Applies `work` to every `(shard, item)` pair with **shard
-    /// affinity**: items that share a shard key run sequentially, in
-    /// input order, inside a single task, while distinct shards run in
-    /// parallel. Results come back in input order, like [`Pool::map`].
-    ///
-    /// This is the dispatch primitive under `vlpp serve`: each shard
-    /// owns mutable predictor state (a THB, partial-sum registers), so
-    /// two records routed to the same shard must never interleave — and
-    /// because the per-shard order equals the input order, the combined
-    /// output is byte-identical at any `VLPP_THREADS` setting.
-    ///
-    /// # Panics
-    ///
-    /// As [`Pool::map`]: a panicking item re-raises on the caller with
-    /// its original payload after the batch drains. Items queued behind
-    /// the panicking item *in the same shard* never run (their shard
-    /// task unwound with it).
-    pub fn map_sharded<T, R, F>(&self, items: Vec<(usize, T)>, work: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let n = items.len();
-        // Group by shard key, preserving input order within each group
-        // and first-appearance order across groups.
-        let mut groups: Vec<(usize, Vec<(usize, T)>)> = Vec::new();
-        let mut group_of: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        for (index, (shard, item)) in items.into_iter().enumerate() {
-            let at = *group_of.entry(shard).or_insert_with(|| {
-                groups.push((shard, Vec::new()));
-                groups.len() - 1
-            });
-            groups[at].1.push((index, item));
-        }
-        self.metrics.sharded.add(n as u64);
-        let per_group: Vec<Vec<(usize, R)>> = self.map(groups, |(shard, group)| {
-            group.into_iter().map(|(index, item)| (index, work(shard, item))).collect()
-        });
-        // Scatter back to input order.
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (index, result) in per_group.into_iter().flatten() {
-            slots[index] = Some(result);
-        }
-        slots.into_iter().map(|slot| slot.expect("every input index produced a result")).collect()
     }
 
     fn record_panic(&self, index: usize, worker: Option<usize>, payload: &Box<dyn Any + Send>) {
@@ -1120,79 +1068,6 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(via_try, pool.map((0u64..100).collect(), |n| n * 3));
-    }
-
-    #[test]
-    fn map_sharded_preserves_input_order() {
-        let pool = Pool::new(4);
-        let items: Vec<(usize, u64)> = (0..100).map(|i| (i % 7, i as u64)).collect();
-        let results = pool.map_sharded(items, |shard, n| n * 10 + shard as u64);
-        let expected: Vec<u64> = (0..100u64).map(|i| i * 10 + i % 7).collect();
-        assert_eq!(results, expected);
-    }
-
-    #[test]
-    fn map_sharded_serializes_within_a_shard() {
-        // Items of one shard must run sequentially in input order even
-        // while other shards run in parallel: record the per-shard
-        // arrival order and require it to equal the input order.
-        let pool = Pool::new(8);
-        let shards = 4usize;
-        let orders: Vec<Mutex<Vec<u64>>> = (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-        let items: Vec<(usize, u64)> =
-            (0..200u64).map(|i| ((i % shards as u64) as usize, i)).collect();
-        pool.map_sharded(items, |shard, i| {
-            orders[shard].lock().unwrap().push(i);
-        });
-        for (shard, order) in orders.iter().enumerate() {
-            let seen = order.lock().unwrap().clone();
-            let expected: Vec<u64> =
-                (0..200u64).filter(|i| (i % shards as u64) as usize == shard).collect();
-            assert_eq!(seen, expected, "shard {shard} ran out of order");
-        }
-    }
-
-    #[test]
-    fn map_sharded_matches_sequential_for_stateful_shards() {
-        // The whole point: per-shard mutable state evolves identically
-        // at any thread count. Model each shard as a running hash.
-        let run = |threads: usize| -> Vec<u64> {
-            let pool = Pool::new(threads);
-            let states: Vec<Mutex<u64>> = (0..5).map(|_| Mutex::new(0)).collect();
-            let items: Vec<(usize, u64)> =
-                (0..300u64).map(|i| ((i * 31 % 5) as usize, i)).collect();
-            pool.map_sharded(items, |shard, i| {
-                let mut state = states[shard].lock().unwrap();
-                *state = state.wrapping_mul(6364136223846793005).wrapping_add(i);
-                *state
-            })
-        };
-        assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn map_sharded_handles_empty_and_single_shard() {
-        let pool = Pool::new(4);
-        assert_eq!(pool.map_sharded(Vec::<(usize, u32)>::new(), |_, n| n), Vec::<u32>::new());
-        let all_one: Vec<(usize, u32)> = (0..10).map(|i| (3usize, i)).collect();
-        assert_eq!(pool.map_sharded(all_one, |_, n| n + 1), (1..11).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn map_sharded_propagates_panics() {
-        let pool = Pool::new(4);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map_sharded(vec![(0usize, 1u32), (1, 2), (0, 3)], |_, n| {
-                if n == 2 {
-                    panic!("shard boom");
-                }
-                n
-            })
-        }));
-        let payload = result.expect_err("panicking shard fails the map");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard boom"));
-        // The pool survives for the next batch.
-        assert_eq!(pool.map_sharded(vec![(0usize, 7u32)], |_, n| n), vec![7]);
     }
 
     #[test]

@@ -306,12 +306,16 @@ pub(crate) struct Client {
 
 impl Client {
     /// Connects once, arming `io_timeout_ms` read/write deadlines on
-    /// the socket (0 = unbounded).
+    /// the socket (0 = unbounded). TCP streams get `TCP_NODELAY`, so
+    /// frames written back to back never wait on the peer's delayed ACK.
     pub(crate) fn connect(target: &ListenSpec, io_timeout_ms: u64) -> Result<Client, VlppError> {
         let conn = match target {
-            ListenSpec::Tcp(addr) => TcpStream::connect(addr)
-                .map(super::Conn::Tcp)
-                .map_err(|source| VlppError::io(addr, "connect", source))?,
+            ListenSpec::Tcp(addr) => {
+                let stream = TcpStream::connect(addr)
+                    .map_err(|source| VlppError::io(addr, "connect", source))?;
+                let _ = stream.set_nodelay(true);
+                super::Conn::Tcp(stream)
+            }
             #[cfg(unix)]
             ListenSpec::Unix(path) => UnixStream::connect(path)
                 .map(super::Conn::Unix)
@@ -1412,6 +1416,14 @@ fn run_cluster_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError>
         }
     }
 
+    // Taken before the shutdown pass: a node that goes down there is
+    // draining at this client's request (or at the supervisor's
+    // propagation of it), not dead.
+    let dead: Vec<JsonValue> = {
+        let mut names: Vec<String> = lock(&ctx.dead).iter().cloned().collect();
+        names.sort();
+        names.into_iter().map(JsonValue::Str).collect()
+    };
     if options.shutdown {
         // Re-read the table once more so a node respawned during the
         // stats pass drains too instead of lingering as an orphan.
@@ -1434,11 +1446,6 @@ fn run_cluster_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError>
         }
     }
 
-    let dead: Vec<JsonValue> = {
-        let mut names: Vec<String> = lock(&ctx.dead).iter().cloned().collect();
-        names.sort();
-        names.into_iter().map(JsonValue::Str).collect()
-    };
     let node_count = lock(&ctx.table).nodes().len();
     let extra = vec![
         ("nodes".to_string(), JsonValue::UInt(node_count as u64)),

@@ -15,9 +15,19 @@
 //! `--queue-depth`; a full queue blocks the reader, which propagates
 //! backpressure to the client through TCP), and a *processor* that
 //! executes verbs and writes responses back in request order. Batch
-//! execution itself fans out over the global `vlpp-pool` via
-//! `Pool::map_sharded`, so same-shard records stay ordered while
+//! execution itself fans out over the global `vlpp-pool`, one task per
+//! busy shard (see [`model`]), so same-shard records stay ordered while
 //! distinct shards run in parallel.
+//!
+//! # Transport
+//!
+//! Every TCP socket, accepted here or opened by the loadgen client (and
+//! so by the cluster supervisor), sets `TCP_NODELAY`, and
+//! `vlpp_trace::frame` writes each frame in one write: together they
+//! keep a round trip at the server's work plus loopback time instead of
+//! a ~40 ms delayed-ACK timer. The reader reads through a `BufReader`,
+//! so a frame that arrives in one segment costs one `read` call. The
+//! per-request instruments are resolved once (`ServeMetrics`).
 //!
 //! # Graceful drain
 //!
@@ -45,22 +55,24 @@ pub mod routing;
 pub mod snapshot;
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
+use vlpp_metrics::{Counter, Gauge, Histogram, Span};
 use vlpp_trace::frame::{self, write_frame, FrameRead};
 use vlpp_trace::json::JsonValue;
 use vlpp_trace::VlppError;
 
 use crate::experiment::{Scale, Workloads};
 pub use model::{Model, ModelKind, ModelSpec, Prediction};
+use protocol::VERB_NAMES;
 pub use protocol::{Request, Verb};
 
 /// Default bound of each connection's frame queue.
@@ -74,6 +86,58 @@ pub const DEFAULT_IO_TIMEOUT_MS: u64 = 30_000;
 /// Frame payload size the `sync` verb chunks its snapshot stream into —
 /// comfortably under `MAX_FRAME_BYTES`.
 const SYNC_CHUNK_BYTES: usize = 256 * 1024;
+
+/// The serve path's instruments (see `OBSERVABILITY.md`), resolved from
+/// the registry once per process, so a request formats no instrument
+/// name and takes no registry lock.
+pub(crate) struct ServeMetrics {
+    /// `serve.requests.<verb>`, in [`VERB_NAMES`] order.
+    requests: [Arc<Counter>; VERB_NAMES.len()],
+    /// `serve.<verb>_ns` spans, in [`VERB_NAMES`] order.
+    verb_ns: [Arc<Histogram>; VERB_NAMES.len()],
+    /// `serve.records`: records carried by `predict`/`update`.
+    records: Arc<Counter>,
+    /// `serve.batch_records`: records per `predict`/`update` batch.
+    batch_records: Arc<Histogram>,
+    /// `sim.predict_ns`: one span per [`Model::apply_batch`].
+    pub(crate) predict_ns: Arc<Histogram>,
+    /// `sim.records_per_sec`: each batch's throughput.
+    pub(crate) records_per_sec: Arc<Gauge>,
+    connections: Arc<Counter>,
+    errors_frame: Arc<Counter>,
+    errors_protocol: Arc<Counter>,
+    backpressure_waits: Arc<Counter>,
+    io_timeouts: Arc<Counter>,
+    sync_bytes: Arc<Counter>,
+}
+
+impl ServeMetrics {
+    /// The process-wide handles, registered on first use.
+    pub(crate) fn get() -> &'static ServeMetrics {
+        static METRICS: OnceLock<ServeMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| ServeMetrics {
+            requests: VERB_NAMES
+                .map(|verb| vlpp_metrics::counter(&format!("serve.requests.{verb}"))),
+            verb_ns: VERB_NAMES.map(|verb| vlpp_metrics::histogram(&format!("serve.{verb}_ns"))),
+            records: vlpp_metrics::counter("serve.records"),
+            batch_records: vlpp_metrics::histogram("serve.batch_records"),
+            predict_ns: vlpp_metrics::histogram("sim.predict_ns"),
+            records_per_sec: vlpp_metrics::gauge("sim.records_per_sec"),
+            connections: vlpp_metrics::counter("serve.connections"),
+            errors_frame: vlpp_metrics::counter("serve.errors.frame"),
+            errors_protocol: vlpp_metrics::counter("serve.errors.protocol"),
+            backpressure_waits: vlpp_metrics::counter("serve.backpressure_waits"),
+            io_timeouts: vlpp_metrics::counter("serve.io_timeouts"),
+            sync_bytes: vlpp_metrics::counter("serve.sync_bytes"),
+        })
+    }
+
+    /// Counts one batch of `n` records.
+    fn batch(&self, n: usize) {
+        self.records.add(n as u64);
+        self.batch_records.record(n as u64);
+    }
+}
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,9 +381,16 @@ impl Listener {
         }
     }
 
+    /// Accepts one connection. TCP streams get `TCP_NODELAY`, so a
+    /// response and any frames right behind it leave at once (an error
+    /// setting it is ignored: the socket still serves, only slower).
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(listener) => listener.accept().map(|(stream, _)| Conn::Tcp(stream)),
+            Listener::Tcp(listener) => {
+                let (stream, _) = listener.accept()?;
+                let _ = stream.set_nodelay(true);
+                Ok(Conn::Tcp(stream))
+            }
             #[cfg(unix)]
             Listener::Unix(listener, _) => listener.accept().map(|(stream, _)| Conn::Unix(stream)),
         }
@@ -488,11 +559,11 @@ pub fn serve(options: ServeOptions) -> Result<(), VlppError> {
         wake: listener.wake_handle()?,
     });
 
-    // Register the recovery-path counters up front so `--metrics`
-    // snapshots always carry them — the metrics-check presence gate
-    // must distinguish "never fired" from "counting removed".
-    vlpp_metrics::counter("serve.io_timeouts");
-    vlpp_metrics::counter("serve.sync_bytes");
+    // Register every serve instrument up front so `--metrics`
+    // snapshots always carry the recovery counters — the metrics-check
+    // presence gate must distinguish "never fired" from "counting
+    // removed".
+    let metrics = ServeMetrics::get();
 
     // SIGTERM/SIGINT drain exactly like the `shutdown` verb. The
     // watcher exits once either path sets `draining`.
@@ -527,7 +598,7 @@ pub fn serve(options: ServeOptions) -> Result<(), VlppError> {
             // The drain wake-up connection (or a client racing it).
             break;
         }
-        vlpp_metrics::counter("serve.connections").incr();
+        metrics.connections.incr();
         conn.set_timeouts(options.io_timeout_ms);
         let id = next_id;
         next_id += 1;
@@ -559,14 +630,20 @@ pub fn serve(options: ServeOptions) -> Result<(), VlppError> {
 /// holding a connection open is fine); an expiry mid-frame counts
 /// `serve.io_timeouts` and closes, because a half-written frame means
 /// the peer hung and the stream can never resynchronize.
-fn reader_loop(mut conn: Conn, queue: SyncSender<Result<Vec<u8>, VlppError>>) {
+///
+/// Reads go through a [`BufReader`], so a frame that arrives in one
+/// segment costs one `read` call, not one for the prefix and one for
+/// the payload.
+fn reader_loop(conn: Conn, queue: SyncSender<Result<Vec<u8>, VlppError>>) {
+    let metrics = ServeMetrics::get();
+    let mut conn = BufReader::new(conn);
     loop {
         match frame::read_frame_or_timeout(&mut conn) {
             Ok(FrameRead::Frame(payload)) => {
                 let payload = match queue.try_send(Ok(payload)) {
                     Ok(()) => continue,
                     Err(TrySendError::Full(payload)) => {
-                        vlpp_metrics::counter("serve.backpressure_waits").incr();
+                        metrics.backpressure_waits.incr();
                         payload
                     }
                     Err(TrySendError::Disconnected(_)) => return,
@@ -581,7 +658,7 @@ fn reader_loop(mut conn: Conn, queue: SyncSender<Result<Vec<u8>, VlppError>>) {
             Ok(FrameRead::Eof) => return,
             Err(error) => {
                 if frame::is_timeout(&error) {
-                    vlpp_metrics::counter("serve.io_timeouts").incr();
+                    metrics.io_timeouts.incr();
                 }
                 let _ = queue.send(Err(error));
                 return;
@@ -608,29 +685,25 @@ fn handle_connection(id: u64, conn: Conn, shared: Arc<Shared>, queue_depth: usiz
         Err(_) => false,
     };
     if !processed {
-        vlpp_metrics::counter("serve.errors.frame").incr();
+        ServeMetrics::get().errors_frame.incr();
     }
     lock(&shared.conns).remove(&id);
 }
 
 fn process_queue(writer: &mut Conn, queue: &Receiver<Result<Vec<u8>, VlppError>>, shared: &Shared) {
+    let metrics = ServeMetrics::get();
     while let Ok(next) = queue.recv() {
         match next {
             Ok(payload) => {
                 let (response, trailing) = process_frame(&payload, shared);
-                if let Err(error) = write_frame(&mut *writer, response.to_string().as_bytes()) {
-                    // The client is gone; nothing left to respond to.
-                    if frame::is_timeout(&error) {
-                        vlpp_metrics::counter("serve.io_timeouts").incr();
-                    }
-                    return;
-                }
                 // Binary continuation frames (the `sync` stream) follow
                 // their response header on the same ordered channel.
-                for chunk in &trailing {
-                    if let Err(error) = write_frame(&mut *writer, chunk) {
+                let frames = std::iter::once(response.to_string().into_bytes()).chain(trailing);
+                for bytes in frames {
+                    if let Err(error) = write_frame(&mut *writer, &bytes) {
+                        // The client is gone; nothing left to respond to.
                         if frame::is_timeout(&error) {
-                            vlpp_metrics::counter("serve.io_timeouts").incr();
+                            metrics.io_timeouts.incr();
                         }
                         return;
                     }
@@ -640,7 +713,7 @@ fn process_queue(writer: &mut Conn, queue: &Receiver<Result<Vec<u8>, VlppError>>
                 // Framing is not resynchronizable: answer with the
                 // typed error (best-effort — the peer may have
                 // disconnected mid-frame) and close.
-                vlpp_metrics::counter("serve.errors.frame").incr();
+                metrics.errors_frame.incr();
                 let response = protocol::error_response(None, &error);
                 let _ = write_frame(&mut *writer, response.to_string().as_bytes());
                 return;
@@ -655,20 +728,22 @@ fn process_queue(writer: &mut Conn, queue: &Receiver<Result<Vec<u8>, VlppError>>
 /// Protocol-level failures become error responses; the connection
 /// stays usable.
 fn process_frame(payload: &[u8], shared: &Shared) -> (JsonValue, Vec<Vec<u8>>) {
+    let metrics = ServeMetrics::get();
     let request = match protocol::parse_request(payload) {
         Ok(request) => request,
         Err(error) => {
-            vlpp_metrics::counter("serve.errors.protocol").incr();
+            metrics.errors_protocol.incr();
             return (protocol::error_response(None, &error), Vec::new());
         }
     };
     let verb = request.verb.name();
-    vlpp_metrics::counter(&format!("serve.requests.{verb}")).incr();
-    let _span = vlpp_metrics::span(&format!("serve.{verb}_ns"));
+    let index = request.verb.index();
+    metrics.requests[index].incr();
+    let _span = Span::enter(Arc::clone(&metrics.verb_ns[index]));
     match execute(request.verb, shared) {
         Ok((body, trailing)) => (protocol::ok_response(verb, request.id, body), trailing),
         Err(error) => {
-            vlpp_metrics::counter("serve.errors.protocol").incr();
+            metrics.errors_protocol.incr();
             (protocol::error_response(request.id, &error), Vec::new())
         }
     }
@@ -694,8 +769,7 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
         }
         Verb::Predict { model, records } => {
             let model = shared.lookup(&model, "predict")?;
-            vlpp_metrics::counter("serve.records").add(records.len() as u64);
-            vlpp_metrics::histogram("serve.batch_records").record(records.len() as u64);
+            ServeMetrics::get().batch(records.len());
             let predictions = model.apply_batch(&records);
             Ok((
                 vec![("predictions".to_string(), protocol::predictions_to_json(&predictions))],
@@ -704,8 +778,7 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
         }
         Verb::Update { model, records } => {
             let model = shared.lookup(&model, "update")?;
-            vlpp_metrics::counter("serve.records").add(records.len() as u64);
-            vlpp_metrics::histogram("serve.batch_records").record(records.len() as u64);
+            ServeMetrics::get().batch(records.len());
             model.apply_batch(&records);
             Ok((vec![("records".to_string(), JsonValue::UInt(records.len() as u64))], Vec::new()))
         }
@@ -802,7 +875,7 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
                 )
             })?;
             let chunks: Vec<Vec<u8>> = bytes.chunks(SYNC_CHUNK_BYTES).map(<[u8]>::to_vec).collect();
-            vlpp_metrics::counter("serve.sync_bytes").add(bytes.len() as u64);
+            ServeMetrics::get().sync_bytes.add(bytes.len() as u64);
             Ok((
                 vec![
                     ("bytes".to_string(), JsonValue::UInt(bytes.len() as u64)),

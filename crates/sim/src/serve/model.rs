@@ -9,9 +9,10 @@
 //! one shard, a shard sees a deterministic sub-stream of the trace, and
 //! its predictions depend only on that sub-stream's order — not on
 //! worker-thread count, batch boundaries, or which connection carried
-//! the records. [`Model::apply_batch`] exploits this through
-//! `Pool::map_sharded`: same-shard records run sequentially in batch
-//! order, distinct shards run in parallel, and the result is
+//! the records. [`Model::apply_batch`] exploits this: it splits a batch
+//! into one index slice per busy shard, and each slice runs in batch
+//! order under one take of its shard's lock, with distinct shards in
+//! parallel on the worker pool (`Pool::map`). The result is
 //! byte-identical to [`Model::apply_sequential`] at any `VLPP_THREADS`.
 //!
 //! The contract callers must keep: each shard's records must arrive in
@@ -24,11 +25,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use vlpp_core::{CondKernel, HashAssignment, IndKernel, KernelState, PathConfig, ProfileReport};
+use vlpp_metrics::Span;
 use vlpp_pool::Pool;
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord, TraceSource, VlppError};
 
-use super::routing;
+use super::{routing, ServeMetrics};
 use crate::experiment::Workloads;
 
 /// Which branch population a served model predicts.
@@ -408,21 +410,38 @@ impl Model {
         Ok(Model { spec, profiled_branches, default_hash, assignment, shards })
     }
 
-    /// Runs a batch through the shards on the global worker pool:
-    /// same-shard records stay sequential in batch order, distinct
-    /// shards run in parallel. One prediction slot per input record, in
-    /// input order.
+    /// Runs a batch through the shards on the global worker pool: the
+    /// batch splits into one index slice per busy shard, each slice
+    /// runs in batch order under one take of its shard's lock, and
+    /// distinct shards run in parallel (one busy shard runs inline).
+    /// One prediction slot per input record, in input order.
     pub fn apply_batch(&self, records: &[BranchRecord]) -> Vec<Option<Prediction>> {
-        let _span = vlpp_metrics::span("sim.predict_ns");
+        let metrics = ServeMetrics::get();
+        let _span = Span::enter(Arc::clone(&metrics.predict_ns));
         let started = Instant::now();
-        let items = records.iter().map(|record| (self.owner(record.pc()), *record)).collect();
-        let predictions = Pool::global().map_sharded(items, |shard, record: BranchRecord| {
-            lock_shard(&self.shards[shard]).apply(&record)
+        let mut slices = vec![Vec::new(); self.shards.len()];
+        for (index, record) in records.iter().enumerate() {
+            slices[self.owner(record.pc())].push(index);
+        }
+        let busy: Vec<(usize, &[usize])> = slices
+            .iter()
+            .enumerate()
+            .filter(|(_, slice)| !slice.is_empty())
+            .map(|(shard, slice)| (shard, slice.as_slice()))
+            .collect();
+        let per_shard = Pool::global().map(busy.clone(), |(shard, slice)| {
+            let mut state = lock_shard(&self.shards[shard]);
+            slice.iter().map(|&index| state.apply(&records[index])).collect::<Vec<_>>()
         });
+        let mut predictions = vec![None; records.len()];
+        for ((_, slice), shard_predictions) in busy.iter().zip(per_shard) {
+            for (&index, prediction) in slice.iter().zip(shard_predictions) {
+                predictions[index] = prediction;
+            }
+        }
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
-            vlpp_metrics::gauge("sim.records_per_sec")
-                .record((records.len() as f64 / elapsed) as u64);
+            metrics.records_per_sec.record((records.len() as f64 / elapsed) as u64);
         }
         predictions
     }

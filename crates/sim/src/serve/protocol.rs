@@ -81,20 +81,30 @@ pub enum Verb {
     Shutdown,
 }
 
+/// Every verb's wire name, in [`Verb::index`] order.
+pub const VERB_NAMES: [&str; 9] =
+    ["train", "predict", "update", "stats", "save", "load", "ping", "sync", "shutdown"];
+
 impl Verb {
+    /// The verb's position in [`VERB_NAMES`] (how the server finds its
+    /// per-verb instruments without formatting a name).
+    pub fn index(&self) -> usize {
+        match self {
+            Verb::Train(_) => 0,
+            Verb::Predict { .. } => 1,
+            Verb::Update { .. } => 2,
+            Verb::Stats { .. } => 3,
+            Verb::Save { .. } => 4,
+            Verb::Load { .. } => 5,
+            Verb::Ping => 6,
+            Verb::Sync { .. } => 7,
+            Verb::Shutdown => 8,
+        }
+    }
+
     /// The verb's wire name (the metrics label under `serve.requests.*`).
     pub fn name(&self) -> &'static str {
-        match self {
-            Verb::Train(_) => "train",
-            Verb::Predict { .. } => "predict",
-            Verb::Update { .. } => "update",
-            Verb::Stats { .. } => "stats",
-            Verb::Save { .. } => "save",
-            Verb::Load { .. } => "load",
-            Verb::Ping => "ping",
-            Verb::Sync { .. } => "sync",
-            Verb::Shutdown => "shutdown",
-        }
+        VERB_NAMES[self.index()]
     }
 }
 

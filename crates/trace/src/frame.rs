@@ -14,6 +14,16 @@
 //! non-error end state is a clean EOF *between* frames, which reads as
 //! `Ok(None)`.
 //!
+//! # One write per frame
+//!
+//! [`write_frame`] hands the prefix and the payload to the writer as one
+//! buffer in one `write_all`. Written separately on a TCP socket, the
+//! payload would wait in Nagle's algorithm until the peer ACKs the
+//! prefix, and the peer delays that ACK (~40 ms on Linux), so each
+//! round trip would take ~44 ms whatever the server does. The serving
+//! stack also sets `TCP_NODELAY` on every TCP socket, so frames written
+//! back to back (a `sync` header and its chunks) go out at once too.
+//!
 //! # Deadlines
 //!
 //! Sockets in the serving stack carry `set_read_timeout` /
@@ -64,7 +74,8 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// so callers can tell a hung peer from a malformed stream.
 const DEADLINE_MARKER: &str = "(io deadline)";
 
-/// Writes one frame: 4-byte little-endian length, then `payload`.
+/// Writes one frame: 4-byte little-endian length, then `payload`, in
+/// one `write_all` of one buffer.
 ///
 /// # Errors
 ///
@@ -105,10 +116,18 @@ pub fn write_frame<W: Write>(mut writer: W, payload: &[u8]) -> Result<(), VlppEr
         }
     }
     let io_err = |source: std::io::Error| frame_write_error(source, payload.len() as u64);
-    writer.write_all(&(payload.len() as u32).to_le_bytes()).map_err(io_err)?;
-    writer.write_all(payload).map_err(io_err)?;
+    writer.write_all(&wire(payload)).map_err(io_err)?;
     writer.flush().map_err(io_err)?;
     Ok(())
+}
+
+/// One frame's wire bytes, prefix then payload, in one buffer (see the
+/// module's "One write per frame").
+fn wire(payload: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::with_capacity(4 + payload.len());
+    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    wire.extend_from_slice(payload);
+    wire
 }
 
 /// The `nettrunc` arm of [`write_frame`]: emit at most `bytes` wire
@@ -120,8 +139,7 @@ fn write_truncated<W: Write>(
     at: u64,
     bytes: u64,
 ) -> Result<(), VlppError> {
-    let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
-    wire.extend_from_slice(payload);
+    let wire = wire(payload);
     let emit = (bytes as usize).min(wire.len() - 1);
     let io_err = |source: std::io::Error| frame_write_error(source, payload.len() as u64);
     writer.write_all(&wire[..emit]).map_err(io_err)?;
@@ -328,6 +346,34 @@ mod tests {
         assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
+    /// Records the buffer of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_prefix_then_payload() {
+        let mut writer = CountingWriter::default();
+        write_frame(&mut writer, b"hello").unwrap();
+        write_frame(&mut writer, &[7u8; 300]).unwrap();
+        assert_eq!(writer.writes.len(), 2, "one write call per frame");
+        assert_eq!(writer.writes[0], b"\x05\x00\x00\x00hello");
+        assert_eq!(writer.writes[1][..4], 300u32.to_le_bytes());
+        assert_eq!(writer.writes[1][4..], [7u8; 300]);
+    }
+
     #[test]
     fn rejects_zero_length_frames_both_ways() {
         let error = write_frame(Vec::new(), b"").unwrap_err();
@@ -427,6 +473,9 @@ mod tests {
         assert_eq!(error.phase(), "frame");
         assert!(error.to_string().contains("nettrunc"), "{error}");
         assert_eq!(wire.len(), 6);
+        let mut whole = Vec::new();
+        write_frame(&mut whole, b"payload").unwrap();
+        assert_eq!(wire, whole[..6], "nettrunc cuts the same wire write_frame emits");
         // The peer sees a mid-frame disconnect, exactly like a real cut.
         let peer_error = read_frame(wire.as_slice()).unwrap_err();
         assert!(peer_error.to_string().contains("payload"), "{peer_error}");

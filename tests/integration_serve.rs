@@ -389,3 +389,54 @@ fn serve_metrics_carry_kernel_throughput_at_one_server_thread() {
 fn serve_metrics_carry_kernel_throughput_at_eight_server_threads() {
     metrics_snapshot_after_load("8");
 }
+
+/// The delayed-ACK regression: a client *without* `TCP_NODELAY` (the
+/// plain `TcpStream` default) finishes 50 `ping` round trips in well
+/// under a second. When a frame's prefix and payload went out as two
+/// writes, Nagle's algorithm held each response payload until the
+/// client's delayed ACK (~40 ms), so 50 pings took over 2 s.
+#[test]
+fn fifty_pings_over_loopback_tcp_take_under_a_second() {
+    let server = Server::start("2");
+    let mut conn = server.connect();
+    assert!(!conn.nodelay().expect("reads TCP_NODELAY"), "the client keeps Nagle on");
+    let started = Instant::now();
+    for _ in 0..50 {
+        let response = call(&mut conn, r#"{"verb":"ping"}"#);
+        assert_eq!(response.get("ok").and_then(|v| v.as_bool()), Some(true));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "50 ping round trips took {elapsed:?}");
+    server.shutdown_and_wait();
+}
+
+/// A `sync` header and its chunk frames go out back to back; with
+/// `TCP_NODELAY` on the server's socket none of them waits on the
+/// client's delayed ACK. The model is sized so its snapshot stream
+/// spans at least two chunk frames. Twenty syncs must finish in under a
+/// second: one took ~90 ms when the stream stalled behind delayed ACKs,
+/// and ~5 ms without.
+#[test]
+fn multi_chunk_syncs_take_under_a_second() {
+    let server = Server::start("2");
+    let mut conn = server.connect();
+    let train = r#"{"verb":"train","model":"big","benchmark":"compress","kind":"ind","index_bits":15,"shards":2}"#;
+    assert_eq!(call(&mut conn, train).get("ok").and_then(|v| v.as_bool()), Some(true));
+
+    let started = Instant::now();
+    for _ in 0..20 {
+        let header = call(&mut conn, r#"{"verb":"sync","model":"big"}"#);
+        assert_eq!(header.get("ok").and_then(|v| v.as_bool()), Some(true), "{header}");
+        let chunks = header.get("chunks").and_then(|v| v.as_u64()).expect("chunk count");
+        assert!(chunks >= 2, "the snapshot must span at least two chunk frames: {header}");
+        let mut received = 0u64;
+        for _ in 0..chunks {
+            let chunk = read_frame(&mut conn).expect("chunk reads").expect("not EOF");
+            received += chunk.len() as u64;
+        }
+        assert_eq!(Some(received), header.get("bytes").and_then(|v| v.as_u64()));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "20 multi-chunk syncs took {elapsed:?}");
+    server.shutdown_and_wait();
+}
