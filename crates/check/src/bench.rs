@@ -5,9 +5,9 @@
 //! deviation) in nanoseconds — robust statistics that tolerate the odd
 //! scheduler hiccup without Criterion's sampling machinery.
 //!
-//! Every report is printed as one machine-readable JSON line prefixed
-//! with `BENCH `, so a bench log can be grepped into a `BENCH_*.json`
-//! trajectory file:
+//! Every report renders ([`BenchReport::to_line`]) as one
+//! machine-readable JSON line prefixed with `BENCH `, so a bench log can
+//! be grepped into a `BENCH_*.json` trajectory file:
 //!
 //! ```text
 //! BENCH {"bench":"micro/gshare_16kb","iters":5,"median_ns":812345,...}
@@ -28,25 +28,17 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    /// The default: 2 warmup + 7 timed iterations, for cheap benches.
+    /// The default (2 warmup + 7 timed iterations) with the
+    /// `VLPP_BENCH_WARMUP` / `VLPP_BENCH_ITERS` overrides applied.
     pub fn from_env() -> Self {
-        BenchConfig::default().env_override()
-    }
-
-    /// A minimal config (1 warmup + 3 timed) for expensive benches that
-    /// regenerate whole experiments per iteration.
-    pub fn quick() -> Self {
-        BenchConfig { warmup: 1, iters: 3 }.env_override()
-    }
-
-    fn env_override(mut self) -> Self {
+        let mut config = BenchConfig::default();
         if let Some(w) = env_u32("VLPP_BENCH_WARMUP") {
-            self.warmup = w;
+            config.warmup = w;
         }
         if let Some(i) = env_u32("VLPP_BENCH_ITERS") {
-            self.iters = i.max(1);
+            config.iters = i.max(1);
         }
-        self
+        config
     }
 }
 
@@ -109,48 +101,21 @@ fn median_of_sorted(sorted: &[u64]) -> u64 {
     }
 }
 
-/// Times `f` and prints the report as one `BENCH {json}` line.
+/// Times `f`: `config.warmup` untimed calls, then `config.iters` timed
+/// ones. Prints nothing, so callers can add fields to the `BENCH` line
+/// ([`BenchReport::to_line`]) before printing it.
 ///
 /// The closure's return value is passed through [`black_box`] so the
 /// work cannot be optimized away.
-pub fn bench<T>(name: &str, config: BenchConfig, mut f: impl FnMut() -> T) -> BenchReport {
-    bench_with_setup(name, config, || (), move |()| f())
-}
-
-/// Like [`bench()`], but runs `setup` (untimed) before every timed
-/// iteration — for benches that consume their input.
-pub fn bench_with_setup<S, T>(
-    name: &str,
-    config: BenchConfig,
-    setup: impl FnMut() -> S,
-    f: impl FnMut(S) -> T,
-) -> BenchReport {
-    let report = measure_with_setup(name, config, setup, f);
-    println!("{}", report.to_line());
-    report
-}
-
-/// Times `f` exactly like [`bench()`] but prints nothing — for callers
-/// that add fields to the `BENCH` line before printing it.
 pub fn measure<T>(name: &str, config: BenchConfig, mut f: impl FnMut() -> T) -> BenchReport {
-    measure_with_setup(name, config, || (), move |()| f())
-}
-
-fn measure_with_setup<S, T>(
-    name: &str,
-    config: BenchConfig,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> T,
-) -> BenchReport {
     for _ in 0..config.warmup {
-        black_box(f(setup()));
+        black_box(f());
     }
     let iters = config.iters.max(1);
     let mut samples: Vec<u64> = Vec::with_capacity(iters as usize);
     for _ in 0..iters {
-        let input = setup();
         let start = Instant::now();
-        black_box(f(input));
+        black_box(f());
         samples.push(start.elapsed().as_nanos() as u64);
     }
     samples.sort_unstable();
@@ -173,7 +138,7 @@ mod tests {
 
     #[test]
     fn report_line_is_valid_single_line_json() {
-        let report = bench("check/self_test", BenchConfig { warmup: 0, iters: 3 }, || {
+        let report = measure("check/self_test", BenchConfig { warmup: 0, iters: 3 }, || {
             (0..100u64).sum::<u64>()
         });
         let line = report.to_line();
@@ -188,7 +153,7 @@ mod tests {
 
     #[test]
     fn stats_are_ordered_sanely() {
-        let report = bench("check/ordering", BenchConfig { warmup: 1, iters: 5 }, || {
+        let report = measure("check/ordering", BenchConfig { warmup: 1, iters: 5 }, || {
             std::hint::black_box(vec![0u8; 4096])
         });
         assert!(report.min_ns <= report.median_ns);
@@ -201,21 +166,5 @@ mod tests {
         assert_eq!(median_of_sorted(&[5]), 5);
         assert_eq!(median_of_sorted(&[1, 3]), 2);
         assert_eq!(median_of_sorted(&[1, 2, 9]), 2);
-    }
-
-    #[test]
-    fn setup_runs_outside_timing() {
-        let mut setups = 0;
-        let report = bench_with_setup(
-            "check/setup",
-            BenchConfig { warmup: 1, iters: 2 },
-            || {
-                setups += 1;
-                vec![1u64; 64]
-            },
-            |v| v.into_iter().sum::<u64>(),
-        );
-        assert_eq!(setups, 3, "warmup + timed iterations each get a setup");
-        assert_eq!(report.iters, 2);
     }
 }

@@ -10,9 +10,9 @@
 //!   failures are *shrunk* by bisecting the generator's value stream and
 //!   reported with the exact seed (and shrink limit) that reproduces
 //!   them.
-//! * **`criterion`** → [`bench()`]: a `harness = false` timer harness with
-//!   warmup, N timed iterations, and a median/MAD report printed as one
-//!   machine-readable JSON line (via `vlpp_trace::json`), so
+//! * **`criterion`** → [`measure`]: a timer with warmup, N timed
+//!   iterations, and a median/MAD report that renders as one
+//!   machine-readable `BENCH {json}` line (via `vlpp_trace::json`), so
 //!   `BENCH_*.json` trajectories can accumulate across PRs.
 //!
 //! The [`fault`] module rounds out the harness with seeded
@@ -41,13 +41,14 @@
 //! `VLPP_CHECK_LIMIT=<n>` for the shrunk prefix) to replay it first.
 //! `VLPP_CHECK_CASES` overrides the case count globally.
 //!
-//! ## Running a bench
+//! ## Timing a closure
 //!
 //! ```
-//! use vlpp_check::{bench, BenchConfig};
+//! use vlpp_check::{measure, BenchConfig};
 //!
-//! let report = bench("sum_1k", BenchConfig::quick(), || (0..1000u64).sum::<u64>());
+//! let report = measure("sum_1k", BenchConfig::from_env(), || (0..1000u64).sum::<u64>());
 //! assert!(report.iters >= 1);
+//! println!("{}", report.to_line());
 //! ```
 
 #![warn(missing_docs)]
@@ -58,7 +59,7 @@ pub mod fault;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{bench, bench_with_setup, measure, BenchConfig, BenchReport};
+pub use bench::{measure, BenchConfig, BenchReport};
 pub use fault::{DataFault, ExecFault, FaultPlan};
 pub use prop::{check, CheckConfig, Failed, Gen, PropResult};
 pub use rng::XorShift64;

@@ -65,7 +65,7 @@ impl BranchKind {
         })
     }
 
-    /// Short lowercase name, used by the text trace format.
+    /// Short lowercase name, used by the CSV and JSONL trace formats.
     pub fn name(self) -> &'static str {
         match self {
             BranchKind::Conditional => "cond",

@@ -1,50 +1,34 @@
-//! The compact binary trace format: branch records are highly local —
-//! consecutive pcs and targets differ by small deltas — so delta +
-//! LEB128 varint encoding shrinks traces by roughly 4–6× versus the
-//! fixed-width [`io`](crate::io) format. Workload caches and long trace
-//! archives use this format.
+//! VLPC v3, the native trace file format: branch records are highly
+//! local — consecutive pcs and targets differ by small deltas — so
+//! delta + LEB128 varint encoding takes 4–6 bytes per record where a
+//! ChampSim capture spends 18 (4.3 for the `trace_tools` example's `li`
+//! trace, 6.0 for `trace_capture`'s interpreter). Workload caches,
+//! `vlpp ingest` output and long trace archives all use it.
 //!
-//! Two on-disk layouts share the `VLPC` magic (`TRACES.md` at the
-//! repository root has the full wire grammar):
-//!
-//! * **version 2** — one header count followed by a flat record stream
-//!   ([`write_compact`]); fine for workload caches that fit in memory.
-//! * **version 3** — the *chunked* layout ([`ChunkedWriter`]): records
-//!   are grouped into independently decodable chunks of at most
-//!   `chunk_cap` records, each prefixed by its record count and payload
-//!   length, so a reader can stream (or skip) a multi-GB trace while
-//!   holding at most one chunk. `vlpp ingest` converts foreign traces
-//!   into this layout.
-//!
-//! [`ChunkedReader`] streams either version through the
-//! [`TraceSource`] interface; [`read_compact`] drains it when an
-//! in-memory [`Trace`] is actually wanted.
-//!
-//! ## Version 2 layout
-//!
-//! ```text
-//! magic   : 4 bytes = b"VLPC"
-//! version : u16 le = 2
-//! reserved: u16 le = 0
-//! count   : u64 le
-//! records : per record:
-//!     tag    : u8 — kind code (low 3 bits) | taken << 3
-//!     pc     : signed LEB128 delta from previous record's pc
-//!     target : signed LEB128 delta from this record's pc
-//! ```
+//! Records are grouped into independently decodable chunks of at most
+//! `chunk_cap` records, each prefixed by its record count and payload
+//! length, so a reader can stream (or skip) a multi-GB trace while
+//! holding at most one chunk; a trailer carrying the total record count
+//! marks a cleanly finished file. [`ChunkedWriter`] (or
+//! [`copy_to_chunked`]) writes the format and [`ChunkedReader`] streams
+//! it through the [`TraceSource`] interface. `TRACES.md` at the
+//! repository root has the full wire grammar.
 //!
 //! ## Example
 //!
 //! ```
 //! # use std::error::Error;
 //! # fn main() -> Result<(), Box<dyn Error>> {
-//! use vlpp_trace::{compact, Addr, BranchRecord, Trace};
+//! use vlpp_trace::compact::{ChunkedReader, ChunkedWriter};
+//! use vlpp_trace::{Addr, BranchRecord, TraceSource};
 //!
-//! let mut trace = Trace::new();
-//! trace.push(BranchRecord::conditional(Addr::new(0x1000), Addr::new(0x1040), true));
+//! let record = BranchRecord::conditional(Addr::new(0x1000), Addr::new(0x1040), true);
 //! let mut buf = Vec::new();
-//! compact::write_compact(&trace, &mut buf)?;
-//! assert_eq!(compact::read_compact(&buf[..])?, trace);
+//! let mut writer = ChunkedWriter::new(&mut buf, 64)?;
+//! writer.push(&record)?;
+//! assert_eq!(writer.finish()?.records, 1);
+//! let trace = ChunkedReader::new(&buf[..])?.read_to_trace()?;
+//! assert_eq!(trace.records(), &[record]);
 //! # Ok(())
 //! # }
 //! ```
@@ -53,16 +37,13 @@ use std::io::{Read, Write};
 
 use crate::json::{JsonValue, ToJson};
 use crate::source::TraceSource;
-use crate::{Addr, BranchKind, BranchRecord, Trace, TraceIoError};
+use crate::{Addr, BranchKind, BranchRecord, TraceIoError};
 
-/// Magic bytes identifying a compact vlpp trace.
+/// Magic bytes identifying a VLPC trace.
 pub const MAGIC: [u8; 4] = *b"VLPC";
 
-/// Compact format version (the flat, one-shot layout).
-pub const VERSION: u16 = 2;
-
-/// Compact format version of the chunked streaming layout.
-pub const CHUNKED_VERSION: u16 = 3;
+/// The VLPC format version this library reads and writes.
+pub const VERSION: u16 = 3;
 
 /// Hard cap on a chunk's record capacity. Bounds the memory a reader
 /// must hold for one chunk no matter what the header claims.
@@ -74,41 +55,6 @@ pub const DEFAULT_CHUNK_RECORDS: u32 = 1 << 16;
 /// Worst-case encoded size of one record: a tag byte plus two 10-byte
 /// LEB128 varints. Used to bound declared chunk payload lengths.
 const MAX_RECORD_BYTES: u64 = 21;
-
-/// Writes `trace` in the compact delta/varint format.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] if the underlying writer fails.
-pub fn write_compact<W: Write>(trace: &Trace, mut writer: W) -> Result<(), TraceIoError> {
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&0u16.to_le_bytes())?;
-    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(24);
-    let mut previous_pc: u64 = 0;
-    for record in trace.iter() {
-        buf.clear();
-        encode_record(&mut buf, record, &mut previous_pc);
-        writer.write_all(&buf)?;
-    }
-    writer.flush()?;
-    Ok(())
-}
-
-/// Reads a compact trace (either version) into memory.
-///
-/// This drains a [`ChunkedReader`], so it accepts both the flat v2 and
-/// chunked v3 layouts; replay paths that do not need the whole trace
-/// should stream through [`ChunkedReader`] directly.
-///
-/// # Errors
-///
-/// Returns an error for bad magic, an unsupported version, a truncated
-/// stream, or an invalid kind code.
-pub fn read_compact<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
-    ChunkedReader::new(reader)?.read_to_trace()
-}
 
 /// Appends one delta-coded record to `buf` and advances `previous_pc`.
 fn encode_record(buf: &mut Vec<u8>, record: &BranchRecord, previous_pc: &mut u64) {
@@ -135,7 +81,7 @@ fn decode_record<R: Read>(
     Ok(BranchRecord::new(Addr::new(pc), Addr::new(target), kind, taken))
 }
 
-/// Summary of a chunked-compact conversion, returned by
+/// Summary of a VLPC conversion, returned by
 /// [`ChunkedWriter::finish`] and [`copy_to_chunked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkedSummary {
@@ -157,7 +103,7 @@ impl ToJson for ChunkedSummary {
     }
 }
 
-/// Incremental writer for the chunked (version 3) compact layout:
+/// Incremental writer for the VLPC v3 layout:
 ///
 /// ```text
 /// magic     : 4 bytes = b"VLPC"
@@ -207,7 +153,7 @@ impl<W: Write> ChunkedWriter<W> {
             "chunk_cap must be 1..={MAX_CHUNK_RECORDS}"
         );
         writer.write_all(&MAGIC)?;
-        writer.write_all(&CHUNKED_VERSION.to_le_bytes())?;
+        writer.write_all(&VERSION.to_le_bytes())?;
         writer.write_all(&0u16.to_le_bytes())?;
         writer.write_all(&chunk_cap.to_le_bytes())?;
         writer.write_all(&0u32.to_le_bytes())?;
@@ -290,28 +236,18 @@ pub fn copy_to_chunked<S: TraceSource + ?Sized, W: Write>(
     out.finish()
 }
 
-#[derive(Debug)]
-enum ReaderMode {
-    /// Flat v2 stream: a declared record count, decoded one at a time.
-    V2 { remaining: u64, previous_pc: u64 },
-    /// Chunked v3 stream: decoded one chunk at a time.
-    V3 { chunk_cap: u32 },
-}
-
-/// Streaming reader for compact traces (both layouts), implementing
-/// [`TraceSource`].
+/// Streaming reader for VLPC v3 traces, implementing [`TraceSource`].
 ///
-/// For the chunked layout the reader holds at most one decoded chunk
-/// (≤ the header's `chunk_cap` records, itself capped at
-/// [`MAX_CHUNK_RECORDS`]); [`peak_buffered_records`] exposes the
-/// high-water mark so tests can assert the bounded-memory guarantee.
-/// Flat v2 streams decode record-by-record and buffer nothing.
+/// The reader holds at most one decoded chunk (≤ the header's
+/// `chunk_cap` records, itself capped at [`MAX_CHUNK_RECORDS`]);
+/// [`peak_buffered_records`] exposes the high-water mark so tests can
+/// assert the bounded-memory guarantee.
 ///
 /// [`peak_buffered_records`]: Self::peak_buffered_records
 #[derive(Debug)]
 pub struct ChunkedReader<R: Read> {
     reader: Counting<R>,
-    mode: ReaderMode,
+    chunk_cap: u32,
     buffer: Vec<BranchRecord>,
     cursor: usize,
     records: u64,
@@ -321,7 +257,8 @@ pub struct ChunkedReader<R: Read> {
 }
 
 impl<R: Read> ChunkedReader<R> {
-    /// Opens a compact stream, validating magic and version.
+    /// Opens a VLPC stream, validating magic, version and chunk
+    /// capacity.
     ///
     /// # Errors
     ///
@@ -339,26 +276,19 @@ impl<R: Read> ChunkedReader<R> {
             return Err(TraceIoError::BadMagic { found });
         }
         let version = u16::from_le_bytes([header[4], header[5]]);
-        let mode = match version {
-            VERSION => {
-                let count = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-                ReaderMode::V2 { remaining: count, previous_pc: 0 }
-            }
-            CHUNKED_VERSION => {
-                let chunk_cap = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
-                if !(1..=MAX_CHUNK_RECORDS).contains(&chunk_cap) {
-                    return Err(TraceIoError::Malformed {
-                        what: format!("chunk capacity {chunk_cap}"),
-                        byte_offset: 8,
-                    });
-                }
-                ReaderMode::V3 { chunk_cap }
-            }
-            found => return Err(TraceIoError::UnsupportedVersion { found }),
-        };
+        if version != VERSION {
+            return Err(TraceIoError::UnsupportedVersion { found: version });
+        }
+        let chunk_cap = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
+        if !(1..=MAX_CHUNK_RECORDS).contains(&chunk_cap) {
+            return Err(TraceIoError::Malformed {
+                what: format!("chunk capacity {chunk_cap}"),
+                byte_offset: 8,
+            });
+        }
         Ok(ChunkedReader {
             reader,
-            mode,
+            chunk_cap,
             buffer: Vec::new(),
             cursor: 0,
             records: 0,
@@ -378,7 +308,7 @@ impl<R: Read> ChunkedReader<R> {
         self.reader.position
     }
 
-    /// Chunks decoded so far (always 0 for a flat v2 stream).
+    /// Chunks decoded so far.
     pub fn chunks_read(&self) -> u64 {
         self.chunks
     }
@@ -389,18 +319,14 @@ impl<R: Read> ChunkedReader<R> {
         self.peak_buffered
     }
 
-    /// The stream's declared chunk capacity (`None` for a flat v2
-    /// stream, which buffers nothing).
-    pub fn chunk_cap(&self) -> Option<u32> {
-        match self.mode {
-            ReaderMode::V2 { .. } => None,
-            ReaderMode::V3 { chunk_cap } => Some(chunk_cap),
-        }
+    /// The stream's declared chunk capacity.
+    pub fn chunk_cap(&self) -> u32 {
+        self.chunk_cap
     }
 
-    /// Loads the next v3 chunk into the buffer, or handles the trailer
-    /// and marks the stream done.
-    fn load_chunk(&mut self, chunk_cap: u32) -> Result<(), TraceIoError> {
+    /// Loads the next chunk into the buffer, or handles the trailer and
+    /// marks the stream done.
+    fn load_chunk(&mut self) -> Result<(), TraceIoError> {
         let header_at = self.reader.position;
         let mut header = [0u8; 8];
         self.reader.read_exact_or(&mut header, self.records)?;
@@ -441,9 +367,9 @@ impl<R: Read> ChunkedReader<R> {
                 Err(e) => Err(TraceIoError::Io(e)),
             };
         }
-        if records > chunk_cap {
+        if records > self.chunk_cap {
             return Err(TraceIoError::Malformed {
-                what: format!("chunk declares {records} records above the {chunk_cap} cap"),
+                what: format!("chunk declares {records} records above the {} cap", self.chunk_cap),
                 byte_offset: header_at,
             });
         }
@@ -502,28 +428,13 @@ impl<R: Read> TraceSource for ChunkedReader<R> {
         if self.done {
             return Ok(None);
         }
-        match &mut self.mode {
-            ReaderMode::V2 { remaining, previous_pc } => {
-                if *remaining == 0 {
-                    self.done = true;
-                    return Ok(None);
-                }
-                let record = decode_record(&mut self.reader, self.records, previous_pc)?;
-                *remaining -= 1;
-                self.records += 1;
-                Ok(Some(record))
-            }
-            ReaderMode::V3 { chunk_cap } => {
-                let chunk_cap = *chunk_cap;
-                self.load_chunk(chunk_cap)?;
-                if self.done {
-                    return Ok(None);
-                }
-                let record = self.buffer[self.cursor];
-                self.cursor += 1;
-                Ok(Some(record))
-            }
+        self.load_chunk()?;
+        if self.done {
+            return Ok(None);
         }
+        let record = self.buffer[self.cursor];
+        self.cursor += 1;
+        Ok(Some(record))
     }
 }
 
@@ -798,6 +709,7 @@ impl<R: Read> Counting<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trace;
 
     fn sample() -> Trace {
         let mut t = Trace::new();
@@ -812,73 +724,88 @@ mod tests {
         t
     }
 
+    fn chunked_bytes(trace: &Trace, cap: u32) -> (Vec<u8>, ChunkedSummary) {
+        let mut buf = Vec::new();
+        let summary =
+            copy_to_chunked(&mut crate::source::MemorySource::new(trace.clone()), &mut buf, cap)
+                .unwrap();
+        (buf, summary)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Trace, TraceIoError> {
+        ChunkedReader::new(bytes)?.read_to_trace()
+    }
+
     #[test]
     fn round_trips() {
         let t = sample();
         let mut buf = Vec::new();
-        write_compact(&t, &mut buf).unwrap();
-        assert_eq!(read_compact(&buf[..]).unwrap(), t);
+        let mut writer = ChunkedWriter::new(&mut buf, DEFAULT_CHUNK_RECORDS).unwrap();
+        for record in t.iter() {
+            writer.push(record).unwrap();
+        }
+        writer.finish().unwrap();
+        assert_eq!(decode(&buf).unwrap(), t);
     }
 
     #[test]
     fn round_trips_empty() {
         let mut buf = Vec::new();
-        write_compact(&Trace::new(), &mut buf).unwrap();
-        assert_eq!(read_compact(&buf[..]).unwrap(), Trace::new());
+        ChunkedWriter::new(&mut buf, DEFAULT_CHUNK_RECORDS).unwrap().finish().unwrap();
+        assert_eq!(decode(&buf).unwrap(), Trace::new());
     }
 
     #[test]
-    fn is_much_smaller_than_v1_for_local_traces() {
+    fn is_much_smaller_than_champsim_for_local_traces() {
         let t = sample();
-        let mut v1 = Vec::new();
-        crate::io::write_binary(&t, &mut v1).unwrap();
-        let mut v2 = Vec::new();
-        write_compact(&t, &mut v2).unwrap();
+        let mut champsim = Vec::new();
+        crate::ingest::write_champsim(t.iter(), &mut champsim).unwrap();
+        let (vlpc, _) = chunked_bytes(&t, 64);
         assert!(
-            v2.len() * 3 < v1.len(),
-            "compact ({}) should be at least 3x smaller than v1 ({})",
-            v2.len(),
-            v1.len()
+            vlpc.len() * 3 < champsim.len(),
+            "VLPC ({}) should be at least 3x smaller than ChampSim ({})",
+            vlpc.len(),
+            champsim.len()
         );
     }
 
     #[test]
-    fn rejects_v1_magic() {
-        let mut v1 = Vec::new();
-        crate::io::write_binary(&sample(), &mut v1).unwrap();
-        assert!(matches!(read_compact(&v1[..]).unwrap_err(), TraceIoError::BadMagic { .. }));
+    fn rejects_foreign_magic() {
+        let mut champsim = Vec::new();
+        crate::ingest::write_champsim(sample().iter(), &mut champsim).unwrap();
+        assert!(matches!(decode(&champsim).unwrap_err(), TraceIoError::BadMagic { .. }));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut buf = Vec::new();
-        write_compact(&Trace::new(), &mut buf).unwrap();
+        let (mut buf, _) = chunked_bytes(&Trace::new(), 8);
         buf[4] = 9;
-        assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
-            TraceIoError::UnsupportedVersion { found: 9 }
-        ));
+        assert!(matches!(decode(&buf).unwrap_err(), TraceIoError::UnsupportedVersion { found: 9 }));
+    }
+
+    #[test]
+    fn version_2_header_is_unsupported() {
+        // The retired flat layout shared the magic; a v3 file whose
+        // version field reads 2 must not be decoded under that layout.
+        let (mut buf, _) = chunked_bytes(&sample(), 1);
+        buf[4..6].copy_from_slice(&2u16.to_le_bytes());
+        assert!(matches!(decode(&buf).unwrap_err(), TraceIoError::UnsupportedVersion { found: 2 }));
     }
 
     #[test]
     fn detects_truncation() {
-        let mut buf = Vec::new();
-        write_compact(&sample(), &mut buf).unwrap();
+        let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf.truncate(buf.len() - 1);
-        assert!(matches!(read_compact(&buf[..]).unwrap_err(), TraceIoError::Truncated { .. }));
+        assert!(matches!(decode(&buf).unwrap_err(), TraceIoError::Truncated { .. }));
     }
 
     #[test]
     fn detects_bad_kind() {
-        let mut buf = Vec::new();
         let mut t = Trace::new();
         t.push(BranchRecord::call(Addr::new(4), Addr::new(8)));
-        write_compact(&t, &mut buf).unwrap();
-        buf[16] = 0x7; // kind code 7 is invalid
-        assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
-            TraceIoError::BadKind { code: 7, index: 0 }
-        ));
+        let (mut buf, _) = chunked_bytes(&t, 8);
+        buf[24] = 0x7; // the first record's tag, after the file and chunk headers
+        assert!(matches!(decode(&buf).unwrap_err(), TraceIoError::BadKind { code: 7, index: 0 }));
     }
 
     fn snapshot_sample() -> Vec<SnapshotSection> {
@@ -925,8 +852,7 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_trace_magic() {
-        let mut trace_bytes = Vec::new();
-        write_compact(&sample(), &mut trace_bytes).unwrap();
+        let (trace_bytes, _) = chunked_bytes(&sample(), 16);
         assert!(matches!(
             read_snapshot(&trace_bytes[..]).unwrap_err(),
             TraceIoError::BadMagic { found } if &found == b"VLPC"
@@ -1026,14 +952,6 @@ mod tests {
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
-    fn chunked_bytes(trace: &Trace, cap: u32) -> (Vec<u8>, ChunkedSummary) {
-        let mut buf = Vec::new();
-        let summary =
-            copy_to_chunked(&mut crate::source::MemorySource::new(trace.clone()), &mut buf, cap)
-                .unwrap();
-        (buf, summary)
-    }
-
     #[test]
     fn chunked_round_trips_across_chunk_sizes() {
         let t = sample();
@@ -1043,7 +961,7 @@ mod tests {
             assert_eq!(summary.bytes, buf.len() as u64);
             assert_eq!(summary.chunks, (t.len() as u64).div_ceil(cap as u64));
             let mut reader = ChunkedReader::new(&buf[..]).unwrap();
-            assert_eq!(reader.chunk_cap(), Some(cap));
+            assert_eq!(reader.chunk_cap(), cap);
             assert_eq!(reader.read_to_trace().unwrap(), t);
             assert_eq!(reader.records_read(), t.len() as u64);
             assert_eq!(reader.bytes_read(), buf.len() as u64);
@@ -1072,30 +990,7 @@ mod tests {
     fn chunked_round_trips_empty() {
         let (buf, summary) = chunked_bytes(&Trace::new(), 8);
         assert_eq!(summary, ChunkedSummary { records: 0, chunks: 0, bytes: buf.len() as u64 });
-        assert_eq!(read_compact(&buf[..]).unwrap(), Trace::new());
-    }
-
-    #[test]
-    fn read_compact_accepts_both_layouts() {
-        let t = sample();
-        let (chunked, _) = chunked_bytes(&t, 16);
-        assert_eq!(read_compact(&chunked[..]).unwrap(), t);
-        let mut flat = Vec::new();
-        write_compact(&t, &mut flat).unwrap();
-        assert_eq!(read_compact(&flat[..]).unwrap(), t);
-    }
-
-    #[test]
-    fn chunked_reader_streams_flat_v2_without_buffering() {
-        let t = sample();
-        let mut flat = Vec::new();
-        write_compact(&t, &mut flat).unwrap();
-        let mut reader = ChunkedReader::new(&flat[..]).unwrap();
-        assert_eq!(reader.chunk_cap(), None);
-        assert_eq!(reader.read_to_trace().unwrap(), t);
-        assert_eq!(reader.peak_buffered_records(), 0);
-        assert_eq!(reader.chunks_read(), 0);
-        assert_eq!(reader.records_read(), t.len() as u64);
+        assert_eq!(decode(&buf).unwrap(), Trace::new());
     }
 
     #[test]
@@ -1115,14 +1010,14 @@ mod tests {
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf.push(0);
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            decode(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("trailing")
         ));
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         let total_at = buf.len() - 8;
         buf[total_at] ^= 1;
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            decode(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("trailer declares")
         ));
     }
@@ -1132,7 +1027,7 @@ mod tests {
         // chunk_cap above the hard cap
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&CHUNKED_VERSION.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
@@ -1145,7 +1040,7 @@ mod tests {
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf[16..20].copy_from_slice(&1000u32.to_le_bytes());
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            decode(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("above the 16 cap")
         ));
 
@@ -1153,7 +1048,7 @@ mod tests {
         let (mut buf, _) = chunked_bytes(&sample(), 16);
         buf[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            read_compact(&buf[..]).unwrap_err(),
+            decode(&buf).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("payload length")
         ));
     }
@@ -1174,7 +1069,7 @@ mod tests {
         let declared = t.len() as u32 - 1;
         fewer[16..20].copy_from_slice(&declared.to_le_bytes());
         assert!(matches!(
-            read_compact(&fewer[..]).unwrap_err(),
+            decode(&fewer).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("left over")
         ));
         // And one more than it encodes: the decoder runs off the end of
@@ -1183,7 +1078,7 @@ mod tests {
         let declared = t.len() as u32 + 1;
         more[16..20].copy_from_slice(&declared.to_le_bytes());
         assert!(matches!(
-            read_compact(&more[..]).unwrap_err(),
+            decode(&more).unwrap_err(),
             TraceIoError::Malformed { what, .. } if what.contains("mid-record")
         ));
     }

@@ -109,23 +109,6 @@ impl From<io::Error> for TraceIoError {
     }
 }
 
-/// An error produced while parsing the text trace format.
-#[derive(Debug)]
-pub struct ParseTraceError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Description of what was wrong with the line.
-    pub message: String,
-}
-
-impl fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl Error for ParseTraceError {}
-
 /// The unified error spine of the workspace.
 ///
 /// Each variant is one failure *phase*, and each carries the context
@@ -137,19 +120,13 @@ impl Error for ParseTraceError {}
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum VlppError {
-    /// A binary or compact trace stream could not be read.
+    /// A trace stream (VLPC or an ingested foreign format) could not be
+    /// read.
     Trace {
         /// The file being read, when known.
         path: Option<PathBuf>,
         /// The underlying stream error.
         source: TraceIoError,
-    },
-    /// A text trace could not be parsed.
-    TraceText {
-        /// The file being read, when known.
-        path: Option<PathBuf>,
-        /// The underlying line-level error.
-        source: ParseTraceError,
     },
     /// A JSON document could not be parsed.
     Json {
@@ -236,7 +213,6 @@ impl VlppError {
     pub fn phase(&self) -> &'static str {
         match self {
             VlppError::Trace { .. } => "trace-read",
-            VlppError::TraceText { .. } => "trace-parse",
             VlppError::Json { .. } => "json-parse",
             VlppError::Config { .. } => "config",
             VlppError::Io { .. } => "io",
@@ -272,10 +248,6 @@ impl fmt::Display for VlppError {
                 write!(f, "{}: {source}", path.display())
             }
             VlppError::Trace { path: None, source } => write!(f, "{source}"),
-            VlppError::TraceText { path: Some(path), source } => {
-                write!(f, "{}: {source}", path.display())
-            }
-            VlppError::TraceText { path: None, source } => write!(f, "{source}"),
             VlppError::Json { what, source } => write!(f, "{what}: {source}"),
             VlppError::Config { name, value, message } => {
                 write!(f, "invalid {name}=`{value}`: {message}")
@@ -309,7 +281,6 @@ impl Error for VlppError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             VlppError::Trace { source, .. } => Some(source),
-            VlppError::TraceText { source, .. } => Some(source),
             VlppError::Json { source, .. } => Some(source),
             VlppError::Io { source, .. } => Some(source),
             _ => None,
@@ -320,12 +291,6 @@ impl Error for VlppError {
 impl From<TraceIoError> for VlppError {
     fn from(source: TraceIoError) -> Self {
         VlppError::Trace { path: None, source }
-    }
-}
-
-impl From<ParseTraceError> for VlppError {
-    fn from(source: ParseTraceError) -> Self {
-        VlppError::TraceText { path: None, source }
     }
 }
 
@@ -345,7 +310,6 @@ impl ToJson for VlppError {
         ];
         match self {
             VlppError::Trace { path: Some(path), .. }
-            | VlppError::TraceText { path: Some(path), .. }
             | VlppError::Io { path, .. }
             | VlppError::Checkpoint { path, .. } => {
                 fields.push(("path".to_string(), JsonValue::Str(path.display().to_string())));
@@ -397,8 +361,6 @@ mod tests {
         let e = TraceIoError::Truncated { records_read: 12, byte_offset: 232 };
         assert!(e.to_string().contains("12"));
         assert!(e.to_string().contains("232"), "truncation must name the byte offset");
-        let e = ParseTraceError { line: 4, message: "nope".into() };
-        assert!(e.to_string().starts_with("line 4"));
     }
 
     #[test]
@@ -413,7 +375,6 @@ mod tests {
     fn errors_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TraceIoError>();
-        assert_send_sync::<ParseTraceError>();
         assert_send_sync::<VlppError>();
     }
 

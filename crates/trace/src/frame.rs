@@ -3,10 +3,10 @@
 //! A *frame* is a 4-byte little-endian payload length followed by that
 //! many payload bytes (UTF-8 JSON in the serving protocol, but this
 //! module is payload-agnostic). The length prefix is untrusted input:
-//! like the binary trace reader's `MAX_PREALLOC_RECORDS` cap, a frame
-//! reader must never let a corrupt or hostile prefix drive an allocation
-//! — a declared length above [`MAX_FRAME_BYTES`] is rejected with a
-//! typed [`VlppError::Frame`] *before* any payload buffer exists.
+//! like the VLPC reader's `MAX_CHUNK_RECORDS` cap, a frame reader must
+//! never let a corrupt or hostile prefix drive an allocation — a
+//! declared length above [`MAX_FRAME_BYTES`] is rejected with a typed
+//! [`VlppError::Frame`] *before* any payload buffer exists.
 //!
 //! Framing errors are not resynchronizable (once a length prefix is
 //! wrong there is no record boundary to skip to), so every error from
@@ -67,7 +67,8 @@ use crate::netfault::{self, NetFault};
 /// Maximum payload bytes a single frame may carry (1 MiB). Large enough
 /// for thousands of branch records per batch, small enough that a
 /// corrupt length prefix cannot make a reader allocate unboundedly —
-/// the framing analogue of the trace reader's `MAX_PREALLOC_RECORDS`.
+/// the framing analogue of the VLPC reader's
+/// [`MAX_CHUNK_RECORDS`](crate::compact::MAX_CHUNK_RECORDS).
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Marker appended to frame errors caused by a socket deadline expiry,

@@ -577,7 +577,7 @@ pub fn parse_trace(format: TraceFormat, bytes: &[u8]) -> Result<Trace, TraceIoEr
         TraceFormat::ChampSim => ChampSimSource::new(bytes).read_to_trace(),
         TraceFormat::Csv => CsvSource::new(bytes).read_to_trace(),
         TraceFormat::Jsonl => JsonlSource::new(bytes).read_to_trace(),
-        TraceFormat::Compact => crate::compact::read_compact(bytes),
+        TraceFormat::Compact => crate::compact::ChunkedReader::new(bytes)?.read_to_trace(),
     }
 }
 

@@ -168,11 +168,11 @@ impl JsonValue {
                 indent(out, depth);
                 out.push('}');
             }
-            compact => compact.write_compact(out),
+            compact => compact.write_single_line(out),
         }
     }
 
-    fn write_compact(&self, out: &mut String) {
+    fn write_single_line(&self, out: &mut String) {
         use fmt::Write as _;
         match self {
             JsonValue::Null => out.push_str("null"),
@@ -201,7 +201,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_compact(out);
+                    item.write_single_line(out);
                 }
                 out.push(']');
             }
@@ -213,7 +213,7 @@ impl JsonValue {
                     }
                     write_escaped(out, key);
                     out.push(':');
-                    value.write_compact(out);
+                    value.write_single_line(out);
                 }
                 out.push('}');
             }
@@ -243,7 +243,7 @@ impl fmt::Display for JsonValue {
     /// Compact (single-line) rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_single_line(&mut out);
         f.write_str(&out)
     }
 }

@@ -20,9 +20,9 @@
 //!   pulled one at a time so multi-GB traces replay in bounded memory.
 //! * [`ingest`] — streaming adapters for foreign trace formats
 //!   (ChampSim binary, CSV, JSONL); see `TRACES.md` for the grammars.
-//! * [`io`] — fixed-width binary and text serialization of traces.
-//! * [`compact`] — the delta/varint compact format for archives, flat
-//!   (v2) and chunked-streaming (v3) layouts.
+//! * [`compact`] — VLPC v3, the one native trace file format: chunked
+//!   delta/varint records that stream in bounded memory (plus the
+//!   `VLPS` model-snapshot envelope).
 //! * [`frame`] — length-prefixed wire framing for the serving protocol.
 //! * [`stats`] — static/dynamic branch demographics (the paper's Table 1).
 //! * [`json`] — a minimal hand-rolled JSON emitter/parser so reports can
@@ -52,13 +52,12 @@ mod trace;
 pub mod compact;
 pub mod frame;
 pub mod ingest;
-pub mod io;
 pub mod json;
 pub mod source;
 pub mod stats;
 
 pub use addr::Addr;
 pub use branch::{BranchKind, BranchRecord};
-pub use error::{ParseTraceError, TraceIoError, VlppError};
+pub use error::{TraceIoError, VlppError};
 pub use source::TraceSource;
 pub use trace::{Iter, Trace};

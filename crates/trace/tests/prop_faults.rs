@@ -4,9 +4,11 @@
 
 use vlpp_check::fault::{DataFault, FaultPlan};
 use vlpp_check::{check, prop_assert, CheckConfig, Gen};
-use vlpp_trace::io as trace_io;
+use vlpp_trace::compact::{copy_to_chunked, ChunkedReader};
+use vlpp_trace::ingest::{parse_trace, write_champsim, TraceFormat};
 use vlpp_trace::json::JsonValue;
-use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace, TraceIoError};
+use vlpp_trace::source::MemorySource;
+use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace, TraceIoError, TraceSource};
 
 fn arb_record(g: &mut Gen) -> BranchRecord {
     let kind = *g.choose(&[
@@ -22,6 +24,19 @@ fn arb_record(g: &mut Gen) -> BranchRecord {
 
 fn arb_trace(g: &mut Gen, min_len: usize, max_len: usize) -> Trace {
     Trace::from(g.vec(min_len, max_len, arb_record))
+}
+
+/// Writes `trace` as a chunked VLPC v3 stream of `chunk_cap`-record
+/// chunks.
+fn encode(trace: &Trace, chunk_cap: u32) -> Vec<u8> {
+    let mut buf = Vec::new();
+    copy_to_chunked(&mut MemorySource::new(trace.clone()), &mut buf, chunk_cap)
+        .expect("write to Vec cannot fail");
+    buf
+}
+
+fn decode(bytes: &[u8]) -> Result<Trace, TraceIoError> {
+    ChunkedReader::new(bytes)?.read_to_trace()
 }
 
 fn arb_json(g: &mut Gen, depth: usize) -> JsonValue {
@@ -67,75 +82,56 @@ fn json_parser_never_panics_on_arbitrary_bytes() {
     });
 }
 
-/// Bit-flips inside the 6 magic/version header bytes must always
-/// surface as a typed error — a damaged header can never be read as a
-/// (different) valid trace.
+/// Every corruption of the 6 magic/version bytes of a VLPC v3 file —
+/// each non-zero XOR mask at each offset, so every fault
+/// `FaultPlan::header_faults(6, _)` can draw — surfaces as a typed
+/// error: a damaged header is never read as a (different) valid trace.
+/// Small chunk caps matter: with one record per chunk, a chunk header
+/// looks most like a record to a reader that mistakes the layout.
 #[test]
-fn binary_header_corruption_is_always_a_typed_error() {
-    check("binary_header_corruption_is_always_a_typed_error", CheckConfig::default(), |g| {
+fn compact_header_corruption_is_always_a_typed_error() {
+    check("compact_header_corruption_is_always_a_typed_error", CheckConfig::default(), |g| {
         let trace = arb_trace(g, 0, 50);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        let mut plan = FaultPlan::new(g.u64());
-        for fault in plan.header_faults(6, 6) {
-            let damaged = fault.apply(&buf);
-            prop_assert!(
-                trace_io::read_binary(&damaged[..]).is_err(),
-                "header fault {:?} parsed successfully",
-                fault
-            );
-        }
-        Ok(())
-    });
-}
-
-/// A truncated fixed-width trace errors with the byte offset where data
-/// ran out — and that offset is never past the bytes that survived.
-#[test]
-fn binary_truncation_errors_carry_the_offset() {
-    check("binary_truncation_errors_carry_the_offset", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 1, 50);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        let keep = g.below(buf.len() as u64) as usize;
-        let damaged = DataFault::Truncate { keep }.apply(&buf);
-        match trace_io::read_binary(&damaged[..]) {
-            Err(TraceIoError::Truncated { records_read, byte_offset }) => {
+        let buf = encode(&trace, g.range_u32(1, 16));
+        for offset in 0..6 {
+            for xor in 1..=u8::MAX {
+                let fault = DataFault::CorruptByte { offset, xor };
                 prop_assert!(
-                    byte_offset <= keep as u64,
-                    "offset {byte_offset} past the {keep} surviving bytes"
+                    decode(&fault.apply(&buf)).is_err(),
+                    "header fault {:?} parsed successfully",
+                    fault
                 );
-                prop_assert!(records_read <= trace.len() as u64);
             }
-            Err(other) => {
-                return Err(vlpp_check::Failed::new(format!("expected Truncated, got {other:?}")))
-            }
-            Ok(_) => return Err(vlpp_check::Failed::new("truncated trace parsed successfully")),
         }
         Ok(())
     });
 }
 
-/// A truncated compact (delta/varint) trace likewise errors with a
-/// consumed-byte offset instead of panicking mid-varint.
+/// Cutting a VLPC v3 file at *every* offset — inside the header, a
+/// chunk header, a payload or the trailer, and exactly at a chunk
+/// boundary — is `Truncated` at an offset that never lies past the
+/// bytes that survived.
 #[test]
 fn compact_truncation_errors_carry_the_offset() {
     check("compact_truncation_errors_carry_the_offset", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 1, 50);
-        let mut buf = Vec::new();
-        vlpp_trace::compact::write_compact(&trace, &mut buf).unwrap();
-        let keep = g.below(buf.len() as u64) as usize;
-        let damaged = DataFault::Truncate { keep }.apply(&buf);
-        match vlpp_trace::compact::read_compact(&damaged[..]) {
-            Err(TraceIoError::Truncated { byte_offset, .. }) => {
-                prop_assert!(
-                    byte_offset <= keep as u64,
-                    "offset {byte_offset} past the {keep} surviving bytes"
-                );
-            }
-            Err(_) => {} // other typed errors (e.g. bad magic at keep=0) are fine
-            Ok(_) => {
-                return Err(vlpp_check::Failed::new("truncated compact trace parsed successfully"))
+        let trace = arb_trace(g, 1, 24);
+        let chunk_cap = g.range_u32(1, 6);
+        let buf = encode(&trace, chunk_cap);
+        for keep in 0..buf.len() {
+            match decode(&DataFault::Truncate { keep }.apply(&buf)) {
+                Err(TraceIoError::Truncated { byte_offset, records_read }) => {
+                    prop_assert!(
+                        byte_offset <= keep as u64,
+                        "cut at {keep}: offset {byte_offset} past the surviving bytes"
+                    );
+                    prop_assert!(records_read <= trace.len() as u64);
+                }
+                other => {
+                    return Err(vlpp_check::Failed::new(format!(
+                        "cut at {keep} of {} (cap {chunk_cap}): expected Truncated, got {other:?}",
+                        buf.len()
+                    )))
+                }
             }
         }
         Ok(())
@@ -143,21 +139,21 @@ fn compact_truncation_errors_carry_the_offset() {
 }
 
 /// The full fault matrix (corrupt anywhere, truncate, splice) against
-/// both binary formats: any outcome is allowed except a panic.
+/// both binary formats, VLPC and ChampSim: any outcome is allowed
+/// except a panic.
 #[test]
 fn damaged_traces_never_panic_either_reader() {
     check("damaged_traces_never_panic_either_reader", CheckConfig::default(), |g| {
         let trace = arb_trace(g, 0, 50);
-        let mut fixed = Vec::new();
-        trace_io::write_binary(&trace, &mut fixed).unwrap();
-        let mut compact = Vec::new();
-        vlpp_trace::compact::write_compact(&trace, &mut compact).unwrap();
+        let compact = encode(&trace, g.range_u32(1, 16));
+        let mut champsim = Vec::new();
+        write_champsim(trace.iter(), &mut champsim).unwrap();
         let mut plan = FaultPlan::new(g.u64());
-        for fault in plan.data_faults(fixed.len().max(1), 9) {
-            let _ = trace_io::read_binary(&fault.apply(&fixed)[..]);
-        }
         for fault in plan.data_faults(compact.len().max(1), 9) {
-            let _ = vlpp_trace::compact::read_compact(&fault.apply(&compact)[..]);
+            let _ = decode(&fault.apply(&compact));
+        }
+        for fault in plan.data_faults(champsim.len().max(1), 9) {
+            let _ = parse_trace(TraceFormat::ChampSim, &fault.apply(&champsim));
         }
         Ok(())
     });

@@ -26,15 +26,19 @@ fn arb_trace(g: &mut Gen, min_len: usize, max_len: usize) -> Trace {
     Trace::from(g.vec(min_len, max_len, arb_record))
 }
 
-/// Serializes `trace` in `format`, for mutation.
-fn encode(trace: &Trace, format: TraceFormat) -> Vec<u8> {
+/// Serializes `trace` in `format`, for mutation. VLPC draws its chunk
+/// cap from `g`, so small caps (many chunks, one record each) and caps
+/// above the trace length (one partial chunk) are both exercised.
+fn encode(g: &mut Gen, trace: &Trace, format: TraceFormat) -> Vec<u8> {
     let mut buf = Vec::new();
     match format {
         TraceFormat::ChampSim => write_champsim(trace.iter(), &mut buf).unwrap(),
         TraceFormat::Csv => write_csv(trace.iter(), &mut buf).unwrap(),
         TraceFormat::Jsonl => write_jsonl(trace.iter(), &mut buf).unwrap(),
         TraceFormat::Compact => {
-            compact::copy_to_chunked(&mut MemorySource::new(trace.clone()), &mut buf, 7).unwrap();
+            let chunk_cap = g.range_u32(1, 64);
+            compact::copy_to_chunked(&mut MemorySource::new(trace.clone()), &mut buf, chunk_cap)
+                .unwrap();
         }
     }
     buf
@@ -65,7 +69,7 @@ fn mutated_inputs_never_panic_and_errors_carry_offsets() {
     for format in TraceFormat::ALL {
         check(&format!("mutated_{format}_inputs_never_panic"), CheckConfig::default(), |g| {
             let trace = arb_trace(g, 0, 40);
-            let encoded = encode(&trace, format);
+            let encoded = encode(g, &trace, format);
             let mut plan = FaultPlan::new(g.u64());
             for fault in plan.data_faults(encoded.len().max(1), 9) {
                 let damaged = fault.apply(&encoded);
@@ -102,7 +106,7 @@ fn every_format_round_trips_arbitrary_traces() {
     for format in TraceFormat::ALL {
         check(&format!("{format}_round_trips"), CheckConfig::default(), |g| {
             let trace = arb_trace(g, 0, 60);
-            let encoded = encode(&trace, format);
+            let encoded = encode(g, &trace, format);
             let decoded = parse_trace(format, &encoded)
                 .map_err(|e| vlpp_check::Failed::new(format!("{format}: {e}")))?;
             prop_assert!(decoded == trace, "{format}: round trip diverged");
@@ -118,7 +122,7 @@ fn every_format_round_trips_arbitrary_traces() {
 fn champsim_truncation_reports_the_record_boundary() {
     check("champsim_truncation_reports_the_record_boundary", CheckConfig::default(), |g| {
         let trace = arb_trace(g, 1, 40);
-        let encoded = encode(&trace, TraceFormat::ChampSim);
+        let encoded = encode(g, &trace, TraceFormat::ChampSim);
         let cut = g.range_usize(0, encoded.len() - 1);
         if cut % 18 == 0 {
             return Ok(()); // a clean record boundary parses fine

@@ -1,9 +1,12 @@
-//! Property tests: serialization round trips and stats invariants.
+//! Property tests: trace stats, address invariants and the VLPC round
+//! trip. (Round trips through every ingest format live in
+//! `prop_ingest.rs`.)
 
 use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig, Gen};
-use vlpp_trace::io as trace_io;
+use vlpp_trace::compact::{copy_to_chunked, ChunkedReader};
+use vlpp_trace::source::MemorySource;
 use vlpp_trace::stats::TraceStats;
-use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
+use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace, TraceSource};
 
 fn arb_kind(g: &mut Gen) -> BranchKind {
     *g.choose(&[
@@ -28,44 +31,13 @@ fn arb_trace(g: &mut Gen, max_len: usize) -> Trace {
 }
 
 #[test]
-fn binary_round_trips() {
-    check("binary_round_trips", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 200);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        prop_assert_eq!(trace_io::read_binary(&buf[..]).unwrap(), trace);
-        Ok(())
-    });
-}
-
-#[test]
 fn compact_round_trips() {
     check("compact_round_trips", CheckConfig::default(), |g| {
         let trace = arb_trace(g, 200);
         let mut buf = Vec::new();
-        vlpp_trace::compact::write_compact(&trace, &mut buf).unwrap();
-        prop_assert_eq!(vlpp_trace::compact::read_compact(&buf[..]).unwrap(), trace);
-        Ok(())
-    });
-}
-
-#[test]
-fn text_round_trips() {
-    check("text_round_trips", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 100);
-        let text = trace_io::write_text(&trace);
-        prop_assert_eq!(trace_io::read_text(&text).unwrap(), trace);
-        Ok(())
-    });
-}
-
-#[test]
-fn binary_size_is_header_plus_records() {
-    check("binary_size_is_header_plus_records", CheckConfig::default(), |g| {
-        let trace = arb_trace(g, 100);
-        let mut buf = Vec::new();
-        trace_io::write_binary(&trace, &mut buf).unwrap();
-        prop_assert_eq!(buf.len(), 16 + 18 * trace.len());
+        copy_to_chunked(&mut MemorySource::new(trace.clone()), &mut buf, g.range_u32(1, 64))
+            .unwrap();
+        prop_assert_eq!(ChunkedReader::new(&buf[..]).unwrap().read_to_trace().unwrap(), trace);
         Ok(())
     });
 }

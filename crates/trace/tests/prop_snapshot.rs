@@ -33,34 +33,37 @@ fn snapshot_envelope_round_trips() {
     });
 }
 
-/// Truncating an envelope anywhere yields a typed error whose byte
-/// offset never points past the surviving bytes — and never a payload
-/// that silently parses as a different (shorter) model.
+/// Cutting an envelope of at least two sections at *every* offset —
+/// inside the header, a section name, a length or checksum field, a
+/// chunk header or a payload — is `Truncated` at an offset that never
+/// lies past the bytes that survived: a truncated snapshot never parses
+/// as a different (shorter) model.
 #[test]
 fn snapshot_truncation_errors_carry_the_offset() {
     check("snapshot_truncation_errors_carry_the_offset", CheckConfig::default(), |g| {
-        let sections = arb_sections(g);
+        let mut sections = arb_sections(g);
+        while sections.len() < 2 {
+            sections.push(SnapshotSection {
+                name: format!("extra:{}", sections.len()),
+                payload: g.vec(0, 40, |g| g.u64() as u8),
+            });
+        }
         let mut buf = Vec::new();
         write_snapshot(&sections, &mut buf).expect("write to Vec cannot fail");
-        let keep = g.below(buf.len() as u64) as usize;
-        let damaged = DataFault::Truncate { keep }.apply(&buf);
-        match read_snapshot(&damaged[..]) {
-            Err(TraceIoError::Truncated { byte_offset, .. }) => {
-                prop_assert!(
-                    byte_offset <= keep as u64,
-                    "offset {byte_offset} past the {keep} surviving bytes"
-                );
-            }
-            // Truncation inside the header or a length field can also
-            // surface as BadMagic / Malformed; those are typed too.
-            Err(_) => {}
-            Ok(read_back) => {
-                // The only way a truncated file parses is the prefix
-                // that was cut being pure trailing structure — which
-                // the trailing-bytes check forbids; an empty envelope
-                // truncated to its full length is the benign case.
-                prop_assert_eq!(read_back, sections, "truncated file silently reparsed");
-                prop_assert_eq!(keep, buf.len());
+        for keep in 0..buf.len() {
+            match read_snapshot(&DataFault::Truncate { keep }.apply(&buf)[..]) {
+                Err(TraceIoError::Truncated { byte_offset, .. }) => {
+                    prop_assert!(
+                        byte_offset <= keep as u64,
+                        "cut at {keep}: offset {byte_offset} past the surviving bytes"
+                    );
+                }
+                other => {
+                    return Err(vlpp_check::Failed::new(format!(
+                        "cut at {keep} of {}: expected Truncated, got {other:?}",
+                        buf.len()
+                    )))
+                }
             }
         }
         Ok(())

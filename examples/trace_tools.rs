@@ -13,8 +13,10 @@ use vlpp_core::{CondKernel, HashAssignment, PathConfig, ProfileBuilder, ProfileC
 use vlpp_predict::ConditionalPredictor;
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
-use vlpp_trace::io as trace_io;
+use vlpp_trace::compact::{copy_to_chunked, ChunkedReader, DEFAULT_CHUNK_RECORDS};
+use vlpp_trace::source::MemorySource;
 use vlpp_trace::stats::TraceStats;
+use vlpp_trace::TraceSource;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let dir = std::env::temp_dir().join("vlpp-trace-tools");
@@ -25,17 +27,23 @@ fn main() -> Result<(), Box<dyn Error>> {
     let spec = suite::benchmark("li").expect("li is in the suite");
     let program = spec.build_program();
     let profile_trace = program.execute_conditionals(InputSet::Profile, 300_000);
-    let trace_path = dir.join("li.profile.vlpt");
-    trace_io::write_binary(&profile_trace, std::fs::File::create(&trace_path)?)?;
+    let trace_path = dir.join("li.profile.vlpc");
+    let summary = copy_to_chunked(
+        &mut MemorySource::new(profile_trace.clone()),
+        std::io::BufWriter::new(std::fs::File::create(&trace_path)?),
+        DEFAULT_CHUNK_RECORDS,
+    )?;
     println!(
-        "wrote {} ({} records, {} bytes)",
+        "wrote {} ({} records in {} chunks, {} bytes)",
         trace_path.display(),
-        profile_trace.len(),
-        std::fs::metadata(&trace_path)?.len()
+        summary.records,
+        summary.chunks,
+        summary.bytes
     );
 
     // 2. Reload it and confirm integrity.
-    let reloaded = trace_io::read_binary(std::fs::File::open(&trace_path)?)?;
+    let file = std::io::BufReader::new(std::fs::File::open(&trace_path)?);
+    let reloaded = ChunkedReader::new(file)?.read_to_trace()?;
     assert_eq!(reloaded, profile_trace);
     let stats = TraceStats::from_trace(&reloaded);
     println!("reloaded: {stats}");

@@ -7,11 +7,13 @@
 //!
 //! See `ROBUSTNESS.md` for the fault grammar and semantics under test.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use vlpp_check::fault::{DataFault, ExecFault, FaultPlan};
-use vlpp_trace::{io as trace_io, Addr, BranchKind, BranchRecord, Trace, VlppError};
+use vlpp_trace::compact::copy_to_chunked;
+use vlpp_trace::source::MemorySource;
+use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
 const SCALE: &str = "1000000";
 
@@ -77,44 +79,46 @@ fn sample_trace() -> Trace {
     )
 }
 
-/// The data half of the fault matrix, against real files: header
-/// corruption and truncation of an on-disk trace must both come back as
-/// typed `VlppError`s carrying the file's path — and malformed JSON as
-/// a parse error — with zero panics across the whole seeded plan.
+/// `vlpp run --trace <file>` on a damaged file: a non-zero exit whose
+/// stderr names the `trace-read` phase and the file. Returns stderr.
+fn assert_run_rejects(path: &Path, what: &str) -> String {
+    let output = vlpp().args(["run", "--trace"]).arg(path).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{what} must not replay; stderr:\n{stderr}");
+    assert!(stderr.contains("error (trace-read)"), "{what}: typed phase expected: {stderr}");
+    assert!(stderr.contains("damaged.vlpc"), "{what}: error must carry the path: {stderr}");
+    stderr.into_owned()
+}
+
+/// The data half of the fault matrix, against real files on the path
+/// users hit: header corruption and truncation of an on-disk VLPC trace
+/// must both fail `vlpp run --trace` with a typed `trace-read` error
+/// naming the file — and malformed JSON must come back as a parse
+/// error — with zero panics across the whole seeded plan.
 #[test]
 fn seeded_data_faults_yield_typed_errors_with_context() {
     let dir = temp_dir("data");
-    let pristine = dir.join("pristine.vlpt");
-    trace_io::write_binary_file(&sample_trace(), &pristine).expect("write trace");
-    let bytes = std::fs::read(&pristine).expect("read back");
-
+    // 200 records in 8-record chunks: a 16-byte header, 25 chunks
+    // (each an 8-byte chunk header plus payload), a 16-byte trailer.
+    let mut bytes = Vec::new();
+    copy_to_chunked(&mut MemorySource::new(sample_trace()), &mut bytes, 8).expect("encode");
     let mut plan = FaultPlan::new(0xA5ED);
-    let damaged = dir.join("damaged.vlpt");
+    let damaged = dir.join("damaged.vlpc");
 
     // Corrupt trace: any flip in the 6 magic/version bytes must error.
     for fault in plan.header_faults(6, 8) {
         std::fs::write(&damaged, fault.apply(&bytes)).expect("write damaged");
-        let error =
-            trace_io::read_binary_file(&damaged).expect_err("corrupt header must not parse");
-        match &error {
-            VlppError::Trace { path: Some(path), .. } => {
-                assert!(path.ends_with("damaged.vlpt"), "error must carry the path")
-            }
-            other => panic!("expected a trace error with path context, got {other:?}"),
-        }
-        assert_eq!(error.phase(), "trace-read");
+        assert_run_rejects(&damaged, &format!("header fault {fault:?}"));
     }
 
-    // Truncated trace: the error must say how far the data reached.
-    for keep in [0usize, 10, 16, 17, 16 + 18 * 7 + 5] {
+    // Truncated trace: inside the header, at its end, inside the first
+    // chunk header, mid-payload, exactly at a chunk boundary, and
+    // inside the trailer. The error must say how far the data reached.
+    let first_chunk_end = 16 + 8 + u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+    for keep in [0, 10, 16, 17, first_chunk_end - 3, first_chunk_end, bytes.len() - 5] {
         std::fs::write(&damaged, DataFault::Truncate { keep }.apply(&bytes)).unwrap();
-        let error =
-            trace_io::read_binary_file(&damaged).expect_err("truncated trace must not parse");
-        let rendered = error.to_string();
-        assert!(
-            rendered.contains("damaged.vlpt"),
-            "truncation error must carry the path: {rendered}"
-        );
+        let stderr = assert_run_rejects(&damaged, &format!("a cut at byte {keep}"));
+        assert!(stderr.contains("at byte"), "cut at {keep}: offset expected: {stderr}");
     }
 
     // Malformed JSON: typed parse error with an offset, never a panic.

@@ -6,27 +6,32 @@ use vlpp_core::{CondKernel, HashAssignment, PathConfig};
 use vlpp_predict::Gshare;
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
-use vlpp_trace::io as trace_io;
+use vlpp_trace::compact::{copy_to_chunked, ChunkedReader, DEFAULT_CHUNK_RECORDS};
+use vlpp_trace::source::MemorySource;
 use vlpp_trace::stats::TraceStats;
+use vlpp_trace::{Trace, TraceSource};
 
-#[test]
-fn synthetic_traces_round_trip_through_binary_format() {
-    let spec = suite::benchmark("li").unwrap();
-    let trace = spec.build_program().execute(InputSet::Test, 50_000);
+/// Serializes `trace` to VLPC v3 bytes in `chunk_cap`-record chunks.
+fn to_vlpc(trace: &Trace, chunk_cap: u32) -> Vec<u8> {
     let mut buffer = Vec::new();
-    trace_io::write_binary(&trace, &mut buffer).expect("write succeeds");
-    let back = trace_io::read_binary(&buffer[..]).expect("read succeeds");
-    assert_eq!(trace, back);
-    assert_eq!(TraceStats::from_trace(&trace), TraceStats::from_trace(&back));
+    copy_to_chunked(&mut MemorySource::new(trace.clone()), &mut buffer, chunk_cap)
+        .expect("write succeeds");
+    buffer
 }
 
 #[test]
-fn synthetic_traces_round_trip_through_text_format() {
-    let spec = suite::benchmark("compress").unwrap();
-    let trace = spec.build_program().execute(InputSet::Profile, 5_000);
-    let text = trace_io::write_text(&trace);
-    let back = trace_io::read_text(&text).expect("parse succeeds");
+fn synthetic_traces_round_trip_through_a_vlpc_file() {
+    let spec = suite::benchmark("li").unwrap();
+    let trace = spec.build_program().execute(InputSet::Test, 50_000);
+    let path = std::env::temp_dir().join(format!("vlpp-roundtrip-{}.vlpc", std::process::id()));
+    std::fs::write(&path, to_vlpc(&trace, DEFAULT_CHUNK_RECORDS)).expect("write file");
+    let file = std::fs::File::open(&path).expect("open file");
+    let mut reader = ChunkedReader::new(std::io::BufReader::new(file)).expect("valid header");
+    let back = reader.read_to_trace().expect("read succeeds");
+    let _ = std::fs::remove_file(&path);
     assert_eq!(trace, back);
+    assert_eq!(reader.records_read(), trace.len() as u64);
+    assert_eq!(TraceStats::from_trace(&trace), TraceStats::from_trace(&back));
 }
 
 #[test]
@@ -35,7 +40,7 @@ fn identical_traces_drive_identical_predictions() {
     let program = spec.build_program();
     let trace = program.execute(InputSet::Test, 100_000);
 
-    let run = |trace: &vlpp_trace::Trace| {
+    let run = |trace: &Trace| {
         let mut gshare = Gshare::new(12);
         let gshare_stats = run_conditional(&mut gshare, trace);
         let mut path = CondKernel::new(&PathConfig::new(12), &HashAssignment::fixed(6));
@@ -49,9 +54,8 @@ fn identical_traces_drive_identical_predictions() {
     assert_eq!(run(&trace), run(&trace2));
 
     // And through serialization.
-    let mut buffer = Vec::new();
-    trace_io::write_binary(&trace, &mut buffer).unwrap();
-    let back = trace_io::read_binary(&buffer[..]).unwrap();
+    let bytes = to_vlpc(&trace, 4096);
+    let back = ChunkedReader::new(&bytes[..]).unwrap().read_to_trace().unwrap();
     assert_eq!(run(&trace), run(&back));
 }
 
