@@ -21,6 +21,7 @@ use crate::lock;
 struct MemoMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
+    waits: Arc<Counter>,
     evicted: Arc<Counter>,
 }
 
@@ -67,13 +68,17 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         Memo { cells: Mutex::new(HashMap::new()), metrics: None }
     }
 
-    /// Creates an empty memo table that reports its hit/miss counts as
-    /// the process-wide metrics `pool.memo.<name>.hits` and
-    /// `pool.memo.<name>.misses` (see `OBSERVABILITY.md`).
+    /// Creates an empty memo table that counts its lookups as the
+    /// process-wide metrics `pool.memo.<name>.hits`,
+    /// `pool.memo.<name>.misses` and `pool.memo.<name>.waits` (see
+    /// `OBSERVABILITY.md`).
     ///
     /// A *hit* is a request whose value had already finished computing;
-    /// a *miss* either computes the value or blocks on the concurrent
-    /// computation that will.
+    /// a *miss* is a request whose own `compute` ran; a *wait* found
+    /// another caller's computation in flight and blocked on it. Misses
+    /// therefore count computations and do not depend on the thread
+    /// count; only the split of the other requests between hits and
+    /// waits does.
     ///
     /// # Example
     ///
@@ -92,6 +97,7 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
             metrics: Some(MemoMetrics {
                 hits: vlpp_metrics::counter(&format!("pool.memo.{name}.hits")),
                 misses: vlpp_metrics::counter(&format!("pool.memo.{name}.misses")),
+                waits: vlpp_metrics::counter(&format!("pool.memo.{name}.waits")),
                 evicted: vlpp_metrics::counter(&format!("pool.memo.{name}.evicted")),
             }),
         }
@@ -101,20 +107,29 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
     /// on the first request. Concurrent requests for the same key block
     /// until the one computation finishes and then share its result.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        let cell = {
+        // Read `finished` under the map lock, so a caller that holds the
+        // cell has already classified its lookup.
+        let (cell, finished) = {
             let mut cells = lock(&self.cells);
-            Arc::clone(cells.entry(key.clone()).or_default())
+            let cell = Arc::clone(cells.entry(key.clone()).or_default());
+            let finished = cell.get().is_some();
+            (cell, finished)
         };
+        let mut computed = false;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Arc::clone(cell.get_or_init(|| {
+                computed = true;
+                Arc::new(compute())
+            }))
+        }));
         if let Some(metrics) = &self.metrics {
-            if cell.get().is_some() {
-                metrics.hits.incr();
-            } else {
-                metrics.misses.incr();
+            match (finished, computed) {
+                (true, _) => metrics.hits.incr(),
+                (false, true) => metrics.misses.incr(),
+                (false, false) => metrics.waits.incr(),
             }
         }
-        match catch_unwind(AssertUnwindSafe(|| {
-            Arc::clone(cell.get_or_init(|| Arc::new(compute())))
-        })) {
+        match outcome {
             Ok(value) => value,
             Err(payload) => {
                 // Evict the poisoned cell so no later caller inherits it.
@@ -163,11 +178,11 @@ impl<K: Eq + Hash + Clone, V> Default for Memo<K, V> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier};
 
     #[test]
     fn computes_each_key_exactly_once_under_contention() {
-        let memo: Memo<u32, u32> = Memo::new();
+        let memo: Memo<u32, u32> = Memo::named("unit_test_contention");
         let computations = AtomicU32::new(0);
         let barrier = Barrier::new(8);
         std::thread::scope(|scope| {
@@ -192,6 +207,40 @@ mod tests {
             "every concurrent miss on a key must share one computation"
         );
         assert_eq!(memo.len(), 16);
+        let count = |stat: &str| {
+            vlpp_metrics::counter(&format!("pool.memo.unit_test_contention.{stat}")).get()
+        };
+        assert_eq!(count("misses"), 16, "one miss per computation, however many callers raced");
+        assert_eq!(count("hits") + count("waits"), 8 * 16 - 16);
+    }
+
+    #[test]
+    fn a_lookup_blocked_on_another_computation_counts_as_a_wait() {
+        let memo: Memo<u8, u8> = Memo::named("unit_test_waits");
+        let memo = &memo;
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                memo.get_or_compute(1, || {
+                    started_tx.send(()).expect("test thread listens");
+                    release_rx.recv().expect("test thread releases");
+                    10
+                })
+            });
+            started_rx.recv().expect("computation starts");
+            let waiter = scope.spawn(move || *memo.get_or_compute(1, || unreachable!("in flight")));
+            // The waiter has classified its lookup once it holds the
+            // cell: a third reference beside the map's and the builder's.
+            while lock(&memo.cells).get(&1).map(Arc::strong_count) != Some(3) {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).expect("builder waits for release");
+            assert_eq!(waiter.join().expect("waiter returns"), 10);
+        });
+        let count =
+            |stat: &str| vlpp_metrics::counter(&format!("pool.memo.unit_test_waits.{stat}")).get();
+        assert_eq!([count("hits"), count("misses"), count("waits")], [0, 1, 1]);
     }
 
     #[test]
@@ -239,6 +288,7 @@ mod tests {
         memo.get_or_compute(1, || unreachable!("memoized"));
         assert_eq!(hits.get(), 1);
         assert_eq!(misses.get(), 2);
+        assert_eq!(vlpp_metrics::counter("pool.memo.unit_test_memo.waits").get(), 0);
     }
 
     #[test]

@@ -146,6 +146,35 @@ impl ConditionalPredictor for Bullseye {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tage::tests::{assert_same_state, prediction_stream_hash};
+
+    #[test]
+    fn prediction_stream_is_pinned() {
+        let hash = prediction_stream_hash(&mut Bullseye::new(Budget::from_kib(16)));
+        assert_eq!(hash, 0x9d71_9d11_0a52_402a, "{hash:#x}");
+    }
+
+    #[test]
+    fn secondary_trains_without_a_predict_on_easy_branches() {
+        // Mostly-taken branches stay on the primary, so the secondary
+        // is trained but never asked: each train hashes its own slots.
+        let budget = Budget::from_kib(4);
+        let mut p = Bullseye::new(budget);
+        let mut reference = Tage::new(Budget::from_bytes(budget.bytes() / 2));
+        for i in 0..4000u64 {
+            let pc = Addr::new(0x3000 + (i % 8) * 4);
+            let taken = !(i / 8).is_multiple_of(16);
+            let record = BranchRecord::conditional(pc, Addr::new(0x8000), taken);
+            let _ = p.predict(pc);
+            p.train(pc, taken);
+            p.observe(&record);
+            assert!(!p.hard(pc), "{pc:?} must stay easy");
+            let _ = reference.predict(pc);
+            reference.train(pc, taken);
+            reference.observe(&record);
+        }
+        assert_same_state(&p.secondary, &reference);
+    }
 
     #[test]
     fn easy_branches_stay_on_the_primary() {

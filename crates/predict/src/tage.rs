@@ -20,6 +20,9 @@ use crate::traits::{BranchObserver, ConditionalPredictor};
 /// The geometric history lengths of the tagged tables, shortest first.
 const HISTORY_LENGTHS: [u32; 4] = [4, 10, 24, 56];
 
+/// Number of tagged tables.
+const TABLES: usize = HISTORY_LENGTHS.len();
+
 /// Partial-tag width stored per tagged entry.
 const TAG_BITS: u32 = 10;
 
@@ -28,7 +31,7 @@ const AGING_PERIOD: u64 = 1 << 18;
 
 /// One tagged-table entry: partial tag, 3-bit signed-style counter
 /// (taken when ≥ 4), 2-bit useful counter.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TaggedEntry {
     tag: u16,
     ctr: u8,
@@ -36,7 +39,15 @@ struct TaggedEntry {
     valid: bool,
 }
 
+/// Each tagged table's `(index, tag)` for one branch under one history.
+type Slots = [(usize, u16); TABLES];
+
 /// A TAGE-style geometric-history predictor.
+///
+/// The four `(index, tag)` slots of a branch depend only on its pc and
+/// the global history, so they are hashed once per `(pc, history)` and
+/// cached: `predict`, `train` and its allocate/decay loops all reuse
+/// them until `observe` shifts the history.
 ///
 /// # Example
 ///
@@ -60,6 +71,9 @@ pub struct Tage {
     /// Global outcome history, newest in bit 0 (128 bits covers the
     /// longest table with room to spare).
     history: u128,
+    /// The slots of the last branch looked up under the current
+    /// history; cleared whenever `observe` shifts the history.
+    slots: Option<(Addr, Slots)>,
     trains: u64,
     budget: Budget,
 }
@@ -84,9 +98,10 @@ impl Tage {
         Tage {
             base: vec![Counter2::default(); base_entries],
             base_mask: base_entries as u64 - 1,
-            tables: vec![vec![TaggedEntry::default(); table_entries]; HISTORY_LENGTHS.len()],
+            tables: vec![vec![TaggedEntry::default(); table_entries]; TABLES],
             table_mask: table_entries as u64 - 1,
             history: 0,
+            slots: None,
             trains: 0,
             budget,
         }
@@ -109,14 +124,29 @@ impl Tage {
             .wrapping_add(mix(((masked >> 64) as u64) ^ salt.rotate_left(32)))
     }
 
-    fn index(&self, table: usize, pc: Addr) -> usize {
-        let h = self.folded(HISTORY_LENGTHS[table], 0x9e37 + table as u64);
-        ((h ^ mix(pc.word())) & self.table_mask) as usize
+    /// Hashes every table's `(index, tag)` for `pc` under the current
+    /// history.
+    fn hash_slots(&self, pc: Addr) -> Slots {
+        let pc_mix = mix(pc.word());
+        std::array::from_fn(|table| {
+            let length = HISTORY_LENGTHS[table];
+            let index = self.folded(length, 0x9e37 + table as u64) ^ pc_mix;
+            let tag = self.folded(length, 0x85eb ^ (table as u64) << 8) ^ pc.word();
+            ((index & self.table_mask) as usize, (tag & ((1 << TAG_BITS) - 1)) as u16)
+        })
     }
 
-    fn tag(&self, table: usize, pc: Addr) -> u16 {
-        let h = self.folded(HISTORY_LENGTHS[table], 0x85eb ^ (table as u64) << 8);
-        ((h ^ pc.word()) & ((1 << TAG_BITS) - 1)) as u16
+    /// The slots of `pc` under the current history, from the cache when
+    /// `pc` was the last branch looked up since the history last moved.
+    fn slots(&mut self, pc: Addr) -> Slots {
+        match self.slots {
+            Some((cached, slots)) if cached == pc => slots,
+            _ => {
+                let slots = self.hash_slots(pc);
+                self.slots = Some((pc, slots));
+                slots
+            }
+        }
     }
 
     fn base_index(&self, pc: Addr) -> usize {
@@ -125,13 +155,13 @@ impl Tage {
 
     /// The provider (longest matching table, its index) and the
     /// alternate prediction (next match below it, or the base).
-    fn lookup(&self, pc: Addr) -> (Option<(usize, usize)>, bool) {
+    fn lookup(&self, pc: Addr, slots: &Slots) -> (Option<(usize, usize)>, bool) {
         let mut provider = None;
         let mut alt = None;
-        for table in (0..self.tables.len()).rev() {
-            let idx = self.index(table, pc);
+        for table in (0..TABLES).rev() {
+            let (idx, tag) = slots[table];
             let entry = &self.tables[table][idx];
-            if entry.valid && entry.tag == self.tag(table, pc) {
+            if entry.valid && entry.tag == tag {
                 if provider.is_none() {
                     provider = Some((table, idx));
                 } else {
@@ -149,13 +179,15 @@ impl BranchObserver for Tage {
     fn observe(&mut self, record: &BranchRecord) {
         if record.is_conditional() {
             self.history = (self.history << 1) | record.taken() as u128;
+            self.slots = None;
         }
     }
 }
 
 impl ConditionalPredictor for Tage {
     fn predict(&mut self, pc: Addr) -> bool {
-        let (provider, alt) = self.lookup(pc);
+        let slots = self.slots(pc);
+        let (provider, alt) = self.lookup(pc, &slots);
         match provider {
             Some((table, idx)) => self.tables[table][idx].ctr >= 4,
             None => alt,
@@ -163,7 +195,8 @@ impl ConditionalPredictor for Tage {
     }
 
     fn train(&mut self, pc: Addr, taken: bool) {
-        let (provider, alt) = self.lookup(pc);
+        let slots = self.slots(pc);
+        let (provider, alt) = self.lookup(pc, &slots);
         let predicted = match provider {
             Some((table, idx)) => self.tables[table][idx].ctr >= 4,
             None => alt,
@@ -192,9 +225,7 @@ impl ConditionalPredictor for Tage {
         if predicted != taken {
             let start = provider.map(|(t, _)| t + 1).unwrap_or(0);
             let mut allocated = false;
-            for table in start..self.tables.len() {
-                let idx = self.index(table, pc);
-                let tag = self.tag(table, pc);
+            for (table, &(idx, tag)) in slots.iter().enumerate().skip(start) {
                 let entry = &mut self.tables[table][idx];
                 if !entry.valid || entry.useful == 0 {
                     *entry =
@@ -206,8 +237,7 @@ impl ConditionalPredictor for Tage {
             if !allocated {
                 // Everything longer is protected: decay the contenders so
                 // a persistent hard branch eventually gets a slot.
-                for table in start..self.tables.len() {
-                    let idx = self.index(table, pc);
+                for (table, &(idx, _)) in slots.iter().enumerate().skip(start) {
                     let entry = &mut self.tables[table][idx];
                     entry.useful = entry.useful.saturating_sub(1);
                 }
@@ -229,8 +259,140 @@ impl ConditionalPredictor for Tage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A fixed mixed-kind stream (conditionals, indirects, calls,
+    /// returns): conditionals mix biased, periodic and coin-flip pcs so
+    /// every tagged table allocates, hits and decays.
+    pub(crate) fn mixed_records(n: usize) -> Vec<BranchRecord> {
+        let mut x = 0x5eed_u64;
+        (0..n)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = x >> 16;
+                let pc = Addr::new(0x1_0000 + (r % 96) * 4);
+                let target = Addr::new(0x2_0000 + ((r >> 8) % 32) * 4);
+                match r % 10 {
+                    0 => BranchRecord::indirect(pc, target),
+                    1 => BranchRecord::call(pc, target),
+                    2 => BranchRecord::ret(pc, target),
+                    _ => {
+                        let taken = match pc.word() % 3 {
+                            0 => !(r >> 20).is_multiple_of(8),
+                            1 => (i / 3).is_multiple_of(2),
+                            _ => (r >> 30) & 1 == 1,
+                        };
+                        BranchRecord::conditional(pc, target, taken)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Drives `p` over [`mixed_records`] with the runner's protocol and
+    /// folds its prediction stream into an FNV-1a hash.
+    pub(crate) fn prediction_stream_hash(p: &mut impl ConditionalPredictor) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for record in mixed_records(60_000) {
+            if record.is_conditional() {
+                let guess = p.predict(record.pc());
+                hash = (hash ^ guess as u64).wrapping_mul(0x0100_0000_01b3);
+                p.train(record.pc(), record.taken());
+            }
+            p.observe(&record);
+        }
+        hash
+    }
+
+    #[test]
+    fn prediction_stream_is_pinned() {
+        let hash = prediction_stream_hash(&mut Tage::new(Budget::from_kib(16)));
+        assert_eq!(hash, 0x2888_e1aa_72fa_2363, "{hash:#x}");
+    }
+
+    /// Asserts that two predictors hold the same learned state (tables,
+    /// base, history, aging clock); the slot cache is not state.
+    pub(crate) fn assert_same_state(a: &Tage, b: &Tage) {
+        assert!(a.tables == b.tables, "tagged tables differ");
+        assert_eq!(a.base, b.base, "base tables differ");
+        assert_eq!(a.history, b.history);
+        assert_eq!(a.trains, b.trains);
+    }
+
+    #[test]
+    fn cached_slots_always_match_a_fresh_hash() {
+        let mut p = Tage::new(Budget::from_kib(1));
+        for record in mixed_records(5000) {
+            if record.is_conditional() {
+                p.predict(record.pc());
+                p.train(record.pc(), record.taken());
+            }
+            p.observe(&record);
+            if let Some((pc, slots)) = p.slots {
+                assert_eq!(slots, p.hash_slots(pc), "stale slots for {pc:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn predict_at_one_pc_then_train_at_another_rehashes() {
+        let mut probed = Tage::new(Budget::from_kib(1));
+        let mut plain = Tage::new(Budget::from_kib(1));
+        let records = mixed_records(5000);
+        for (i, record) in records.iter().enumerate() {
+            if record.is_conditional() {
+                // Probe some other branch, then train this one.
+                probed.predict(records[(i * 7 + 3) % records.len()].pc());
+                probed.train(record.pc(), record.taken());
+                plain.train(record.pc(), record.taken());
+            }
+            probed.observe(record);
+            plain.observe(record);
+        }
+        assert_same_state(&probed, &plain);
+    }
+
+    #[test]
+    fn only_a_conditional_observe_invalidates_the_cache() {
+        let pc = Addr::new(0x2000);
+        let target = Addr::new(0x8000);
+        let mut p = Tage::new(Budget::from_kib(1));
+        let mut reference = p.clone();
+        for record in mixed_records(2000) {
+            if record.is_conditional() {
+                p.train(record.pc(), record.taken());
+                reference.train(record.pc(), record.taken());
+            }
+            p.observe(&record);
+            reference.observe(&record);
+        }
+        let others = [
+            BranchRecord::indirect(Addr::new(0x3000), target),
+            BranchRecord::call(Addr::new(0x3004), target),
+            BranchRecord::ret(Addr::new(0x3008), target),
+            BranchRecord::unconditional(Addr::new(0x300c), target),
+        ];
+        for (round, other) in others.iter().enumerate() {
+            let taken = round % 2 == 0;
+            p.predict(pc);
+            p.observe(other);
+            assert!(matches!(p.slots, Some((cached, _)) if cached == pc), "{other:?} kept them");
+            p.train(pc, taken);
+            reference.observe(other);
+            reference.train(pc, taken);
+            assert_same_state(&p, &reference);
+
+            p.predict(pc);
+            let conditional = BranchRecord::conditional(Addr::new(0x3010), target, taken);
+            p.observe(&conditional);
+            assert!(p.slots.is_none(), "a conditional observe must drop the slots");
+            p.train(pc, !taken);
+            reference.observe(&conditional);
+            reference.train(pc, !taken);
+            assert_same_state(&p, &reference);
+        }
+    }
 
     fn drive(p: &mut Tage, seed: u64, n: usize) -> Vec<bool> {
         let mut x = seed;

@@ -11,15 +11,22 @@
 //! kernel, both emit the same [`RunStats`]; the kernel loops
 //! additionally publish `sim.predict_ns` and `sim.records_per_sec`
 //! metrics.
+//!
+//! [`RunStats`] holds run totals only. Per-static-branch counts live
+//! in the kernels ([`CondKernel::branch_stats`] /
+//! [`IndKernel::branch_stats`]), where the §3.5 profiler reads them;
+//! the trait loop keeps no per-branch tally, so a zoo predictor pays
+//! nothing per record beyond its own predict and train.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{ConditionalPredictor, IndirectPredictor};
-use vlpp_trace::{Addr, Trace};
+use vlpp_trace::Trace;
 
-/// Per-run prediction statistics.
+/// A run's prediction totals: dynamic branches predicted and how many
+/// of them missed. Per-branch counts are the kernels' business (see the
+/// module docs).
 ///
 /// # Example
 ///
@@ -27,21 +34,18 @@ use vlpp_trace::{Addr, Trace};
 /// use vlpp_sim::RunStats;
 ///
 /// let mut stats = RunStats::default();
-/// stats.record(vlpp_trace::Addr::new(0x10), true);
-/// stats.record(vlpp_trace::Addr::new(0x10), false);
+/// stats.record(true);
+/// stats.record(false);
 /// assert_eq!(stats.predictions, 2);
 /// assert_eq!(stats.mispredictions, 1);
 /// assert!((stats.miss_rate() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Dynamic branches predicted.
     pub predictions: u64,
     /// Dynamic branches predicted incorrectly.
     pub mispredictions: u64,
-    /// Per-static-branch `(predictions, mispredictions)` — omitted from
-    /// the JSON form, which keeps only the totals.
-    pub per_branch: HashMap<u64, (u64, u64)>,
 }
 
 impl vlpp_trace::json::ToJson for RunStats {
@@ -54,15 +58,10 @@ impl vlpp_trace::json::ToJson for RunStats {
 }
 
 impl RunStats {
-    /// Records one prediction outcome for the branch at `pc`.
-    pub fn record(&mut self, pc: Addr, correct: bool) {
+    /// Records one prediction outcome.
+    pub fn record(&mut self, correct: bool) {
         self.predictions += 1;
-        let entry = self.per_branch.entry(pc.raw()).or_insert((0, 0));
-        entry.0 += 1;
-        if !correct {
-            self.mispredictions += 1;
-            entry.1 += 1;
-        }
+        self.mispredictions += u64::from(!correct);
     }
 
     /// The misprediction rate in [0, 1] (0 if nothing was predicted).
@@ -78,11 +77,6 @@ impl RunStats {
     pub fn miss_percent(&self) -> f64 {
         100.0 * self.miss_rate()
     }
-
-    /// Number of distinct static branches predicted.
-    pub fn static_branches(&self) -> usize {
-        self.per_branch.len()
-    }
 }
 
 /// Runs a conditional-branch predictor over a trace using the standard
@@ -94,7 +88,7 @@ pub fn run_conditional<P: ConditionalPredictor>(predictor: &mut P, trace: &Trace
     for record in trace.iter() {
         if record.is_conditional() {
             let prediction = predictor.predict(record.pc());
-            stats.record(record.pc(), prediction == record.taken());
+            stats.record(prediction == record.taken());
             predictor.train(record.pc(), record.taken());
         }
         predictor.observe(record);
@@ -110,7 +104,7 @@ pub fn run_indirect<P: IndirectPredictor>(predictor: &mut P, trace: &Trace) -> R
     for record in trace.iter() {
         if record.is_indirect() {
             let prediction = predictor.predict(record.pc());
-            stats.record(record.pc(), prediction == record.target());
+            stats.record(prediction == record.target());
             predictor.train(record.pc(), record.target());
         }
         predictor.observe(record);
@@ -125,20 +119,6 @@ fn record_throughput(records: usize, started: Instant) {
     let elapsed = started.elapsed().as_secs_f64();
     if elapsed > 0.0 {
         vlpp_metrics::gauge("sim.records_per_sec").record((records as f64 / elapsed) as u64);
-    }
-}
-
-/// Materializes a kernel's internal statistics as the standard
-/// [`RunStats`].
-fn kernel_stats(
-    predictions: u64,
-    mispredictions: u64,
-    rows: impl Iterator<Item = (u64, u64, u64)>,
-) -> RunStats {
-    RunStats {
-        predictions,
-        mispredictions,
-        per_branch: rows.map(|(pc, p, m)| (pc, (p, m))).collect(),
     }
 }
 
@@ -158,7 +138,7 @@ pub fn run_path_conditional(
         kernel.apply(record);
     }
     record_throughput(trace.len(), started);
-    kernel_stats(kernel.predictions(), kernel.mispredictions(), kernel.branch_stats())
+    RunStats { predictions: kernel.predictions(), mispredictions: kernel.mispredictions() }
 }
 
 /// Runs the paper's indirect path predictor over a trace through the
@@ -177,14 +157,14 @@ pub fn run_path_indirect(
         kernel.apply(record);
     }
     record_throughput(trace.len(), started);
-    kernel_stats(kernel.predictions(), kernel.mispredictions(), kernel.branch_stats())
+    RunStats { predictions: kernel.predictions(), mispredictions: kernel.mispredictions() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vlpp_predict::{Bimodal, LastTargetBtb};
-    use vlpp_trace::BranchRecord;
+    use vlpp_trace::{Addr, BranchRecord};
 
     fn biased_trace(n: usize) -> Trace {
         (0..n)
@@ -199,7 +179,6 @@ mod tests {
         let mut p = Bimodal::new(8);
         let stats = run_conditional(&mut p, &trace);
         assert_eq!(stats.predictions, 100);
-        assert_eq!(stats.static_branches(), 1);
     }
 
     #[test]
@@ -223,20 +202,6 @@ mod tests {
         let stats = run_indirect(&mut p, &trace);
         assert_eq!(stats.predictions, 10, "returns must not be predicted");
         assert_eq!(stats.mispredictions, 1, "only the cold first prediction misses");
-    }
-
-    #[test]
-    fn per_branch_counts_sum_to_totals() {
-        let mut trace = biased_trace(50);
-        for i in 0..30 {
-            trace.push(BranchRecord::conditional(Addr::new(0x400), Addr::new(0x500), i % 2 == 0));
-        }
-        let mut p = Bimodal::new(8);
-        let stats = run_conditional(&mut p, &trace);
-        let dyn_sum: u64 = stats.per_branch.values().map(|v| v.0).sum();
-        let miss_sum: u64 = stats.per_branch.values().map(|v| v.1).sum();
-        assert_eq!(dyn_sum, stats.predictions);
-        assert_eq!(miss_sum, stats.mispredictions);
     }
 
     #[test]
@@ -276,7 +241,7 @@ mod tests {
         let mut stepwise = CondKernel::new(&config, &assignment);
         let expected = run_conditional(&mut stepwise, &trace);
         let got = run_path_conditional(&config, &assignment, &trace);
-        assert_eq!(got, expected, "totals and per-branch stats must be bit-identical");
+        assert_eq!(got, expected, "totals must be bit-identical");
     }
 
     #[test]
@@ -288,6 +253,6 @@ mod tests {
         let mut stepwise = IndKernel::new(&config, &assignment);
         let expected = run_indirect(&mut stepwise, &trace);
         let got = run_path_indirect(&config, &assignment, &trace);
-        assert_eq!(got, expected, "totals and per-branch stats must be bit-identical");
+        assert_eq!(got, expected, "totals must be bit-identical");
     }
 }

@@ -564,7 +564,7 @@ mod tests {
             if record.is_conditional() {
                 let taken = offline.predict(record.pc());
                 let correct = taken == record.taken();
-                stats.record(record.pc(), correct);
+                stats.record(correct);
                 offline.train(record.pc(), record.taken());
                 assert_eq!(*slot, Some(Prediction::Taken { taken, correct }));
             } else {

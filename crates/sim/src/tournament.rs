@@ -18,6 +18,10 @@
 //! so stdout is byte-identical at any `VLPP_THREADS`. The league is
 //! part of `scripts/verify.sh`'s thread-determinism diff.
 //!
+//! The artifacts are built first, one pool task per workload, so the
+//! builds run in parallel and no cell blocks on another thread's build:
+//! every cell's memo lookups are hits.
+//!
 //! ## Fairness notes
 //!
 //! * Every conditional entrant sees the same trace; the LDBP entrant
@@ -35,6 +39,7 @@
 use std::sync::Arc;
 
 use vlpp_core::{HashAssignment, PathConfig, ProfileBuilder, ProfileConfig, ProfileReport};
+use vlpp_metrics::Counter;
 use vlpp_pool::{Memo, Pool};
 use vlpp_predict::{zoo, Budget, ZooContext};
 use vlpp_synth::{hard, suite, InputSet};
@@ -208,6 +213,15 @@ impl TournamentData {
         })
     }
 
+    /// Builds every artifact a cell of `workload` reads: its test trace
+    /// and the profile reports of the `profiled` kinds.
+    fn prepare(&self, workload: &str, profiled: &[Kind]) {
+        self.trace(workload, InputSet::Test);
+        for &kind in profiled {
+            self.profile(workload, kind);
+        }
+    }
+
     /// The §3.5 profile report for a workload at the tournament budget
     /// of the given kind. Memoized.
     fn profile(&self, name: &str, kind: Kind) -> Arc<ProfileReport> {
@@ -357,6 +371,27 @@ pub fn validate_only(raw: &str) -> Result<Vec<String>, VlppError> {
     Ok(tokens)
 }
 
+/// One entrant's `sim.tourney.<kind>.<predictor>.*` counters, resolved
+/// once per tournament so a cell formats no name and takes no registry
+/// lock.
+#[derive(Clone)]
+struct EntrantCounters {
+    predictions: Arc<Counter>,
+    mispredictions: Arc<Counter>,
+}
+
+impl EntrantCounters {
+    fn resolve(kind: Kind, predictor: &str) -> Self {
+        let tag = kind_tag(kind);
+        let counter =
+            |stat: &str| vlpp_metrics::counter(&format!("sim.tourney.{tag}.{predictor}.{stat}"));
+        EntrantCounters {
+            predictions: counter("predictions"),
+            mispredictions: counter("mispredictions"),
+        }
+    }
+}
+
 /// Runs the full matrix (optionally restricted to the `only` predictor
 /// names, which must already be validated) on the shared worker pool.
 pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult {
@@ -367,30 +402,32 @@ pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult
         ind_entrants().into_iter().filter(|(name, _)| keep(name)).collect();
     let workloads = workloads();
 
-    let mut specs: Vec<(Kind, &'static str, Scheme, &'static str)> = Vec::new();
-    for workload in &workloads {
-        for &(name, scheme) in &cond {
-            specs.push((Kind::Conditional, name, scheme, workload.name));
+    let mut specs = Vec::new();
+    let mut profiled = Vec::new();
+    for (kind, entrants) in [(Kind::Conditional, &cond), (Kind::Indirect, &ind)] {
+        let counters: Vec<EntrantCounters> =
+            entrants.iter().map(|&(name, _)| EntrantCounters::resolve(kind, name)).collect();
+        for workload in &workloads {
+            for (&(name, scheme), counters) in entrants.iter().zip(&counters) {
+                specs.push((kind, name, scheme, workload.name, counters.clone()));
+            }
         }
-    }
-    for workload in &workloads {
-        for &(name, scheme) in &ind {
-            specs.push((Kind::Indirect, name, scheme, workload.name));
+        if entrants.iter().any(|&(_, scheme)| !matches!(scheme, Scheme::Zoo(_))) {
+            profiled.push(kind);
         }
     }
 
-    let data = Arc::new(TournamentData::new(scale));
+    let data = TournamentData::new(scale);
+    let cells_raced = vlpp_metrics::counter("sim.tourney.cells");
     let cells = {
         let _span = vlpp_metrics::span("sim.tourney.run_ns");
-        let data = Arc::clone(&data);
-        Pool::global().map(specs, move |(kind, predictor, scheme, workload)| {
+        let names: Vec<&'static str> = workloads.iter().map(|w| w.name).collect();
+        Pool::global().map(names, |name| data.prepare(name, &profiled));
+        Pool::global().map(specs, |(kind, predictor, scheme, workload, counters)| {
             let (stats, trace_len) = run_cell(&data, kind, scheme, workload);
-            vlpp_metrics::counter("sim.tourney.cells").incr();
-            let tag = kind_tag(kind);
-            vlpp_metrics::counter(&format!("sim.tourney.{tag}.{predictor}.predictions"))
-                .add(stats.predictions);
-            vlpp_metrics::counter(&format!("sim.tourney.{tag}.{predictor}.mispredictions"))
-                .add(stats.mispredictions);
+            cells_raced.incr();
+            counters.predictions.add(stats.predictions);
+            counters.mispredictions.add(stats.mispredictions);
             TourneyCell { kind, predictor, workload, stats, trace_len }
         })
     };
@@ -706,7 +743,7 @@ mod tests {
             kind: Kind::Conditional,
             predictor: "bimodal",
             workload: "gcc",
-            stats: RunStats { predictions: 10, mispredictions: 10, ..Default::default() },
+            stats: RunStats { predictions: 10, mispredictions: 10 },
             trace_len: 10,
         };
         let result = TournamentResult {

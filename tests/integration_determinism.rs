@@ -24,7 +24,7 @@ fn same_seed_builds_identical_traces() {
 }
 
 /// Runs `make_run` twice on the same trace and asserts bit-identical
-/// statistics (totals and the per-branch breakdown).
+/// statistics.
 fn assert_deterministic(name: &str, mut make_run: impl FnMut(&Trace) -> RunStats) {
     let trace = gcc_trace();
     let first = make_run(&trace);

@@ -198,9 +198,9 @@ fn remaining_report_types_round_trip() {
 #[test]
 fn run_stats_json_keeps_totals_only() {
     let mut stats = RunStats::default();
-    stats.record(Addr::new(0x40), true);
-    stats.record(Addr::new(0x40), false);
-    stats.record(Addr::new(0x80), false);
+    stats.record(true);
+    stats.record(false);
+    stats.record(false);
     let tree = assert_round_trips(&stats);
     assert_eq!(keys(&tree), ["predictions", "mispredictions"]);
     assert_eq!(tree.get("predictions").unwrap().as_u64(), Some(3));
