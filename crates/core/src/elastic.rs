@@ -269,18 +269,7 @@ mod tests {
         }
         let assignment = profile_lengths(&profile, 10);
         let run = |assignment: HashAssignment| {
-            let mut p = ElasticGshare::new(10, assignment);
-            let mut misses = 0u64;
-            for r in test.iter() {
-                if r.is_conditional() {
-                    if p.predict(r.pc()) != r.taken() {
-                        misses += 1;
-                    }
-                    p.train(r.pc(), r.taken());
-                }
-                p.observe(r);
-            }
-            misses
+            ElasticGshare::new(10, assignment).run(test.records()).mispredictions
         };
         let elastic = run(assignment);
         let plain = run(HashAssignment::fixed(10));

@@ -42,7 +42,8 @@
 //!    global history structures (outcome registers, path registers, target
 //!    history buffers) can advance.
 //!
-//! The runner in `vlpp-sim` drives exactly this sequence.
+//! The traits' provided `run` methods are that sequence over a whole
+//! trace, written once; the runner in `vlpp-sim` calls them.
 //!
 //! ## Example
 //!
@@ -97,6 +98,6 @@ pub use per_address::PerAddressPathCache;
 pub use ras::ReturnAddressStack;
 pub use tage::Tage;
 pub use target_cache::{PathTargetCache, PatternTargetCache};
-pub use traits::{BranchObserver, ConditionalPredictor, IndirectPredictor};
+pub use traits::{BranchObserver, ConditionalPredictor, IndirectPredictor, RunStats};
 pub use twolevel::{Gas, Pas};
 pub use zoo::{CondZooEntry, IndZooEntry, ZooContext};

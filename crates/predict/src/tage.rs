@@ -29,25 +29,40 @@ const TAG_BITS: u32 = 10;
 /// Trains between useful-bit aging passes (`useful >>= 1` everywhere).
 const AGING_PERIOD: u64 = 1 << 18;
 
-/// One tagged-table entry: partial tag, 3-bit signed-style counter
-/// (taken when ≥ 4), 2-bit useful counter.
+/// Set in a tagged entry's `tag` once the entry has been allocated;
+/// above the partial tag's [`TAG_BITS`], so an unallocated (all-zero)
+/// entry never matches a lookup.
+const VALID: u16 = 1 << 15;
+
+/// One tagged-table entry, 4 bytes: the partial tag with [`VALID`] in
+/// bit 15, a 3-bit signed-style counter (taken when ≥ 4) and a 2-bit
+/// useful counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TaggedEntry {
     tag: u16,
     ctr: u8,
     useful: u8,
-    valid: bool,
 }
 
-/// Each tagged table's `(index, tag)` for one branch under one history.
+const _: () = assert!(std::mem::size_of::<TaggedEntry>() == 4 && TAG_BITS < 15);
+
+/// Each tagged table's `(flat index, tag | VALID)` for one branch under
+/// one history.
 type Slots = [(usize, u16); TABLES];
 
 /// A TAGE-style geometric-history predictor.
 ///
+/// The four tagged tables share one flat vector of 4-byte entries,
+/// table `t` occupying `tables[t * table_entries..][..table_entries]`,
+/// and an entry's valid flag is bit 15 of its tag. The layout is not
+/// the storage charge: [`storage_bytes`](Self::storage_bytes) counts 4
+/// bytes per tagged entry and 2 bits per base counter whatever the
+/// in-memory representation.
+///
 /// The four `(index, tag)` slots of a branch depend only on its pc and
 /// the global history, so they are hashed once per `(pc, history)` and
-/// cached: `predict`, `train` and its allocate/decay loops all reuse
-/// them until `observe` shifts the history.
+/// cached as flat indices: `predict`, `train` and its allocate/decay
+/// loops all reuse them until `observe` shifts the history.
 ///
 /// # Example
 ///
@@ -65,9 +80,10 @@ pub struct Tage {
     /// Bimodal base: always hits, provides the alternate of last resort.
     base: Vec<Counter2>,
     base_mask: u64,
-    /// One table per history length, all the same size.
-    tables: Vec<Vec<TaggedEntry>>,
-    table_mask: u64,
+    /// The tagged tables, one per history length, back to back.
+    tables: Vec<TaggedEntry>,
+    /// Entries per tagged table.
+    table_entries: usize,
     /// Global outcome history, newest in bit 0 (128 bits covers the
     /// longest table with room to spare).
     history: u128,
@@ -98,8 +114,8 @@ impl Tage {
         Tage {
             base: vec![Counter2::default(); base_entries],
             base_mask: base_entries as u64 - 1,
-            tables: vec![vec![TaggedEntry::default(); table_entries]; TABLES],
-            table_mask: table_entries as u64 - 1,
+            tables: vec![TaggedEntry::default(); table_entries * TABLES],
+            table_entries,
             history: 0,
             slots: None,
             trains: 0,
@@ -111,7 +127,7 @@ impl Tage {
     /// at 2 bits per counter plus the tagged tables at 4 bytes per entry.
     pub fn storage_bytes(&self) -> u64 {
         let base = self.base.len() as u64 / 4;
-        let tagged = self.tables.iter().map(|t| t.len() as u64 * 4).sum::<u64>();
+        let tagged = self.tables.len() as u64 * 4;
         base + tagged
     }
 
@@ -124,15 +140,19 @@ impl Tage {
             .wrapping_add(mix(((masked >> 64) as u64) ^ salt.rotate_left(32)))
     }
 
-    /// Hashes every table's `(index, tag)` for `pc` under the current
-    /// history.
+    /// Hashes every table's `(flat index, tag | VALID)` for `pc` under
+    /// the current history.
     fn hash_slots(&self, pc: Addr) -> Slots {
         let pc_mix = mix(pc.word());
+        let mask = self.table_entries as u64 - 1;
         std::array::from_fn(|table| {
             let length = HISTORY_LENGTHS[table];
             let index = self.folded(length, 0x9e37 + table as u64) ^ pc_mix;
             let tag = self.folded(length, 0x85eb ^ (table as u64) << 8) ^ pc.word();
-            ((index & self.table_mask) as usize, (tag & ((1 << TAG_BITS) - 1)) as u16)
+            (
+                table * self.table_entries + (index & mask) as usize,
+                (tag & ((1 << TAG_BITS) - 1)) as u16 | VALID,
+            )
         })
     }
 
@@ -153,15 +173,15 @@ impl Tage {
         (pc.word() & self.base_mask) as usize
     }
 
-    /// The provider (longest matching table, its index) and the
+    /// The provider (longest matching table, its flat index) and the
     /// alternate prediction (next match below it, or the base).
     fn lookup(&self, pc: Addr, slots: &Slots) -> (Option<(usize, usize)>, bool) {
         let mut provider = None;
         let mut alt = None;
         for table in (0..TABLES).rev() {
             let (idx, tag) = slots[table];
-            let entry = &self.tables[table][idx];
-            if entry.valid && entry.tag == tag {
+            let entry = &self.tables[idx];
+            if entry.tag == tag {
                 if provider.is_none() {
                     provider = Some((table, idx));
                 } else {
@@ -189,7 +209,7 @@ impl ConditionalPredictor for Tage {
         let slots = self.slots(pc);
         let (provider, alt) = self.lookup(pc, &slots);
         match provider {
-            Some((table, idx)) => self.tables[table][idx].ctr >= 4,
+            Some((_, idx)) => self.tables[idx].ctr >= 4,
             None => alt,
         }
     }
@@ -198,12 +218,12 @@ impl ConditionalPredictor for Tage {
         let slots = self.slots(pc);
         let (provider, alt) = self.lookup(pc, &slots);
         let predicted = match provider {
-            Some((table, idx)) => self.tables[table][idx].ctr >= 4,
+            Some((_, idx)) => self.tables[idx].ctr >= 4,
             None => alt,
         };
         match provider {
-            Some((table, idx)) => {
-                let entry = &mut self.tables[table][idx];
+            Some((_, idx)) => {
+                let entry = &mut self.tables[idx];
                 let pred = entry.ctr >= 4;
                 entry.ctr =
                     if taken { (entry.ctr + 1).min(7) } else { entry.ctr.saturating_sub(1) };
@@ -225,11 +245,12 @@ impl ConditionalPredictor for Tage {
         if predicted != taken {
             let start = provider.map(|(t, _)| t + 1).unwrap_or(0);
             let mut allocated = false;
-            for (table, &(idx, tag)) in slots.iter().enumerate().skip(start) {
-                let entry = &mut self.tables[table][idx];
-                if !entry.valid || entry.useful == 0 {
-                    *entry =
-                        TaggedEntry { tag, ctr: if taken { 4 } else { 3 }, useful: 0, valid: true };
+            for &(idx, tag) in &slots[start..] {
+                let entry = &mut self.tables[idx];
+                // An unallocated entry has never earned a useful bit, so
+                // `useful == 0` covers it too.
+                if entry.useful == 0 {
+                    *entry = TaggedEntry { tag, ctr: if taken { 4 } else { 3 }, useful: 0 };
                     allocated = true;
                     break;
                 }
@@ -237,18 +258,16 @@ impl ConditionalPredictor for Tage {
             if !allocated {
                 // Everything longer is protected: decay the contenders so
                 // a persistent hard branch eventually gets a slot.
-                for (table, &(idx, _)) in slots.iter().enumerate().skip(start) {
-                    let entry = &mut self.tables[table][idx];
+                for &(idx, _) in &slots[start..] {
+                    let entry = &mut self.tables[idx];
                     entry.useful = entry.useful.saturating_sub(1);
                 }
             }
         }
         self.trains += 1;
         if self.trains.is_multiple_of(AGING_PERIOD) {
-            for table in &mut self.tables {
-                for entry in table.iter_mut() {
-                    entry.useful >>= 1;
-                }
+            for entry in &mut self.tables {
+                entry.useful >>= 1;
             }
         }
     }

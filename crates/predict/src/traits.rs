@@ -1,15 +1,69 @@
 //! Predictor traits and the simulation protocol.
+//!
+//! The protocol is written once, as the provided
+//! [`ConditionalPredictor::run`] / [`IndirectPredictor::run`] methods.
+//! Each implementing type gets its own monomorphized copy of the loop,
+//! in which `predict`, `train` and `observe` are static calls the
+//! compiler can inline; a `Box<dyn _>` forwards `run` through its
+//! vtable, so a boxed predictor costs one virtual call per trace rather
+//! than three per record.
 
+use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord};
+
+/// A run's prediction totals, as the protocol loops
+/// ([`ConditionalPredictor::run`], [`IndirectPredictor::run`]) return
+/// them: dynamic branches predicted and how many of them missed.
+/// Per-static-branch counts are not kept here; the path predictor's
+/// kernels in `vlpp-core` keep their own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Dynamic branches predicted.
+    pub predictions: u64,
+    /// Dynamic branches predicted incorrectly.
+    pub mispredictions: u64,
+}
+
+impl ToJson for RunStats {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("predictions".to_string(), self.predictions.to_json()),
+            ("mispredictions".to_string(), self.mispredictions.to_json()),
+        ])
+    }
+}
+
+impl RunStats {
+    /// Records one prediction outcome.
+    pub fn record(&mut self, correct: bool) {
+        self.predictions += 1;
+        self.mispredictions += u64::from(!correct);
+    }
+
+    /// The misprediction rate in [0, 1] (0 if nothing was predicted).
+    pub fn miss_rate(&self) -> f64 {
+        if self.predictions == 0 {
+            0.0
+        } else {
+            self.mispredictions as f64 / self.predictions as f64
+        }
+    }
+
+    /// The misprediction rate as a percentage.
+    pub fn miss_percent(&self) -> f64 {
+        100.0 * self.miss_rate()
+    }
+}
 
 /// A component that watches the retired branch stream.
 ///
 /// Global history structures — outcome shift registers, path registers,
 /// Target History Buffers — must advance on branches the predictor does
 /// not itself predict (e.g. a conditional predictor's path history still
-/// records indirect-branch targets). The simulation runner therefore calls
-/// [`observe`](Self::observe) once for *every* retired control transfer,
-/// after any `predict`/`train` pair for that branch.
+/// records indirect-branch targets). The protocol loops
+/// ([`ConditionalPredictor::run`], [`IndirectPredictor::run`]) therefore
+/// call [`observe`](Self::observe) once for *every* retired control
+/// transfer, after any `predict`/`train` pair for that branch.
 pub trait BranchObserver {
     /// Notifies the component that `record` retired.
     fn observe(&mut self, record: &BranchRecord);
@@ -24,6 +78,9 @@ pub trait BranchObserver {
 /// 3. [`observe`](BranchObserver::observe) with the full record
 ///    (also called for non-conditional branches).
 ///
+/// [`run`](Self::run) is that protocol over a whole trace; it is the
+/// only place the loop is written.
+///
 /// `predict` takes `&mut self` because some predictors record prediction
 /// metadata (e.g. which hash function produced the used index) that
 /// `train` consumes.
@@ -37,13 +94,34 @@ pub trait ConditionalPredictor: BranchObserver {
 
     /// A short human-readable name ("gshare", "vlp", …) used in reports.
     fn name(&self) -> String;
+
+    /// Drives the protocol over `records`: predict → train on each
+    /// conditional branch, observe on every record. Returns the
+    /// conditional predictions made and how many missed.
+    ///
+    /// Implementors should not override this (forwarding wrappers such
+    /// as `Box` aside): it is the protocol, and its default body is
+    /// already monomorphized per type.
+    fn run(&mut self, records: &[BranchRecord]) -> RunStats {
+        let mut stats = RunStats::default();
+        for record in records {
+            if record.is_conditional() {
+                let prediction = self.predict(record.pc());
+                stats.record(prediction == record.taken());
+                self.train(record.pc(), record.taken());
+            }
+            self.observe(record);
+        }
+        stats
+    }
 }
 
 /// An indirect-branch target predictor.
 ///
 /// Returns are *not* presented to these predictors (the paper excludes
 /// them; a return address stack handles them in a real front end).
-/// The protocol mirrors [`ConditionalPredictor`].
+/// The protocol, and its one loop [`run`](Self::run), mirror
+/// [`ConditionalPredictor`].
 pub trait IndirectPredictor: BranchObserver {
     /// Predicts the target of the indirect branch at `pc`.
     ///
@@ -58,6 +136,25 @@ pub trait IndirectPredictor: BranchObserver {
 
     /// A short human-readable name used in reports.
     fn name(&self) -> String;
+
+    /// Drives the protocol over `records`: predict → train on each
+    /// indirect branch (returns excluded), observe on every record.
+    /// Returns the indirect predictions made and how many missed.
+    ///
+    /// Implementors should not override this (see
+    /// [`ConditionalPredictor::run`]).
+    fn run(&mut self, records: &[BranchRecord]) -> RunStats {
+        let mut stats = RunStats::default();
+        for record in records {
+            if record.is_indirect() {
+                let prediction = self.predict(record.pc());
+                stats.record(prediction == record.target());
+                self.train(record.pc(), record.target());
+            }
+            self.observe(record);
+        }
+        stats
+    }
 }
 
 impl<T: BranchObserver + ?Sized> BranchObserver for Box<T> {
@@ -78,6 +175,10 @@ impl<T: ConditionalPredictor + ?Sized> ConditionalPredictor for Box<T> {
     fn name(&self) -> String {
         (**self).name()
     }
+
+    fn run(&mut self, records: &[BranchRecord]) -> RunStats {
+        (**self).run(records)
+    }
 }
 
 impl<T: IndirectPredictor + ?Sized> IndirectPredictor for Box<T> {
@@ -91,6 +192,10 @@ impl<T: IndirectPredictor + ?Sized> IndirectPredictor for Box<T> {
 
     fn name(&self) -> String {
         (**self).name()
+    }
+
+    fn run(&mut self, records: &[BranchRecord]) -> RunStats {
+        (**self).run(records)
     }
 }
 
@@ -121,5 +226,17 @@ mod tests {
         p.train(Addr::new(0), false);
         p.observe(&BranchRecord::conditional(Addr::new(0), Addr::new(4), false));
         assert_eq!(p.name(), "always-taken");
+    }
+
+    #[test]
+    fn run_follows_the_protocol_through_box() {
+        let pc = Addr::new(0x40);
+        let records = [
+            BranchRecord::conditional(pc, Addr::new(4), true),
+            BranchRecord::indirect(pc, Addr::new(8)),
+            BranchRecord::conditional(pc, Addr::new(4), false),
+        ];
+        let mut p: Box<dyn ConditionalPredictor> = Box::new(AlwaysTaken);
+        assert_eq!(p.run(&records), RunStats { predictions: 2, mispredictions: 1 });
     }
 }

@@ -15,7 +15,10 @@
 //! * **predict purity** — `predict` is repeatable and does not perturb
 //!   training (the runner may probe without retiring);
 //! * **budget accounting sanity** — reported storage is positive and
-//!   never exceeds the budget, at every tournament budget.
+//!   never exceeds the budget, at every tournament budget;
+//! * **one protocol loop** — the trait's provided `run`, called through
+//!   `Box<dyn _>` as the tournament calls it, returns the same totals as
+//!   the hand-written predict → train → observe loop.
 //!
 //! True `Clone`-determinism (clone mid-stream, run both) is checked for
 //! the concrete zoo types below, outside the macro, since boxed trait
@@ -25,7 +28,7 @@ use std::sync::Arc;
 
 use vlpp_predict::{
     for_each_zoo_conditional, for_each_zoo_indirect, Budget, Bullseye, ClusteredTargetCache,
-    ConditionalPredictor, IndirectPredictor, Ldbp, Tage, ZooContext,
+    ConditionalPredictor, IndirectPredictor, Ldbp, RunStats, Tage, ZooContext,
 };
 use vlpp_trace::{Addr, BranchRecord};
 
@@ -104,6 +107,13 @@ fn drive_ind(
     out
 }
 
+/// The totals a prediction stream scores against the truth.
+fn totals<T: PartialEq>(guesses: &[T], truth: impl Iterator<Item = T>) -> RunStats {
+    let mispredictions =
+        guesses.iter().zip(truth).filter(|(guess, actual)| *guess != actual).count();
+    RunStats { predictions: guesses.len() as u64, mispredictions: mispredictions as u64 }
+}
+
 const STREAM_LEN: usize = 6_000;
 const COND_BUDGETS: [u64; 2] = [4 << 10, 16 << 10];
 const IND_BUDGETS: [u64; 2] = [2 << 10, 8 << 10];
@@ -141,6 +151,15 @@ macro_rules! cond_conformance {
                 let a_suf = drive_cond(&mut *original, suffix, false);
                 let b_suf = drive_cond(&mut *rebuilt, suffix, false);
                 assert_eq!(a_suf, b_suf, "{}: suffix diverged after rebuild", $name);
+            }
+
+            #[test]
+            fn run_through_box_matches_the_hand_written_loop() {
+                let budget = Budget::from_bytes(COND_BUDGETS[1]);
+                let records = record_stream(0x7e57, STREAM_LEN);
+                let guesses = drive_cond(&mut *build(budget), &records, false);
+                let truth = records.iter().filter(|r| r.is_conditional()).map(|r| r.taken());
+                assert_eq!(build(budget).run(&records), totals(&guesses, truth), "{}", $name);
             }
 
             #[test]
@@ -201,6 +220,15 @@ macro_rules! ind_conformance {
                     "{}: suffix diverged after rebuild",
                     $name
                 );
+            }
+
+            #[test]
+            fn run_through_box_matches_the_hand_written_loop() {
+                let budget = Budget::from_bytes(IND_BUDGETS[1]);
+                let records = record_stream(0x1d17, STREAM_LEN);
+                let guesses = drive_ind(&mut *build(budget), &records, false);
+                let truth = records.iter().filter(|r| r.is_indirect()).map(|r| r.target());
+                assert_eq!(build(budget).run(&records), totals(&guesses, truth), "{}", $name);
             }
 
             #[test]
@@ -268,4 +296,17 @@ fn zoo_registries_match_the_macro_expansion() {
     // and this test documents the invariant.)
     assert_eq!(vlpp_predict::zoo::conditional_names().len(), 7);
     assert_eq!(vlpp_predict::zoo::indirect_names().len(), 5);
+}
+
+/// The storage charge is a model figure (2-bit base counters, 4-byte
+/// tagged entries), so the in-memory layout of the tables must never
+/// move it. Bullseye's floor is 2 KiB, so it starts there.
+#[test]
+fn tage_and_bullseye_storage_charges_are_pinned() {
+    let tage: Vec<u64> =
+        [1, 4, 16, 64].map(|kib| Tage::new(Budget::from_kib(kib)).storage_bytes()).to_vec();
+    let bullseye: Vec<u64> =
+        [2, 4, 16, 64].map(|kib| Bullseye::new(Budget::from_kib(kib)).storage_bytes()).to_vec();
+    assert_eq!(tage, [768, 3072, 12288, 49152], "tage");
+    assert_eq!(bullseye, [1536, 3072, 12288, 49152], "bullseye");
 }

@@ -1,8 +1,12 @@
-//! The trace-driven simulation loop and its statistics.
+//! The trace-driven simulation entry points.
 //!
-//! Two loops coexist here. [`run_conditional`] / [`run_indirect`] drive
-//! *any* predictor through the standard predict → train → observe
-//! protocol via the traits — the general path every baseline uses.
+//! Two kinds of loop run here. [`run_conditional`] / [`run_indirect`]
+//! drive *any* predictor through the standard predict → train → observe
+//! protocol. That loop is not written here: it is the traits' provided
+//! `run` method in `vlpp-predict` ([`ConditionalPredictor::run`],
+//! [`IndirectPredictor::run`]), monomorphized per predictor type, so
+//! these functions call it once per trace and a boxed zoo predictor
+//! pays one virtual call per trace, not three per record.
 //! [`run_path_conditional`] / [`run_path_indirect`] are the throughput
 //! path for the paper's own predictor: they instantiate the
 //! structure-of-arrays kernels from `vlpp-core` and run the fused
@@ -24,9 +28,8 @@ use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::Trace;
 
-/// A run's prediction totals: dynamic branches predicted and how many
-/// of them missed. Per-branch counts are the kernels' business (see the
-/// module docs).
+/// Re-exported from `vlpp-predict`, where the protocol loops that
+/// produce it live.
 ///
 /// # Example
 ///
@@ -40,76 +43,21 @@ use vlpp_trace::Trace;
 /// assert_eq!(stats.mispredictions, 1);
 /// assert!((stats.miss_rate() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Dynamic branches predicted.
-    pub predictions: u64,
-    /// Dynamic branches predicted incorrectly.
-    pub mispredictions: u64,
-}
-
-impl vlpp_trace::json::ToJson for RunStats {
-    fn to_json(&self) -> vlpp_trace::json::JsonValue {
-        vlpp_trace::json::JsonValue::Object(vec![
-            ("predictions".to_string(), vlpp_trace::json::ToJson::to_json(&self.predictions)),
-            ("mispredictions".to_string(), vlpp_trace::json::ToJson::to_json(&self.mispredictions)),
-        ])
-    }
-}
-
-impl RunStats {
-    /// Records one prediction outcome.
-    pub fn record(&mut self, correct: bool) {
-        self.predictions += 1;
-        self.mispredictions += u64::from(!correct);
-    }
-
-    /// The misprediction rate in [0, 1] (0 if nothing was predicted).
-    pub fn miss_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
-
-    /// The misprediction rate as a percentage.
-    pub fn miss_percent(&self) -> f64 {
-        100.0 * self.miss_rate()
-    }
-}
+pub use vlpp_predict::RunStats;
 
 /// Runs a conditional-branch predictor over a trace using the standard
-/// protocol: predict → train on each conditional branch, observe on
-/// every record.
+/// protocol ([`ConditionalPredictor::run`]): predict → train on each
+/// conditional branch, observe on every record.
 pub fn run_conditional<P: ConditionalPredictor>(predictor: &mut P, trace: &Trace) -> RunStats {
     let _span = vlpp_metrics::span("sim.simulate_ns");
-    let mut stats = RunStats::default();
-    for record in trace.iter() {
-        if record.is_conditional() {
-            let prediction = predictor.predict(record.pc());
-            stats.record(prediction == record.taken());
-            predictor.train(record.pc(), record.taken());
-        }
-        predictor.observe(record);
-    }
-    stats
+    predictor.run(trace.records())
 }
 
-/// Runs an indirect-branch predictor over a trace. Returns are excluded,
-/// as in the paper.
+/// Runs an indirect-branch predictor over a trace
+/// ([`IndirectPredictor::run`]). Returns are excluded, as in the paper.
 pub fn run_indirect<P: IndirectPredictor>(predictor: &mut P, trace: &Trace) -> RunStats {
     let _span = vlpp_metrics::span("sim.simulate_ns");
-    let mut stats = RunStats::default();
-    for record in trace.iter() {
-        if record.is_indirect() {
-            let prediction = predictor.predict(record.pc());
-            stats.record(prediction == record.target());
-            predictor.train(record.pc(), record.target());
-        }
-        predictor.observe(record);
-    }
-    stats
+    predictor.run(trace.records())
 }
 
 /// Publishes the kernel loops' throughput metrics: the records-per-

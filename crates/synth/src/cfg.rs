@@ -5,6 +5,8 @@
 //! binary on different inputs, which is how the paper's profile-input /
 //! test-input split is reproduced.
 
+use std::collections::HashMap;
+
 use vlpp_trace::Addr;
 
 use crate::behavior::{CondBehavior, IndBehavior};
@@ -154,9 +156,11 @@ impl Program {
 
     /// Checks structural invariants: a non-empty function list, the
     /// entry in range, every block reference in range, every switch
-    /// non-empty, and every call targeting a *higher-numbered* function
+    /// non-empty, every call targeting a *higher-numbered* function
     /// (the generator's no-recursion guarantee, which bounds call
-    /// depth) unless the call returns to the entry (the driver pattern).
+    /// depth) unless the call returns to the entry (the driver pattern),
+    /// and no two blocks sharing a branch pc (a pc names one static
+    /// branch, and the executor keeps per-site state per block).
     pub fn validate(&self) -> Result<(), String> {
         if self.functions.is_empty() {
             return Err("program has no functions".into());
@@ -218,6 +222,17 @@ impl Program {
                         check(*ret_to)?;
                     }
                     Terminator::Return => {}
+                }
+            }
+        }
+        let mut sites = HashMap::new();
+        for (f, function) in self.functions.iter().enumerate() {
+            for (b, block) in function.blocks.iter().enumerate() {
+                if let Some((f0, b0)) = sites.insert(block.branch_pc, (f, b)) {
+                    return Err(format!(
+                        "function {f0} block {b0} and function {f} block {b} share branch pc {:#x}",
+                        block.branch_pc.raw()
+                    ));
                 }
             }
         }
@@ -419,6 +434,33 @@ mod tests {
     #[should_panic(expected = "no functions")]
     fn empty_program_is_rejected() {
         Program::new("bad", vec![], FuncId(0), 0);
+    }
+
+    #[test]
+    fn shared_branch_pc_is_rejected_naming_both_blocks() {
+        let f0 = FuncId(0);
+        let f1 = FuncId(1);
+        let mut copy = block(f1, 0, Terminator::Return);
+        copy.branch_pc = Function::block_branch_pc(f0, BlockId(1));
+        let program = Program {
+            functions: vec![
+                Function {
+                    id: f0,
+                    blocks: vec![
+                        block(f0, 0, Terminator::Call { callee: f1, ret_to: BlockId(1) }),
+                        block(f0, 1, Terminator::Jump { to: BlockId(0) }),
+                    ],
+                },
+                Function { id: f1, blocks: vec![copy] },
+            ],
+            entry: f0,
+            run_seed: 0,
+            name: "bad".into(),
+        };
+        let message = program.validate().unwrap_err();
+        assert!(message.contains("function 0 block 1"), "{message}");
+        assert!(message.contains("function 1 block 0"), "{message}");
+        assert!(message.contains("share branch pc"), "{message}");
     }
 
     #[test]

@@ -7,12 +7,26 @@
 //! history* — the true, full-width sequence of recent conditional and
 //! indirect targets — feeds the path-correlated behaviors; predictors
 //! never see it and must learn it from the record stream.
-
-use std::collections::{HashMap, VecDeque};
+//!
+//! Every trace the harness simulates comes out of [`Executor::next`], so
+//! a record costs no allocation and no hashing:
+//!
+//! * the current block is borrowed from the program, not cloned (a
+//!   switch's target list stays where it is);
+//! * the shadow path lives in a fixed ring in which every target is
+//!   written twice, so the newest entries are always one contiguous
+//!   newest-first slice that behaviors read in place;
+//! * the per-site loop counters are a flat array indexed by
+//!   `function * MAX_BLOCKS_PER_FUNCTION + block`. That is the same as
+//!   keying them by branch pc, because pcs are unique:
+//!   [`Function::block_branch_pc`](crate::Function::block_branch_pc)
+//!   gives every block its own 64-byte slot inside its function's
+//!   address window, and [`Program::validate`] rejects any program
+//!   (hand-built ones included) in which two blocks share a branch pc.
 
 use vlpp_trace::{BranchRecord, Trace};
 
-use crate::cfg::{BlockId, FuncId, Program, Terminator};
+use crate::cfg::{BlockId, FuncId, Program, Terminator, MAX_BLOCKS_PER_FUNCTION};
 use crate::rng::{mix, SplitMix64};
 
 /// Which input the program runs on. The paper profiles on one input set
@@ -65,6 +79,13 @@ const LOAD_SALT: u64 = 0x4c4f_4144_4348_414e; // "LOADCHAN"
 /// LDBP's tracking table learns real load values.
 const LOAD_DOMAIN: u64 = 64;
 
+/// An upper bound on records emitted per conditional record, used to
+/// pre-size [`Program::execute_conditionals_with_loads`]'s output. Over
+/// the 16 suite benchmarks and 6 hard workloads the measured ratio runs
+/// from 1.08 (m88ksim) to 1.90 (hard-phase-fast) on either input set;
+/// a program that exceeds the bound only costs a reallocation.
+const RECORDS_PER_CONDITIONAL_BOUND: u64 = 2;
+
 /// A running execution of a [`Program`]; yields one [`BranchRecord`] per
 /// control transfer, forever (synthetic programs restart at the entry
 /// when the driver returns). Bound it with [`Iterator::take`] or use
@@ -89,10 +110,20 @@ pub struct Executor<'a> {
     load_rng: SplitMix64,
     /// The value "loaded" just before the current branch retires.
     load_value: u64,
-    /// Newest-first full-width word addresses of recent cond/ind targets.
-    shadow_path: VecDeque<u64>,
-    /// Per-site loop counters, keyed by branch pc.
-    loop_counters: HashMap<u64, u32>,
+    /// Full-width word addresses of recent cond/ind targets, as a ring
+    /// that stores each target twice: slot `i` and slot
+    /// `i + SHADOW_PATH_DEPTH` always hold the same value, so the newest
+    /// `shadow_len` targets are `shadow_ring[shadow_head..][..shadow_len]`,
+    /// newest first, without wrapping.
+    shadow_ring: [u64; 2 * SHADOW_PATH_DEPTH],
+    /// Ring position of the newest target (in `0..SHADOW_PATH_DEPTH`).
+    shadow_head: usize,
+    /// Targets recorded so far, saturating at [`SHADOW_PATH_DEPTH`].
+    shadow_len: usize,
+    /// Per-site loop counters, indexed by
+    /// `function * MAX_BLOCKS_PER_FUNCTION + block` (unique branch pcs
+    /// make this the same as keying them by pc; see the module docs).
+    loop_counters: Vec<u32>,
     /// Return continuations.
     stack: Vec<(FuncId, BlockId)>,
     function: FuncId,
@@ -108,8 +139,10 @@ impl<'a> Executor<'a> {
             rng: SplitMix64::new(program.run_seed() ^ input.salt()),
             load_rng: SplitMix64::new(mix(program.run_seed() ^ input.salt() ^ LOAD_SALT)),
             load_value: 0,
-            shadow_path: VecDeque::with_capacity(SHADOW_PATH_DEPTH),
-            loop_counters: HashMap::new(),
+            shadow_ring: [0; 2 * SHADOW_PATH_DEPTH],
+            shadow_head: 0,
+            shadow_len: 0,
+            loop_counters: vec![0; program.functions().len() * MAX_BLOCKS_PER_FUNCTION],
             stack: Vec::new(),
             function: program.entry(),
             block: BlockId(0),
@@ -117,16 +150,22 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Records `target_word` as the newest shadow-path entry, dropping
+    /// the oldest once the ring is full.
     fn push_shadow(&mut self, target_word: u64) {
-        if self.shadow_path.len() == SHADOW_PATH_DEPTH {
-            self.shadow_path.pop_back();
-        }
-        self.shadow_path.push_front(target_word);
+        self.shadow_head = (self.shadow_head + SHADOW_PATH_DEPTH - 1) % SHADOW_PATH_DEPTH;
+        self.shadow_ring[self.shadow_head] = target_word;
+        self.shadow_ring[self.shadow_head + SHADOW_PATH_DEPTH] = target_word;
+        self.shadow_len = (self.shadow_len + 1).min(SHADOW_PATH_DEPTH);
     }
 
-    /// The current shadow path as a slice-friendly Vec (newest first).
-    fn shadow(&self) -> Vec<u64> {
-        self.shadow_path.iter().copied().collect()
+    /// What a behavior's `decide` reads and updates for the current
+    /// site: the shadow path (newest first), the site's loop counter and
+    /// the noise stream.
+    fn site_state(&mut self) -> (&[u64], &mut u32, &mut SplitMix64) {
+        let path = &self.shadow_ring[self.shadow_head..self.shadow_head + self.shadow_len];
+        let site = self.function.0 * MAX_BLOCKS_PER_FUNCTION + self.block.0;
+        (path, &mut self.loop_counters[site], &mut self.rng)
     }
 
     /// The value on the synthetic load channel for the record most
@@ -148,29 +187,28 @@ impl Iterator for Executor<'_> {
     type Item = BranchRecord;
 
     fn next(&mut self) -> Option<BranchRecord> {
-        let block = self.program.block(self.function, self.block).clone();
+        let program = self.program;
+        let block = program.block(self.function, self.block);
         let pc = block.branch_pc;
         // One load retires per control transfer, whatever the branch kind,
         // so the channel stays aligned with record indices.
         self.load_value = self.load_rng.below(LOAD_DOMAIN);
         let record = match &block.terminator {
             Terminator::Cond { behavior, taken, fall } => {
-                let path = self.shadow();
                 let load = self.load_value;
-                let counter = self.loop_counters.entry(pc.raw()).or_insert(0);
-                let outcome = behavior.decide(&path, load, counter, &mut self.rng);
+                let (path, counter, rng) = self.site_state();
+                let outcome = behavior.decide(path, load, counter, rng);
                 let destination = if outcome { *taken } else { *fall };
-                let target = self.program.block(self.function, destination).start;
+                let target = program.block(self.function, destination).start;
                 self.block = destination;
                 self.push_shadow(target.word());
                 BranchRecord::conditional(pc, target, outcome)
             }
             Terminator::Switch { behavior, targets } => {
-                let path = self.shadow();
-                let counter = self.loop_counters.entry(pc.raw()).or_insert(0);
-                let pick = behavior.decide(&path, targets.len(), counter, &mut self.rng);
+                let (path, counter, rng) = self.site_state();
+                let pick = behavior.decide(path, targets.len(), counter, rng);
                 let destination = targets[pick];
-                let target = self.program.block(self.function, destination).start;
+                let target = program.block(self.function, destination).start;
                 self.block = destination;
                 self.push_shadow(target.word());
                 BranchRecord::indirect(pc, target)
@@ -250,8 +288,12 @@ impl Program {
         input: InputSet,
         conditionals: u64,
     ) -> (Trace, Vec<u64>) {
-        let mut trace = Trace::new();
-        let mut loads = Vec::new();
+        // Sized up front from the measured ratio, so neither vector grows
+        // by doubling (and copying) as the run proceeds.
+        let capacity = usize::try_from(conditionals.saturating_mul(RECORDS_PER_CONDITIONAL_BOUND))
+            .unwrap_or(usize::MAX);
+        let mut trace = Trace::with_capacity(capacity);
+        let mut loads = Vec::with_capacity(capacity);
         let mut seen = 0u64;
         let mut exec = Executor::new(self, input, ExecutionLimits::default());
         while seen < conditionals {
