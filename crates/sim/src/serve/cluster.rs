@@ -84,8 +84,6 @@ pub struct ClusterOptions {
     /// Shards routed by the table (must match the model's shard count;
     /// `vlpp loadgen --routing` takes it from here).
     pub shards: usize,
-    /// Per-connection frame-queue bound passed to each child.
-    pub queue_depth: usize,
     /// Workload scale passed to each child.
     pub scale: Scale,
     /// Also write the routing table JSON to this file (atomically,
@@ -108,8 +106,8 @@ pub struct ClusterOptions {
 }
 
 const CLUSTER_USAGE: &str = "\
-usage: vlpp cluster [--nodes N] [--shards N] [--queue-depth N]
-                    [--scale N] [--routing-out FILE] [--metrics]
+usage: vlpp cluster [--nodes N] [--shards N] [--scale N]
+                    [--routing-out FILE] [--metrics]
                     [--probe-interval-ms MS] [--miss-budget N]
                     [--max-respawns N] [--io-timeout-ms MS]
 
@@ -137,7 +135,6 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterOptions, VlppError> 
     let mut options = ClusterOptions {
         nodes: 2,
         shards: 4,
-        queue_depth: super::DEFAULT_QUEUE_DEPTH,
         scale: Scale::from_env(),
         routing_out: None,
         probe_interval_ms: 500,
@@ -162,13 +159,6 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterOptions, VlppError> 
                     .and_then(|v| v.parse::<usize>().ok())
                     .filter(|&n| (1..=1024).contains(&n))
                     .ok_or_else(|| cli_error("--shards needs an integer in 1..=1024"))?;
-            }
-            "--queue-depth" => {
-                options.queue_depth = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| cli_error("--queue-depth needs a positive integer"))?;
             }
             "--scale" => {
                 let divisor = iter
@@ -257,7 +247,6 @@ fn spawn_node(
     command
         .arg("serve")
         .args(["--listen", "127.0.0.1:0"])
-        .args(["--queue-depth", &options.queue_depth.to_string()])
         .args(["--scale", &options.scale.divisor().to_string()])
         .args(["--io-timeout-ms", &options.io_timeout_ms.to_string()]);
     if options.metrics {
@@ -812,8 +801,6 @@ mod tests {
             "3",
             "--shards",
             "8",
-            "--queue-depth",
-            "16",
             "--scale",
             "1000000",
             "--routing-out",
@@ -831,7 +818,6 @@ mod tests {
         .unwrap();
         assert_eq!(options.nodes, 3);
         assert_eq!(options.shards, 8);
-        assert_eq!(options.queue_depth, 16);
         assert_eq!(options.scale.divisor(), 1_000_000);
         assert_eq!(options.routing_out.as_deref(), Some(std::path::Path::new("/tmp/r.json")));
         assert_eq!(options.probe_interval_ms, 50);
@@ -851,7 +837,6 @@ mod tests {
             &["--nodes", "0"][..],
             &["--nodes", "1"],
             &["--shards", "0"],
-            &["--queue-depth", "0"],
             &["--scale", "0"],
             &["--probe-interval-ms", "0"],
             &["--miss-budget", "0"],

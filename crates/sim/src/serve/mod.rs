@@ -6,18 +6,21 @@
 //! `vlpp_trace::frame` framing, and serves trained variable length path
 //! predictor instances ([`model::Model`]). `SERVING.md` at the
 //! repository root documents the wire grammar, the shard/determinism
-//! model, and the backpressure knobs.
+//! model, and how backpressure reaches the client.
 //!
 //! # Threading model
 //!
-//! One acceptor (the calling thread), two threads per connection: a
-//! *reader* that decodes frames into a bounded `sync_channel` (depth
-//! `--queue-depth`; a full queue blocks the reader, which propagates
-//! backpressure to the client through TCP), and a *processor* that
-//! executes verbs and writes responses back in request order. Batch
-//! execution itself fans out over the global `vlpp-pool`, one task per
-//! busy shard (see [`model`]), so same-shard records stay ordered while
-//! distinct shards run in parallel.
+//! One acceptor (the calling thread) and one thread per connection. The
+//! connection thread reads a frame, executes its verb, writes the
+//! response, and only then reads the next frame, so responses go out in
+//! request order and a closed-loop request crosses no thread boundary
+//! inside the server. There is no per-connection queue: a client that
+//! pipelines faster than the server answers fills the socket buffers,
+//! and TCP (or the Unix socket) pushes back on it. A batch one shard
+//! owns runs on the connection thread; a batch that spans shards fans
+//! out over the global `vlpp-pool`, one task per busy shard (see
+//! [`model`]), so same-shard records stay ordered while distinct shards
+//! run in parallel.
 //!
 //! # Transport
 //!
@@ -25,27 +28,28 @@
 //! so by the cluster supervisor), sets `TCP_NODELAY`, and
 //! `vlpp_trace::frame` writes each frame in one write: together they
 //! keep a round trip at the server's work plus loopback time instead of
-//! a ~40 ms delayed-ACK timer. The reader reads through a `BufReader`,
-//! so a frame that arrives in one segment costs one `read` call. The
-//! per-request instruments are resolved once (`ServeMetrics`).
+//! a ~40 ms delayed-ACK timer. The connection thread reads through a
+//! `BufReader`, so a frame that arrives in one segment costs one `read`
+//! call. The per-request instruments are resolved once (`ServeMetrics`).
 //!
 //! # Graceful drain
 //!
 //! The `shutdown` verb answers `ok`, then stops the acceptor (a dummy
 //! self-connection wakes it out of `accept`) and half-closes the read
-//! side of every open connection. Blocked readers see EOF, queued
-//! frames still execute, every response still goes out, and the process
-//! exits 0 once the last processor finishes. `SIGTERM`/`SIGINT` take
-//! the same path (a signal-watcher thread polls a flag the handler
-//! sets), so operators and CI teardown get a clean exit, not an abort.
+//! side of every open connection. Each connection thread finishes the
+//! request it is on, answers any frames already in its `BufReader`,
+//! then sees EOF and exits; the process exits 0 once the last one
+//! returns. `SIGTERM`/`SIGINT` take the same path (a signal-watcher
+//! thread polls a flag the handler sets), so operators and CI teardown
+//! get a clean exit, not an abort.
 //!
 //! # Deadlines
 //!
 //! Every accepted socket carries `--io-timeout-ms` read/write deadlines
-//! so a hung peer cannot pin a reader thread forever. An expiry while a
-//! frame is in flight closes the connection and counts
+//! so a hung peer cannot pin a connection thread forever. An expiry
+//! while a frame is in flight closes the connection and counts
 //! `serve.io_timeouts`; an expiry on an *idle* connection is benign and
-//! the reader simply waits again.
+//! the thread simply waits again.
 
 pub mod cluster;
 pub mod loadgen;
@@ -61,7 +65,6 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
@@ -74,9 +77,6 @@ use crate::experiment::{Scale, Workloads};
 pub use model::{Model, ModelKind, ModelSpec, Prediction};
 use protocol::VERB_NAMES;
 pub use protocol::{Request, Verb};
-
-/// Default bound of each connection's frame queue.
-pub const DEFAULT_QUEUE_DEPTH: usize = 32;
 
 /// Default socket read/write deadline, in milliseconds. Generous next
 /// to any healthy round trip, small enough that a hung peer releases
@@ -106,7 +106,6 @@ pub(crate) struct ServeMetrics {
     connections: Arc<Counter>,
     errors_frame: Arc<Counter>,
     errors_protocol: Arc<Counter>,
-    backpressure_waits: Arc<Counter>,
     io_timeouts: Arc<Counter>,
     sync_bytes: Arc<Counter>,
 }
@@ -126,7 +125,6 @@ impl ServeMetrics {
             connections: vlpp_metrics::counter("serve.connections"),
             errors_frame: vlpp_metrics::counter("serve.errors.frame"),
             errors_protocol: vlpp_metrics::counter("serve.errors.protocol"),
-            backpressure_waits: vlpp_metrics::counter("serve.backpressure_waits"),
             io_timeouts: vlpp_metrics::counter("serve.io_timeouts"),
             sync_bytes: vlpp_metrics::counter("serve.sync_bytes"),
         })
@@ -153,8 +151,6 @@ pub enum ListenSpec {
 pub struct ServeOptions {
     /// Listen address (default `127.0.0.1:0`).
     pub listen: ListenSpec,
-    /// Per-connection frame-queue bound.
-    pub queue_depth: usize,
     /// Workload scale for profile traces (must match the client's).
     pub scale: Scale,
     /// Print the metrics table + `METRICS` line on exit.
@@ -166,9 +162,8 @@ pub struct ServeOptions {
 }
 
 const SERVE_USAGE: &str = "\
-usage: vlpp serve [--listen HOST:PORT | --uds PATH] [--queue-depth N]
-                  [--scale N] [--metrics] [--snapshot FILE]
-                  [--io-timeout-ms MS]
+usage: vlpp serve [--listen HOST:PORT | --uds PATH] [--scale N]
+                  [--metrics] [--snapshot FILE] [--io-timeout-ms MS]
 
 Binds, prints one `SERVE {json}` line on stdout announcing the bound
 address, then serves the framed JSON protocol until a `shutdown` verb
@@ -189,7 +184,6 @@ fn cli_error(message: impl Into<String>) -> VlppError {
 pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, VlppError> {
     let mut options = ServeOptions {
         listen: ListenSpec::Tcp("127.0.0.1:0".to_string()),
-        queue_depth: DEFAULT_QUEUE_DEPTH,
         scale: Scale::from_env(),
         metrics: false,
         snapshot: None,
@@ -208,13 +202,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, VlppError> {
                     return Err(cli_error("--uds is only available on Unix targets"));
                 }
                 options.listen = ListenSpec::Unix(PathBuf::from(path));
-            }
-            "--queue-depth" => {
-                options.queue_depth = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| cli_error("--queue-depth needs a positive integer"))?;
             }
             "--scale" => {
                 let divisor = iter
@@ -508,7 +495,7 @@ pub(crate) mod sig {
 
 /// The drain sequence the `shutdown` verb and the signal watcher share:
 /// flag first so the acceptor cannot miss it, then force every blocked
-/// reader to EOF and wake the acceptor out of `accept`.
+/// connection read to EOF and wake the acceptor out of `accept`.
 fn initiate_drain(shared: &Shared) {
     shared.draining.store(true, Ordering::SeqCst);
     for conn in lock(&shared.conns).values() {
@@ -543,7 +530,6 @@ pub fn serve(options: ServeOptions) -> Result<(), VlppError> {
     let announce = JsonValue::Object(vec![
         ("transport".to_string(), JsonValue::Str(transport.to_string())),
         ("addr".to_string(), JsonValue::Str(addr)),
-        ("queue_depth".to_string(), JsonValue::UInt(options.queue_depth as u64)),
         ("scale".to_string(), JsonValue::UInt(options.scale.divisor())),
         ("pid".to_string(), JsonValue::UInt(std::process::id() as u64)),
         ("snapshot_models".to_string(), JsonValue::UInt(models.len() as u64)),
@@ -606,8 +592,7 @@ pub fn serve(options: ServeOptions) -> Result<(), VlppError> {
             lock(&shared.conns).insert(id, clone);
         }
         let shared = Arc::clone(&shared);
-        let queue_depth = options.queue_depth;
-        handlers.push(thread::spawn(move || handle_connection(id, conn, shared, queue_depth)));
+        handlers.push(thread::spawn(move || handle_connection(id, conn, shared)));
     }
     for handler in handlers {
         let _ = handler.join();
@@ -622,104 +607,55 @@ pub fn serve(options: ServeOptions) -> Result<(), VlppError> {
     Ok(())
 }
 
-/// Reader half: frames off the wire into the bounded queue. A full
-/// queue first bumps `serve.backpressure_waits`, then blocks — which is
-/// the backpressure propagating to the client through the transport.
+/// The connection's one thread: read a frame, execute it, write the
+/// response (then any `sync` continuation frames), repeat. Responses
+/// leave in request order by construction, and a client that pipelines
+/// is held back by the socket buffers, which push back through TCP.
 ///
 /// A read-deadline expiry on an *idle* connection just loops (a client
 /// holding a connection open is fine); an expiry mid-frame counts
 /// `serve.io_timeouts` and closes, because a half-written frame means
-/// the peer hung and the stream can never resynchronize.
+/// the peer hung and the stream can never resynchronize. Any framing
+/// error is answered with its typed error (best-effort: the peer may be
+/// gone) before the close.
 ///
 /// Reads go through a [`BufReader`], so a frame that arrives in one
-/// segment costs one `read` call, not one for the prefix and one for
-/// the payload.
-fn reader_loop(conn: Conn, queue: SyncSender<Result<Vec<u8>, VlppError>>) {
+/// segment costs one `read` call, and frames already buffered are
+/// answered before the socket is read again.
+fn handle_connection(id: u64, conn: Conn, shared: Arc<Shared>) {
     let metrics = ServeMetrics::get();
-    let mut conn = BufReader::new(conn);
-    loop {
-        match frame::read_frame_or_timeout(&mut conn) {
-            Ok(FrameRead::Frame(payload)) => {
-                let payload = match queue.try_send(Ok(payload)) {
-                    Ok(()) => continue,
-                    Err(TrySendError::Full(payload)) => {
-                        metrics.backpressure_waits.incr();
-                        payload
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                };
-                if queue.send(payload).is_err() {
-                    return;
-                }
-            }
+    let mut reader = BufReader::new(conn);
+    'frames: loop {
+        let payload = match frame::read_frame_or_timeout(&mut reader) {
+            Ok(FrameRead::Frame(payload)) => payload,
             Ok(FrameRead::IdleTimeout) => continue,
-            // Clean EOF between frames: the client is done. Dropping
-            // the sender closes the queue once it drains.
-            Ok(FrameRead::Eof) => return,
+            // Clean EOF between frames: the client is done, or a drain
+            // half-closed the read side.
+            Ok(FrameRead::Eof) => break,
             Err(error) => {
                 if frame::is_timeout(&error) {
                     metrics.io_timeouts.incr();
                 }
-                let _ = queue.send(Err(error));
-                return;
-            }
-        }
-    }
-}
-
-/// Processor half: executes queued frames in order, one response frame
-/// per request frame.
-fn handle_connection(id: u64, conn: Conn, shared: Arc<Shared>, queue_depth: usize) {
-    let mut writer = conn;
-    let processed = match writer.try_clone() {
-        Ok(reader) => {
-            let (sender, receiver) = sync_channel(queue_depth);
-            let reader_thread = thread::spawn(move || reader_loop(reader, sender));
-            process_queue(&mut writer, &receiver, &shared);
-            // Unblock the reader (it may be mid-read on a socket the
-            // processor abandoned after a write failure) and reap it.
-            writer.shutdown_read();
-            let _ = reader_thread.join();
-            true
-        }
-        Err(_) => false,
-    };
-    if !processed {
-        ServeMetrics::get().errors_frame.incr();
-    }
-    lock(&shared.conns).remove(&id);
-}
-
-fn process_queue(writer: &mut Conn, queue: &Receiver<Result<Vec<u8>, VlppError>>, shared: &Shared) {
-    let metrics = ServeMetrics::get();
-    while let Ok(next) = queue.recv() {
-        match next {
-            Ok(payload) => {
-                let (response, trailing) = process_frame(&payload, shared);
-                // Binary continuation frames (the `sync` stream) follow
-                // their response header on the same ordered channel.
-                let frames = std::iter::once(response.to_string().into_bytes()).chain(trailing);
-                for bytes in frames {
-                    if let Err(error) = write_frame(&mut *writer, &bytes) {
-                        // The client is gone; nothing left to respond to.
-                        if frame::is_timeout(&error) {
-                            metrics.io_timeouts.incr();
-                        }
-                        return;
-                    }
-                }
-            }
-            Err(error) => {
-                // Framing is not resynchronizable: answer with the
-                // typed error (best-effort — the peer may have
-                // disconnected mid-frame) and close.
                 metrics.errors_frame.incr();
                 let response = protocol::error_response(None, &error);
-                let _ = write_frame(&mut *writer, response.to_string().as_bytes());
-                return;
+                let _ = write_frame(reader.get_mut(), response.to_string().as_bytes());
+                break;
+            }
+        };
+        let (response, trailing) = process_frame(&payload, &shared);
+        // Binary continuation frames (the `sync` stream) follow their
+        // response header on the same socket.
+        for bytes in std::iter::once(response.to_string().into_bytes()).chain(trailing) {
+            if let Err(error) = write_frame(reader.get_mut(), &bytes) {
+                // The client is gone; nothing left to respond to.
+                if frame::is_timeout(&error) {
+                    metrics.io_timeouts.incr();
+                }
+                break 'frames;
             }
         }
     }
+    lock(&shared.conns).remove(&id);
 }
 
 /// Parses and executes one request frame, returning the response

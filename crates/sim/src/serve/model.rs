@@ -410,15 +410,39 @@ impl Model {
         Ok(Model { spec, profiled_branches, default_hash, assignment, shards })
     }
 
-    /// Runs a batch through the shards on the global worker pool: the
-    /// batch splits into one index slice per busy shard, each slice
-    /// runs in batch order under one take of its shard's lock, and
-    /// distinct shards run in parallel (one busy shard runs inline).
-    /// One prediction slot per input record, in input order.
+    /// Runs a batch through the shards: a batch that one shard owns
+    /// whole runs inline under one take of that shard's lock; otherwise
+    /// it splits into one index slice per busy shard, each slice runs in
+    /// batch order under one take of its shard's lock, and distinct
+    /// shards run in parallel on the global worker pool. One prediction
+    /// slot per input record, in input order.
     pub fn apply_batch(&self, records: &[BranchRecord]) -> Vec<Option<Prediction>> {
         let metrics = ServeMetrics::get();
         let _span = Span::enter(Arc::clone(&metrics.predict_ns));
         let started = Instant::now();
+        let predictions = match self.sole_owner(records) {
+            Some(shard) => {
+                let mut state = lock_shard(&self.shards[shard]);
+                records.iter().map(|record| state.apply(record)).collect()
+            }
+            None => self.fan_out(records),
+        };
+        let elapsed = started.elapsed().as_secs_f64();
+        if elapsed > 0.0 {
+            metrics.records_per_sec.record((records.len() as f64 / elapsed) as u64);
+        }
+        predictions
+    }
+
+    /// The shard that owns every record of a non-empty batch, if one
+    /// does.
+    fn sole_owner(&self, records: &[BranchRecord]) -> Option<usize> {
+        let shard = self.owner(records.first()?.pc());
+        records[1..].iter().all(|record| self.owner(record.pc()) == shard).then_some(shard)
+    }
+
+    /// [`Model::apply_batch`] for a batch that spans shards (or none).
+    fn fan_out(&self, records: &[BranchRecord]) -> Vec<Option<Prediction>> {
         let mut slices = vec![Vec::new(); self.shards.len()];
         for (index, record) in records.iter().enumerate() {
             slices[self.owner(record.pc())].push(index);
@@ -438,10 +462,6 @@ impl Model {
             for (&index, prediction) in slice.iter().zip(shard_predictions) {
                 predictions[index] = prediction;
             }
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            metrics.records_per_sec.record((records.len() as f64 / elapsed) as u64);
         }
         predictions
     }
@@ -535,17 +555,28 @@ mod tests {
     fn batched_parallel_apply_matches_sequential() {
         let workloads = Workloads::new(Scale::new(1_000_000));
         let records = test_records(&workloads, 4000);
+        let (mut one_owner, mut fanned_out) = (0, 0);
+        for shards in [1, 2, 3, 4] {
+            let reference = Model::train(spec(shards), &workloads).unwrap();
+            let expected = reference.apply_sequential(&records);
 
-        let reference = Model::train(spec(4), &workloads).unwrap();
-        let expected = reference.apply_sequential(&records);
-
-        let served = Model::train(spec(4), &workloads).unwrap();
-        let mut got = Vec::new();
-        for batch in records.chunks(97) {
-            got.extend(served.apply_batch(batch));
+            let served = Model::train(spec(shards), &workloads).unwrap();
+            let mut got = Vec::new();
+            for batch in records.chunks(97) {
+                match served.sole_owner(batch) {
+                    Some(_) => one_owner += 1,
+                    None => fanned_out += 1,
+                }
+                got.extend(served.apply_batch(batch));
+            }
+            assert_eq!(got, expected, "{shards} shards");
+            assert_eq!(
+                served.stats_json().to_json_string(),
+                reference.stats_json().to_json_string(),
+                "{shards} shards"
+            );
         }
-        assert_eq!(got, expected);
-        assert_eq!(served.stats_json().to_json_string(), reference.stats_json().to_json_string());
+        assert!(one_owner > 0 && fanned_out > 0, "both batch paths ran: {one_owner}/{fanned_out}");
     }
 
     #[test]

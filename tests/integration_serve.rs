@@ -26,11 +26,16 @@ impl Server {
     }
 
     fn start_with(threads: &str, extra_args: &[&str]) -> Server {
+        Server::start_with_env(threads, extra_args, &[])
+    }
+
+    fn start_with_env(threads: &str, extra_args: &[&str], env: &[(&str, &str)]) -> Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_vlpp"))
             .args(["serve", "--listen", "127.0.0.1:0", "--scale", "1000000"])
             .args(extra_args)
             .env("VLPP_THREADS", threads)
             .env_remove("VLPP_SCALE")
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -438,5 +443,127 @@ fn multi_chunk_syncs_take_under_a_second() {
     }
     let elapsed = started.elapsed();
     assert!(elapsed < Duration::from_secs(1), "20 multi-chunk syncs took {elapsed:?}");
+    server.shutdown_and_wait();
+}
+
+/// A predict request for `records` seeded records, with an echoed id.
+/// The records cycle through 13 branch sites with a periodic outcome,
+/// so the predictor's answers depend on every record before them.
+fn seeded_predict(model: &str, id: u64, records: u64) -> String {
+    let records: Vec<String> = (0..records)
+        .map(|i| {
+            let n = id * records + i;
+            let pc = 4096 + 64 * (n % 13);
+            let taken = (n * 7) % 5 < 3;
+            format!(r#"{{"pc":{pc},"target":{},"kind":"cond","taken":{taken}}}"#, pc + 128)
+        })
+        .collect();
+    format!(r#"{{"verb":"predict","id":{id},"model":"{model}","records":[{}]}}"#, records.join(","))
+}
+
+/// With one thread per connection, a client that pipelines is held back
+/// by the socket buffers alone. 256 predicts (8x the per-connection
+/// queue depth the server once had) go out before any response is
+/// read; the answers come back in id order and byte-identical to the
+/// same requests sent one at a time to a freshly trained model.
+#[test]
+fn pipelined_predicts_beyond_the_old_queue_depth_answer_in_order() {
+    const FRAMES: u64 = 256;
+    let server = Server::start("2");
+    let mut conn = server.connect();
+    let train = train_request("pipe");
+    assert_eq!(call(&mut conn, &train).get("ok").and_then(|v| v.as_bool()), Some(true));
+
+    for id in 0..FRAMES {
+        write_frame(&mut conn, seeded_predict("pipe", id, 8).as_bytes()).expect("request writes");
+    }
+    let pipelined: Vec<Vec<u8>> = (0..FRAMES)
+        .map(|_| read_frame(&mut conn).expect("response reads").expect("not EOF"))
+        .collect();
+
+    // Retraining replaces the model with a fresh one.
+    assert_eq!(call(&mut conn, &train).get("ok").and_then(|v| v.as_bool()), Some(true));
+    for (id, response) in (0..FRAMES).zip(&pipelined) {
+        write_frame(&mut conn, seeded_predict("pipe", id, 8).as_bytes()).expect("request writes");
+        let closed_loop = read_frame(&mut conn).expect("response reads").expect("not EOF");
+        assert_eq!(
+            String::from_utf8_lossy(response),
+            String::from_utf8_lossy(&closed_loop),
+            "response {id}"
+        );
+        let parsed = JsonValue::parse(std::str::from_utf8(response).expect("utf-8"))
+            .expect("response parses");
+        assert_eq!(parsed.get("id").and_then(|v| v.as_u64()), Some(id), "{parsed}");
+        let predictions = parsed.get("predictions").and_then(|p| p.as_array()).expect("slots");
+        assert_eq!(predictions.len(), 8, "{parsed}");
+    }
+    server.shutdown_and_wait();
+}
+
+/// The server numbers its frame operations deterministically: on one
+/// closed-loop connection, request k is frame op 2k-1 and its response
+/// op 2k. So `netdrop@4` drops exactly the second response: the first
+/// ping is answered, the second sees EOF with no response, and a fresh
+/// connection is served as usual.
+#[test]
+fn server_netdrop_at_frame_four_drops_exactly_the_second_response() {
+    let server = Server::start_with_env("2", &[], &[("VLPP_FAULT", "netdrop@4")]);
+    let mut conn = server.connect();
+    let pong = call(&mut conn, r#"{"verb":"ping"}"#);
+    assert_eq!(pong.get("ok").and_then(|v| v.as_bool()), Some(true), "{pong}");
+    write_frame(&mut conn, br#"{"verb":"ping"}"#).expect("second ping writes");
+    match read_frame(&mut conn) {
+        Ok(None) => {}
+        other => panic!("the dropped response must leave a bare EOF, got {other:?}"),
+    }
+
+    let mut fresh = server.connect();
+    let pong = call(&mut fresh, r#"{"verb":"ping"}"#);
+    assert_eq!(pong.get("ok").and_then(|v| v.as_bool()), Some(true), "{pong}");
+    server.shutdown_and_wait();
+}
+
+/// The thread count of a running process, from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn thread_count(pid: u32) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("status reads");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|count| count.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+/// Each open connection costs the server exactly one thread, and
+/// closing it gives the thread back.
+#[cfg(target_os = "linux")]
+#[test]
+fn one_connection_costs_one_thread() {
+    const CONNECTIONS: usize = 4;
+    let server = Server::start("2");
+    let pid = server.child.id();
+    // One served round trip first: the acceptor and the signal watcher
+    // are running by then, so the baseline is settled.
+    let mut warm = server.connect();
+    assert_eq!(
+        call(&mut warm, r#"{"verb":"ping"}"#).get("ok").and_then(|v| v.as_bool()),
+        Some(true)
+    );
+    let baseline = thread_count(pid);
+
+    let mut conns: Vec<TcpStream> = (0..CONNECTIONS).map(|_| server.connect()).collect();
+    // A round trip on each guarantees every handler is up.
+    for conn in &mut conns {
+        let pong = call(conn, r#"{"verb":"ping"}"#);
+        assert_eq!(pong.get("ok").and_then(|v| v.as_bool()), Some(true), "{pong}");
+    }
+    assert_eq!(thread_count(pid), baseline + CONNECTIONS, "one thread per connection");
+
+    drop(conns);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while thread_count(pid) != baseline {
+        assert!(Instant::now() < deadline, "closed connections must give their threads back");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     server.shutdown_and_wait();
 }
