@@ -8,36 +8,41 @@
 //!
 //! # Why the comparison is exact
 //!
-//! Records are partitioned by *shard*: connection `c` carries exactly
-//! the records of shards `s` with `s % connections == c`, each in trace
-//! order. Every shard is therefore driven by one connection, so the
-//! server sees each shard's sub-stream in trace order no matter how the
-//! connections' batches interleave — which is precisely the determinism
-//! contract of [`super::model`]. Batch sizes are randomized (seeded,
-//! reproducible) to exercise batching boundaries, and every
-//! `--update-every`-th batch goes through the `update` verb to check
-//! that its state transition matches `predict`'s.
+//! Records are partitioned by *shard*, and each shard's sub-stream is
+//! driven by exactly one worker: with `workers = min(connections,
+//! shards)`, worker `c` drives shards `s % workers == c`, one after
+//! another, each in trace order. The server therefore sees each shard's
+//! sub-stream in trace order no matter how the workers' batches
+//! interleave — which is precisely the determinism contract of
+//! [`super::model`]. Batch sizes are randomized (seeded, reproducible)
+//! to exercise batching boundaries, and every `--update-every`-th batch
+//! goes through the `update` verb to check that its state transition
+//! matches `predict`'s. After the replay, each shard's `per_shard`
+//! stats entry on a live owner must equal the offline reference's.
 //!
-//! # Cluster mode
+//! # One driver, two views
 //!
-//! With `--routing FILE` (the table `vlpp cluster` emits) the same
-//! oracle drives a cluster: per shard, `predict` goes to the primary
-//! node and the identical batch goes to the replica via `update`, so
-//! both kernels see the shard's sub-stream exactly once and stay
-//! byte-identical. When a node dies mid-run (`--kill NODE` SIGKILLs
-//! one after `--kill-after` batches), the survivor takes over —
-//! because it holds the same state the primary had at the last batch
-//! boundary, the oracle must still hold bit-for-bit, and the final
-//! per-shard counters must match the offline reference shard by shard.
+//! A run drives a view of the routing contract ([`super::routing`]):
+//! each shard's primary node and, if it has one, its replica.
+//! `--routing FILE` reads the table `vlpp cluster` publishes;
+//! `--addr`/`--uds` is the one-node view, in which that server is every
+//! shard's primary and no shard has a replica. One batch loop serves
+//! both: a batch goes to the shard's primary and the identical batch to
+//! its replica via `update`, so both kernels see the shard's sub-stream
+//! exactly once and stay byte-identical. When a node dies mid-run
+//! (`--kill NODE` SIGKILLs one after `--kill-after` batches), the
+//! replica takes over — it holds the state the primary had at the last
+//! batch boundary, so the oracle must still hold bit-for-bit.
 //!
-//! # Resilience
+//! # Node death
 //!
 //! Every socket carries `--io-timeout-ms` read/write deadlines, so a
-//! wedged server surfaces as a typed timeout instead of a hang.
-//! Connect failures retry with backoff under a `--retries` budget
-//! (single-server mode). In cluster mode, `--wait-respawn MS` switches
-//! the failure policy from fail-over to self-heal: a worker that hits
-//! a dead node pauses its shard, polls the routing file until the
+//! wedged server surfaces as a typed timeout instead of a hang. A
+//! refused connect, a reset, or a stream cut off mid-frame means the
+//! node is dead; nothing is retried in place. A shard with no live
+//! owner left fails the run with the typed `shard_unavailable` error.
+//! With `--wait-respawn MS` (cluster view), a worker that hits a dead
+//! node instead pauses its shard, polls the routing file until the
 //! supervisor publishes a strictly newer version with the node's pid
 //! replaced, and resumes against the warm-started replacement — which
 //! is what lets the oracle stay byte-exact across a kill + respawn +
@@ -48,7 +53,7 @@ use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -68,10 +73,11 @@ use crate::experiment::{Scale, Workloads};
 /// Parsed `vlpp loadgen` options.
 #[derive(Debug, Clone)]
 pub struct LoadgenOptions {
-    /// The server to drive (from `--addr` or `--uds`; ignored in
-    /// cluster mode, where `--routing` carries the addresses).
+    /// The one server to drive (from `--addr` or `--uds`). Exactly one
+    /// of `target` and `routing` is set.
     pub target: Option<ListenSpec>,
-    /// Concurrent connections (worker threads in cluster mode).
+    /// Concurrent connections: at most this many workers, each driving
+    /// its own shards.
     pub connections: usize,
     /// Benchmark whose test trace is replayed.
     pub benchmark: String,
@@ -79,10 +85,10 @@ pub struct LoadgenOptions {
     pub kind: ModelKind,
     /// Prediction-table index width.
     pub index_bits: u32,
-    /// Model shard count. `None` means: adopt the server's (with
-    /// `--no-train`) or the routing table's (cluster mode) or default
-    /// to `connections` (fresh train) — never silently guess against a
-    /// model that already exists.
+    /// Model shard count. `None` means: adopt the routing table's, or
+    /// the server's (with `--no-train`), or default to `connections`
+    /// (fresh train) — never silently guess against a model that
+    /// already exists.
     pub shards: Option<usize>,
     /// Records taken from the head of the test trace (including the
     /// skipped prefix).
@@ -95,36 +101,29 @@ pub struct LoadgenOptions {
     pub batch: usize,
     /// Seed for the batch-size stream.
     pub seed: u64,
-    /// Send every Nth batch via `update` instead of `predict`
-    /// (0 = always predict; ignored in cluster mode).
+    /// Send every Nth batch to the primary via `update` instead of
+    /// `predict` (0 = always predict).
     pub update_every: usize,
     /// Workload scale (must match the server's).
     pub scale: Scale,
     /// Drive a pre-trained model instead of training one.
     pub no_train: bool,
-    /// After the replay, ask the server to snapshot to this path.
+    /// After the replay, ask the server to snapshot to this path
+    /// (single server only).
     pub save: Option<String>,
-    /// Cluster mode: the routing-table file `vlpp cluster` wrote.
+    /// The routing-table file `vlpp cluster` wrote: drive the cluster.
     pub routing: Option<PathBuf>,
-    /// Cluster mode: SIGKILL this node id mid-run.
+    /// Cluster only: SIGKILL this node id mid-run.
     pub kill: Option<String>,
-    /// Cluster mode: batches to complete before the kill fires.
+    /// Cluster only: batches to complete before the kill fires.
     pub kill_after: u64,
-    /// Send `shutdown` after the run.
+    /// Send `shutdown` to every node after the run.
     pub shutdown: bool,
     /// Socket read/write deadline on every connection, in milliseconds
     /// (0 = unbounded). A call that outlives the deadline surfaces as a
     /// typed timeout error instead of hanging the run.
     pub io_timeout_ms: u64,
-    /// Connect retry budget: refused or timed-out connect attempts are
-    /// retried with backoff this many times (single-server mode only —
-    /// in cluster mode a refused connect *is* the death signal the
-    /// failover logic feeds on, so it is never retried in place).
-    pub retries: u32,
-    /// Base backoff between connect retries, in milliseconds; doubles
-    /// per attempt.
-    pub retry_backoff_ms: u64,
-    /// Cluster mode: when a node dies, wait up to this long for the
+    /// Cluster only: when a node dies, wait up to this long for the
     /// supervisor to respawn it (observed as a routing-table version
     /// bump with a new pid) and retry on the replacement, instead of
     /// failing over to the partner (0 = fail over immediately).
@@ -138,16 +137,16 @@ usage: vlpp loadgen (--addr HOST:PORT | --uds PATH | --routing FILE)
                     [--batch N] [--seed N] [--update-every K] [--scale N]
                     [--no-train] [--save FILE]
                     [--kill NODE --kill-after BATCHES] [--shutdown]
-                    [--io-timeout-ms MS] [--retries N] [--retry-backoff-ms MS]
-                    [--wait-respawn MS]
+                    [--io-timeout-ms MS] [--wait-respawn MS]
 
-Trains a model on the server (or adopts a pre-trained one with
+Trains a model on every node (or adopts a pre-trained one with
 --no-train), replays a synthetic trace over N connections, and fails
 unless every served prediction is byte-identical to the offline
-reference. With --routing the same oracle drives a `vlpp cluster`:
-predict goes to each shard's primary, the identical batch to its
-replica, and --kill proves the oracle holds across a failover. Prints
-one `LOADGEN {json}` summary line.
+reference. --addr/--uds drives one server, which owns every shard.
+--routing drives a `vlpp cluster`: each batch goes to its shard's
+primary and the identical batch to the shard's replica, and --kill
+proves the oracle holds across a failover. Prints one `LOADGEN {json}`
+summary line.
 ";
 
 fn cli_error(message: impl Into<String>) -> VlppError {
@@ -156,12 +155,14 @@ fn cli_error(message: impl Into<String>) -> VlppError {
 
 /// Parses `vlpp loadgen` arguments. Counts that must be positive are
 /// *rejected* at zero with a typed error — never silently clamped to 1,
-/// which would run something other than what was asked for.
+/// which would run something other than what was asked for. So are
+/// options that would be silently ignored for the chosen target.
 ///
 /// # Errors
 ///
 /// [`VlppError::Cli`] on unknown flags, malformed or out-of-range
-/// values, or a missing target address.
+/// values, a missing or doubled target, or an option the target does
+/// not support.
 pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> {
     let mut options = LoadgenOptions {
         target: None,
@@ -183,8 +184,6 @@ pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> 
         kill_after: 4,
         shutdown: false,
         io_timeout_ms: 10_000,
-        retries: 3,
-        retry_backoff_ms: 100,
         wait_respawn_ms: 0,
     };
 
@@ -263,10 +262,6 @@ pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> 
             "--io-timeout-ms" => {
                 options.io_timeout_ms = parse_num::<u64>(iter.next(), "--io-timeout-ms")?
             }
-            "--retries" => options.retries = parse_num::<u32>(iter.next(), "--retries")?,
-            "--retry-backoff-ms" => {
-                options.retry_backoff_ms = parse_num::<u64>(iter.next(), "--retry-backoff-ms")?
-            }
             "--wait-respawn" => {
                 options.wait_respawn_ms = parse_num::<u64>(iter.next(), "--wait-respawn")?
             }
@@ -276,16 +271,26 @@ pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> 
             }
         }
     }
-    if options.routing.is_none() {
-        if options.target.is_none() {
+    match (&options.target, &options.routing) {
+        (None, None) => {
             return Err(cli_error(format!("missing --addr/--uds/--routing\n{LOADGEN_USAGE}")));
         }
-        if options.kill.is_some() {
+        (Some(_), Some(_)) => {
+            return Err(cli_error("--routing names every node; drop --addr/--uds"));
+        }
+        (Some(_), None) if options.kill.is_some() => {
             return Err(cli_error("--kill needs cluster mode (--routing FILE)"));
         }
-        if options.wait_respawn_ms > 0 {
+        (Some(_), None) if options.wait_respawn_ms > 0 => {
             return Err(cli_error("--wait-respawn needs cluster mode (--routing FILE)"));
         }
+        (None, Some(_)) if options.save.is_some() => {
+            return Err(cli_error(
+                "--save needs a single server (--addr/--uds): a cluster node holds only \
+                 the traffic of the shards routed to it",
+            ));
+        }
+        _ => {}
     }
     if options.skip >= options.records && options.records > 0 {
         return Err(cli_error(format!(
@@ -330,36 +335,6 @@ impl Client {
         };
         conn.set_timeouts(io_timeout_ms);
         Ok(Client { conn, next_id: 1 })
-    }
-
-    /// Connects with a retry budget: a transport-level connect failure
-    /// (refused, reset, timed out) backs off and retries up to
-    /// `retries` times, doubling `backoff_ms` per attempt and counting
-    /// each retry in `loadgen.retries`. Only *connects* retry — a verb
-    /// call is never replayed, because `predict`/`update` mutate model
-    /// state and a blind replay would double-apply a batch.
-    pub(crate) fn connect_retry(
-        target: &ListenSpec,
-        io_timeout_ms: u64,
-        retries: u32,
-        backoff_ms: u64,
-    ) -> Result<Client, VlppError> {
-        let mut attempt = 0u32;
-        loop {
-            match Client::connect(target, io_timeout_ms) {
-                Ok(client) => return Ok(client),
-                Err(error @ VlppError::Io { .. }) if attempt < retries => {
-                    attempt += 1;
-                    vlpp_metrics::counter("loadgen.retries").incr();
-                    let wait = backoff_ms.saturating_mul(1u64 << (attempt - 1).min(6));
-                    eprintln!(
-                        "loadgen: connect failed ({error}); retry {attempt}/{retries} in {wait}ms"
-                    );
-                    thread::sleep(std::time::Duration::from_millis(wait));
-                }
-                Err(error) => return Err(error),
-            }
-        }
     }
 
     /// Calls the `sync` verb and reassembles the streamed snapshot:
@@ -454,34 +429,45 @@ impl Client {
     }
 }
 
-/// What one connection thread did.
-struct ConnReport {
-    /// `(trace_index, served prediction rendered compactly)` for every
-    /// record that went through `predict`.
-    served: Vec<(usize, String)>,
+/// What one worker did, or all of them summed.
+#[derive(Default)]
+struct Tally {
     batches: u64,
     predicted: u64,
     updated: u64,
     failovers: u64,
+    /// Served predictions that differ from the offline reference.
+    mismatches: u64,
+    /// The first of them: `(trace index, served prediction)`.
+    first_mismatch: Option<(usize, String)>,
 }
 
-fn records_json(batch: &[(usize, BranchRecord)]) -> JsonValue {
-    JsonValue::Array(batch.iter().map(|(_, record)| record_to_json(record)).collect())
+impl Tally {
+    fn absorb(&mut self, other: Tally) {
+        self.batches += other.batches;
+        self.predicted += other.predicted;
+        self.updated += other.updated;
+        self.failovers += other.failovers;
+        self.mismatches += other.mismatches;
+        self.first_mismatch = self.first_mismatch.take().or(other.first_mismatch);
+    }
 }
 
 fn batch_body(model: &str, batch: &[(usize, BranchRecord)]) -> Vec<(String, JsonValue)> {
+    let records = batch.iter().map(|(_, record)| record_to_json(record)).collect();
     vec![
         ("model".to_string(), JsonValue::Str(model.to_string())),
-        ("records".to_string(), records_json(batch)),
+        ("records".to_string(), JsonValue::Array(records)),
     ]
 }
 
-/// Extracts and oracle-checks the predictions array of one `predict`
-/// response.
+/// Extracts the predictions array of one `predict` response and checks
+/// each against the offline reference.
 fn collect_predictions(
     response: &JsonValue,
     batch: &[(usize, BranchRecord)],
-    report: &mut ConnReport,
+    expected: &[String],
+    report: &mut Tally,
 ) -> Result<(), VlppError> {
     let predictions = response.get("predictions").and_then(|p| p.as_array()).ok_or_else(|| {
         VlppError::protocol(
@@ -496,50 +482,14 @@ fn collect_predictions(
         ));
     }
     for ((index, _), prediction) in batch.iter().zip(predictions) {
-        report.served.push((*index, prediction.to_json_string()));
+        let served = prediction.to_json_string();
+        if served != expected[*index] {
+            report.mismatches += 1;
+            report.first_mismatch.get_or_insert((*index, served));
+        }
     }
     report.predicted += batch.len() as u64;
     Ok(())
-}
-
-fn drive_connection(
-    target: &ListenSpec,
-    model: &str,
-    work: &[(usize, BranchRecord)],
-    options: &LoadgenOptions,
-    mut rng: XorShift64,
-) -> Result<ConnReport, VlppError> {
-    let batch_max = options.batch;
-    let update_every = options.update_every;
-    let mut client = Client::connect_retry(
-        target,
-        options.io_timeout_ms,
-        options.retries,
-        options.retry_backoff_ms,
-    )?;
-    let mut report = ConnReport {
-        served: Vec::with_capacity(work.len()),
-        batches: 0,
-        predicted: 0,
-        updated: 0,
-        failovers: 0,
-    };
-    let mut cursor = 0usize;
-    while cursor < work.len() {
-        let size = (1 + rng.next_u64() % batch_max as u64) as usize;
-        let batch = &work[cursor..(cursor + size).min(work.len())];
-        cursor += batch.len();
-        report.batches += 1;
-        let is_update = update_every > 0 && report.batches.is_multiple_of(update_every as u64);
-        if is_update {
-            client.call("update", batch_body(model, batch))?;
-            report.updated += batch.len() as u64;
-            continue;
-        }
-        let response = client.call("predict", batch_body(model, batch))?;
-        collect_predictions(&response, batch, &mut report)?;
-    }
-    Ok(report)
 }
 
 /// `vlpp loadgen` entry point.
@@ -591,276 +541,83 @@ impl Reference {
             .collect();
         Ok(Reference { spec, model, records, expected })
     }
-
-    /// Partitions the *unskipped* tail by shard, then folds the shard
-    /// streams onto `buckets` workers: bucket `c` owns shards
-    /// `s % buckets == c`, each shard's records in trace order.
-    fn partitions(&self, skip: usize, buckets: usize) -> Vec<Vec<(usize, BranchRecord)>> {
-        let mut partitions: Vec<Vec<(usize, BranchRecord)>> = vec![Vec::new(); buckets];
-        for (index, record) in self.records.iter().enumerate().skip(skip) {
-            let shard = self.model.owner(record.pc());
-            partitions[shard % buckets].push((index, *record));
-        }
-        partitions
-    }
 }
 
-/// Resolves the model spec the run drives, satisfying the shard
-/// contract *before* any record is sent:
-///
-/// - Fresh train: `--shards` (default `connections`) is authoritative;
-///   the server's train response must echo it back.
-/// - `--no-train`: the server's existing model is authoritative; its
-///   spec is fetched over the `stats` verb at connect time, and a
-///   conflicting explicit flag is a fail-fast error — silently driving
-///   a model whose shard count differs from the router's would send
-///   records to the wrong shard and (rightly) fail the oracle later,
-///   but with a far worse diagnostic.
-fn resolve_spec(
-    options: &LoadgenOptions,
-    control: &mut Client,
-    name: &str,
-) -> Result<ModelSpec, VlppError> {
-    if !options.no_train {
-        let shards = options.shards.unwrap_or(options.connections);
-        let spec = ModelSpec {
-            name: name.to_string(),
-            benchmark: options.benchmark.clone(),
-            trace: None,
-            kind: options.kind,
-            index_bits: options.index_bits,
-            shards,
+/// The routing contract a run drives: each shard's primary node and,
+/// if it has one, its replica. Node ids are stable across respawns —
+/// the supervisor replaces a node's address and pid under the same id —
+/// so shard assignments never move mid-run.
+enum View {
+    /// `--addr`/`--uds`: one server, named by its address, is every
+    /// shard's primary, and no shard has a replica.
+    OneNode { id: String, target: ListenSpec },
+    /// `--routing FILE`: the table `vlpp cluster` publishes.
+    Cluster(RoutingTable),
+}
+
+impl View {
+    fn one_node(target: ListenSpec) -> View {
+        let id = match &target {
+            ListenSpec::Tcp(addr) => addr.clone(),
+            ListenSpec::Unix(path) => path.display().to_string(),
         };
-        let response = train_on(control, &spec)?;
-        let echoed = response.get("shards").and_then(|v| v.as_u64());
-        if echoed != Some(shards as u64) {
-            return Err(cli_error(format!(
-                "shard mismatch: asked the server to train {shards} shards, it trained {echoed:?}"
-            )));
-        }
-        return Ok(spec);
+        View::OneNode { id, target }
     }
-    let response =
-        control.call("stats", vec![("model".to_string(), JsonValue::Str(name.to_string()))])?;
-    let stats = response.get("stats").cloned().ok_or_else(|| {
-        VlppError::protocol(Some("stats".to_string()), "stats response has no stats object")
-    })?;
-    let server_shards = stats.get("shards").and_then(|v| v.as_u64()).ok_or_else(|| {
-        VlppError::protocol(Some("stats".to_string()), "stats response has no shard count")
-    })? as usize;
-    if let Some(asked) = options.shards {
-        if asked != server_shards {
-            return Err(cli_error(format!(
-                "shard mismatch: server model `{name}` has {server_shards} shards, \
-                 --shards says {asked}; records would be routed to the wrong shard \
-                 (drop --shards to adopt the server's count)"
-            )));
+
+    /// The shard count the view fixes: a routing table routes a fixed
+    /// count, while one server takes whatever its model has.
+    fn shards(&self) -> Option<usize> {
+        match self {
+            View::OneNode { .. } => None,
+            View::Cluster(table) => Some(table.shards()),
         }
     }
-    let server_benchmark =
-        stats.get("benchmark").and_then(|v| v.as_str()).unwrap_or_default().to_string();
-    let server_kind = stats.get("kind").and_then(|v| v.as_str()).unwrap_or_default().to_string();
-    let server_bits = stats.get("index_bits").and_then(|v| v.as_u64()).unwrap_or_default() as u32;
-    if server_benchmark != options.benchmark {
-        return Err(cli_error(format!(
-            "benchmark mismatch: server model `{name}` was trained on `{server_benchmark}`, \
-             loadgen is replaying `{}`",
-            options.benchmark
-        )));
-    }
-    let kind = ModelKind::from_name(&server_kind)
-        .ok_or_else(|| cli_error(format!("server reports unknown kind `{server_kind}`")))?;
-    if kind != options.kind {
-        return Err(cli_error(format!(
-            "kind mismatch: server model `{name}` is `{server_kind}`, --kind says `{}`",
-            options.kind.name()
-        )));
-    }
-    if server_bits != options.index_bits {
-        return Err(cli_error(format!(
-            "index-bits mismatch: server model `{name}` has {server_bits}, \
-             --index-bits says {}",
-            options.index_bits
-        )));
-    }
-    Ok(ModelSpec {
-        name: name.to_string(),
-        benchmark: options.benchmark.clone(),
-        trace: None,
-        kind,
-        index_bits: server_bits,
-        shards: server_shards,
-    })
-}
 
-fn train_on(client: &mut Client, spec: &ModelSpec) -> Result<JsonValue, VlppError> {
-    client.call(
-        "train",
-        vec![
-            ("model".to_string(), JsonValue::Str(spec.name.clone())),
-            ("benchmark".to_string(), JsonValue::Str(spec.benchmark.clone())),
-            ("kind".to_string(), JsonValue::Str(spec.kind.name().to_string())),
-            ("index_bits".to_string(), JsonValue::UInt(spec.index_bits as u64)),
-            ("shards".to_string(), JsonValue::UInt(spec.shards as u64)),
-        ],
-    )
-}
-
-/// Runs the full loadgen cycle, returning the summary document.
-///
-/// # Errors
-///
-/// See [`loadgen_main`].
-pub fn run_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError> {
-    if options.routing.is_some() {
-        return run_cluster_loadgen(options);
-    }
-    let target = options
-        .target
-        .clone()
-        .ok_or_else(|| cli_error("missing --addr/--uds (single-server mode)"))?;
-    vlpp_metrics::counter("loadgen.retries");
-    let mut control = Client::connect_retry(
-        &target,
-        options.io_timeout_ms,
-        options.retries,
-        options.retry_backoff_ms,
-    )?;
-    let spec = resolve_spec(options, &mut control, "loadgen")?;
-    let reference = Reference::build(options, spec)?;
-    let partitions = reference.partitions(options.skip, options.connections);
-
-    let reports: Vec<Result<ConnReport, VlppError>> = thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .enumerate()
-            .map(|(c, work)| {
-                let rng = XorShift64::new(options.seed ^ mix(c as u64 + 1));
-                let target = &target;
-                let spec = &reference.spec;
-                scope.spawn(move || drive_connection(target, &spec.name, work, options, rng))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle.join().unwrap_or_else(|_| {
-                    Err(VlppError::protocol(None, "a loadgen connection thread panicked"))
-                })
-            })
-            .collect()
-    });
-
-    let mut tally = Tally::default();
-    for report in reports {
-        tally.absorb(report?, &reference.expected);
+    /// The membership version (1 for a freshly built table, and always
+    /// 1 for the one-node view).
+    fn version(&self) -> u64 {
+        match self {
+            View::OneNode { .. } => 1,
+            View::Cluster(table) => table.version(),
+        }
     }
 
-    // Cross-check the aggregate counters: the server saw every record
-    // exactly once (the skipped prefix through the snapshot it warmed
-    // from), so its stats must equal the offline reference's.
-    let stats = control
-        .call("stats", vec![("model".to_string(), JsonValue::Str(reference.spec.name.clone()))])?;
-    let served_stats = stats.get("stats").cloned().unwrap_or(JsonValue::Null);
-    let stats_match = served_stats.to_string() == reference.model.stats_json().to_string();
-
-    let mut extra = Vec::new();
-    if let Some(path) = &options.save {
-        let response = control.call(
-            "save",
-            vec![
-                ("path".to_string(), JsonValue::Str(path.clone())),
-                ("model".to_string(), JsonValue::Str(reference.spec.name.clone())),
-            ],
-        )?;
-        extra.push(("saved".to_string(), JsonValue::Str(path.clone())));
-        extra.push((
-            "snapshot_bytes".to_string(),
-            response.get("bytes").cloned().unwrap_or(JsonValue::Null),
-        ));
+    /// Every node's id and where it listens now, in table order.
+    fn nodes(&self) -> Vec<(String, ListenSpec)> {
+        match self {
+            View::OneNode { id, target } => vec![(id.clone(), target.clone())],
+            View::Cluster(table) => table
+                .nodes()
+                .iter()
+                .map(|n| (n.id.clone(), ListenSpec::Tcp(n.addr.clone())))
+                .collect(),
+        }
     }
-    if options.shutdown {
-        control.call("shutdown", vec![])?;
-    }
-    finish_summary(options, &reference, tally, stats_match, extra)
-}
 
-/// Mismatch accounting shared by both modes.
-#[derive(Default)]
-struct Tally {
-    batches: u64,
-    predicted: u64,
-    updated: u64,
-    failovers: u64,
-    mismatches: u64,
-    first_mismatch: Option<(usize, String)>,
-}
-
-impl Tally {
-    fn absorb(&mut self, report: ConnReport, expected: &[String]) {
-        self.batches += report.batches;
-        self.predicted += report.predicted;
-        self.updated += report.updated;
-        self.failovers += report.failovers;
-        for (index, served) in report.served {
-            if served != expected[index] {
-                self.mismatches += 1;
-                if self.first_mismatch.is_none() {
-                    self.first_mismatch = Some((index, served.clone()));
-                }
+    /// The shard's owner ids, `(primary, replica)`.
+    fn owners(&self, shard: usize) -> (String, Option<String>) {
+        match self {
+            View::OneNode { id, .. } => (id.clone(), None),
+            View::Cluster(table) => {
+                (table.primary(shard).id.clone(), Some(table.replica(shard).id.clone()))
             }
         }
     }
 }
 
-fn finish_summary(
-    options: &LoadgenOptions,
-    reference: &Reference,
-    tally: Tally,
-    stats_match: bool,
-    extra: Vec<(String, JsonValue)>,
-) -> Result<JsonValue, VlppError> {
-    let mut summary = vec![
-        ("connections".to_string(), JsonValue::UInt(options.connections as u64)),
-        ("shards".to_string(), JsonValue::UInt(reference.spec.shards as u64)),
-        ("records".to_string(), JsonValue::UInt(reference.records.len() as u64)),
-        ("skipped".to_string(), JsonValue::UInt(options.skip as u64)),
-        ("batches".to_string(), JsonValue::UInt(tally.batches)),
-        ("predicted".to_string(), JsonValue::UInt(tally.predicted)),
-        ("updated".to_string(), JsonValue::UInt(tally.updated)),
-        ("failovers".to_string(), JsonValue::UInt(tally.failovers)),
-        ("mismatches".to_string(), JsonValue::UInt(tally.mismatches)),
-        ("stats_match".to_string(), JsonValue::Bool(stats_match)),
-    ];
-    summary.extend(extra);
-    if let Some((index, served)) = tally.first_mismatch {
-        let record = &reference.records[index];
-        summary.push((
-            "first_mismatch".to_string(),
-            JsonValue::Object(vec![
-                ("index".to_string(), JsonValue::UInt(index as u64)),
-                ("shard".to_string(), JsonValue::UInt(reference.model.owner(record.pc()) as u64)),
-                ("served".to_string(), JsonValue::Str(served)),
-                ("expected".to_string(), JsonValue::Str(reference.expected[index].clone())),
-            ]),
-        ));
-    }
-    let summary = JsonValue::Object(summary);
-    if tally.mismatches > 0 || !stats_match {
-        return Err(cli_error(format!(
-            "served predictions diverged from the offline reference: LOADGEN {summary}"
-        )));
-    }
-    Ok(summary)
+/// Reads and validates a routing-table file.
+fn load_table(path: &Path) -> Result<RoutingTable, VlppError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|source| VlppError::io(path.to_path_buf(), "read", source))?;
+    let value = JsonValue::parse(text.trim())
+        .map_err(|source| VlppError::Json { what: "routing table".to_string(), source })?;
+    RoutingTable::from_json(&value)
+        .map_err(|message| cli_error(format!("bad routing table {}: {message}", path.display())))
 }
 
-// ---------------------------------------------------------------------
-// Cluster mode
-// ---------------------------------------------------------------------
-
-/// Whether an error means "the node died" (failover) rather than "the
-/// run is wrong" (fail). Transport errors and mid-frame closes are
-/// deaths; a clean protocol-level error from a live server is not.
+/// Whether an error means "the node died" rather than "the run is
+/// wrong" (fail). Transport errors and mid-frame closes are deaths; a
+/// clean protocol-level error from a live server is not.
 fn is_connection_death(error: &VlppError) -> bool {
     match error {
         VlppError::Io { .. } | VlppError::Frame { .. } => true,
@@ -869,70 +626,51 @@ fn is_connection_death(error: &VlppError) -> bool {
     }
 }
 
-/// Typed degraded-mode error: both owners of a shard are down and no
+/// Typed degraded-mode error: every owner of a shard is down and no
 /// replacement has been promoted, so the shard's sub-stream cannot make
 /// progress. The `shard_unavailable:` prefix is the stable grammar
 /// tests and operators match on.
-fn shard_unavailable(verb: &str, shard: usize, primary: &str, replica: &str) -> VlppError {
+fn shard_unavailable(verb: &str, shard: usize, primary: &str, replica: Option<&str>) -> VlppError {
+    let owners = match replica {
+        Some(replica) => format!("primary `{primary}` and replica `{replica}` are both down"),
+        None => format!("primary `{primary}` is down and the shard has no replica"),
+    };
     VlppError::protocol(
         Some(verb.to_string()),
-        format!(
-            "shard_unavailable: shard {shard} has no live owner \
-             (primary `{primary}` and replica `{replica}` are both down)"
-        ),
+        format!("shard_unavailable: shard {shard} has no live owner ({owners})"),
     )
 }
 
-/// Cluster-wide shared state: the current routing table (re-read from
-/// disk as the supervisor rewrites it), who is known dead, and the
+/// Run-wide shared state: the current view (re-read from the routing
+/// file as the supervisor rewrites it), who is known dead, and the
 /// global batch counter the killer thread watches.
-struct ClusterCtx {
-    /// The routing file `vlpp cluster` owns — the supervisor rewrites
-    /// it (with a bumped version) on every membership change.
-    routing_path: PathBuf,
-    table: Mutex<RoutingTable>,
+struct Shared {
+    /// The routing file `vlpp cluster` owns (cluster view only) — the
+    /// supervisor rewrites it, with a bumped version, on every
+    /// membership change.
+    routing_path: Option<PathBuf>,
+    view: Mutex<View>,
     dead: Mutex<HashSet<String>>,
     batches_done: AtomicU64,
     io_timeout_ms: u64,
     wait_respawn_ms: u64,
 }
 
-impl ClusterCtx {
-    /// Reads and validates a routing-table file.
-    fn load_table(path: &std::path::Path) -> Result<RoutingTable, VlppError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|source| VlppError::io(path.to_path_buf(), "read", source))?;
-        let value = JsonValue::parse(text.trim())
-            .map_err(|source| VlppError::Json { what: "routing table".to_string(), source })?;
-        RoutingTable::from_json(&value).map_err(|message| {
-            cli_error(format!("bad routing table {}: {message}", path.display()))
-        })
-    }
-
-    fn version(&self) -> u64 {
-        lock(&self.table).version()
-    }
-
-    /// The shard's owner ids, `(primary, replica)`. These are stable
-    /// across respawns — the supervisor replaces a node's addr/pid
-    /// under the same id precisely so assignments never move.
-    fn owners(&self, shard: usize) -> (String, String) {
-        let table = lock(&self.table);
-        (table.primary(shard).id.clone(), table.replica(shard).id.clone())
-    }
-
-    fn addr_of(&self, id: &str) -> Option<String> {
-        lock(&self.table).nodes().iter().find(|n| n.id == id).map(|n| n.addr.clone())
+impl Shared {
+    /// A copy of the view's node list, so that no lock is held while a
+    /// caller talks to the nodes.
+    fn nodes(&self) -> Vec<(String, ListenSpec)> {
+        lock(&self.view).nodes()
     }
 
     fn is_dead(&self, id: &str) -> bool {
         lock(&self.dead).contains(id)
     }
 
-    fn mark_dead(&self, id: &str) {
+    fn mark_dead(&self, id: &str, error: &VlppError) {
         vlpp_metrics::counter("cluster.failovers").incr();
         if lock(&self.dead).insert(id.to_string()) {
-            eprintln!("loadgen: node `{id}` stopped answering; failing over");
+            eprintln!("loadgen: node `{id}` is down ({error})");
         }
     }
 
@@ -941,10 +679,12 @@ impl ClusterCtx {
     /// the in-memory view. A node whose pid changed in the new table is
     /// a promoted replacement, so its dead mark is cleared and traffic
     /// may route to it again. Returns whether a newer table was
-    /// adopted.
+    /// adopted; the one-node view never changes.
     fn try_reload(&self) -> bool {
-        let Ok(incoming) = Self::load_table(&self.routing_path) else { return false };
-        let mut table = lock(&self.table);
+        let Some(path) = &self.routing_path else { return false };
+        let Ok(incoming) = load_table(path) else { return false };
+        let mut view = lock(&self.view);
+        let View::Cluster(table) = &mut *view else { return false };
         if incoming.version() <= table.version() {
             return false;
         }
@@ -985,7 +725,7 @@ impl ClusterCtx {
                         "waited {}ms for node `{id}` (shard {shard}) to respawn; \
                          the routing table never advanced past version {}",
                         self.wait_respawn_ms,
-                        self.version()
+                        lock(&self.view).version()
                     ),
                 ));
             }
@@ -998,15 +738,15 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// A worker's lazily-connected clients, one per node.
+/// A thread's lazily-connected clients, one per node.
 struct NodePool<'a> {
-    ctx: &'a ClusterCtx,
+    shared: &'a Shared,
     clients: HashMap<String, Client>,
 }
 
 impl<'a> NodePool<'a> {
-    fn new(ctx: &'a ClusterCtx) -> Self {
-        NodePool { ctx, clients: HashMap::new() }
+    fn new(shared: &'a Shared) -> Self {
+        NodePool { shared, clients: HashMap::new() }
     }
 
     /// Calls `verb` on the node named `id`, translating node death into
@@ -1018,24 +758,26 @@ impl<'a> NodePool<'a> {
         verb: &str,
         fields: Vec<(String, JsonValue)>,
     ) -> Result<JsonValue, Option<VlppError>> {
-        if self.ctx.is_dead(id) {
+        if self.shared.is_dead(id) {
             return Err(None);
         }
         let client = match self.clients.entry(id.to_string()) {
             std::collections::hash_map::Entry::Occupied(entry) => entry.into_mut(),
             std::collections::hash_map::Entry::Vacant(slot) => {
                 // Resolve the address at connect time: after a respawn
-                // the id survives but the addr does not. No retry
-                // budget here — in cluster mode a refused connect *is*
-                // the death signal failover feeds on.
-                let addr = self
-                    .ctx
-                    .addr_of(id)
+                // the id survives but the addr does not. A refused
+                // connect *is* the death signal failover feeds on, so
+                // it is never retried in place.
+                let (_, target) = self
+                    .shared
+                    .nodes()
+                    .into_iter()
+                    .find(|(node, _)| node == id)
                     .ok_or_else(|| Some(cli_error(format!("unknown node `{id}`"))))?;
-                match Client::connect(&ListenSpec::Tcp(addr), self.ctx.io_timeout_ms) {
+                match Client::connect(&target, self.shared.io_timeout_ms) {
                     Ok(client) => slot.insert(client),
                     Err(error) if is_connection_death(&error) => {
-                        self.ctx.mark_dead(id);
+                        self.shared.mark_dead(id, &error);
                         return Err(None);
                     }
                     Err(error) => return Err(Some(error)),
@@ -1046,12 +788,35 @@ impl<'a> NodePool<'a> {
             Ok(response) => Ok(response),
             Err(error) if is_connection_death(&error) => {
                 self.clients.remove(id);
-                self.ctx.mark_dead(id);
+                self.shared.mark_dead(id, &error);
                 Err(None)
             }
             Err(error) => Err(Some(error)),
         }
     }
+}
+
+/// Reads node `id`'s `per_shard[shard]` stats entry.
+fn shard_entry(
+    pool: &mut NodePool,
+    model: &str,
+    id: &str,
+    shard: usize,
+) -> Result<JsonValue, Option<VlppError>> {
+    let body = vec![("model".to_string(), JsonValue::Str(model.to_string()))];
+    let response = pool.call(id, "stats", body)?;
+    response
+        .get("stats")
+        .and_then(|s| s.get("per_shard"))
+        .and_then(|v| v.as_array())
+        .and_then(|a| a.get(shard))
+        .cloned()
+        .ok_or_else(|| {
+            Some(VlppError::protocol(
+                Some("stats".to_string()),
+                format!("node `{id}` stats lack per_shard[{shard}]"),
+            ))
+        })
 }
 
 /// Reads the node's applied-record count for `shard`: the per-shard
@@ -1063,97 +828,100 @@ fn shard_records(
     id: &str,
     shard: usize,
 ) -> Result<u64, Option<VlppError>> {
-    let body = vec![("model".to_string(), JsonValue::Str(model.to_string()))];
-    let response = pool.call(id, "stats", body)?;
-    response
-        .get("stats")
-        .and_then(|s| s.get("per_shard"))
-        .and_then(|v| v.as_array())
-        .and_then(|a| a.get(shard))
-        .and_then(|e| e.get("predictions"))
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| {
+    shard_entry(pool, model, id, shard)?.get("predictions").and_then(|v| v.as_u64()).ok_or_else(
+        || {
             Some(VlppError::protocol(
                 Some("stats".to_string()),
                 format!("node `{id}` stats lack per_shard[{shard}].predictions"),
             ))
-        })
+        },
+    )
 }
 
-/// Drives one worker's shards through the cluster: per batch, predict
-/// on the shard's primary and the identical records on its replica via
-/// `update`. A dying node fails over to its partner — or, with
+/// Drives one worker's shards, one after another: per batch, send it
+/// to the shard's primary (`predict`, or `update` on every
+/// `--update-every`-th batch) and the identical records to its replica
+/// via `update`. A dying node fails over to its partner — or, with
 /// `--wait-respawn`, the worker pauses the shard until the supervisor
-/// promotes a replacement and then retries on it. Both owners being
-/// down is the typed `shard_unavailable` error.
-fn drive_cluster_worker(
-    ctx: &ClusterCtx,
-    model: &str,
+/// promotes a replacement and then retries on it. A shard with no live
+/// owner is the typed `shard_unavailable` error.
+fn drive_worker(
+    shared: &Shared,
+    reference: &Reference,
     shards: &[usize],
-    work: &HashMap<usize, Vec<(usize, BranchRecord)>>,
-    batch_max: usize,
+    work: &[Vec<(usize, BranchRecord)>],
+    options: &LoadgenOptions,
     mut rng: XorShift64,
-) -> Result<ConnReport, VlppError> {
-    let mut pool = NodePool::new(ctx);
-    let mut report =
-        ConnReport { served: Vec::new(), batches: 0, predicted: 0, updated: 0, failovers: 0 };
+) -> Result<Tally, VlppError> {
+    let model = &reference.spec.name;
+    let mut pool = NodePool::new(shared);
+    let mut report = Tally::default();
     for &shard in shards {
-        let Some(stream) = work.get(&shard) else { continue };
-        let (primary, replica) = ctx.owners(shard);
+        let stream = &work[shard];
+        let (primary, replica) = lock(&shared.view).owners(shard);
         let mut cursor = 0usize;
         while cursor < stream.len() {
-            let size = (1 + rng.next_u64() % batch_max as u64) as usize;
+            let size = (1 + rng.next_u64() % options.batch as u64) as usize;
             let batch = &stream[cursor..(cursor + size).min(stream.len())];
             cursor += batch.len();
             report.batches += 1;
-            // Predict on the primary; on death, the replica holds the
+            let every = options.update_every as u64;
+            let verb = if every > 0 && report.batches.is_multiple_of(every) {
+                "update"
+            } else {
+                "predict"
+            };
+            // Send to the primary; on death, the replica holds the
             // identical state as of the last batch boundary (it has
             // applied every prior batch via `update`), so the same
-            // predict must yield byte-identical output there. A failed
-            // predict was applied nowhere — the replica only sees a
-            // batch *after* its predict succeeds — so retrying it on a
+            // batch must yield byte-identical output there. A failed
+            // call was applied nowhere — the replica only sees a batch
+            // *after* the primary answers — so retrying it on a
             // replacement warm-started from the replica is exact.
-            let mut write_targets = [Some(&primary), Some(&replica)];
+            let mut owner = primary.as_str();
+            let mut fan_out = replica.as_deref();
             let response = loop {
-                match pool.call(&primary, "predict", batch_body(model, batch)) {
-                    Ok(response) => {
-                        write_targets[0] = None; // primary already trained
-                        break response;
-                    }
+                match pool.call(owner, verb, batch_body(model, batch)) {
+                    Ok(response) => break response,
                     Err(Some(error)) => return Err(error),
-                    Err(None) if ctx.wait_respawn_ms > 0 => {
+                    Err(None) if shared.wait_respawn_ms > 0 => {
                         report.failovers += 1;
                         eprintln!(
-                            "loadgen: shard {shard} predict at record {} pausing for \
-                             respawn of `{primary}`",
+                            "loadgen: shard {shard} {verb} at record {} pausing for \
+                             respawn of `{owner}`",
                             batch[0].0
                         );
-                        ctx.await_respawn(&primary, shard)?;
+                        shared.await_respawn(owner, shard)?;
                     }
-                    Err(None) => {
-                        report.failovers += 1;
-                        write_targets = [None, None];
-                        match pool.call(&replica, "predict", batch_body(model, batch)) {
-                            Ok(response) => break response,
-                            Err(Some(error)) => return Err(error),
-                            Err(None) => {
-                                return Err(shard_unavailable(
-                                    "predict", shard, &primary, &replica,
-                                ));
-                            }
+                    Err(None) => match fan_out.take() {
+                        Some(survivor) => {
+                            report.failovers += 1;
+                            owner = survivor;
                         }
-                    }
+                        None => {
+                            return Err(shard_unavailable(
+                                verb,
+                                shard,
+                                &primary,
+                                replica.as_deref(),
+                            ))
+                        }
+                    },
                 }
             };
-            collect_predictions(&response, batch, &mut report)?;
+            if verb == "predict" {
+                collect_predictions(&response, batch, &reference.expected, &mut report)?;
+            } else {
+                report.updated += batch.len() as u64;
+            }
             // Fan the identical batch to the replica (unless it just
-            // served the predict itself). `update` applies the same
+            // served the batch itself). `update` applies the same
             // state transition as `predict`, so the two kernels stay
             // byte-identical. A replica dying here ends the fan-out —
             // the primary remains the shard's single owner — unless
             // `--wait-respawn` is set, in which case the worker waits
             // for the replacement and then reconciles: the supervisor's
-            // resync pull races this batch's predict, so the
+            // resync pull races this batch on the primary, so the
             // replacement warm-started from the primary holds either
             // the pre-batch or the post-batch boundary (the stability
             // double-pull pins it to a boundary, never mid-batch).
@@ -1162,7 +930,7 @@ fn drive_cluster_worker(
             // would double-apply, a blind skip drops the batch from the
             // replica lineage — a divergence invisible until ANOTHER
             // failover promotes that lineage.
-            if let Some(target) = write_targets[1] {
+            if let Some(target) = fan_out {
                 loop {
                     match pool.call(target, "update", batch_body(model, batch)) {
                         Ok(_) => {
@@ -1170,14 +938,14 @@ fn drive_cluster_worker(
                             break;
                         }
                         Err(Some(error)) => return Err(error),
-                        Err(None) if ctx.wait_respawn_ms > 0 => {
+                        Err(None) if shared.wait_respawn_ms > 0 => {
                             report.failovers += 1;
                             eprintln!(
                                 "loadgen: shard {shard} update at record {} pausing for \
                                  respawn of `{target}`",
                                 batch[0].0
                             );
-                            ctx.await_respawn(target, shard)?;
+                            shared.await_respawn(target, shard)?;
                             let counts =
                                 shard_records(&mut pool, model, target, shard).and_then(|have| {
                                     shard_records(&mut pool, model, &primary, shard)
@@ -1212,7 +980,7 @@ fn drive_cluster_worker(
                                 Err(Some(error)) => return Err(error),
                                 Err(None) => {
                                     return Err(shard_unavailable(
-                                        "stats", shard, &primary, &replica,
+                                        "stats", shard, &primary, fan_out,
                                     ));
                                 }
                             }
@@ -1224,7 +992,7 @@ fn drive_cluster_worker(
                     }
                 }
             }
-            ctx.batches_done.fetch_add(1, Ordering::SeqCst);
+            shared.batches_done.fetch_add(1, Ordering::SeqCst);
         }
     }
     Ok(report)
@@ -1245,20 +1013,160 @@ fn kill_process(pid: u64) -> Result<(), VlppError> {
     Ok(())
 }
 
-/// The cluster slammer: trains every node, drives per-shard streams
-/// through primary + replica, optionally SIGKILLs a node mid-run, and
-/// holds the oracle — byte-identical predictions and shard-exact
-/// counters on the survivors.
-fn run_cluster_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError> {
-    vlpp_metrics::counter("loadgen.retries");
-    let path = options.routing.as_ref().ok_or_else(|| cli_error("cluster mode needs --routing"))?;
-    let table = ClusterCtx::load_table(path)?;
+/// Resolves the model spec the run drives, satisfying the shard
+/// contract *before* any record is sent:
+///
+/// - Fresh train: the shard count is the routing table's, else
+///   `--shards`, else `connections`. Every node trains the same
+///   deterministic model — so a shard's primary and replica kernels
+///   start byte-identical — and must echo the count back. A node that
+///   cannot be reached fails the run.
+/// - `--no-train`: the nodes' existing model is authoritative. Its spec
+///   is fetched over the `stats` verb from every node that answers (one
+///   that does not is marked dead), and any conflict — with the routing
+///   table, an explicit flag or another node — is a fail-fast error:
+///   silently driving a model whose shard count differs from the
+///   router's would send records to the wrong shard and (rightly) fail
+///   the oracle later, but with a far worse diagnostic. `None` means no
+///   node answered.
+fn resolve_spec(
+    options: &LoadgenOptions,
+    shared: &Shared,
+    pool: &mut NodePool,
+) -> Result<Option<ModelSpec>, VlppError> {
+    let name = "loadgen";
+    let routed = lock(&shared.view).shards();
+    let mut spec = ModelSpec {
+        name: name.to_string(),
+        benchmark: options.benchmark.clone(),
+        trace: None,
+        kind: options.kind,
+        index_bits: options.index_bits,
+        shards: routed.or(options.shards).unwrap_or(options.connections),
+    };
+    if !options.no_train {
+        for (id, target) in shared.nodes() {
+            let response = train_on(&mut Client::connect(&target, options.io_timeout_ms)?, &spec)?;
+            let echoed = response.get("shards").and_then(|v| v.as_u64());
+            if echoed != Some(spec.shards as u64) {
+                return Err(cli_error(format!(
+                    "shard mismatch: asked node `{id}` to train {} shards, it trained {echoed:?}",
+                    spec.shards
+                )));
+            }
+        }
+        return Ok(Some(spec));
+    }
+    // Who fixes the shard count, in words for the mismatch error.
+    let mut authority = match (routed, options.shards) {
+        (Some(n), _) => Some((n, format!("the routing table routes {n}"))),
+        (None, Some(n)) => {
+            Some((n, format!("--shards says {n} (drop --shards to adopt the server's count)")))
+        }
+        (None, None) => None,
+    };
+    let mut answered = false;
+    for (id, _) in shared.nodes() {
+        let body = vec![("model".to_string(), JsonValue::Str(name.to_string()))];
+        let stats = match pool.call(&id, "stats", body) {
+            Ok(response) => response.get("stats").cloned().unwrap_or(JsonValue::Null),
+            Err(None) => continue,
+            Err(Some(error)) => return Err(error),
+        };
+        answered = true;
+        let served = |field: &str| stats.get(field).cloned().unwrap_or(JsonValue::Null);
+        for (field, flag, wanted) in [
+            ("benchmark", "--benchmark", JsonValue::Str(options.benchmark.clone())),
+            ("kind", "--kind", JsonValue::Str(options.kind.name().to_string())),
+            ("index_bits", "--index-bits", JsonValue::UInt(options.index_bits as u64)),
+        ] {
+            if served(field) != wanted {
+                return Err(cli_error(format!(
+                    "{field} mismatch: node `{id}` model `{name}` has {}, {flag} says {wanted}",
+                    served(field)
+                )));
+            }
+        }
+        let shards = served("shards").as_u64().ok_or_else(|| {
+            VlppError::protocol(Some("stats".to_string()), format!("node `{id}` reports no shards"))
+        })? as usize;
+        match &authority {
+            Some((n, source)) if *n != shards => {
+                return Err(cli_error(format!(
+                    "shard mismatch: node `{id}` model `{name}` has {shards} shards, but \
+                     {source}; records would be routed to the wrong shard"
+                )));
+            }
+            Some(_) => {}
+            None => authority = Some((shards, format!("node `{id}` has {shards}"))),
+        }
+    }
+    Ok(answered.then(|| {
+        spec.shards = authority.expect("a node answered").0;
+        spec
+    }))
+}
 
-    // The routing table's shard count is authoritative: the table IS
-    // the shard→process map, so a conflicting --shards would route
-    // records to processes that do not own them. Fail fast, by name.
-    if let Some(asked) = options.shards {
-        if asked != table.shards() {
+fn train_on(client: &mut Client, spec: &ModelSpec) -> Result<JsonValue, VlppError> {
+    client.call(
+        "train",
+        vec![
+            ("model".to_string(), JsonValue::Str(spec.name.clone())),
+            ("benchmark".to_string(), JsonValue::Str(spec.benchmark.clone())),
+            ("kind".to_string(), JsonValue::Str(spec.kind.name().to_string())),
+            ("index_bits".to_string(), JsonValue::UInt(spec.index_bits as u64)),
+            ("shards".to_string(), JsonValue::UInt(spec.shards as u64)),
+        ],
+    )
+}
+
+/// The per-shard stats oracle: each shard's live owner has applied the
+/// shard's whole sub-stream exactly once (the skipped prefix through
+/// the snapshot it warmed from), so its `per_shard` entry must equal
+/// the offline reference's, shard by shard.
+fn shard_stats_match(pool: &mut NodePool, reference: &Reference) -> Result<bool, VlppError> {
+    let expected = reference.model.stats_json();
+    let expected = expected.get("per_shard").and_then(|v| v.as_array()).ok_or_else(|| {
+        VlppError::protocol(Some("stats".to_string()), "reference stats lack per_shard")
+    })?;
+    let model = &reference.spec.name;
+    let mut matched = true;
+    for (shard, expected) in expected.iter().enumerate() {
+        let (primary, replica) = lock(&pool.shared.view).owners(shard);
+        let served = match (shard_entry(pool, model, &primary, shard), replica.as_deref()) {
+            (Err(None), Some(replica)) => shard_entry(pool, model, replica, shard),
+            (served, _) => served,
+        };
+        let served = served.map_err(|error| {
+            error.unwrap_or_else(|| shard_unavailable("stats", shard, &primary, replica.as_deref()))
+        })?;
+        matched &= served.to_string() == expected.to_string();
+    }
+    Ok(matched)
+}
+
+/// Runs the full loadgen cycle, returning the summary document: trains
+/// every node (or checks the spec), replays the trace through the
+/// workers (optionally SIGKILLing a node mid-run), holds the oracle —
+/// byte-identical predictions and shard-exact counters on the live
+/// owners — then saves and shuts down as asked.
+///
+/// # Errors
+///
+/// See [`loadgen_main`].
+pub fn run_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError> {
+    let view = match (&options.routing, &options.target) {
+        (Some(path), _) => View::Cluster(load_table(path)?),
+        (None, Some(target)) => View::one_node(target.clone()),
+        (None, None) => return Err(cli_error("missing --addr/--uds/--routing")),
+    };
+    let mut kill_pid = None;
+    if let (Some(path), View::Cluster(table)) = (&options.routing, &view) {
+        // The routing table's shard count is authoritative: the table
+        // IS the shard→process map, so a conflicting --shards would
+        // route records to processes that do not own them. Fail fast,
+        // by name.
+        if let Some(asked) = options.shards.filter(|&asked| asked != table.shards()) {
             return Err(cli_error(format!(
                 "shard mismatch: routing table {} routes {} shards, --shards says {asked} \
                  (drop --shards to adopt the table's count)",
@@ -1266,72 +1174,50 @@ fn run_cluster_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError>
                 table.shards()
             )));
         }
-    }
-    if let Some(kill) = &options.kill {
-        if !table.nodes().iter().any(|n| n.id == *kill) {
-            return Err(cli_error(format!(
-                "--kill {kill}: no such node in the routing table (nodes: {})",
-                table.nodes().iter().map(|n| n.id.as_str()).collect::<Vec<_>>().join(", ")
-            )));
+        if let Some(kill) = &options.kill {
+            let node = table.nodes().iter().find(|n| n.id == *kill).ok_or_else(|| {
+                cli_error(format!(
+                    "--kill {kill}: no such node in the routing table (nodes: {})",
+                    table.nodes().iter().map(|n| n.id.as_str()).collect::<Vec<_>>().join(", ")
+                ))
+            })?;
+            kill_pid = Some(node.pid);
         }
     }
-    let spec = ModelSpec {
-        name: "loadgen".to_string(),
-        benchmark: options.benchmark.clone(),
-        trace: None,
-        kind: options.kind,
-        index_bits: options.index_bits,
-        shards: table.shards(),
-    };
-    // Every node trains the same deterministic model, so the primary
-    // and replica kernels for a shard start byte-identical.
-    if !options.no_train {
-        for node in table.nodes() {
-            let mut client =
-                Client::connect(&ListenSpec::Tcp(node.addr.clone()), options.io_timeout_ms)?;
-            train_on(&mut client, &spec)?;
-        }
-    }
-    let reference = Reference::build(options, spec)?;
-
-    // Partition the stream per shard (trace order within a shard), and
-    // deal shards round-robin onto the worker threads.
-    let mut work: HashMap<usize, Vec<(usize, BranchRecord)>> = HashMap::new();
-    for (index, record) in reference.records.iter().enumerate().skip(options.skip) {
-        let shard = reference.model.owner(record.pc());
-        work.entry(shard).or_default().push((index, *record));
-    }
-    let workers = options.connections.min(table.shards());
-    let shard_sets: Vec<Vec<usize>> =
-        (0..workers).map(|c| (0..table.shards()).filter(|s| s % workers == c).collect()).collect();
-
-    let kill_pid = options
-        .kill
-        .as_ref()
-        .map(|kill| table.nodes().iter().find(|n| n.id == *kill).map(|n| n.pid))
-        .map(|pid| pid.expect("kill target validated above"));
-    let ctx = ClusterCtx {
-        routing_path: path.clone(),
-        table: Mutex::new(table),
+    let shared = Shared {
+        routing_path: options.routing.clone(),
+        view: Mutex::new(view),
         dead: Mutex::new(HashSet::new()),
         batches_done: AtomicU64::new(0),
         io_timeout_ms: options.io_timeout_ms,
         wait_respawn_ms: options.wait_respawn_ms,
     };
+    let mut control = NodePool::new(&shared);
+    let Some(spec) = resolve_spec(options, &shared, &mut control)? else {
+        let (primary, replica) = lock(&shared.view).owners(0);
+        return Err(shard_unavailable("stats", 0, &primary, replica.as_deref()));
+    };
+    let reference = Reference::build(options, spec)?;
+
+    // Partition the unskipped stream per shard (trace order within a
+    // shard), and deal shards round-robin onto the workers.
+    let shards = reference.spec.shards;
+    let mut work: Vec<Vec<(usize, BranchRecord)>> = vec![Vec::new(); shards];
+    for (index, record) in reference.records.iter().enumerate().skip(options.skip) {
+        work[reference.model.owner(record.pc())].push((index, *record));
+    }
+    let workers = options.connections.min(shards);
+    let shard_sets: Vec<Vec<usize>> =
+        (0..workers).map(|c| (c..shards).step_by(workers).collect()).collect();
+
     let done = AtomicBool::new(false);
     let killed = AtomicBool::new(false);
-
-    let reports: Vec<Result<ConnReport, VlppError>> = thread::scope(|scope| {
-        let killer = options.kill.as_ref().map(|kill| {
-            let pid = kill_pid.expect("kill target resolved above");
-            let ctx = &ctx;
-            let done = &done;
-            let killed = &killed;
-            let kill_after = options.kill_after;
-            let kill = kill.clone();
+    let reports: Vec<Result<Tally, VlppError>> = thread::scope(|scope| {
+        let killer = options.kill.as_ref().zip(kill_pid).map(|(kill, pid)| {
+            let (shared, done, killed) = (&shared, &done, &killed);
             scope.spawn(move || {
                 while !done.load(Ordering::SeqCst) {
-                    if ctx.batches_done.load(Ordering::SeqCst) >= kill_after {
+                    if shared.batches_done.load(Ordering::SeqCst) >= options.kill_after {
                         if kill_process(pid).is_ok() {
                             killed.store(true, Ordering::SeqCst);
                             vlpp_metrics::counter("cluster.kills").incr();
@@ -1348,12 +1234,8 @@ fn run_cluster_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError>
             .enumerate()
             .map(|(c, shards)| {
                 let rng = XorShift64::new(options.seed ^ mix(c as u64 + 1));
-                let ctx = &ctx;
-                let work = &work;
-                let model = &reference.spec.name;
-                scope.spawn(move || {
-                    drive_cluster_worker(ctx, model, shards, work, options.batch, rng)
-                })
+                let (shared, reference, work) = (&shared, &reference, &work);
+                scope.spawn(move || drive_worker(shared, reference, shards, work, options, rng))
             })
             .collect();
         let reports = handles
@@ -1373,63 +1255,56 @@ fn run_cluster_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError>
 
     let mut tally = Tally::default();
     for report in reports {
-        tally.absorb(report?, &reference.expected);
+        tally.absorb(report?);
     }
 
-    // Per-shard stats oracle: each shard's surviving owner has seen
-    // the shard's full sub-stream exactly once, so its per-shard
-    // counters must equal the offline reference's, shard by shard.
     // Adopt the latest routing table first: a node respawned since the
     // run started lives at a new address, and its resynced state must
     // satisfy the same oracle.
-    ctx.try_reload();
-    let ref_stats = reference.model.stats_json();
-    let ref_shards =
-        ref_stats.get("per_shard").and_then(|v| v.as_array()).map(|a| a.to_vec()).ok_or_else(
-            || VlppError::protocol(Some("stats".to_string()), "reference stats lack per_shard"),
-        )?;
-    let mut pool = NodePool::new(&ctx);
-    let mut stats_match = true;
-    for (shard, reference_entry) in ref_shards.iter().enumerate() {
-        let (primary, replica) = ctx.owners(shard);
-        let body = vec![("model".to_string(), JsonValue::Str(reference.spec.name.clone()))];
-        let response = match pool.call(&primary, "stats", body.clone()) {
-            Ok(response) => response,
-            Err(Some(error)) => return Err(error),
-            Err(None) => match pool.call(&replica, "stats", body) {
-                Ok(response) => response,
-                Err(Some(error)) => return Err(error),
-                Err(None) => {
-                    return Err(shard_unavailable("stats", shard, &primary, &replica));
-                }
-            },
-        };
-        let served = response
-            .get("stats")
-            .and_then(|s| s.get("per_shard"))
-            .and_then(|v| v.as_array())
-            .and_then(|a| a.get(shard))
-            .cloned()
-            .unwrap_or(JsonValue::Null);
-        if served.to_string() != reference_entry.to_string() {
-            stats_match = false;
-        }
+    shared.try_reload();
+    let stats_match = shard_stats_match(&mut control, &reference)?;
+
+    let mut summary = vec![
+        ("connections".to_string(), JsonValue::UInt(options.connections as u64)),
+        ("shards".to_string(), JsonValue::UInt(shards as u64)),
+        ("records".to_string(), JsonValue::UInt(reference.records.len() as u64)),
+        ("skipped".to_string(), JsonValue::UInt(options.skip as u64)),
+        ("batches".to_string(), JsonValue::UInt(tally.batches)),
+        ("predicted".to_string(), JsonValue::UInt(tally.predicted)),
+        ("updated".to_string(), JsonValue::UInt(tally.updated)),
+        ("failovers".to_string(), JsonValue::UInt(tally.failovers)),
+        ("mismatches".to_string(), JsonValue::UInt(tally.mismatches)),
+        ("stats_match".to_string(), JsonValue::Bool(stats_match)),
+    ];
+    if let Some(path) = &options.save {
+        // Only the one-node view may save (the parser enforces it).
+        let (id, _) = shared.nodes().remove(0);
+        let fields = vec![
+            ("path".to_string(), JsonValue::Str(path.clone())),
+            ("model".to_string(), JsonValue::Str(reference.spec.name.clone())),
+        ];
+        let response = control.call(&id, "save", fields).map_err(|error| {
+            error.unwrap_or_else(|| {
+                VlppError::protocol(Some("save".to_string()), format!("node `{id}` is down"))
+            })
+        })?;
+        summary.push(("saved".to_string(), JsonValue::Str(path.clone())));
+        summary.push((
+            "snapshot_bytes".to_string(),
+            response.get("bytes").cloned().unwrap_or(JsonValue::Null),
+        ));
     }
 
     // Taken before the shutdown pass: a node that goes down there is
     // draining at this client's request (or at the supervisor's
     // propagation of it), not dead.
-    let dead: Vec<JsonValue> = {
-        let mut names: Vec<String> = lock(&ctx.dead).iter().cloned().collect();
-        names.sort();
-        names.into_iter().map(JsonValue::Str).collect()
-    };
+    let mut dead: Vec<String> = lock(&shared.dead).iter().cloned().collect();
+    dead.sort();
     if options.shutdown {
         // Re-read the table once more so a node respawned during the
         // stats pass drains too instead of lingering as an orphan.
-        ctx.try_reload();
-        let ids: Vec<String> = lock(&ctx.table).nodes().iter().map(|n| n.id.clone()).collect();
-        for id in ids {
+        shared.try_reload();
+        for (id, _) in shared.nodes() {
             // Dead nodes cannot drain; survivors must. The fan-out is
             // best-effort beyond that: the supervisor propagates drain
             // cluster-wide the moment the first node exits cleanly, so
@@ -1437,23 +1312,40 @@ fn run_cluster_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError>
             // half already closed, answered with a typed frame error).
             // Every failure mode means the node is going down, which
             // is exactly what this pass is for.
-            match pool.call(&id, "shutdown", vec![]) {
-                Ok(_) | Err(None) => {}
-                Err(Some(error)) => {
-                    eprintln!("loadgen: shutdown of `{id}` raced its drain: {error}");
-                }
+            if let Err(Some(error)) = control.call(&id, "shutdown", vec![]) {
+                eprintln!("loadgen: shutdown of `{id}` raced its drain: {error}");
             }
         }
     }
 
-    let node_count = lock(&ctx.table).nodes().len();
-    let extra = vec![
-        ("nodes".to_string(), JsonValue::UInt(node_count as u64)),
-        ("routing_version".to_string(), JsonValue::UInt(ctx.version())),
+    summary.extend([
+        ("nodes".to_string(), JsonValue::UInt(shared.nodes().len() as u64)),
+        ("routing_version".to_string(), JsonValue::UInt(lock(&shared.view).version())),
         ("killed".to_string(), JsonValue::Bool(killed.load(Ordering::SeqCst))),
-        ("dead_nodes".to_string(), JsonValue::Array(dead)),
-    ];
-    finish_summary(options, &reference, tally, stats_match, extra)
+        (
+            "dead_nodes".to_string(),
+            JsonValue::Array(dead.into_iter().map(JsonValue::Str).collect()),
+        ),
+    ]);
+    if let Some((index, served)) = tally.first_mismatch {
+        let record = &reference.records[index];
+        summary.push((
+            "first_mismatch".to_string(),
+            JsonValue::Object(vec![
+                ("index".to_string(), JsonValue::UInt(index as u64)),
+                ("shard".to_string(), JsonValue::UInt(reference.model.owner(record.pc()) as u64)),
+                ("served".to_string(), JsonValue::Str(served)),
+                ("expected".to_string(), JsonValue::Str(reference.expected[index].clone())),
+            ]),
+        ));
+    }
+    let summary = JsonValue::Object(summary);
+    if tally.mismatches > 0 || !stats_match {
+        return Err(cli_error(format!(
+            "served predictions diverged from the offline reference: LOADGEN {summary}"
+        )));
+    }
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -1494,26 +1386,20 @@ mod tests {
     fn parses_the_resilience_flags() {
         let options = parse(&["--addr", "a:1"]).unwrap();
         assert_eq!(options.io_timeout_ms, 10_000, "deadlines must be on by default");
-        assert_eq!(options.retries, 3);
         assert_eq!(options.wait_respawn_ms, 0, "self-heal waiting is opt-in");
 
-        let options = parse(&[
-            "--routing",
-            "/tmp/r.json",
-            "--io-timeout-ms",
-            "0",
-            "--retries",
-            "9",
-            "--retry-backoff-ms",
-            "5",
-            "--wait-respawn",
-            "2500",
-        ])
-        .unwrap();
+        let options =
+            parse(&["--routing", "/tmp/r.json", "--io-timeout-ms", "0", "--wait-respawn", "2500"])
+                .unwrap();
         assert_eq!(options.io_timeout_ms, 0, "0 must mean unbounded, not an error");
-        assert_eq!(options.retries, 9);
-        assert_eq!(options.retry_backoff_ms, 5);
         assert_eq!(options.wait_respawn_ms, 2500);
+
+        // A refused connect means the node is dead; there is no retry
+        // budget to tune.
+        for flag in ["--retries", "--retry-backoff-ms"] {
+            let error = parse(&["--addr", "a:1", flag, "3"]).unwrap_err();
+            assert!(error.to_string().contains(flag), "{flag}: {error}");
+        }
 
         // Waiting for a respawn only makes sense against a supervisor
         // that rewrites the routing file.
@@ -1523,10 +1409,30 @@ mod tests {
 
     #[test]
     fn shard_unavailable_grammar_is_stable() {
-        let error = shard_unavailable("predict", 3, "node0", "node2");
+        let error = shard_unavailable("predict", 3, "node0", Some("node2"));
         let text = error.to_string();
         assert!(text.contains("shard_unavailable: shard 3 has no live owner"), "{text}");
         assert!(text.contains("`node0`") && text.contains("`node2`"), "{text}");
+
+        let text = shard_unavailable("predict", 0, "127.0.0.1:9", None).to_string();
+        assert!(text.contains("shard_unavailable: shard 0 has no live owner"), "{text}");
+        assert!(text.contains("`127.0.0.1:9`") && text.contains("no replica"), "{text}");
+    }
+
+    #[test]
+    fn one_node_view_makes_the_server_every_shard_primary_with_no_replica() {
+        let view = View::one_node(ListenSpec::Tcp("127.0.0.1:9".to_string()));
+        assert_eq!(view.shards(), None, "one server takes its model's shard count");
+        assert_eq!(view.version(), 1);
+        let tcp = ListenSpec::Tcp("127.0.0.1:9".to_string());
+        assert_eq!(view.nodes(), vec![("127.0.0.1:9".to_string(), tcp)]);
+        for shard in [0, 1, 7] {
+            assert_eq!(view.owners(shard), ("127.0.0.1:9".to_string(), None));
+        }
+
+        let view = View::one_node(ListenSpec::Unix(PathBuf::from("/tmp/s.sock")));
+        assert_eq!(view.owners(3), ("/tmp/s.sock".to_string(), None));
+        assert_eq!(view.nodes()[0].1, ListenSpec::Unix("/tmp/s.sock".into()));
     }
 
     /// The regression tests for the silent `.max(1)` clamps: zero is a
@@ -1548,6 +1454,11 @@ mod tests {
     #[test]
     fn kill_requires_cluster_mode_and_skip_must_leave_records() {
         assert_eq!(parse(&["--addr", "a:1", "--kill", "node0"]).unwrap_err().phase(), "cli");
+        // A cluster node holds only its own shards' traffic: --save is
+        // a typed error there, not a silent no-op.
+        let error = parse(&["--routing", "/tmp/r.json", "--save", "/tmp/m.vlps"]).unwrap_err();
+        assert_eq!(error.phase(), "cli");
+        assert!(error.to_string().contains("--save"), "{error}");
         let error = parse(&["--addr", "a:1", "--skip", "10", "--records", "10"]).unwrap_err();
         assert!(error.to_string().contains("--skip"), "{error}");
         assert!(parse(&["--addr", "a:1", "--skip", "9", "--records", "10"]).is_ok());
@@ -1556,6 +1467,10 @@ mod tests {
     #[test]
     fn missing_target_still_fails_fast() {
         assert_eq!(parse(&[]).unwrap_err().phase(), "cli");
+        // A server and a routing table are two targets, not one.
+        let error = parse(&["--addr", "a:1", "--routing", "/tmp/r.json"]).unwrap_err();
+        assert_eq!(error.phase(), "cli");
+        assert!(error.to_string().contains("--routing"), "{error}");
     }
 
     #[test]

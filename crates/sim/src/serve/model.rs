@@ -479,8 +479,10 @@ impl Model {
 
     /// Accuracy totals across all shards, as the `stats` verb reports
     /// them — aggregate counters plus a `per_shard` breakdown in shard
-    /// order (what the cluster oracle compares shard-by-shard after a
-    /// failover).
+    /// order. The per-shard entries carry every traffic-dependent
+    /// counter, so `vlpp loadgen`'s oracle compares them shard by shard
+    /// (a cluster node only carries traffic for the shards routed to
+    /// it).
     pub fn stats_json(&self) -> JsonValue {
         let mut predictions = 0u64;
         let mut mispredictions = 0u64;
@@ -489,12 +491,14 @@ impl Model {
         for shard in &self.shards {
             let state = lock_shard(shard);
             let (p, m) = state.totals();
+            let branches = state.static_branches();
             predictions += p;
             mispredictions += m;
-            static_branches += state.static_branches();
+            static_branches += branches;
             per_shard.push(JsonValue::Object(vec![
                 ("predictions".to_string(), JsonValue::UInt(p)),
                 ("mispredictions".to_string(), JsonValue::UInt(m)),
+                ("static_branches".to_string(), JsonValue::UInt(branches as u64)),
             ]));
         }
         let miss_rate =

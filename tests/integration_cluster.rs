@@ -108,7 +108,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The full drill at a given server thread count: 3 nodes, 4 shards,
 /// kill shard 0's primary after 10 batches, expect a clean oracle.
 /// Small batches (`--batch 32`) keep plenty of stream after the kill so
-/// the failover path does real work.
+/// the failover path does real work; every 4th batch goes to both
+/// owners as `update`.
 fn failover_drill(threads: &str) {
     let dir = temp_dir(threads);
     let routing = dir.join("routing.json");
@@ -119,6 +120,7 @@ fn failover_drill(threads: &str) {
     let output = Command::new(env!("CARGO_BIN_EXE_vlpp"))
         .args(["loadgen", "--routing", routing.to_str().expect("utf-8 path")])
         .args(["--records", "6000", "--connections", "4", "--batch", "32"])
+        .args(["--update-every", "4"])
         .args(["--kill", &victim, "--kill-after", "10"])
         .args(["--scale", "1000000", "--shutdown"])
         .env("VLPP_THREADS", "2")
@@ -165,6 +167,65 @@ fn cluster_failover_holds_the_oracle_at_one_server_thread() {
 #[test]
 fn cluster_failover_holds_the_oracle_at_eight_server_threads() {
     failover_drill("8");
+}
+
+/// The shard that carries the most of the first `records` records of
+/// the drills' trace (`compress` at scale 1 000 000). Its branch PCs
+/// share one residue mod 4 in word units, so at 4 shards one shard
+/// carries them all, and it is not shard 0.
+fn busiest_shard(shards: usize, records: usize) -> usize {
+    let workloads = vlpp_sim::Workloads::new(vlpp_sim::Scale::new(1_000_000));
+    let benchmark = vlpp_synth::suite::benchmark("compress").expect("known benchmark");
+    let mut counts = vec![0usize; shards];
+    for record in workloads.test_trace(&benchmark).iter().take(records) {
+        counts[vlpp_sim::serve::routing::shard_of(record.pc(), shards)] += 1;
+    }
+    (0..shards).max_by_key(|&shard| counts[shard]).expect("at least one shard")
+}
+
+/// Kills the primary of the shard that carries the traffic, after
+/// update batches have gone to both of its owners. The replica must
+/// then serve the shard's predictions from state that those update
+/// batches helped build, so a lost or doubled update fan-out breaks
+/// the oracle. (`failover_drill` kills shard 0's primary, which at 4
+/// shards owns no traffic, so its kill only ends a replica fan-out.)
+#[test]
+fn primary_failover_after_update_batches_holds_the_oracle() {
+    let dir = temp_dir("update");
+    let routing = dir.join("routing.json");
+    let cluster = Cluster::start("2", "3", "4", &routing);
+    let shard = busiest_shard(4, 6000);
+    let assignments =
+        cluster.table.get("assignments").and_then(|v| v.as_array()).expect("assignments");
+    let primary = assignments[shard].as_array().expect("pair")[0].as_u64().expect("index");
+    let nodes = cluster.table.get("nodes").and_then(|v| v.as_array()).expect("nodes");
+    let victim = nodes[primary as usize].get("id").and_then(|v| v.as_str()).expect("id");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_vlpp"))
+        .args(["loadgen", "--routing", routing.to_str().expect("utf-8 path")])
+        .args(["--records", "6000", "--connections", "4", "--batch", "32"])
+        .args(["--update-every", "4", "--kill", victim, "--kill-after", "10"])
+        .args(["--scale", "1000000", "--shutdown"])
+        .env("VLPP_THREADS", "2")
+        .env_remove("VLPP_SCALE")
+        .output()
+        .expect("loadgen runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "loadgen failed:\nstdout: {stdout}\nstderr: {stderr}");
+    let line = stdout.lines().find(|l| l.starts_with("LOADGEN ")).expect("LOADGEN line");
+    let summary =
+        JsonValue::parse(line.strip_prefix("LOADGEN ").expect("prefix")).expect("summary parses");
+    assert_eq!(summary.get("mismatches").and_then(|v| v.as_u64()), Some(0), "{summary}");
+    assert_eq!(summary.get("stats_match").and_then(|v| v.as_bool()), Some(true), "{summary}");
+    assert_eq!(summary.get("killed").and_then(|v| v.as_bool()), Some(true), "{summary}");
+    assert!(summary.get("failovers").and_then(|v| v.as_u64()).unwrap_or(0) >= 1, "{summary}");
+    let dead = summary.get("dead_nodes").and_then(|v| v.as_array()).expect("dead_nodes");
+    assert_eq!(dead, &[JsonValue::Str(victim.to_string())], "{summary}");
+
+    let exit = cluster.wait_exit();
+    assert_eq!(exit.get("died").and_then(|v| v.as_u64()), Some(1), "{exit}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A `--shards` flag conflicting with the routing table is a fail-fast

@@ -347,6 +347,48 @@ fn pretrained_shard_count_mismatch_fails_fast_before_any_record() {
     server.shutdown_and_wait();
 }
 
+/// More shards than connections: worker `c` of 3 drives shards
+/// `s % 3 == c` one after another over one connection (worker 0 gets
+/// 0, 3 and 6), and the oracle and all 8 per-shard stats entries still
+/// hold. Today every `compress` record lands in shard 7, so worker 1
+/// sends every batch and the other shards stay empty.
+#[test]
+fn one_worker_drives_several_shards_on_one_server() {
+    let server = Server::start("2");
+    let summary = run_loadgen_ok(
+        &server.addr,
+        &["--shards", "8", "--connections", "3", "--records", "6000", "--update-every", "4"],
+    );
+    assert_eq!(summary.get("shards").and_then(|v| v.as_u64()), Some(8), "{summary}");
+    assert_eq!(summary.get("connections").and_then(|v| v.as_u64()), Some(3), "{summary}");
+    assert_eq!(summary.get("nodes").and_then(|v| v.as_u64()), Some(1), "{summary}");
+    server.shutdown_and_wait();
+}
+
+/// The one death policy on one node: a refused connect means the
+/// server is dead, and nothing retries it. Loadgen aimed at a loopback
+/// port that was bound and then closed exits non-zero at once, with a
+/// typed error naming the connect failure.
+#[test]
+fn a_refused_connect_fails_the_run_at_once() {
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        listener.local_addr().expect("local addr").to_string()
+    };
+    let started = Instant::now();
+    let output = Command::new(env!("CARGO_BIN_EXE_vlpp"))
+        .args(["loadgen", "--addr", &addr, "--records", "500", "--scale", "1000000"])
+        .env("VLPP_THREADS", "2")
+        .env_remove("VLPP_SCALE")
+        .output()
+        .expect("loadgen runs");
+    let elapsed = started.elapsed();
+    assert!(!output.status.success(), "a closed port cannot pass the oracle");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("connect") && stderr.contains(&addr), "names the failure: {stderr}");
+    assert!(elapsed < Duration::from_secs(5), "a dead server fails fast, took {elapsed:?}");
+}
+
 #[test]
 fn loadgen_predictions_match_offline_at_one_server_thread() {
     let server = Server::start("1");
