@@ -1,14 +1,17 @@
 //! `vlpp microbench` — predictions-per-second microbenchmarks of the
 //! path predictor's hot loop.
 //!
-//! Two benches run, each printed as one `BENCH {json}` line (the same
+//! Three benches run, each printed as one `BENCH {json}` line (the same
 //! stream `scripts/bench_record.sh` collects and `vlpp-metrics-check
 //! --bench` gates against `BENCH_baseline.json`):
 //!
 //! * `kernel/cond_soa` — the conditional path predictor through the
 //!   fused [`CondKernel`](vlpp_core::CondKernel) loop;
 //! * `kernel/ind_soa` — the indirect analogue through
-//!   [`IndKernel`](vlpp_core::IndKernel).
+//!   [`IndKernel`](vlpp_core::IndKernel);
+//! * `serve/codec` — the serve path's JSON codec: `parse_request` of an
+//!   8-record `predict` frame (gcc records, as `vlpp loadgen` sends
+//!   them) plus the encode of its response.
 //!
 //! Each line carries one field the plain harness lines don't:
 //! `records_per_sec`, derived from the median iteration — the
@@ -19,7 +22,10 @@ use vlpp_core::{HashAssignment, PathConfig};
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord, Trace, VlppError};
 
+use crate::experiment::{Scale, Workloads};
 use crate::runner::{run_path_conditional, run_path_indirect};
+use crate::serve::protocol;
+use crate::serve::Prediction;
 
 const USAGE: &str = "\
 usage: vlpp microbench [--records N]
@@ -71,6 +77,61 @@ fn spread_assignment() -> HashAssignment {
         assignment.assign(Addr::new(0x1_0000 | i << 2), (i % 32 + 1) as u8);
     }
     assignment
+}
+
+/// Records per `serve/codec` frame: `serve-tcp-small`'s batch size.
+const CODEC_BATCH: usize = 8;
+
+/// Distinct frames the `serve/codec` bench cycles through.
+const CODEC_FRAMES: usize = 256;
+
+/// `serve/codec`'s inputs: [`CODEC_FRAMES`] `predict` payloads of
+/// [`CODEC_BATCH`] consecutive gcc test-trace records each, and for each
+/// one a prediction slot per record (a correct prediction for the
+/// kinds a model predicts, `None` for the rest).
+fn codec_frames() -> Vec<(Vec<u8>, Vec<Option<Prediction>>)> {
+    let workloads = Workloads::new(Scale::new(1_000_000));
+    let gcc = vlpp_synth::suite::benchmark("gcc").expect("gcc is in the suite");
+    let trace = workloads.test_trace(&gcc);
+    let records: Vec<BranchRecord> = trace.iter().copied().collect();
+    records
+        .chunks_exact(CODEC_BATCH)
+        .take(CODEC_FRAMES)
+        .map(|batch| {
+            let request = JsonValue::Object(vec![
+                ("verb".to_string(), "predict".to_json()),
+                ("model".to_string(), "gcc-cond".to_json()),
+                (
+                    "records".to_string(),
+                    JsonValue::Array(batch.iter().map(protocol::record_to_json).collect()),
+                ),
+            ]);
+            let slots = batch
+                .iter()
+                .map(|record| {
+                    if record.is_conditional() {
+                        Some(Prediction::Taken { taken: record.taken(), correct: true })
+                    } else if record.is_indirect() {
+                        Some(Prediction::Target { target: record.target(), correct: true })
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            (request.to_string().into_bytes(), slots)
+        })
+        .collect()
+}
+
+/// One `serve/codec` iteration: decode and answer `records` records'
+/// worth of frames, cycling through `frames`.
+fn codec_pass(frames: &[(Vec<u8>, Vec<Option<Prediction>>)], records: usize) -> usize {
+    let mut bytes = 0;
+    for (payload, slots) in frames.iter().cycle().take(records.div_ceil(CODEC_BATCH)) {
+        let request = protocol::parse_request(payload).expect("codec frames are valid requests");
+        bytes += protocol::predict_response(request.id, slots).len();
+    }
+    bytes
 }
 
 /// Prints `report`'s `BENCH` line with `records_per_sec` appended.
@@ -141,6 +202,10 @@ pub fn run(records: usize) {
         run_path_indirect(&ind_config, &assignment, &ind_trace)
     });
     print_with_throughput(&ind, records);
+
+    let frames = codec_frames();
+    let codec = measure("serve/codec", config, || codec_pass(&frames, records));
+    print_with_throughput(&codec, records.div_ceil(CODEC_BATCH) * CODEC_BATCH);
 }
 
 #[cfg(test)]
@@ -163,6 +228,21 @@ mod tests {
         }
         let text = json.to_json_string();
         assert!(text.contains("\"records_per_sec\":100000000"), "{text}");
+    }
+
+    #[test]
+    fn codec_frames_are_full_predict_batches() {
+        let frames = codec_frames();
+        assert_eq!(frames.len(), CODEC_FRAMES);
+        for (payload, slots) in &frames {
+            assert_eq!(slots.len(), CODEC_BATCH);
+            let request = protocol::parse_request(payload).unwrap();
+            assert!(matches!(
+                request.verb,
+                protocol::Verb::Predict { records, .. } if records.len() == CODEC_BATCH
+            ));
+        }
+        assert!(codec_pass(&frames, 20) > 0);
     }
 
     #[test]

@@ -645,7 +645,7 @@ fn handle_connection(id: u64, conn: Conn, shared: Arc<Shared>) {
         let (response, trailing) = process_frame(&payload, &shared);
         // Binary continuation frames (the `sync` stream) follow their
         // response header on the same socket.
-        for bytes in std::iter::once(response.to_string().into_bytes()).chain(trailing) {
+        for bytes in std::iter::once(response).chain(trailing) {
             if let Err(error) = write_frame(reader.get_mut(), &bytes) {
                 // The client is gone; nothing left to respond to.
                 if frame::is_timeout(&error) {
@@ -659,37 +659,40 @@ fn handle_connection(id: u64, conn: Conn, shared: Arc<Shared>) {
 }
 
 /// Parses and executes one request frame, returning the response
-/// document plus any binary continuation frames to write after it (the
+/// payload plus any binary continuation frames to write after it (the
 /// `sync` verb's snapshot chunks; empty for every other verb).
 /// Protocol-level failures become error responses; the connection
 /// stays usable.
-fn process_frame(payload: &[u8], shared: &Shared) -> (JsonValue, Vec<Vec<u8>>) {
+fn process_frame(payload: &[u8], shared: &Shared) -> Reply {
     let metrics = ServeMetrics::get();
     let request = match protocol::parse_request(payload) {
         Ok(request) => request,
         Err(error) => {
             metrics.errors_protocol.incr();
-            return (protocol::error_response(None, &error), Vec::new());
+            return (protocol::error_response(None, &error).to_string().into_bytes(), Vec::new());
         }
     };
-    let verb = request.verb.name();
     let index = request.verb.index();
     metrics.requests[index].incr();
     let _span = Span::enter(Arc::clone(&metrics.verb_ns[index]));
-    match execute(request.verb, shared) {
-        Ok((body, trailing)) => (protocol::ok_response(verb, request.id, body), trailing),
-        Err(error) => {
-            metrics.errors_protocol.incr();
-            (protocol::error_response(request.id, &error), Vec::new())
-        }
-    }
+    execute(request.id, request.verb, shared).unwrap_or_else(|error| {
+        metrics.errors_protocol.incr();
+        (protocol::error_response(request.id, &error).to_string().into_bytes(), Vec::new())
+    })
 }
 
-/// A verb's result: the response body fields, plus binary frames to
-/// stream after the response (only `sync` uses the latter).
-type ExecOutcome = (Vec<(String, JsonValue)>, Vec<Vec<u8>>);
+/// A verb's reply: the response payload, plus binary frames to stream
+/// after it (only `sync` uses the latter).
+type Reply = (Vec<u8>, Vec<Vec<u8>>);
 
-fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
+/// Executes one verb. `predict` and `update`, the per-record verbs,
+/// encode their responses straight to bytes; the control verbs build an
+/// [`protocol::ok_response`] tree.
+fn execute(id: Option<u64>, verb: Verb, shared: &Shared) -> Result<Reply, VlppError> {
+    let name = verb.name();
+    let ok = |body: Vec<(String, JsonValue)>| {
+        protocol::ok_response(name, id, body).to_string().into_bytes()
+    };
     match verb {
         Verb::Train(spec) => {
             let model = Model::train(spec, &shared.workloads)?;
@@ -701,26 +704,23 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
                 ("profiled_branches".to_string(), JsonValue::UInt(model.profiled_branches as u64)),
             ];
             lock(&shared.models).insert(model.spec.name.clone(), Arc::new(model));
-            Ok((body, Vec::new()))
+            Ok((ok(body), Vec::new()))
         }
         Verb::Predict { model, records } => {
             let model = shared.lookup(&model, "predict")?;
             ServeMetrics::get().batch(records.len());
             let predictions = model.apply_batch(&records);
-            Ok((
-                vec![("predictions".to_string(), protocol::predictions_to_json(&predictions))],
-                Vec::new(),
-            ))
+            Ok((protocol::predict_response(id, &predictions), Vec::new()))
         }
         Verb::Update { model, records } => {
             let model = shared.lookup(&model, "update")?;
             ServeMetrics::get().batch(records.len());
             model.apply_batch(&records);
-            Ok((vec![("records".to_string(), JsonValue::UInt(records.len() as u64))], Vec::new()))
+            Ok((protocol::update_response(id, records.len()), Vec::new()))
         }
         Verb::Stats { model: Some(name) } => {
             let model = shared.lookup(&name, "stats")?;
-            Ok((vec![("stats".to_string(), model.stats_json())], Vec::new()))
+            Ok((ok(vec![("stats".to_string(), model.stats_json())]), Vec::new()))
         }
         Verb::Stats { model: None } => {
             let models = lock(&shared.models);
@@ -728,7 +728,7 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
                 models.iter().map(|(name, model)| (name.clone(), model.stats_json())).collect();
             // HashMap order is not deterministic; the wire form is.
             entries.sort_by(|a, b| a.0.cmp(&b.0));
-            Ok((vec![("stats".to_string(), JsonValue::Object(entries))], Vec::new()))
+            Ok((ok(vec![("stats".to_string(), JsonValue::Object(entries))]), Vec::new()))
         }
         Verb::Save { path, model } => {
             let models: Vec<Arc<Model>> = match model {
@@ -749,18 +749,16 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
             }
             let report =
                 snapshot::save_models(Path::new(&path), &models, shared.workloads.scale())?;
-            Ok((
-                vec![
-                    ("path".to_string(), JsonValue::Str(path)),
-                    ("bytes".to_string(), JsonValue::UInt(report.bytes)),
-                    ("sections".to_string(), JsonValue::UInt(report.sections as u64)),
-                    (
-                        "models".to_string(),
-                        JsonValue::Array(report.models.into_iter().map(JsonValue::Str).collect()),
-                    ),
-                ],
-                Vec::new(),
-            ))
+            let body = vec![
+                ("path".to_string(), JsonValue::Str(path)),
+                ("bytes".to_string(), JsonValue::UInt(report.bytes)),
+                ("sections".to_string(), JsonValue::UInt(report.sections as u64)),
+                (
+                    "models".to_string(),
+                    JsonValue::Array(report.models.into_iter().map(JsonValue::Str).collect()),
+                ),
+            ];
+            Ok((ok(body), Vec::new()))
         }
         Verb::Load { path } => {
             let loaded = snapshot::load_models(Path::new(&path), shared.workloads.scale())?;
@@ -770,22 +768,20 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
             for model in loaded {
                 map.insert(model.spec.name.clone(), model);
             }
-            Ok((
-                vec![
-                    ("path".to_string(), JsonValue::Str(path)),
-                    ("models".to_string(), JsonValue::Array(names)),
-                ],
-                Vec::new(),
-            ))
+            let body = vec![
+                ("path".to_string(), JsonValue::Str(path)),
+                ("models".to_string(), JsonValue::Array(names)),
+            ];
+            Ok((ok(body), Vec::new()))
         }
-        Verb::Ping => Ok((
-            vec![
+        Verb::Ping => {
+            let body = vec![
                 ("pid".to_string(), JsonValue::UInt(std::process::id() as u64)),
                 ("draining".to_string(), JsonValue::Bool(shared.draining.load(Ordering::SeqCst))),
                 ("models".to_string(), JsonValue::UInt(lock(&shared.models).len() as u64)),
-            ],
-            Vec::new(),
-        )),
+            ];
+            Ok((ok(body), Vec::new()))
+        }
         Verb::Sync { model } => {
             let models: Vec<Arc<Model>> = match model {
                 Some(name) => vec![shared.lookup(&name, "sync")?],
@@ -812,21 +808,19 @@ fn execute(verb: Verb, shared: &Shared) -> Result<ExecOutcome, VlppError> {
             })?;
             let chunks: Vec<Vec<u8>> = bytes.chunks(SYNC_CHUNK_BYTES).map(<[u8]>::to_vec).collect();
             ServeMetrics::get().sync_bytes.add(bytes.len() as u64);
-            Ok((
-                vec![
-                    ("bytes".to_string(), JsonValue::UInt(bytes.len() as u64)),
-                    ("chunks".to_string(), JsonValue::UInt(chunks.len() as u64)),
-                    ("scale".to_string(), JsonValue::UInt(shared.workloads.scale().divisor())),
-                    ("models".to_string(), JsonValue::Array(names)),
-                ],
-                chunks,
-            ))
+            let body = vec![
+                ("bytes".to_string(), JsonValue::UInt(bytes.len() as u64)),
+                ("chunks".to_string(), JsonValue::UInt(chunks.len() as u64)),
+                ("scale".to_string(), JsonValue::UInt(shared.workloads.scale().divisor())),
+                ("models".to_string(), JsonValue::Array(names)),
+            ];
+            Ok((ok(body), chunks))
         }
         Verb::Shutdown => {
             // This handler's own response is written by the caller
             // after we return — initiate_drain only closes read halves.
             initiate_drain(shared);
-            Ok((vec![("draining".to_string(), JsonValue::Bool(true))], Vec::new()))
+            Ok((ok(vec![("draining".to_string(), JsonValue::Bool(true))]), Vec::new()))
         }
     }
 }

@@ -6,8 +6,17 @@
 //! pipelining several verbs on one connection can match responses by id
 //! as well as by order (responses always come back in request order).
 //! `SERVING.md` at the repository root gives the full grammar.
+//!
+//! The per-record verbs carry the traffic, so their codec builds no
+//! owned JSON tree: [`parse_request`] walks a borrowed [`JsonRef`] and
+//! copies only the strings a [`Request`] keeps, and [`predict_response`]
+//! / [`update_response`] write the canonical compact bytes that
+//! [`ok_response`] would render. Control verbs and errors build a
+//! [`JsonValue`].
 
-use vlpp_trace::json::{JsonValue, ToJson};
+use std::io::Write as _;
+
+use vlpp_trace::json::{JsonRef, JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchKind, BranchRecord, VlppError};
 
 use super::model::{ModelKind, ModelSpec, Prediction};
@@ -108,23 +117,27 @@ impl Verb {
     }
 }
 
-fn field<'a>(
-    object: &'a JsonValue,
+fn field<'v, 'a>(
+    object: &'v JsonRef<'a>,
     verb: Option<&str>,
     key: &str,
-) -> Result<&'a JsonValue, VlppError> {
+) -> Result<&'v JsonRef<'a>, VlppError> {
     object.get(key).ok_or_else(|| {
         VlppError::protocol(verb.map(str::to_string), format!("missing field `{key}`"))
     })
 }
 
-fn str_field(object: &JsonValue, verb: Option<&str>, key: &str) -> Result<String, VlppError> {
-    field(object, verb, key)?.as_str().map(str::to_string).ok_or_else(|| {
+fn str_field<'v>(
+    object: &'v JsonRef<'_>,
+    verb: Option<&str>,
+    key: &str,
+) -> Result<&'v str, VlppError> {
+    field(object, verb, key)?.as_str().ok_or_else(|| {
         VlppError::protocol(verb.map(str::to_string), format!("field `{key}` must be a string"))
     })
 }
 
-fn u64_field(object: &JsonValue, verb: Option<&str>, key: &str) -> Result<u64, VlppError> {
+fn u64_field(object: &JsonRef<'_>, verb: Option<&str>, key: &str) -> Result<u64, VlppError> {
     field(object, verb, key)?.as_u64().ok_or_else(|| {
         VlppError::protocol(
             verb.map(str::to_string),
@@ -133,14 +146,28 @@ fn u64_field(object: &JsonValue, verb: Option<&str>, key: &str) -> Result<u64, V
     })
 }
 
+/// An optional string field: absent is `None`, present must be a string.
+fn optional_str_field(
+    object: &JsonRef<'_>,
+    verb: &str,
+    key: &str,
+) -> Result<Option<String>, VlppError> {
+    match object.get(key) {
+        None => Ok(None),
+        Some(v) => v.as_str().map(|s| Some(s.to_string())).ok_or_else(|| {
+            VlppError::protocol(Some(verb.to_string()), format!("field `{key}` must be a string"))
+        }),
+    }
+}
+
 /// Decodes one wire record: `{"pc":u64,"target":u64,"kind":"cond",
 /// "taken":bool}`. The `kind` names are `BranchKind::name()`'s; `taken`
 /// is only meaningful (and only required) for conditionals.
-pub fn record_from_json(value: &JsonValue, verb: &str) -> Result<BranchRecord, VlppError> {
+pub fn record_from_json(value: &JsonRef<'_>, verb: &str) -> Result<BranchRecord, VlppError> {
     let pc = u64_field(value, Some(verb), "pc")?;
     let target = u64_field(value, Some(verb), "target")?;
     let kind_name = str_field(value, Some(verb), "kind")?;
-    let kind = BranchKind::from_name(&kind_name).ok_or_else(|| {
+    let kind = BranchKind::from_name(kind_name).ok_or_else(|| {
         VlppError::protocol(Some(verb.to_string()), format!("unknown branch kind `{kind_name}`"))
     })?;
     let taken = match value.get("taken") {
@@ -173,14 +200,23 @@ pub fn record_to_json(record: &BranchRecord) -> JsonValue {
     JsonValue::Object(fields)
 }
 
-fn records_field(object: &JsonValue, verb: &str) -> Result<Vec<BranchRecord>, VlppError> {
+fn records_field(object: &JsonRef<'_>, verb: &str) -> Result<Vec<BranchRecord>, VlppError> {
     let items = field(object, Some(verb), "records")?.as_array().ok_or_else(|| {
         VlppError::protocol(Some(verb.to_string()), "field `records` must be an array")
     })?;
-    items.iter().map(|item| record_from_json(item, verb)).collect()
+    // Sized up front: collecting through `Result` would start small
+    // and grow.
+    let mut records = Vec::with_capacity(items.len());
+    for item in items {
+        records.push(record_from_json(item, verb)?);
+    }
+    Ok(records)
 }
 
 /// Parses one request frame payload.
+///
+/// The payload parses into a borrowed [`JsonRef`] tree, so only the
+/// strings a [`Request`] keeps (model names, paths) are copied.
 ///
 /// # Errors
 ///
@@ -192,7 +228,7 @@ fn records_field(object: &JsonValue, verb: &str) -> Result<Vec<BranchRecord>, Vl
 pub fn parse_request(payload: &[u8]) -> Result<Request, VlppError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| VlppError::protocol(None, "request payload is not UTF-8"))?;
-    let value = JsonValue::parse(text)
+    let value = JsonRef::parse(text)
         .map_err(|source| VlppError::Json { what: "request frame".to_string(), source })?;
     if value.as_object().is_none() {
         return Err(VlppError::protocol(None, "request must be a JSON object"));
@@ -204,11 +240,10 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, VlppError> {
                 VlppError::protocol(None, "field `id` must be an unsigned integer")
             })?),
         };
-    let verb_name = str_field(&value, None, "verb")?;
-    let verb = match verb_name.as_str() {
+    let verb = match str_field(&value, None, "verb")? {
         "train" => {
             let kind_name = str_field(&value, Some("train"), "kind")?;
-            let kind = ModelKind::from_name(&kind_name).ok_or_else(|| {
+            let kind = ModelKind::from_name(kind_name).ok_or_else(|| {
                 VlppError::protocol(
                     Some("train".to_string()),
                     format!("unknown model kind `{kind_name}` (expected `cond` or `ind`)"),
@@ -230,19 +265,8 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, VlppError> {
                     )
                 })?,
             };
-            let optional_str = |key: &str| -> Result<Option<String>, VlppError> {
-                match value.get(key) {
-                    None => Ok(None),
-                    Some(v) => v.as_str().map(|s| Some(s.to_string())).ok_or_else(|| {
-                        VlppError::protocol(
-                            Some("train".to_string()),
-                            format!("field `{key}` must be a string"),
-                        )
-                    }),
-                }
-            };
-            let benchmark = optional_str("benchmark")?;
-            let trace = optional_str("trace")?;
+            let benchmark = optional_str_field(&value, "train", "benchmark")?;
+            let trace = optional_str_field(&value, "train", "trace")?;
             if benchmark.is_some() == trace.is_some() {
                 return Err(VlppError::protocol(
                     Some("train".to_string()),
@@ -250,7 +274,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, VlppError> {
                 ));
             }
             Verb::Train(ModelSpec {
-                name: str_field(&value, Some("train"), "model")?,
+                name: str_field(&value, Some("train"), "model")?.to_string(),
                 benchmark: benchmark.unwrap_or_default(),
                 trace,
                 kind,
@@ -259,40 +283,21 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, VlppError> {
             })
         }
         "predict" => Verb::Predict {
-            model: str_field(&value, Some("predict"), "model")?,
+            model: str_field(&value, Some("predict"), "model")?.to_string(),
             records: records_field(&value, "predict")?,
         },
         "update" => Verb::Update {
-            model: str_field(&value, Some("update"), "model")?,
+            model: str_field(&value, Some("update"), "model")?.to_string(),
             records: records_field(&value, "update")?,
         },
-        "stats" => Verb::Stats {
-            model: match value.get("model") {
-                None => None,
-                Some(model) => Some(model.as_str().map(str::to_string).ok_or_else(|| {
-                    VlppError::protocol(Some("stats".to_string()), "field `model` must be a string")
-                })?),
-            },
-        },
+        "stats" => Verb::Stats { model: optional_str_field(&value, "stats", "model")? },
         "save" => Verb::Save {
-            path: str_field(&value, Some("save"), "path")?,
-            model: match value.get("model") {
-                None => None,
-                Some(model) => Some(model.as_str().map(str::to_string).ok_or_else(|| {
-                    VlppError::protocol(Some("save".to_string()), "field `model` must be a string")
-                })?),
-            },
+            path: str_field(&value, Some("save"), "path")?.to_string(),
+            model: optional_str_field(&value, "save", "model")?,
         },
-        "load" => Verb::Load { path: str_field(&value, Some("load"), "path")? },
+        "load" => Verb::Load { path: str_field(&value, Some("load"), "path")?.to_string() },
         "ping" => Verb::Ping,
-        "sync" => Verb::Sync {
-            model: match value.get("model") {
-                None => None,
-                Some(model) => Some(model.as_str().map(str::to_string).ok_or_else(|| {
-                    VlppError::protocol(Some("sync".to_string()), "field `model` must be a string")
-                })?),
-            },
-        },
+        "sync" => Verb::Sync { model: optional_str_field(&value, "sync", "model")? },
         "shutdown" => Verb::Shutdown,
         other => {
             return Err(VlppError::protocol(
@@ -333,6 +338,67 @@ pub fn error_response(id: Option<u64>, error: &VlppError) -> JsonValue {
 /// otherwise the prediction object.
 pub fn predictions_to_json(predictions: &[Option<Prediction>]) -> JsonValue {
     JsonValue::Array(predictions.iter().map(|slot| slot.to_json()).collect())
+}
+
+/// Encodes a `predict` response straight to bytes, in the canonical
+/// compact form: exactly `ok_response("predict", id,
+/// [("predictions", predictions_to_json(predictions))]).to_string()`,
+/// byte for byte, without building the tree.
+pub fn predict_response(id: Option<u64>, predictions: &[Option<Prediction>]) -> Vec<u8> {
+    // `{"target":18446744073709551615,"correct":false}` is the longest
+    // slot (47 bytes), so one allocation covers any batch.
+    let mut out = response_head("predict", id, 64 + 48 * predictions.len());
+    out.extend_from_slice(b",\"predictions\":[");
+    for (i, slot) in predictions.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        let correct = match *slot {
+            None => {
+                out.extend_from_slice(b"null");
+                continue;
+            }
+            Some(Prediction::Taken { taken, correct }) => {
+                out.extend_from_slice(if taken { b"{\"taken\":true" } else { b"{\"taken\":false" });
+                correct
+            }
+            Some(Prediction::Target { target, correct }) => {
+                out.extend_from_slice(b"{\"target\":");
+                let _ = write!(out, "{}", target.raw());
+                correct
+            }
+        };
+        out.extend_from_slice(if correct { b",\"correct\":true}" } else { b",\"correct\":false}" });
+    }
+    out.extend_from_slice(b"]}");
+    out
+}
+
+/// Encodes an `update` response straight to bytes: exactly
+/// `ok_response("update", id, [("records", records)]).to_string()`.
+pub fn update_response(id: Option<u64>, records: usize) -> Vec<u8> {
+    let mut out = response_head("update", id, 64);
+    out.extend_from_slice(b",\"records\":");
+    let _ = write!(out, "{records}");
+    out.push(b'}');
+    out
+}
+
+/// `{"ok":true,"verb":"<verb>"[,"id":N]` — the fields every success
+/// response opens with, in [`ok_response`]'s order. Verb names are
+/// plain ASCII words, so they need no escaping. Numbers are written
+/// with `write!`, which renders a `u64` as `JsonValue::UInt` does and
+/// cannot fail on a `Vec`.
+fn response_head(verb: &str, id: Option<u64>, capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(b"{\"ok\":true,\"verb\":\"");
+    out.extend_from_slice(verb.as_bytes());
+    out.push(b'"');
+    if let Some(id) = id {
+        out.extend_from_slice(b",\"id\":");
+        let _ = write!(out, "{id}");
+    }
+    out
 }
 
 #[cfg(test)]
@@ -465,7 +531,8 @@ mod tests {
             BranchRecord::unconditional(Addr::new(0x6000), Addr::new(0x7000)),
         ];
         for record in &records {
-            let back = record_from_json(&record_to_json(record), "predict").unwrap();
+            let text = record_to_json(record).to_string();
+            let back = record_from_json(&JsonRef::parse(&text).unwrap(), "predict").unwrap();
             assert_eq!(&back, record);
         }
     }

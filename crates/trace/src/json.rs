@@ -10,8 +10,14 @@
 //!   via the [`impl_to_json!`](crate::impl_to_json) macro);
 //! * an emitter (`JsonValue::to_string` via `Display`, and
 //!   [`JsonValue::pretty`]) with full string escaping;
-//! * a small recursive-descent parser ([`JsonValue::parse`]) used by the
-//!   integration tests and by tools that read `BENCH_*.json` lines back.
+//! * one small recursive-descent parser, [`JsonRef::parse`], which builds
+//!   a borrowed tree: every string is a slice of the input unless it
+//!   holds an escape. [`JsonValue::parse`] is that parse followed by
+//!   [`JsonRef::into_owned`], so the owned and borrowed trees share one
+//!   grammar, one set of error messages and byte offsets, and one
+//!   [`MAX_PARSE_DEPTH`]. The serve protocol decodes request frames from
+//!   the borrowed tree; tests and tools that read `BENCH_*.json` lines
+//!   back use the owned one.
 //!
 //! # Example
 //!
@@ -28,6 +34,7 @@
 //! assert_eq!(back, value);
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// An owned JSON value.
@@ -220,22 +227,16 @@ impl JsonValue {
         }
     }
 
-    /// Parses a JSON document. The entire input must be one value
-    /// (surrounding whitespace is allowed).
+    /// Parses a JSON document into an owned tree: [`JsonRef::parse`]
+    /// followed by [`JsonRef::into_owned`], so both trees share one
+    /// grammar, one set of error messages and one [`MAX_PARSE_DEPTH`].
     ///
     /// Parsing never panics: any malformed input — including nesting
     /// deeper than [`MAX_PARSE_DEPTH`], which would otherwise overflow
     /// the recursive-descent stack and abort the process — is reported
     /// as a [`ParseJsonError`] with the offending byte offset.
     pub fn parse(text: &str) -> Result<JsonValue, ParseJsonError> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-        parser.skip_whitespace();
-        let value = parser.value()?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after JSON value"));
-        }
-        Ok(value)
+        JsonRef::parse(text).map(JsonRef::into_owned)
     }
 }
 
@@ -245,6 +246,123 @@ impl fmt::Display for JsonValue {
         let mut out = String::new();
         self.write_single_line(&mut out);
         f.write_str(&out)
+    }
+}
+
+/// A borrowed JSON value: what [`JsonRef::parse`] builds, with every
+/// string a slice of the input unless it holds an escape.
+///
+/// The tree mirrors [`JsonValue`] variant for variant, and
+/// [`JsonRef::into_owned`] converts one into the other. A hot reader
+/// (the serve protocol decoding a request frame) walks a `JsonRef` and
+/// copies only the strings it keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonRef<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A non-negative integer.
+    UInt(u64),
+    /// A negative integer.
+    Int(i64),
+    /// A floating-point number.
+    Float(f64),
+    /// A string: borrowed from the input unless it held an escape.
+    Str(Cow<'a, str>),
+    /// An array.
+    Array(Vec<JsonRef<'a>>),
+    /// An object, fields in input order (duplicate keys kept).
+    Object(Vec<(Cow<'a, str>, JsonRef<'a>)>),
+}
+
+impl<'a> JsonRef<'a> {
+    /// Parses a JSON document. The entire input must be one value
+    /// (surrounding whitespace is allowed).
+    ///
+    /// Parsing never panics: any malformed input — including nesting
+    /// deeper than [`MAX_PARSE_DEPTH`] — is reported as a
+    /// [`ParseJsonError`] with the offending byte offset.
+    pub fn parse(text: &'a str) -> Result<JsonRef<'a>, ParseJsonError> {
+        let mut parser = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+        parser.skip_whitespace();
+        let value = parser.value()?;
+        parser.skip_whitespace();
+        if parser.pos != parser.bytes.len() {
+            return Err(parser.error("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
+    /// Copies the tree into an owned [`JsonValue`].
+    pub fn into_owned(self) -> JsonValue {
+        match self {
+            JsonRef::Null => JsonValue::Null,
+            JsonRef::Bool(b) => JsonValue::Bool(b),
+            JsonRef::UInt(n) => JsonValue::UInt(n),
+            JsonRef::Int(n) => JsonValue::Int(n),
+            JsonRef::Float(x) => JsonValue::Float(x),
+            JsonRef::Str(s) => JsonValue::Str(s.into_owned()),
+            JsonRef::Array(items) => {
+                JsonValue::Array(items.into_iter().map(JsonRef::into_owned).collect())
+            }
+            JsonRef::Object(fields) => JsonValue::Object(
+                fields
+                    .into_iter()
+                    .map(|(key, value)| (key.into_owned(), value.into_owned()))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Looks up a field of an object by key (the first, if the key
+    /// repeats). Returns `None` for other variants or missing keys.
+    pub fn get(&self, key: &str) -> Option<&JsonRef<'a>> {
+        match self {
+            JsonRef::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a bool, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonRef::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value as a `u64`, if it is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonRef::UInt(n) => Some(*n),
+            JsonRef::Int(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice, if it is an array.
+    pub fn as_array(&self) -> Option<&[JsonRef<'a>]> {
+        match self {
+            JsonRef::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The value as ordered object fields, if it is an object.
+    pub fn as_object(&self) -> Option<&[(Cow<'a, str>, JsonRef<'a>)]> {
+        match self {
+            JsonRef::Object(fields) => Some(fields),
+            _ => None,
+        }
     }
 }
 
@@ -297,7 +415,8 @@ impl fmt::Display for ParseJsonError {
 
 impl std::error::Error for ParseJsonError {}
 
-/// Maximum container nesting depth [`JsonValue::parse`] accepts.
+/// Maximum container nesting depth [`JsonRef::parse`] (and so
+/// [`JsonValue::parse`]) accepts.
 ///
 /// The parser is recursive-descent, so unbounded nesting is a stack
 /// overflow — an *abort*, not an `Err`. No legitimate vlpp document
@@ -305,7 +424,9 @@ impl std::error::Error for ParseJsonError {}
 /// levels; anything deeper is corrupt or adversarial input.
 pub const MAX_PARSE_DEPTH: usize = 128;
 
+/// The one recursive-descent JSON parser; it builds a [`JsonRef`].
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -345,7 +466,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, ParseJsonError> {
+    fn literal(&mut self, word: &str, value: JsonRef<'a>) -> Result<JsonRef<'a>, ParseJsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -354,12 +475,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, ParseJsonError> {
+    fn value(&mut self) -> Result<JsonRef<'a>, ParseJsonError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'n') => self.literal("null", JsonRef::Null),
+            Some(b't') => self.literal("true", JsonRef::Bool(true)),
+            Some(b'f') => self.literal("false", JsonRef::Bool(false)),
+            Some(b'"') => Ok(JsonRef::Str(self.string()?)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-' | b'0'..=b'9') => self.number(),
@@ -368,7 +489,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, ParseJsonError> {
+    fn array(&mut self) -> Result<JsonRef<'a>, ParseJsonError> {
         self.expect(b'[')?;
         self.descend()?;
         let mut items = Vec::new();
@@ -376,7 +497,7 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(JsonRef::Array(items));
         }
         loop {
             self.skip_whitespace();
@@ -387,14 +508,14 @@ impl<'a> Parser<'a> {
                 Some(b']') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(JsonRef::Array(items));
                 }
                 _ => return Err(self.error("expected `,` or `]` in array")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, ParseJsonError> {
+    fn object(&mut self) -> Result<JsonRef<'a>, ParseJsonError> {
         self.expect(b'{')?;
         self.descend()?;
         let mut fields = Vec::new();
@@ -402,7 +523,7 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(JsonValue::Object(fields));
+            return Ok(JsonRef::Object(fields));
         }
         loop {
             self.skip_whitespace();
@@ -418,16 +539,18 @@ impl<'a> Parser<'a> {
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(JsonValue::Object(fields));
+                    return Ok(JsonRef::Object(fields));
                 }
                 _ => return Err(self.error("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseJsonError> {
+    /// A string literal: a slice of the input when it holds no escape,
+    /// otherwise an owned copy with the escapes decoded.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseJsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut decoded: Option<String> = None;
         loop {
             let start = self.pos;
             // Consume a run of plain (unescaped, ASCII-or-UTF-8) bytes.
@@ -437,18 +560,24 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                // The input is valid UTF-8 (it is a &str) and the run
-                // breaks only at ASCII bytes, so this slice is valid.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf-8"));
-            }
+            // The run breaks only at ASCII bytes, so both ends sit on
+            // char boundaries of the input.
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(run);
                     out.push(self.escape()?);
                 }
                 Some(_) => return Err(self.error("unescaped control character in string")),
@@ -511,7 +640,7 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<JsonValue, ParseJsonError> {
+    fn number(&mut self) -> Result<JsonRef<'a>, ParseJsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -527,17 +656,17 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf-8");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<u64>() {
-                return Ok(JsonValue::UInt(n));
+                return Ok(JsonRef::UInt(n));
             }
             if let Ok(n) = text.parse::<i64>() {
-                return Ok(JsonValue::Int(n));
+                return Ok(JsonRef::Int(n));
             }
         }
         text.parse::<f64>()
-            .map(JsonValue::Float)
+            .map(JsonRef::Float)
             .map_err(|_| ParseJsonError { message: "invalid number".to_string(), offset: start })
     }
 }
@@ -785,6 +914,26 @@ mod tests {
         // Surrogate pair for U+1F600.
         assert_eq!(JsonValue::parse(r#""😀""#).unwrap(), JsonValue::Str("\u{1f600}".into()));
         assert!(JsonValue::parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn borrowed_tree_borrows_unescaped_strings() {
+        let text = r#"{"verb":"predict","kind":"co\u006ed","n":[1,-2,0.5,null,true]}"#;
+        let value = JsonRef::parse(text).unwrap();
+        let JsonRef::Object(fields) = &value else { panic!("not an object: {value:?}") };
+        assert!(fields.iter().all(|(key, _)| matches!(key, Cow::Borrowed(_))));
+        assert!(matches!(value.get("verb"), Some(JsonRef::Str(Cow::Borrowed("predict")))));
+        // An escape forces a decoded copy.
+        assert!(matches!(value.get("kind"), Some(JsonRef::Str(Cow::Owned(s))) if s == "cond"));
+        assert_eq!(value.get("n").and_then(JsonRef::as_array).map(<[_]>::len), Some(5));
+        assert_eq!(value.clone().into_owned(), JsonValue::parse(text).unwrap());
+    }
+
+    #[test]
+    fn borrowed_get_returns_the_first_duplicate() {
+        let value = JsonRef::parse(r#"{"id":1,"id":2}"#).unwrap();
+        assert_eq!(value.get("id").and_then(JsonRef::as_u64), Some(1));
+        assert_eq!(value.as_object().map(<[_]>::len), Some(2));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! the byte offset where the data ran out.
 
 use vlpp_check::fault::{DataFault, FaultPlan};
-use vlpp_check::{check, prop_assert, CheckConfig, Gen};
+use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig, Gen};
 use vlpp_trace::compact::{copy_to_chunked, ChunkedReader};
 use vlpp_trace::ingest::{parse_trace, write_champsim, TraceFormat};
-use vlpp_trace::json::JsonValue;
+use vlpp_trace::json::{JsonRef, JsonValue};
 use vlpp_trace::source::MemorySource;
 use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace, TraceIoError, TraceSource};
 
@@ -65,6 +65,28 @@ fn json_parser_never_panics_on_mutated_input() {
             // Mutation can break UTF-8; that path must error cleanly too.
             if let Ok(text) = String::from_utf8(damaged) {
                 let _ = JsonValue::parse(&text);
+                let _ = JsonRef::parse(&text);
+            }
+        }
+        Ok(())
+    });
+}
+
+/// The owned tree is the borrowed parse made owned: on the same damaged
+/// documents both give the same value, or the same error at the same
+/// byte offset.
+#[test]
+fn owned_parse_is_the_borrowed_parse_made_owned() {
+    check("owned_parse_is_the_borrowed_parse_made_owned", CheckConfig::default(), |g| {
+        let rendered = if g.bool() { arb_json(g, 3).pretty() } else { arb_json(g, 3).to_string() };
+        let mut plan = FaultPlan::new(g.u64());
+        for fault in plan.data_faults(rendered.len().max(1), 9) {
+            let damaged = fault.apply(rendered.as_bytes());
+            if let Ok(text) = String::from_utf8(damaged) {
+                prop_assert_eq!(
+                    JsonValue::parse(&text),
+                    JsonRef::parse(&text).map(JsonRef::into_owned)
+                );
             }
         }
         Ok(())
@@ -77,6 +99,7 @@ fn json_parser_never_panics_on_arbitrary_bytes() {
         let bytes = g.vec(0, 64, |g| g.u64() as u8);
         if let Ok(text) = String::from_utf8(bytes) {
             let _ = JsonValue::parse(&text);
+            let _ = JsonRef::parse(&text);
         }
         Ok(())
     });
