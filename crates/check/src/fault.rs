@@ -1,23 +1,21 @@
 //! Seeded fault-plan generation for the fault-injection harness.
 //!
 //! The robustness suite (`tests/integration_faults.rs`, the trace
-//! crate's `prop_faults` property tests) needs two kinds of trouble, and
-//! both must be **deterministic** — a failing case has to replay from
-//! its seed, and CI has to exercise the same fault matrix on every run:
-//!
-//! * [`DataFault`] — damage to bytes at rest: flip bits, truncate, or
-//!   splice garbage into a serialized trace before handing it to a
-//!   parser. [`DataFault::apply`] is a pure function of the fault and
-//!   the input bytes.
-//! * [`ExecFault`] — trouble during execution: worker panics and stalls,
-//!   injected through `vlpp-pool`'s `VLPP_FAULT` hook.
-//!   [`ExecFault::env_value`] renders exactly the grammar the hook
-//!   parses, so a plan and its injection can never drift apart.
+//! crate's `prop_faults` property tests) damages serialized inputs, and
+//! the damage must be **deterministic** — a failing case has to replay
+//! from its seed, and CI has to exercise the same fault matrix on every
+//! run. A [`DataFault`] flips bits in, truncates, or splices garbage
+//! into a byte buffer; [`DataFault::apply`] is a pure function of the
+//! fault and the input bytes.
 //!
 //! A [`FaultPlan`] is a seeded stream of such faults: same seed, same
 //! plan, forever. The plan generator never emits a no-op fault — a
 //! corruption always changes at least one byte, a truncation always
 //! removes at least one.
+//!
+//! Execution faults (worker panics and stalls, network faults) are not
+//! drawn here: they are `VLPP_FAULT` plans, whose one grammar, parser
+//! and renderer live in `vlpp_trace::fault`.
 
 use crate::rng::XorShift64;
 
@@ -72,69 +70,6 @@ impl DataFault {
             }
         }
         out
-    }
-}
-
-/// One injected execution fault, rendered for `vlpp-pool`'s
-/// `VLPP_FAULT` hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecFault {
-    /// Panic inside pool task number `at`.
-    Panic {
-        /// Global task sequence number to hit.
-        at: u64,
-        /// Fire on every attempt (true) or only the first (false).
-        persist: bool,
-    },
-    /// Stall pool task number `at` for `ms` milliseconds.
-    Stall {
-        /// Global task sequence number to hit.
-        at: u64,
-        /// Stall duration in milliseconds.
-        ms: u64,
-        /// Fire on every attempt (true) or only the first (false).
-        persist: bool,
-    },
-    /// Sever the connection at frame operation `at` (the frame layer's
-    /// `netdrop@N` — fires once, at a frame boundary).
-    NetDrop {
-        /// Global frame sequence number to hit.
-        at: u64,
-    },
-    /// Stall frame operation `at` for `ms` milliseconds before it
-    /// proceeds (`netstall@N:MS`), exercising peer read deadlines.
-    NetStall {
-        /// Global frame sequence number to hit.
-        at: u64,
-        /// Stall duration in milliseconds.
-        ms: u64,
-    },
-    /// Truncate the frame written at operation `at` to its first
-    /// `bytes` wire bytes (`nettrunc@N:BYTES`), so the peer observes a
-    /// mid-frame disconnect.
-    NetTrunc {
-        /// Global frame sequence number to hit.
-        at: u64,
-        /// Wire bytes to let through before cutting the frame short.
-        bytes: u64,
-    },
-}
-
-impl ExecFault {
-    /// The `VLPP_FAULT` value that injects this fault — e.g. `panic@3`,
-    /// `stall@7:250:persist`, `nettrunc@4:10`. Several rendered values
-    /// joined with `,` form one composite plan (the task-level and
-    /// frame-level hooks each pick out their own kinds).
-    pub fn env_value(&self) -> String {
-        match self {
-            ExecFault::Panic { at, persist: false } => format!("panic@{at}"),
-            ExecFault::Panic { at, persist: true } => format!("panic@{at}:persist"),
-            ExecFault::Stall { at, ms, persist: false } => format!("stall@{at}:{ms}"),
-            ExecFault::Stall { at, ms, persist: true } => format!("stall@{at}:{ms}:persist"),
-            ExecFault::NetDrop { at } => format!("netdrop@{at}"),
-            ExecFault::NetStall { at, ms } => format!("netstall@{at}:{ms}"),
-            ExecFault::NetTrunc { at, bytes } => format!("nettrunc@{at}:{bytes}"),
-        }
     }
 }
 
@@ -212,43 +147,6 @@ impl FaultPlan {
             })
             .collect()
     }
-
-    /// Draws `count` execution faults targeting task sequence numbers
-    /// below `max_seq`, alternating panics and stalls (stalls of
-    /// `stall_ms`), all transient (non-`persist`) so a retrying executor
-    /// recovers from every one of them.
-    pub fn exec_faults(&mut self, max_seq: u64, stall_ms: u64, count: usize) -> Vec<ExecFault> {
-        assert!(max_seq >= 1);
-        (0..count)
-            .map(|i| {
-                let at = self.rng.next_u64() % max_seq;
-                if i % 2 == 0 {
-                    ExecFault::Panic { at, persist: false }
-                } else {
-                    ExecFault::Stall { at, ms: stall_ms, persist: false }
-                }
-            })
-            .collect()
-    }
-
-    /// Draws `count` network faults targeting frame sequence numbers
-    /// from 1 to `max_seq` inclusive, cycling drop → stall → truncate.
-    /// Stalls last `stall_ms`; truncations keep between 0 and 15 wire
-    /// bytes, enough to land both inside the length prefix and inside
-    /// small payloads.
-    pub fn net_faults(&mut self, max_seq: u64, stall_ms: u64, count: usize) -> Vec<ExecFault> {
-        assert!(max_seq >= 1);
-        (0..count)
-            .map(|i| {
-                let at = 1 + self.rng.next_u64() % max_seq;
-                match i % 3 {
-                    0 => ExecFault::NetDrop { at },
-                    1 => ExecFault::NetStall { at, ms: stall_ms },
-                    _ => ExecFault::NetTrunc { at, bytes: self.rng.next_u64() % 16 },
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -304,44 +202,5 @@ mod tests {
         assert_eq!(DataFault::CorruptByte { offset: 99, xor: 0xFF }.apply(&input), input);
         let spliced = DataFault::Splice { offset: 2, bytes: vec![9, 9, 9] }.apply(&input);
         assert_eq!(spliced, vec![1, 2, 9]);
-    }
-
-    #[test]
-    fn exec_faults_render_the_hook_grammar() {
-        assert_eq!(ExecFault::Panic { at: 3, persist: false }.env_value(), "panic@3");
-        assert_eq!(ExecFault::Panic { at: 0, persist: true }.env_value(), "panic@0:persist");
-        assert_eq!(ExecFault::Stall { at: 7, ms: 250, persist: false }.env_value(), "stall@7:250");
-        assert_eq!(
-            ExecFault::Stall { at: 7, ms: 250, persist: true }.env_value(),
-            "stall@7:250:persist"
-        );
-        for fault in FaultPlan::new(4).exec_faults(11, 100, 10) {
-            match fault {
-                ExecFault::Panic { at, persist } | ExecFault::Stall { at, persist, .. } => {
-                    assert!(at < 11);
-                    assert!(!persist, "plan-drawn faults are transient");
-                }
-                other => panic!("exec_faults draws panics and stalls only, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn net_faults_render_the_frame_hook_grammar() {
-        assert_eq!(ExecFault::NetDrop { at: 3 }.env_value(), "netdrop@3");
-        assert_eq!(ExecFault::NetStall { at: 5, ms: 40 }.env_value(), "netstall@5:40");
-        assert_eq!(ExecFault::NetTrunc { at: 7, bytes: 2 }.env_value(), "nettrunc@7:2");
-        let plan = FaultPlan::new(6).net_faults(9, 25, 12);
-        assert_eq!(plan, FaultPlan::new(6).net_faults(9, 25, 12), "plans replay from the seed");
-        for fault in plan {
-            match fault {
-                ExecFault::NetDrop { at }
-                | ExecFault::NetStall { at, .. }
-                | ExecFault::NetTrunc { at, .. } => {
-                    assert!((1..=9).contains(&at), "frame numbers are 1-based: {fault:?}");
-                }
-                other => panic!("net_faults draws network faults only, got {other:?}"),
-            }
-        }
     }
 }

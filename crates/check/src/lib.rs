@@ -17,8 +17,8 @@
 //!
 //! The [`fault`] module rounds out the harness with seeded
 //! [`FaultPlan`]s for the robustness suite: deterministic byte
-//! corruption/truncation of serialized inputs and `VLPP_FAULT` plans for
-//! injected worker panics and stalls (see `ROBUSTNESS.md`).
+//! corruption, truncation and splicing of serialized inputs (see
+//! `ROBUSTNESS.md`).
 //!
 //! ## Writing a property test
 //!
@@ -60,6 +60,6 @@ pub mod prop;
 pub mod rng;
 
 pub use bench::{measure, BenchConfig, BenchReport};
-pub use fault::{DataFault, ExecFault, FaultPlan};
+pub use fault::{DataFault, FaultPlan};
 pub use prop::{check, CheckConfig, Failed, Gen, PropResult};
 pub use rng::XorShift64;

@@ -17,12 +17,12 @@
 //!   instead of spawning — total threads never exceed the configured
 //!   count, at any nesting depth.
 //! * [`Pool::try_map`] — the fault-isolating flavor: one `Result` per
-//!   item, panics contained as [`TaskError::Panicked`], a per-task
-//!   watchdog deadline (`VLPP_TASK_TIMEOUT_MS`) that abandons overdue
-//!   tasks as [`TaskError::TimedOut`], and a single retry with backoff
-//!   (`VLPP_RETRY`, `VLPP_RETRY_BACKOFF_MS`). `ROBUSTNESS.md` at the
-//!   repository root describes the semantics and the `VLPP_FAULT`
-//!   injection hook used to test them.
+//!   item, panics contained as [`TaskError::Panicked`], and an optional
+//!   per-task watchdog deadline, passed by the caller, that abandons
+//!   overdue tasks as [`TaskError::TimedOut`]. A failed task is
+//!   reported, not re-run. `ROBUSTNESS.md` at the repository root
+//!   describes the semantics and how `vlpp all` injects faults to test
+//!   them.
 //! * [`Memo`] — a compute-once-per-key concurrent memo table. Two
 //!   threads that miss on the same key no longer both run a minutes-long
 //!   computation with one result thrown away: the first computes, the
@@ -55,10 +55,9 @@
 #![warn(missing_debug_implementations)]
 
 mod executor;
-mod fault;
 mod memo;
 
-pub use executor::{MapOptions, PanicReport, Pool, TaskError};
+pub use executor::{PanicReport, Pool, TaskError};
 pub use memo::Memo;
 
 use std::sync::{Mutex, MutexGuard};

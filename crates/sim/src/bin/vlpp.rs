@@ -17,6 +17,7 @@ use vlpp_pool::TaskError;
 use vlpp_sim::paper;
 use vlpp_sim::report::TextTable;
 use vlpp_sim::{Checkpoint, SavedOutput, Scale, Workloads};
+use vlpp_trace::fault::{self, Fault};
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::VlppError;
 
@@ -87,19 +88,21 @@ environment:
   VLPP_THREADS  worker-pool size (default: available parallelism; output
                 is byte-identical at any thread count)
   VLPP_TASK_TIMEOUT_MS  per-experiment watchdog deadline for `all`
-                        (default: none)
-  VLPP_RETRY / VLPP_RETRY_BACKOFF_MS
-                retry a failed experiment once after the backoff
-                (defaults: on / 50 ms)
-  VLPP_FAULT    test-only fault injection: comma-separated task faults
-                (panic@N[:persist], stall@N:MS[:persist]) and network
-                frame faults (netdrop@N, netstall@N:MS,
-                nettrunc@N:BYTES), e.g. panic@3 or netdrop@1,netstall@3:50
-                (see ROBUSTNESS.md)
+                        (default: none); a failed experiment is not
+                        re-run, resume it with --checkpoint
+  VLPP_FAULT    test-only fault injection, comma-separated:
+                panic@N, stall@N:MS (inside `all` experiment N, from 0)
+                and netdrop@N, netstall@N:MS, nettrunc@N:BYTES (at frame
+                operation N, from 1), e.g. panic@2 or netdrop@1,netstall@3:50;
+                one malformed item disables the plan (see ROBUSTNESS.md)
 ";
 
 fn main() -> ExitCode {
-    // The two daemon-shaped subcommands branch before experiment
+    // Read the fault plan once, up front, so a malformed `VLPP_FAULT`
+    // warns under every verb, not only where a hook first fires.
+    fault::armed();
+
+    // The daemon-shaped subcommands branch before experiment
     // parsing: they have their own flag grammars (see SERVING.md).
     if let Some(first) = std::env::args().nth(1) {
         let rest: Vec<String> = std::env::args().skip(2).collect();
@@ -299,7 +302,9 @@ fn main() -> ExitCode {
         let _span = vlpp_metrics::span("sim.experiment_ns");
         let workloads = Arc::clone(&workloads);
         let checkpoint = checkpoint.clone();
-        vlpp_pool::Pool::global().try_map(pending.clone(), move |(_, id): (usize, String)| {
+        let timeout_ms = task_timeout_from_env();
+        vlpp_pool::Pool::global().try_map(pending.clone(), timeout_ms, move |(i, id)| {
+            inject_experiment_faults(i);
             let output = run_one(&id, &workloads);
             // Persist as soon as the experiment finishes, not at the end
             // of the run — that is what makes a mid-run kill resumable.
@@ -361,6 +366,40 @@ fn main() -> ExitCode {
         // Partial failure: results above are valid, but not all of them
         // arrived. Distinct from 1 (bad invocation / fatal error).
         ExitCode::from(2)
+    }
+}
+
+/// `VLPP_TASK_TIMEOUT_MS`, the per-experiment watchdog deadline of
+/// `all`. An invalid value warns and leaves the watchdog off.
+fn task_timeout_from_env() -> Option<u64> {
+    let raw = std::env::var("VLPP_TASK_TIMEOUT_MS").ok()?;
+    match raw.trim().parse::<u64>() {
+        Ok(ms) if ms >= 1 => Some(ms),
+        _ => {
+            eprintln!(
+                "warning: ignoring invalid VLPP_TASK_TIMEOUT_MS=`{raw}` \
+                 (expected an integer >= 1); watchdog disabled"
+            );
+            None
+        }
+    }
+}
+
+/// Fires the armed `panic@N` / `stall@N:MS` faults aimed at experiment
+/// `n` (its position in this run's experiment list), in plan order.
+fn inject_experiment_faults(n: usize) {
+    for &fault in fault::armed() {
+        match fault {
+            Fault::Stall { at, ms } if at == n as u64 => {
+                vlpp_metrics::counter("sim.faults_injected").incr();
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+            }
+            Fault::Panic { at } if at == n as u64 => {
+                vlpp_metrics::counter("sim.faults_injected").incr();
+                panic!("injected fault: panic in experiment {n}");
+            }
+            _ => {}
+        }
     }
 }
 

@@ -2,7 +2,9 @@
 //! frame and encoding its response must stay within a fixed number of
 //! heap allocations, so a later change cannot bring back the owned
 //! JSON tree (one `String` per key and per string value) without
-//! failing here.
+//! failing here. The same test pins `JsonValue`'s compact `Display`,
+//! which every tree-built response and `METRICS`/`BENCH`/`TOURNEY` line
+//! goes through.
 //!
 //! A counting `#[global_allocator]` tallies allocations per thread; the
 //! test reads only its own thread's count, so the harness's threads do
@@ -11,7 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vlpp_sim::serve::protocol::{parse_request, predict_response, record_to_json, Verb};
+use vlpp_sim::serve::protocol::{
+    ok_response, parse_request, predict_response, predictions_to_json, record_to_json, Verb,
+};
 use vlpp_sim::serve::Prediction;
 use vlpp_trace::json::JsonValue;
 use vlpp_trace::{Addr, BranchRecord};
@@ -71,6 +75,12 @@ const MAX_PARSE_ALLOCATIONS: usize = 13;
 /// `ok_response(..).to_string()` took 35.
 const MAX_ENCODE_ALLOCATIONS: usize = 1;
 
+/// Allocations for `to_string()` of the same response as a prebuilt
+/// tree (~330 bytes): only the doubling growth of the output `String`
+/// (8 → 512 bytes), since `Display` streams into it. Rendering into a
+/// temporary `String` and copying that over took 8.
+const MAX_TO_STRING_ALLOCATIONS: usize = 7;
+
 #[test]
 fn predict_codec_allocations_stay_pinned() {
     let records: Vec<BranchRecord> = (0..8u64)
@@ -112,7 +122,18 @@ fn predict_codec_allocations_stay_pinned() {
     let (encode, response) = allocations(|| predict_response(request.id, &slots));
     assert!(response.starts_with(br#"{"ok":true,"verb":"predict","id":12345,"predictions":["#));
 
-    println!("parse_request: {parse} allocations; predict_response: {encode}");
+    let tree = ok_response(
+        "predict",
+        request.id,
+        vec![("predictions".to_string(), predictions_to_json(&slots))],
+    );
+    let (to_string, text) = allocations(|| tree.to_string());
+    assert_eq!(text.as_bytes(), response, "the tree renders the same bytes");
+
+    println!(
+        "parse_request: {parse} allocations; predict_response: {encode}; \
+         to_string: {to_string}"
+    );
     assert!(
         parse <= MAX_PARSE_ALLOCATIONS,
         "parse_request made {parse} allocations, pinned at {MAX_PARSE_ALLOCATIONS}"
@@ -120,5 +141,9 @@ fn predict_codec_allocations_stay_pinned() {
     assert!(
         encode <= MAX_ENCODE_ALLOCATIONS,
         "predict_response made {encode} allocations, pinned at {MAX_ENCODE_ALLOCATIONS}"
+    );
+    assert!(
+        to_string <= MAX_TO_STRING_ALLOCATIONS,
+        "to_string made {to_string} allocations, pinned at {MAX_TO_STRING_ALLOCATIONS}"
     );
 }

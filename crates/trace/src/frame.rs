@@ -40,12 +40,12 @@
 //!
 //! # Fault injection
 //!
-//! When `VLPP_FAULT` names a network fault (`netdrop@N`,
-//! `netstall@N:MS`, `nettrunc@N:BYTES`, comma-separable), it fires at
-//! the `N`th frame operation of the process — sequence numbers are
+//! When the [armed fault plan](crate::fault::armed) names a network
+//! fault (`netdrop@N`, `netstall@N:MS`, `nettrunc@N:BYTES`), it fires
+//! at the `N`th frame operation of the process — sequence numbers are
 //! drawn once per read/write at the frame boundary, so targeting is
-//! stable across thread counts. See `ROBUSTNESS.md` for the grammar;
-//! [`net_faults_injected`] reports how many faults fired.
+//! stable across thread counts. [`net_faults_injected`] reports how
+//! many faults fired.
 //!
 //! # Example
 //!
@@ -60,9 +60,10 @@
 //! ```
 
 use std::io::{ErrorKind, Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::VlppError;
-use crate::netfault::{self, NetFault};
+use crate::fault::{self, Fault};
 
 /// Maximum payload bytes a single frame may carry (1 MiB). Large enough
 /// for thousands of branch records per batch, small enough that a
@@ -100,21 +101,18 @@ pub fn write_frame<W: Write>(mut writer: W, payload: &[u8]) -> Result<(), VlppEr
             declared_len: Some(payload.len() as u64),
         });
     }
-    match netfault::check_frame() {
-        None => {}
-        Some(NetFault::Stall { at, ms }) => {
-            eprintln!("vlpp: injected netstall at frame {at} ({ms} ms)");
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        Some(NetFault::Drop { at }) => {
+    match next_net_fault() {
+        Some(Fault::NetStall { at, ms }) => net_stall(at, ms),
+        Some(Fault::NetDrop { at }) => {
             return Err(VlppError::Frame {
                 message: format!("injected fault: netdrop at frame {at}"),
                 declared_len: Some(payload.len() as u64),
             });
         }
-        Some(NetFault::Trunc { at, bytes }) => {
+        Some(Fault::NetTrunc { at, bytes }) => {
             return write_truncated(writer, payload, at, bytes);
         }
+        _ => {}
     }
     let io_err = |source: std::io::Error| frame_write_error(source, payload.len() as u64);
     writer.write_all(&wire(payload)).map_err(io_err)?;
@@ -216,18 +214,15 @@ pub fn read_frame<R: Read>(mut reader: R) -> Result<Option<Vec<u8>>, VlppError> 
 /// error: the peer stalled with a frame in flight and the connection is
 /// no longer trustworthy.
 pub fn read_frame_or_timeout<R: Read>(mut reader: R) -> Result<FrameRead, VlppError> {
-    match netfault::check_frame() {
-        None => {}
-        Some(NetFault::Stall { at, ms }) => {
-            eprintln!("vlpp: injected netstall at frame {at} ({ms} ms)");
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        Some(NetFault::Drop { at }) | Some(NetFault::Trunc { at, .. }) => {
+    match next_net_fault() {
+        Some(Fault::NetStall { at, ms }) => net_stall(at, ms),
+        Some(Fault::NetDrop { at } | Fault::NetTrunc { at, .. }) => {
             return Err(VlppError::Frame {
                 message: format!("injected fault: netdrop at frame {at}"),
                 declared_len: None,
             });
         }
+        _ => {}
     }
     let mut prefix = [0u8; 4];
     match read_exact_or_eof(&mut reader, &mut prefix)? {
@@ -288,10 +283,41 @@ pub fn is_timeout(error: &VlppError) -> bool {
     matches!(error, VlppError::Frame { message, .. } if message.contains(DEADLINE_MARKER))
 }
 
+/// Process-wide frame-operation counter; advances only while a fault
+/// plan is armed, so the unarmed path stays one `OnceLock` load.
+static FRAME_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Count of network faults fired.
+static NET_FAULTS_INJECTED: AtomicU64 = AtomicU64::new(0);
+
+/// Draws the next 1-based frame sequence number and returns the armed
+/// `net*` fault aimed at it, if any. Called once per frame operation.
+fn next_net_fault() -> Option<Fault> {
+    let plan = fault::armed();
+    if plan.is_empty() {
+        return None;
+    }
+    let seq = FRAME_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
+    let hit = plan.iter().copied().find(|fault| {
+        matches!(*fault, Fault::NetDrop { at } | Fault::NetStall { at, .. }
+            | Fault::NetTrunc { at, .. } if at == seq)
+    });
+    if hit.is_some() {
+        NET_FAULTS_INJECTED.fetch_add(1, Ordering::Relaxed);
+    }
+    hit
+}
+
+/// The `netstall` arm of both frame directions: sleep, then proceed.
+fn net_stall(at: u64, ms: u64) {
+    eprintln!("vlpp: injected netstall at frame {at} ({ms} ms)");
+    std::thread::sleep(std::time::Duration::from_millis(ms));
+}
+
 /// How many `VLPP_FAULT` network faults this process has injected so
 /// far. Zero when no `net*` fault is armed.
 pub fn net_faults_injected() -> u64 {
-    netfault::injected()
+    NET_FAULTS_INJECTED.load(Ordering::Relaxed)
 }
 
 /// How much of a fixed-size read completed.

@@ -167,7 +167,7 @@ impl JsonValue {
                     }
                     out.push('\n');
                     indent(out, depth + 1);
-                    write_escaped(out, key);
+                    let _ = write_escaped(out, key);
                     out.push_str(": ");
                     value.write_pretty(out, depth + 1);
                 }
@@ -175,54 +175,50 @@ impl JsonValue {
                 indent(out, depth);
                 out.push('}');
             }
-            compact => compact.write_single_line(out),
+            compact => {
+                let _ = compact.write_compact(out);
+            }
         }
     }
 
-    fn write_single_line(&self, out: &mut String) {
-        use fmt::Write as _;
+    /// Writes the compact (single-line) rendering into any
+    /// `fmt::Write` sink: the formatter itself for `Display`, so
+    /// `to_string()` builds the document once, or `pretty()`'s buffer
+    /// for its leaves.
+    fn write_compact<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(true) => out.push_str("true"),
-            JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::UInt(n) => {
-                let _ = write!(out, "{n}");
-            }
-            JsonValue::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            JsonValue::Float(x) => {
-                if x.is_finite() {
-                    // `{:?}` is the shortest representation that parses
-                    // back to the same bits, and always keeps a decimal
-                    // point ("1.0", not "1").
-                    let _ = write!(out, "{x:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            JsonValue::Null => out.write_str("null"),
+            JsonValue::Bool(true) => out.write_str("true"),
+            JsonValue::Bool(false) => out.write_str("false"),
+            JsonValue::UInt(n) => write!(out, "{n}"),
+            JsonValue::Int(n) => write!(out, "{n}"),
+            // `{:?}` is the shortest representation that parses back to
+            // the same bits, and always keeps a decimal point ("1.0",
+            // not "1").
+            JsonValue::Float(x) if x.is_finite() => write!(out, "{x:?}"),
+            JsonValue::Float(_) => out.write_str("null"),
             JsonValue::Str(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write_single_line(out);
+                    item.write_compact(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             JsonValue::Object(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(out, key);
-                    out.push(':');
-                    value.write_single_line(out);
+                    write_escaped(out, key)?;
+                    out.write_char(':')?;
+                    value.write_compact(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -241,11 +237,9 @@ impl JsonValue {
 }
 
 impl fmt::Display for JsonValue {
-    /// Compact (single-line) rendering.
+    /// Compact (single-line) rendering, streamed into the formatter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write_single_line(&mut out);
-        f.write_str(&out)
+        self.write_compact(f)
     }
 }
 
@@ -372,25 +366,32 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    use fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal, copying each run of characters
+/// that need no escape in one write.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut start = 0;
+    // Every escaped character is ASCII, so each index below is a char
+    // boundary.
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        if byte != b'"' && byte != b'\\' && byte >= 0x20 {
+            continue;
+        }
+        out.write_str(&s[start..i])?;
+        start = i + 1;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            0x08 => out.write_str("\\b")?,
+            0x0c => out.write_str("\\f")?,
+            _ => write!(out, "\\u{byte:04x}")?,
         }
     }
-    out.push('"');
+    out.write_str(&s[start..])?;
+    out.write_char('"')
 }
 
 /// A JSON parse error with the byte offset where parsing failed.

@@ -46,10 +46,10 @@
 mod addr;
 mod branch;
 mod error;
-mod netfault;
 mod trace;
 
 pub mod compact;
+pub mod fault;
 pub mod frame;
 pub mod ingest;
 pub mod json;

@@ -13,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-EXPECTED_STEPS=13
+EXPECTED_STEPS=15
 steps_run=0
 step() {
     steps_run=$((steps_run + 1))
@@ -58,7 +58,16 @@ if [ "$status" -ne 0 ]; then
 fi
 echo "ok: no registry dependencies"
 
-# 2. Build and test with the registry disabled. `--offline` makes cargo
+# 2. Lockfile drift: perfbench/ is its own workspace with its own
+#    Cargo.lock, built `--locked` in CI. A workspace change that would
+#    rewrite that lock (say, a new dependency edge between the crates it
+#    builds) fails here, not only in CI's perfbench job.
+step "perfbench lockfile is current"
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path perfbench/Cargo.toml >/dev/null
+echo "ok: perfbench/Cargo.lock needs no update"
+
+# 3. Build and test with the registry disabled. `--offline` makes cargo
 #    fail loudly if anything tries to reach crates.io. The build runs
 #    unconditionally, so a stale or absent target/ cannot skew any later
 #    step — they all use the binary this step produces.
@@ -69,7 +78,7 @@ echo "ok: offline build + tests passed"
 
 VLPP="./target/release/vlpp"
 
-# 3. Thread-count determinism: experiment output must be byte-identical
+# 4. Thread-count determinism: experiment output must be byte-identical
 #    whatever the worker-pool size (run at the scale floor to keep this
 #    fast).
 step "thread-count determinism"
@@ -81,7 +90,7 @@ if ! cmp -s "$scratch/t1.json" "$scratch/t8.json"; then
 fi
 echo "ok: output is byte-identical at 1 and 8 worker threads"
 
-# 4. Metrics smoke run: `--metrics` must add exactly one parseable
+# 5. Metrics smoke run: `--metrics` must add exactly one parseable
 #    `METRICS {json}` stdout line (checked by the in-tree parser via
 #    vlpp-metrics-check) and change nothing else about stdout.
 step "metrics additivity"
@@ -95,25 +104,25 @@ if ! cmp -s "$scratch/t1.json" "$scratch/metrics_stripped.json"; then
 fi
 echo "ok: --metrics is additive and its snapshot parses"
 
-# 5. Fault injection: injected faults must degrade, never abort (the
+# 6. Fault injection: injected faults must degrade, never abort (the
 #    full seeded matrix runs in tests/integration_faults.rs as part of
-#    step 2; this re-checks the two end-to-end contracts against the
+#    step 3; this re-checks the two end-to-end contracts against the
 #    release binary).
-#    5a. A persistent injected panic skips exactly that experiment:
-#        exit code 2, an "errors" section, and no process abort.
+#    6a. An injected panic skips exactly that experiment: exit code 2,
+#        an "errors" section, and no process abort.
 step "fault injection + checkpoint resume"
 fault_exit=0
-VLPP_THREADS=4 VLPP_FAULT=panic@2:persist VLPP_RETRY_BACKOFF_MS=0 \
+VLPP_THREADS=4 VLPP_FAULT=panic@2 \
     "$VLPP" all --json --scale 1000000 >"$scratch/fault.json" 2>/dev/null || fault_exit=$?
 if [ "$fault_exit" -ne 2 ]; then
-    echo "error: persistent-fault run must exit 2 (partial), got $fault_exit" >&2
+    echo "error: injected-fault run must exit 2 (partial), got $fault_exit" >&2
     exit 1
 fi
 if ! grep -q '"errors"' "$scratch/fault.json"; then
-    echo "error: persistent-fault run is missing its errors section" >&2
+    echo "error: injected-fault run is missing its errors section" >&2
     exit 1
 fi
-#    5b. Crash-safe resume: kill a checkpointed run mid-way, resume it,
+#    6b. Crash-safe resume: kill a checkpointed run mid-way, resume it,
 #        and require stdout byte-identical to the uninterrupted run.
 ckpt_dir="$scratch/ckpt"
 mkdir -p "$ckpt_dir"
@@ -131,7 +140,29 @@ if ! cmp -s "$scratch/t1.json" "$scratch/resume.json"; then
 fi
 echo "ok: faults degrade gracefully and checkpoint resume is byte-identical"
 
-# 6. Serving round trip: `vlpp loadgen` against a live `vlpp serve`
+# 7. Fault, then resume: a failed experiment is never re-run in-process;
+#    `--checkpoint` resume is how it is recovered. A checkpointed run
+#    with an injected panic exits 2, and a fault-free rerun on the same
+#    directory must print exactly what an uninterrupted run prints.
+step "injected fault -> checkpoint resume"
+ckpt_dir="$scratch/ckpt_fault"
+mkdir -p "$ckpt_dir"
+fault_exit=0
+VLPP_THREADS=4 VLPP_FAULT=panic@2 "$VLPP" all --json --scale 1000000 \
+    --checkpoint "$ckpt_dir" >/dev/null 2>&1 || fault_exit=$?
+if [ "$fault_exit" -ne 2 ]; then
+    echo "error: checkpointed injected-fault run must exit 2, got $fault_exit" >&2
+    exit 1
+fi
+VLPP_THREADS=4 "$VLPP" all --json --scale 1000000 --checkpoint "$ckpt_dir" \
+    >"$scratch/fault_resume.json" 2>/dev/null
+if ! cmp -s "$scratch/t1.json" "$scratch/fault_resume.json"; then
+    echo "error: resuming a faulted run differs from an uninterrupted run" >&2
+    exit 1
+fi
+echo "ok: resume recomputes the failed experiment byte-identically"
+
+# 8. Serving round trip: `vlpp loadgen` against a live `vlpp serve`
 #    must complete with zero errors and predictions byte-identical to
 #    the offline reference, at 1 and at 8 server worker threads (the
 #    shard-affinity determinism contract, see SERVING.md).
@@ -163,7 +194,7 @@ for threads in 1 8; do
 done
 echo "ok: served predictions match the offline reference at 1 and 8 threads"
 
-# 7. Snapshot warm restart: replay a prefix through a live server and
+# 9. Snapshot warm restart: replay a prefix through a live server and
 #    snapshot it, SIGKILL the server (a crash, not a drain), start a
 #    fresh server from the snapshot, and replay the rest with --skip.
 #    The second run's "stats_match":true proves the final counters
@@ -226,7 +257,7 @@ wait "$server_pid"
 server_pid=""
 echo "ok: snapshot warm restart is lossless (oracle holds across kill -9)"
 
-# 8. Cluster failover drill: 3 serve processes behind the routing
+# 10. Cluster failover drill: 3 serve processes behind the routing
 #    table, SIGKILL the primary of shard 0 mid-run, and require the
 #    loadgen oracle to hold across the failover — byte-identical
 #    predictions and shard-exact counters on the survivors — at 1 and
@@ -263,7 +294,7 @@ for threads in 1 8; do
 done
 echo "ok: the oracle holds across a SIGKILLed primary at 1 and 8 threads"
 
-# 9. Self-healing chaos drill: kill -> respawn -> resync rounds against
+# 11. Self-healing chaos drill: kill -> respawn -> resync rounds against
 #    one long-lived supervised cluster, with the loadgen oracle checked
 #    after every round and cluster.respawns / cluster.resyncs /
 #    serve.io_timeouts gated by vlpp-metrics-check (see ROBUSTNESS.md
@@ -272,7 +303,7 @@ step "self-healing chaos drill (kill -> respawn -> resync)"
 scripts/chaos_drill.sh 2
 echo "ok: the cluster self-heals with zero oracle divergence"
 
-# 10. Panic-hygiene gate: no `.unwrap()` in non-test code under the
+# 12. Panic-hygiene gate: no `.unwrap()` in non-test code under the
 #    error-spine crates (vlpp-trace, vlpp-sim). "Non-test" = lines
 #    before the first `#[cfg(test)]` in each file, excluding comment
 #    lines and `tests.rs` module files. New unwraps belong behind typed
@@ -296,7 +327,7 @@ if [ -n "$unwrap_offenders" ]; then
 fi
 echo "ok: no unwrap() in non-test vlpp-trace / vlpp-sim code"
 
-# 11. Trace-ingestion golden replay: the checked-in 100-record sample
+# 13. Trace-ingestion golden replay: the checked-in 100-record sample
 #    traces (ChampSim binary, CSV, JSONL — the same logical records in
 #    each, see TRACES.md) must replay to byte-identical statistics,
 #    matching the committed golden, both directly and after conversion
@@ -321,7 +352,7 @@ if ! cmp -s "$golden" "$scratch/replay.json"; then
 fi
 echo "ok: all three sample formats + compact conversion match the golden replay"
 
-# 12. Wall-clock of the full experiment suite at the default scale, as a
+# 14. Wall-clock of the full experiment suite at the default scale, as a
 #    machine-readable BENCH line (same shape as the vlpp-check timer).
 step "wall-clock BENCH line"
 start=$(date +%s%N)
@@ -330,7 +361,7 @@ end=$(date +%s%N)
 elapsed=$((end - start))
 echo "BENCH {\"bench\":\"vlpp_all_default_scale\",\"iters\":1,\"median_ns\":$elapsed,\"mad_ns\":0,\"min_ns\":$elapsed,\"max_ns\":$elapsed}"
 
-# 13. Tournament determinism + baseline gate: the predictor-zoo league
+# 15. Tournament determinism + baseline gate: the predictor-zoo league
 #    must be byte-identical at 1 and 8 worker threads and must hold the
 #    committed accuracy baseline (every cell present, no miss rate above
 #    its TOURNEY_baseline.json ceiling — the same gate CI's
