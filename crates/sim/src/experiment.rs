@@ -13,6 +13,10 @@ use vlpp_pool::{Memo, Pool};
 use vlpp_synth::{suite, BenchmarkSpec, InputSet};
 use vlpp_trace::Trace;
 
+/// The divisor `--scale ci` pins: every workload lands on the 50 000
+/// conditional-branch floor, so CI runs are fast and scale-stable.
+pub const CI_SCALE_DIVISOR: u64 = 1_000_000;
+
 /// Workload scale: the paper's dynamic branch counts divided by
 /// `divisor`. 1 reproduces full paper-size runs; the default 16 keeps a
 /// full experiment under a minute while leaving hundreds of thousands to
@@ -36,26 +40,26 @@ impl Scale {
         Scale { divisor }
     }
 
-    /// Reads `VLPP_SCALE` from the environment, falling back to the
-    /// default. An unset variable is silently the default; a set-but-
-    /// invalid value (zero, negative, not a number) warns on stderr and
-    /// falls back rather than panicking — `VLPP_SCALE=0 vlpp headline`
-    /// must run, not abort.
-    pub fn from_env() -> Self {
-        match std::env::var("VLPP_SCALE") {
-            Err(_) => Scale::DEFAULT,
-            Ok(raw) => match raw.trim().parse::<u64>() {
-                Ok(divisor) if divisor >= 1 => Scale::new(divisor),
-                _ => {
-                    eprintln!(
-                        "warning: ignoring invalid VLPP_SCALE=`{raw}` (expected an \
-                         integer >= 1); using the default 1/{}",
-                        Scale::DEFAULT.divisor()
-                    );
-                    Scale::DEFAULT
-                }
-            },
+    /// What [`Scale::parse`] accepts, for error messages.
+    pub const EXPECTED: &'static str = "`ci` or an integer >= 1";
+
+    /// Parses a scale, for every `--scale` and `VLPP_SCALE`: `ci`
+    /// ([`CI_SCALE_DIVISOR`]) or an integer divisor >= 1.
+    pub fn parse(raw: &str) -> Option<Scale> {
+        match raw {
+            "ci" => Some(Scale::new(CI_SCALE_DIVISOR)),
+            _ => raw.parse().ok().filter(|&divisor| divisor >= 1).map(Scale::new),
         }
+    }
+
+    /// Reads `VLPP_SCALE`: unset is the default, and an invalid value
+    /// warns and falls back to it. A bad `--scale` is an error instead:
+    /// the flag is typed for one run, while the variable is ambient,
+    /// inherited by every verb, so `VLPP_SCALE=0 vlpp headline` runs.
+    pub fn from_env() -> Self {
+        let fallback = format!("using the default 1/{}", Scale::DEFAULT.divisor());
+        crate::cli::env_knob("VLPP_SCALE", Scale::parse, Scale::EXPECTED, &fallback)
+            .unwrap_or(Scale::DEFAULT)
     }
 
     /// The divisor.

@@ -37,13 +37,12 @@ use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::source::MemorySource;
 use vlpp_trace::{Trace, TraceIoError, TraceSource, VlppError};
 
+use crate::cli::{cli_error, print_metrics, Flags, INDEX_BITS};
 use crate::experiment::Scale;
+use crate::serve::ModelKind;
 
-fn cli_error(message: impl Into<String>) -> VlppError {
-    VlppError::Cli { message: message.into() }
-}
-
-const INGEST_USAGE: &str = "\
+/// `vlpp ingest --help`.
+pub const INGEST_USAGE: &str = "\
 usage: vlpp ingest <file> [--format champsim|csv|jsonl|compact]
                    [--out FILE] [--chunk-records N] [--json] [--metrics]
 
@@ -55,8 +54,9 @@ bounds how many records a replaying reader ever buffers. The output is
 written atomically (tmp + rename). See TRACES.md.
 ";
 
-const RUN_USAGE: &str = "\
-usage: vlpp run (--trace FILE [--format F] | --benchmark NAME [--scale N])
+/// `vlpp run --help`.
+pub const RUN_USAGE: &str = "\
+usage: vlpp run (--trace FILE [--format F] | --benchmark NAME [--scale ci|N])
                 [--index-bits N] [--fixed H | --profile] [--json] [--metrics]
 
 Replays a trace through the conditional + indirect SoA kernels and
@@ -69,8 +69,9 @@ memory). Output is stable byte-for-byte at any VLPP_THREADS and does
 not embed the input path, so runs are diffable across machines.
 ";
 
-const PROFILE_USAGE: &str = "\
-usage: vlpp profile (--trace FILE [--format F] | --benchmark NAME [--scale N])
+/// `vlpp profile --help`.
+pub const PROFILE_USAGE: &str = "\
+usage: vlpp profile (--trace FILE [--format F] | --benchmark NAME [--scale ci|N])
                     [--kind cond|ind] [--index-bits N] [--json]
 
 Runs the paper's two-step profiling heuristic (§3.5) over a trace and
@@ -96,20 +97,18 @@ impl<R: Read> Read for MeteredReader<R> {
     }
 }
 
+/// What `--format` accepts.
+const FORMATS: &str = "champsim, csv, jsonl, or compact";
+
 /// Resolves the trace format: explicit `--format` wins, else the file
 /// extension.
-fn resolve_format(path: &Path, explicit: Option<&str>) -> Result<TraceFormat, VlppError> {
-    match explicit {
-        Some(name) => TraceFormat::from_name(name).ok_or_else(|| {
-            cli_error(format!("unknown format `{name}` (want champsim, csv, jsonl, or compact)"))
-        }),
-        None => TraceFormat::from_path(path).ok_or_else(|| {
-            cli_error(format!(
-                "cannot guess the format of `{}`; pass --format champsim|csv|jsonl|compact",
-                path.display()
-            ))
-        }),
-    }
+fn resolve_format(path: &Path, explicit: Option<TraceFormat>) -> Result<TraceFormat, VlppError> {
+    explicit.or_else(|| TraceFormat::from_path(path)).ok_or_else(|| {
+        cli_error(format!(
+            "cannot guess the format of `{}`; pass --format champsim|csv|jsonl|compact",
+            path.display()
+        ))
+    })
 }
 
 /// Opens `path` as a streaming source in `format`, with byte metering.
@@ -123,72 +122,48 @@ fn open_trace_file(
     open_source(format, reader).map_err(|e| VlppError::trace_file(path, e))
 }
 
-fn print_metrics(enabled: bool) {
-    if !enabled {
-        return;
+/// Parsed `vlpp ingest` options.
+pub(crate) struct IngestOptions {
+    input: PathBuf,
+    format: TraceFormat,
+    out: PathBuf,
+    chunk_records: u32,
+    json: bool,
+    metrics: bool,
+}
+
+/// Parses `vlpp ingest` arguments.
+pub(crate) fn parse_ingest_args(args: &[String]) -> Result<IngestOptions, VlppError> {
+    let mut flags = Flags::new(args);
+    let (mut input, mut format, mut out) = (None, None, None);
+    let (mut chunk_records, mut json, mut metrics) = (DEFAULT_CHUNK_RECORDS, false, false);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--format" => format = Some(flags.parse(TraceFormat::from_name, FORMATS)?),
+            "--out" => out = Some(PathBuf::from(flags.value()?)),
+            "--chunk-records" => chunk_records = flags.num(1..=MAX_CHUNK_RECORDS)?,
+            "--json" => json = true,
+            "--metrics" => metrics = true,
+            path if input.is_none() && !path.starts_with('-') => input = Some(PathBuf::from(path)),
+            _ => return Err(flags.unknown()),
+        }
     }
-    let registry = vlpp_metrics::Registry::global();
-    eprint!("{}", registry.render_table());
-    println!("METRICS {}", registry.snapshot());
+    let input = input.ok_or_else(|| cli_error(format!("missing input file\n{INGEST_USAGE}")))?;
+    let format = resolve_format(&input, format)?;
+    let out = out.unwrap_or_else(|| input.with_extension("vlpc"));
+    Ok(IngestOptions { input, format, out, chunk_records, json, metrics })
 }
 
 /// `vlpp ingest` entry point.
 ///
 /// # Errors
 ///
-/// [`VlppError::Cli`] for flag misuse, [`VlppError::Trace`] (with the
-/// faulting byte offset) for malformed input, [`VlppError::Io`] for
-/// filesystem failures.
+/// [`VlppError::Cli`] or [`VlppError::Config`] for flag misuse,
+/// [`VlppError::Trace`] (with the faulting byte offset) for malformed
+/// input, [`VlppError::Io`] for filesystem failures.
 pub fn ingest_main(args: &[String]) -> Result<(), VlppError> {
-    let mut input: Option<PathBuf> = None;
-    let mut format: Option<String> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut chunk_records = DEFAULT_CHUNK_RECORDS;
-    let mut json = false;
-    let mut metrics = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--format" => {
-                format =
-                    Some(iter.next().ok_or_else(|| cli_error("--format needs a name"))?.clone());
-            }
-            "--out" => {
-                out = Some(PathBuf::from(
-                    iter.next().ok_or_else(|| cli_error("--out needs a path"))?,
-                ));
-            }
-            "--chunk-records" => {
-                let raw = iter.next().ok_or_else(|| cli_error("--chunk-records needs a count"))?;
-                chunk_records = match raw.parse::<u32>() {
-                    Ok(n) if (1..=MAX_CHUNK_RECORDS).contains(&n) => n,
-                    _ => {
-                        return Err(VlppError::Config {
-                            name: "--chunk-records".to_string(),
-                            value: raw.clone(),
-                            message: format!("expected an integer in 1..={MAX_CHUNK_RECORDS}"),
-                        });
-                    }
-                };
-            }
-            "--json" => json = true,
-            "--metrics" => metrics = true,
-            "--help" | "-h" => {
-                print!("{INGEST_USAGE}");
-                return Ok(());
-            }
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(PathBuf::from(other));
-            }
-            other => {
-                return Err(cli_error(format!("unexpected argument `{other}`\n{INGEST_USAGE}")))
-            }
-        }
-    }
-    let input = input.ok_or_else(|| cli_error(format!("missing input file\n{INGEST_USAGE}")))?;
-    let format = resolve_format(&input, format.as_deref())?;
-    let out = out.unwrap_or_else(|| input.with_extension("vlpc"));
-
+    let IngestOptions { input, format, out, chunk_records, json, metrics } =
+        parse_ingest_args(args)?;
     let bytes_in = Arc::new(AtomicU64::new(0));
     let mut source = open_trace_file(&input, format, Arc::clone(&bytes_in))?;
 
@@ -241,7 +216,7 @@ pub fn ingest_main(args: &[String]) -> Result<(), VlppError> {
 
 /// Where `vlpp run` / `vlpp profile` take their records from.
 enum WorkloadArg {
-    TraceFile { path: PathBuf, format: Option<String> },
+    TraceFile { path: PathBuf, format: TraceFormat },
     Benchmark { name: String, scale: Scale },
 }
 
@@ -250,10 +225,7 @@ impl WorkloadArg {
     /// synthetic trace first (they are generated in memory anyway).
     fn open(&self, bytes: Arc<AtomicU64>) -> Result<Box<dyn TraceSource + Send>, VlppError> {
         match self {
-            WorkloadArg::TraceFile { path, format } => {
-                let format = resolve_format(path, format.as_deref())?;
-                open_trace_file(path, format, bytes)
-            }
+            WorkloadArg::TraceFile { path, format } => open_trace_file(path, *format, bytes),
             WorkloadArg::Benchmark { name, scale } => {
                 let spec = suite::benchmark(name)
                     .ok_or_else(|| cli_error(format!("unknown benchmark `{name}`")))?;
@@ -267,11 +239,15 @@ impl WorkloadArg {
 
     /// Materializes the whole workload (for profiling).
     fn materialize(&self, bytes: Arc<AtomicU64>) -> Result<Trace, VlppError> {
-        let mut source = self.open(bytes)?;
-        source.read_to_trace().map_err(|e| match self {
-            WorkloadArg::TraceFile { path, .. } => VlppError::trace_file(path, e),
-            WorkloadArg::Benchmark { .. } => e.into(),
-        })
+        self.open(bytes)?.read_to_trace().map_err(|e| self.read_error(e))
+    }
+
+    /// A read error, with the trace file's path when there is one.
+    fn read_error(&self, error: TraceIoError) -> VlppError {
+        match self {
+            WorkloadArg::TraceFile { path, .. } => VlppError::trace_file(path, error),
+            WorkloadArg::Benchmark { .. } => error.into(),
+        }
     }
 }
 
@@ -372,124 +348,75 @@ pub fn replay_streaming<S: TraceSource + ?Sized>(
     })
 }
 
-/// Shared `--trace`/`--benchmark`/`--scale`/`--format` parsing for the
-/// `run` and `profile` verbs. Returns `None` if the flag was not
-/// recognized so the caller can try its own flags.
-struct WorkloadFlags {
-    trace: Option<PathBuf>,
-    format: Option<String>,
-    benchmark: Option<String>,
-    scale: Scale,
+/// Parsed `vlpp run` and `vlpp profile` options: one workload, plus
+/// each verb's own flags (`run`: `fixed_hash`, `profile`, `metrics`;
+/// `profile`: `indirect`).
+pub(crate) struct ReplayOptions {
+    workload: WorkloadArg,
+    index_bits: u32,
+    fixed_hash: u8,
+    profile: bool,
+    indirect: bool,
+    json: bool,
+    metrics: bool,
 }
 
-impl WorkloadFlags {
-    fn new() -> Self {
-        WorkloadFlags { trace: None, format: None, benchmark: None, scale: Scale::from_env() }
-    }
-
-    fn accept<'a>(
-        &mut self,
-        arg: &str,
-        iter: &mut impl Iterator<Item = &'a String>,
-    ) -> Result<bool, VlppError> {
-        match arg {
-            "--trace" => {
-                let path = iter.next().ok_or_else(|| cli_error("--trace needs a path"))?;
-                self.trace = Some(PathBuf::from(path));
-            }
-            "--format" => {
-                let name = iter.next().ok_or_else(|| cli_error("--format needs a name"))?;
-                self.format = Some(name.clone());
-            }
-            "--benchmark" => {
-                let name = iter.next().ok_or_else(|| cli_error("--benchmark needs a name"))?;
-                self.benchmark = Some(name.clone());
-            }
-            "--scale" => {
-                let raw = iter.next().ok_or_else(|| cli_error("--scale needs an integer"))?;
-                let divisor = raw
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&v| v >= 1)
-                    .ok_or_else(|| cli_error("--scale needs a positive integer"))?;
-                self.scale = Scale::new(divisor);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    fn into_workload(self, usage: &str) -> Result<WorkloadArg, VlppError> {
-        match (self.trace, self.benchmark) {
-            (Some(path), None) => Ok(WorkloadArg::TraceFile { path, format: self.format }),
-            (None, Some(name)) => Ok(WorkloadArg::Benchmark { name, scale: self.scale }),
-            (Some(_), Some(_)) => {
-                Err(cli_error(format!("--trace and --benchmark are mutually exclusive\n{usage}")))
-            }
-            (None, None) => Err(cli_error(format!("need --trace or --benchmark\n{usage}"))),
-        }
-    }
+/// Parses `vlpp run` arguments.
+pub(crate) fn parse_run_args(args: &[String]) -> Result<ReplayOptions, VlppError> {
+    parse_replay_args(args, true)
 }
 
-fn parse_index_bits(raw: &str) -> Result<u32, VlppError> {
-    match raw.parse::<u32>() {
-        Ok(bits) if (4..=24).contains(&bits) => Ok(bits),
-        _ => Err(VlppError::Config {
-            name: "--index-bits".to_string(),
-            value: raw.to_string(),
-            message: "expected an integer in 4..=24".to_string(),
-        }),
+/// Parses `vlpp profile` arguments.
+pub(crate) fn parse_profile_args(args: &[String]) -> Result<ReplayOptions, VlppError> {
+    parse_replay_args(args, false)
+}
+
+fn parse_replay_args(args: &[String], run: bool) -> Result<ReplayOptions, VlppError> {
+    let mut flags = Flags::with_scale(args);
+    let (mut trace, mut format, mut benchmark) = (None, None, None);
+    let (mut index_bits, mut fixed_hash, mut profile, mut indirect) = (12, 8, false, false);
+    let (mut json, mut metrics) = (false, false);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--trace" => trace = Some(PathBuf::from(flags.value()?)),
+            "--format" => format = Some(flags.parse(TraceFormat::from_name, FORMATS)?),
+            "--benchmark" => benchmark = Some(flags.value()?.to_string()),
+            "--index-bits" => index_bits = flags.num(INDEX_BITS)?,
+            "--json" => json = true,
+            "--fixed" if run => fixed_hash = flags.num(1..=MAX_PATH_LENGTH as u8)?,
+            "--profile" if run => profile = true,
+            "--metrics" if run => metrics = true,
+            "--kind" if !run => {
+                indirect = flags.parse(ModelKind::from_name, "cond or ind")? == ModelKind::Indirect
+            }
+            _ => return Err(flags.unknown()),
+        }
     }
+    let usage = if run { RUN_USAGE } else { PROFILE_USAGE };
+    let workload = match (trace, benchmark) {
+        (Some(path), None) => {
+            WorkloadArg::TraceFile { format: resolve_format(&path, format)?, path }
+        }
+        (None, Some(name)) => WorkloadArg::Benchmark { name, scale: flags.scale() },
+        (Some(_), Some(_)) => {
+            return Err(cli_error(format!(
+                "--trace and --benchmark are mutually exclusive\n{usage}"
+            )))
+        }
+        (None, None) => return Err(cli_error(format!("need --trace or --benchmark\n{usage}"))),
+    };
+    Ok(ReplayOptions { workload, index_bits, fixed_hash, profile, indirect, json, metrics })
 }
 
 /// `vlpp run` entry point.
 ///
 /// # Errors
 ///
-/// [`VlppError::Cli`] for flag misuse, [`VlppError::Trace`] for a
-/// malformed trace, [`VlppError::Io`] for filesystem failures.
+/// `Cli`/`Config` for flag misuse, `Trace` for a malformed trace, `Io`
+/// for filesystem failures.
 pub fn run_main(args: &[String]) -> Result<(), VlppError> {
-    let mut flags = WorkloadFlags::new();
-    let mut index_bits = 12u32;
-    let mut fixed_hash = 8u8;
-    let mut profile = false;
-    let mut json = false;
-    let mut metrics = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if flags.accept(arg.as_str(), &mut iter)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--index-bits" => {
-                let raw = iter.next().ok_or_else(|| cli_error("--index-bits needs an integer"))?;
-                index_bits = parse_index_bits(raw)?;
-            }
-            "--fixed" => {
-                let raw = iter.next().ok_or_else(|| cli_error("--fixed needs a hash number"))?;
-                fixed_hash = match raw.parse::<u8>() {
-                    Ok(h) if (1..=MAX_PATH_LENGTH as u8).contains(&h) => h,
-                    _ => {
-                        return Err(VlppError::Config {
-                            name: "--fixed".to_string(),
-                            value: raw.clone(),
-                            message: format!("expected a hash number in 1..={MAX_PATH_LENGTH}"),
-                        });
-                    }
-                };
-            }
-            "--profile" => profile = true,
-            "--json" => json = true,
-            "--metrics" => metrics = true,
-            "--help" | "-h" => {
-                print!("{RUN_USAGE}");
-                return Ok(());
-            }
-            other => return Err(cli_error(format!("unexpected argument `{other}`\n{RUN_USAGE}"))),
-        }
-    }
-    let workload = flags.into_workload(RUN_USAGE)?;
-
+    let ReplayOptions { workload, index_bits, fixed_hash, profile, json, metrics, .. } =
+        parse_run_args(args)?;
     let bytes_in = Arc::new(AtomicU64::new(0));
     let report = if profile {
         // The §3.5 heuristic reads the whole trace twice, so this path
@@ -506,10 +433,8 @@ pub fn run_main(args: &[String]) -> Result<(), VlppError> {
     } else {
         let assignment = HashAssignment::fixed(fixed_hash);
         let mut source = workload.open(Arc::clone(&bytes_in))?;
-        replay_streaming(&mut source, index_bits, &assignment).map_err(|e| match &workload {
-            WorkloadArg::TraceFile { path, .. } => VlppError::trace_file(path, e),
-            WorkloadArg::Benchmark { .. } => e.into(),
-        })?
+        replay_streaming(&mut source, index_bits, &assignment)
+            .map_err(|e| workload.read_error(e))?
     };
 
     vlpp_metrics::counter("ingest.records").add(report.records);
@@ -528,43 +453,10 @@ pub fn run_main(args: &[String]) -> Result<(), VlppError> {
 ///
 /// # Errors
 ///
-/// [`VlppError::Cli`] for flag misuse, [`VlppError::Trace`] for a
-/// malformed trace, [`VlppError::Io`] for filesystem failures.
+/// `Cli`/`Config` for flag misuse, `Trace` for a malformed trace, `Io`
+/// for filesystem failures.
 pub fn profile_main(args: &[String]) -> Result<(), VlppError> {
-    let mut flags = WorkloadFlags::new();
-    let mut index_bits = 12u32;
-    let mut indirect = false;
-    let mut json = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if flags.accept(arg.as_str(), &mut iter)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--index-bits" => {
-                let raw = iter.next().ok_or_else(|| cli_error("--index-bits needs an integer"))?;
-                index_bits = parse_index_bits(raw)?;
-            }
-            "--kind" => {
-                let raw = iter.next().ok_or_else(|| cli_error("--kind needs cond or ind"))?;
-                indirect = match raw.as_str() {
-                    "cond" => false,
-                    "ind" => true,
-                    other => return Err(cli_error(format!("unknown kind `{other}`"))),
-                };
-            }
-            "--json" => json = true,
-            "--help" | "-h" => {
-                print!("{PROFILE_USAGE}");
-                return Ok(());
-            }
-            other => {
-                return Err(cli_error(format!("unexpected argument `{other}`\n{PROFILE_USAGE}")))
-            }
-        }
-    }
-    let workload = flags.into_workload(PROFILE_USAGE)?;
-
+    let ReplayOptions { workload, index_bits, indirect, json, .. } = parse_profile_args(args)?;
     let bytes_in = Arc::new(AtomicU64::new(0));
     let trace = workload.materialize(Arc::clone(&bytes_in))?;
     vlpp_metrics::counter("ingest.records").add(trace.len() as u64);
@@ -696,8 +588,10 @@ mod tests {
     fn resolve_format_prefers_explicit_and_rejects_unknown() {
         let p = Path::new("trace.csv");
         assert!(matches!(resolve_format(p, None), Ok(TraceFormat::Csv)));
-        assert!(matches!(resolve_format(p, Some("jsonl")), Ok(TraceFormat::Jsonl)));
-        assert!(resolve_format(p, Some("xml")).is_err());
+        assert!(matches!(resolve_format(p, Some(TraceFormat::Jsonl)), Ok(TraceFormat::Jsonl)));
         assert!(resolve_format(Path::new("trace.dat"), None).is_err());
+        let args = ["x.csv", "--format", "xml"].map(String::from);
+        let error = parse_ingest_args(&args).err().expect("xml is no format");
+        assert_eq!(error.to_string(), format!("invalid --format=`xml`: expected {FORMATS}"));
     }
 }

@@ -48,6 +48,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod checkpoint;
+pub mod cli;
 pub mod experiment;
 pub mod frontend;
 pub mod ingest;

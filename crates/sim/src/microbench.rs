@@ -22,12 +22,14 @@ use vlpp_core::{HashAssignment, PathConfig};
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord, Trace, VlppError};
 
+use crate::cli::Flags;
 use crate::experiment::{Scale, Workloads};
 use crate::runner::{run_path_conditional, run_path_indirect};
 use crate::serve::protocol;
 use crate::serve::Prediction;
 
-const USAGE: &str = "\
+/// `vlpp microbench --help`.
+pub const USAGE: &str = "\
 usage: vlpp microbench [--records N]
 
 options:
@@ -148,39 +150,26 @@ fn print_with_throughput(report: &BenchReport, records: usize) {
     println!("BENCH {}", json.to_json_string());
 }
 
+/// Parses `vlpp microbench` arguments: the records per iteration.
+pub(crate) fn parse_microbench_args(args: &[String]) -> Result<usize, VlppError> {
+    let mut flags = Flags::new(args);
+    let mut records = 200_000;
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--records" => records = flags.num(1..)?,
+            _ => return Err(flags.unknown()),
+        }
+    }
+    Ok(records)
+}
+
 /// Entry point for `vlpp microbench`.
 ///
 /// # Errors
 ///
-/// [`VlppError::Protocol`] on a malformed flag.
+/// [`VlppError::Cli`] or [`VlppError::Config`] for a bad flag.
 pub fn microbench_main(args: &[String]) -> Result<(), VlppError> {
-    let mut records = 200_000usize;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--records" => {
-                records = iter.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).ok_or_else(
-                    || {
-                        VlppError::protocol(
-                            Some("microbench".to_string()),
-                            "--records needs a positive integer",
-                        )
-                    },
-                )?;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            other => {
-                return Err(VlppError::protocol(
-                    Some("microbench".to_string()),
-                    format!("unexpected argument `{other}`\n{USAGE}"),
-                ));
-            }
-        }
-    }
-    run(records);
+    run(parse_microbench_args(args)?);
     Ok(())
 }
 

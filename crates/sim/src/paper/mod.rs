@@ -20,6 +20,7 @@ mod gcc;
 mod pipeline;
 mod related;
 mod tables;
+pub(crate) mod verb;
 
 #[cfg(test)]
 mod tests;

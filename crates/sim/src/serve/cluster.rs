@@ -55,13 +55,14 @@ use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use vlpp_trace::compact::{read_snapshot, write_snapshot, SnapshotSection};
+use super::snapshot::{read_snapshot, write_snapshot, SnapshotSection};
 use vlpp_trace::json::JsonValue;
 use vlpp_trace::VlppError;
 
 use super::loadgen::Client;
 use super::routing::{Node, RoutingTable};
 use super::{sig, ListenSpec};
+use crate::cli::{cli_error, print_metrics, Flags};
 use crate::experiment::Scale;
 
 /// Deadline for a supervisor-initiated probe, drain, or announce read:
@@ -105,8 +106,9 @@ pub struct ClusterOptions {
     pub metrics: bool,
 }
 
-const CLUSTER_USAGE: &str = "\
-usage: vlpp cluster [--nodes N] [--shards N] [--scale N]
+/// `vlpp cluster --help`.
+pub const CLUSTER_USAGE: &str = "\
+usage: vlpp cluster [--nodes N] [--shards N] [--scale ci|N]
                     [--routing-out FILE] [--metrics]
                     [--probe-interval-ms MS] [--miss-budget N]
                     [--max-respawns N] [--io-timeout-ms MS]
@@ -117,25 +119,21 @@ table (primary + replica per shard, rendezvous-hashed), prints one
 heartbeat pings every --probe-interval-ms declare a node dead after
 --miss-budget misses, and a dead node is respawned from a snapshot
 resynced off the surviving shard owners, the routing file rewritten
-with a bumped version. Drive it with `vlpp loadgen --routing FILE`.
-See SERVING.md and ROBUSTNESS.md.
+with a bumped version. Drive it with `vlpp loadgen` pointed at the
+routing file. See SERVING.md and ROBUSTNESS.md.
 ";
-
-fn cli_error(message: impl Into<String>) -> VlppError {
-    VlppError::Cli { message: message.into() }
-}
 
 /// Parses `vlpp cluster` arguments. Zero counts are rejected, not
 /// clamped (except where zero is a documented "off" switch).
 ///
 /// # Errors
 ///
-/// [`VlppError::Cli`] on unknown flags or out-of-range values.
+/// `Cli` for an unknown flag or a missing value, `Config` for a bad one.
 pub fn parse_cluster_args(args: &[String]) -> Result<ClusterOptions, VlppError> {
     let mut options = ClusterOptions {
         nodes: 2,
         shards: 4,
-        scale: Scale::from_env(),
+        scale: Scale::DEFAULT,
         routing_out: None,
         probe_interval_ms: 500,
         miss_budget: 3,
@@ -143,68 +141,21 @@ pub fn parse_cluster_args(args: &[String]) -> Result<ClusterOptions, VlppError> 
         io_timeout_ms: super::DEFAULT_IO_TIMEOUT_MS,
         metrics: false,
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                options.nodes = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| (2..=64).contains(&n))
-                    .ok_or_else(|| cli_error("--nodes needs an integer in 2..=64"))?;
-            }
-            "--shards" => {
-                options.shards = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| (1..=1024).contains(&n))
-                    .ok_or_else(|| cli_error("--shards needs an integer in 1..=1024"))?;
-            }
-            "--scale" => {
-                let divisor = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| cli_error("--scale needs a positive integer"))?;
-                options.scale = Scale::new(divisor);
-            }
-            "--routing-out" => {
-                let path = iter.next().ok_or_else(|| cli_error("--routing-out needs a path"))?;
-                options.routing_out = Some(PathBuf::from(path));
-            }
-            "--probe-interval-ms" => {
-                options.probe_interval_ms = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| cli_error("--probe-interval-ms needs a positive integer"))?;
-            }
-            "--miss-budget" => {
-                options.miss_budget = iter
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| cli_error("--miss-budget needs a positive integer"))?;
-            }
-            "--max-respawns" => {
-                options.max_respawns = iter
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or_else(|| cli_error("--max-respawns needs an integer (0 disables)"))?;
-            }
-            "--io-timeout-ms" => {
-                options.io_timeout_ms = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| cli_error("--io-timeout-ms needs an integer (0 = unbounded)"))?;
-            }
+    let mut flags = Flags::with_scale(args);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--nodes" => options.nodes = flags.num(2..=64)?,
+            "--shards" => options.shards = flags.num(1..=1024)?,
+            "--routing-out" => options.routing_out = Some(PathBuf::from(flags.value()?)),
+            "--probe-interval-ms" => options.probe_interval_ms = flags.num(1..)?,
+            "--miss-budget" => options.miss_budget = flags.num(1..)?,
+            "--max-respawns" => options.max_respawns = flags.num(0..)?,
+            "--io-timeout-ms" => options.io_timeout_ms = flags.num(0..)?,
             "--metrics" => options.metrics = true,
-            "--help" | "-h" => return Err(cli_error(CLUSTER_USAGE)),
-            other => {
-                return Err(cli_error(format!("unexpected argument `{other}`\n{CLUSTER_USAGE}")))
-            }
+            _ => return Err(flags.unknown()),
         }
     }
+    options.scale = flags.scale();
     Ok(options)
 }
 
@@ -723,11 +674,7 @@ pub fn run_cluster(options: &ClusterOptions) -> Result<(), VlppError> {
         ("routing_version".to_string(), JsonValue::UInt(table.version())),
     ]);
     println!("CLUSTER_EXIT {summary}");
-    if options.metrics {
-        let registry = vlpp_metrics::Registry::global();
-        eprint!("{}", registry.render_table());
-        println!("METRICS {}", registry.snapshot());
-    }
+    print_metrics(options.metrics);
     Ok(())
 }
 
@@ -827,7 +774,7 @@ mod tests {
         assert!(options.metrics);
     }
 
-    /// Zero (and one-node) counts are typed CLI errors, never clamps:
+    /// Zero (and one-node) counts are typed config errors, never clamps:
     /// a single node cannot host a replica, and zero shards routes
     /// nothing. `--max-respawns 0` and `--io-timeout-ms 0` are the
     /// documented "off" switches and stay legal.
@@ -842,7 +789,7 @@ mod tests {
             &["--miss-budget", "0"],
         ] {
             let error = parse(bad).unwrap_err();
-            assert_eq!(error.phase(), "cli", "{bad:?}");
+            assert_eq!(error.phase(), "config", "{bad:?}");
         }
         assert!(parse(&["--max-respawns", "0"]).is_ok());
         assert!(parse(&["--io-timeout-ms", "0"]).is_ok());

@@ -68,6 +68,7 @@ use super::model::{Model, ModelKind, ModelSpec};
 use super::protocol::record_to_json;
 use super::routing::RoutingTable;
 use super::ListenSpec;
+use crate::cli::{cli_error, Flags, INDEX_BITS};
 use crate::experiment::{Scale, Workloads};
 
 /// Parsed `vlpp loadgen` options.
@@ -130,11 +131,12 @@ pub struct LoadgenOptions {
     pub wait_respawn_ms: u64,
 }
 
-const LOADGEN_USAGE: &str = "\
+/// `vlpp loadgen --help`.
+pub const LOADGEN_USAGE: &str = "\
 usage: vlpp loadgen (--addr HOST:PORT | --uds PATH | --routing FILE)
                     [--connections N] [--benchmark NAME] [--kind cond|ind]
                     [--index-bits N] [--shards N] [--records N] [--skip N]
-                    [--batch N] [--seed N] [--update-every K] [--scale N]
+                    [--batch N] [--seed N] [--update-every K] [--scale ci|N]
                     [--no-train] [--save FILE]
                     [--kill NODE --kill-after BATCHES] [--shutdown]
                     [--io-timeout-ms MS] [--wait-respawn MS]
@@ -149,10 +151,6 @@ proves the oracle holds across a failover. Prints one `LOADGEN {json}`
 summary line.
 ";
 
-fn cli_error(message: impl Into<String>) -> VlppError {
-    VlppError::Cli { message: message.into() }
-}
-
 /// Parses `vlpp loadgen` arguments. Counts that must be positive are
 /// *rejected* at zero with a typed error — never silently clamped to 1,
 /// which would run something other than what was asked for. So are
@@ -160,9 +158,9 @@ fn cli_error(message: impl Into<String>) -> VlppError {
 ///
 /// # Errors
 ///
-/// [`VlppError::Cli`] on unknown flags, malformed or out-of-range
-/// values, a missing or doubled target, or an option the target does
-/// not support.
+/// [`VlppError::Config`] on a malformed or out-of-range value;
+/// [`VlppError::Cli`] on an unknown flag, a missing value, a missing or
+/// doubled target, or an option the target does not support.
 pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> {
     let mut options = LoadgenOptions {
         target: None,
@@ -176,7 +174,7 @@ pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> 
         batch: 256,
         seed: 0x5eed_1e77,
         update_every: 0,
-        scale: Scale::from_env(),
+        scale: Scale::DEFAULT,
         no_train: false,
         save: None,
         routing: None,
@@ -187,90 +185,33 @@ pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> 
         wait_respawn_ms: 0,
     };
 
-    fn parse_num<T: std::str::FromStr>(value: Option<&String>, flag: &str) -> Result<T, VlppError> {
-        value
-            .and_then(|v| v.parse::<T>().ok())
-            .ok_or_else(|| cli_error(format!("{flag} needs a number")))
-    }
-
-    fn parse_positive(value: Option<&String>, flag: &str) -> Result<usize, VlppError> {
-        let n = parse_num::<usize>(value, flag)?;
-        if n == 0 {
-            return Err(cli_error(format!(
-                "{flag} must be at least 1 (got 0; refusing to guess what zero means)"
-            )));
-        }
-        Ok(n)
-    }
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => {
-                let addr = iter.next().ok_or_else(|| cli_error("--addr needs HOST:PORT"))?;
-                options.target = Some(ListenSpec::Tcp(addr.clone()));
-            }
-            "--uds" => {
-                let path = iter.next().ok_or_else(|| cli_error("--uds needs a socket path"))?;
-                options.target = Some(ListenSpec::Unix(PathBuf::from(path)));
-            }
-            "--routing" => {
-                let path = iter.next().ok_or_else(|| cli_error("--routing needs a file path"))?;
-                options.routing = Some(PathBuf::from(path));
-            }
-            "--connections" => {
-                options.connections = parse_positive(iter.next(), "--connections")?;
-            }
-            "--benchmark" => {
-                options.benchmark =
-                    iter.next().ok_or_else(|| cli_error("--benchmark needs a name"))?.clone();
-            }
-            "--kind" => {
-                let name = iter.next().ok_or_else(|| cli_error("--kind needs cond|ind"))?;
-                options.kind = ModelKind::from_name(name)
-                    .ok_or_else(|| cli_error(format!("unknown kind `{name}` (cond|ind)")))?;
-            }
-            "--index-bits" => options.index_bits = parse_num::<u32>(iter.next(), "--index-bits")?,
-            "--shards" => options.shards = Some(parse_positive(iter.next(), "--shards")?),
-            "--records" => options.records = parse_num::<usize>(iter.next(), "--records")?,
-            "--skip" => options.skip = parse_num::<usize>(iter.next(), "--skip")?,
-            "--batch" => options.batch = parse_positive(iter.next(), "--batch")?,
-            "--seed" => options.seed = parse_num::<u64>(iter.next(), "--seed")?,
-            "--update-every" => {
-                options.update_every = parse_num::<usize>(iter.next(), "--update-every")?
-            }
-            "--scale" => {
-                let divisor = parse_num::<u64>(iter.next(), "--scale")?;
-                if divisor == 0 {
-                    return Err(cli_error(
-                        "--scale must be at least 1 (got 0; refusing to guess what zero means)",
-                    ));
-                }
-                options.scale = Scale::new(divisor);
-            }
+    let mut flags = Flags::with_scale(args);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--addr" => options.target = Some(ListenSpec::Tcp(flags.value()?.to_string())),
+            "--uds" => options.target = Some(ListenSpec::Unix(PathBuf::from(flags.value()?))),
+            "--routing" => options.routing = Some(PathBuf::from(flags.value()?)),
+            "--connections" => options.connections = flags.num(1..)?,
+            "--benchmark" => options.benchmark = flags.value()?.to_string(),
+            "--kind" => options.kind = flags.parse(ModelKind::from_name, "cond or ind")?,
+            "--index-bits" => options.index_bits = flags.num(INDEX_BITS)?,
+            "--shards" => options.shards = Some(flags.num(1..)?),
+            "--records" => options.records = flags.num(0..)?,
+            "--skip" => options.skip = flags.num(0..)?,
+            "--batch" => options.batch = flags.num(1..)?,
+            "--seed" => options.seed = flags.num(0..)?,
+            "--update-every" => options.update_every = flags.num(0..)?,
             "--no-train" => options.no_train = true,
-            "--save" => {
-                let path = iter.next().ok_or_else(|| cli_error("--save needs a file path"))?;
-                options.save = Some(path.clone());
-            }
-            "--kill" => {
-                let node = iter.next().ok_or_else(|| cli_error("--kill needs a node id"))?;
-                options.kill = Some(node.clone());
-            }
-            "--kill-after" => options.kill_after = parse_num::<u64>(iter.next(), "--kill-after")?,
+            "--save" => options.save = Some(flags.value()?.to_string()),
+            "--kill" => options.kill = Some(flags.value()?.to_string()),
+            "--kill-after" => options.kill_after = flags.num(0..)?,
             "--shutdown" => options.shutdown = true,
-            "--io-timeout-ms" => {
-                options.io_timeout_ms = parse_num::<u64>(iter.next(), "--io-timeout-ms")?
-            }
-            "--wait-respawn" => {
-                options.wait_respawn_ms = parse_num::<u64>(iter.next(), "--wait-respawn")?
-            }
-            "--help" | "-h" => return Err(cli_error(LOADGEN_USAGE)),
-            other => {
-                return Err(cli_error(format!("unexpected argument `{other}`\n{LOADGEN_USAGE}")))
-            }
+            "--io-timeout-ms" => options.io_timeout_ms = flags.num(0..)?,
+            "--wait-respawn" => options.wait_respawn_ms = flags.num(0..)?,
+            _ => return Err(flags.unknown()),
         }
     }
+    options.scale = flags.scale();
     match (&options.target, &options.routing) {
         (None, None) => {
             return Err(cli_error(format!("missing --addr/--uds/--routing\n{LOADGEN_USAGE}")));
@@ -1436,7 +1377,7 @@ mod tests {
     }
 
     /// The regression tests for the silent `.max(1)` clamps: zero is a
-    /// typed CLI error naming the flag, not a silent run at 1.
+    /// typed config error naming the flag, not a silent run at 1.
     #[test]
     fn zero_counts_are_typed_errors_not_clamps() {
         for (args, flag) in [
@@ -1446,7 +1387,7 @@ mod tests {
             (&["--addr", "a:1", "--scale", "0"], "--scale"),
         ] {
             let error = parse(args).unwrap_err();
-            assert_eq!(error.phase(), "cli", "{flag}");
+            assert_eq!(error.phase(), "config", "{flag}");
             assert!(error.to_string().contains(flag), "{flag}: {error}");
         }
     }

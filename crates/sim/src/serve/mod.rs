@@ -73,6 +73,7 @@ use vlpp_trace::frame::{self, write_frame, FrameRead};
 use vlpp_trace::json::JsonValue;
 use vlpp_trace::VlppError;
 
+use crate::cli::{cli_error, print_metrics, Flags};
 use crate::experiment::{Scale, Workloads};
 pub use model::{Model, ModelKind, ModelSpec, Prediction};
 use protocol::VERB_NAMES;
@@ -161,8 +162,9 @@ pub struct ServeOptions {
     pub io_timeout_ms: u64,
 }
 
-const SERVE_USAGE: &str = "\
-usage: vlpp serve [--listen HOST:PORT | --uds PATH] [--scale N]
+/// `vlpp serve --help`.
+pub const SERVE_USAGE: &str = "\
+usage: vlpp serve [--listen HOST:PORT | --uds PATH] [--scale ci|N]
                   [--metrics] [--snapshot FILE] [--io-timeout-ms MS]
 
 Binds, prints one `SERVE {json}` line on stdout announcing the bound
@@ -172,63 +174,29 @@ before the announce line, so clients never see a half-warm server.
 See SERVING.md.
 ";
 
-fn cli_error(message: impl Into<String>) -> VlppError {
-    VlppError::Cli { message: message.into() }
-}
-
 /// Parses `vlpp serve` arguments.
 ///
 /// # Errors
 ///
-/// [`VlppError::Cli`] on unknown flags or malformed values.
+/// `Cli` for an unknown flag or a missing value, `Config` for a bad one.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, VlppError> {
-    let mut options = ServeOptions {
-        listen: ListenSpec::Tcp("127.0.0.1:0".to_string()),
-        scale: Scale::from_env(),
-        metrics: false,
-        snapshot: None,
-        io_timeout_ms: DEFAULT_IO_TIMEOUT_MS,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--listen" => {
-                let addr = iter.next().ok_or_else(|| cli_error("--listen needs HOST:PORT"))?;
-                options.listen = ListenSpec::Tcp(addr.clone());
+    let mut flags = Flags::with_scale(args);
+    let mut listen = ListenSpec::Tcp("127.0.0.1:0".to_string());
+    let (mut metrics, mut snapshot, mut io_timeout_ms) = (false, None, DEFAULT_IO_TIMEOUT_MS);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--listen" => listen = ListenSpec::Tcp(flags.value()?.to_string()),
+            "--uds" if cfg!(not(unix)) => {
+                return Err(cli_error("--uds is only available on Unix targets"))
             }
-            "--uds" => {
-                let path = iter.next().ok_or_else(|| cli_error("--uds needs a socket path"))?;
-                if cfg!(not(unix)) {
-                    return Err(cli_error("--uds is only available on Unix targets"));
-                }
-                options.listen = ListenSpec::Unix(PathBuf::from(path));
-            }
-            "--scale" => {
-                let divisor = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| cli_error("--scale needs a positive integer"))?;
-                options.scale = Scale::new(divisor);
-            }
-            "--metrics" => options.metrics = true,
-            "--snapshot" => {
-                let path = iter.next().ok_or_else(|| cli_error("--snapshot needs a file path"))?;
-                options.snapshot = Some(PathBuf::from(path));
-            }
-            "--io-timeout-ms" => {
-                options.io_timeout_ms = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| cli_error("--io-timeout-ms needs milliseconds (0 disables)"))?;
-            }
-            "--help" | "-h" => return Err(cli_error(SERVE_USAGE)),
-            other => {
-                return Err(cli_error(format!("unexpected argument `{other}`\n{SERVE_USAGE}")))
-            }
+            "--uds" => listen = ListenSpec::Unix(PathBuf::from(flags.value()?)),
+            "--metrics" => metrics = true,
+            "--snapshot" => snapshot = Some(PathBuf::from(flags.value()?)),
+            "--io-timeout-ms" => io_timeout_ms = flags.num(0..)?,
+            _ => return Err(flags.unknown()),
         }
     }
-    Ok(options)
+    Ok(ServeOptions { listen, scale: flags.scale(), metrics, snapshot, io_timeout_ms })
 }
 
 /// `vlpp serve` entry point: parse, bind, serve until shutdown.
@@ -598,12 +566,8 @@ pub fn serve(options: ServeOptions) -> Result<(), VlppError> {
         let _ = handler.join();
     }
     drop(listener);
-    if options.metrics {
-        let registry = vlpp_metrics::Registry::global();
-        eprint!("{}", registry.render_table());
-        println!("METRICS {}", registry.snapshot());
-        let _ = io::stdout().flush();
-    }
+    print_metrics(options.metrics);
+    let _ = io::stdout().flush();
     Ok(())
 }
 
@@ -800,7 +764,7 @@ fn execute(id: Option<u64>, verb: Verb, shared: &Shared) -> Result<Reply, VlppEr
             // warm-starts to the same empty state.
             let sections = snapshot::encode_models(&models, shared.workloads.scale());
             let mut bytes = Vec::new();
-            vlpp_trace::compact::write_snapshot(&sections, &mut bytes).map_err(|source| {
+            snapshot::write_snapshot(&sections, &mut bytes).map_err(|source| {
                 VlppError::protocol(
                     Some("sync".to_string()),
                     format!("cannot encode the snapshot stream: {source}"),

@@ -1,5 +1,5 @@
 //! Versioned model snapshots: served predictor state ⇄ the `VLPS`
-//! envelope of `vlpp_trace::compact`.
+//! envelope ([`write_snapshot`] / [`read_snapshot`]).
 //!
 //! # Layout
 //!
@@ -28,14 +28,15 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use vlpp_core::{HashAssignment, KernelState};
-use vlpp_trace::compact::{read_snapshot, write_snapshot, SnapshotSection};
+use vlpp_trace::compact::{fnv1a64, fnv1a64_continue};
+use vlpp_trace::frame::MAX_FRAME_BYTES;
 use vlpp_trace::json::JsonValue;
-use vlpp_trace::{Addr, VlppError};
+use vlpp_trace::{Addr, TraceIoError, VlppError};
 
 use super::model::{Model, ModelKind, ModelSpec, ShardSnapshot};
 use crate::experiment::Scale;
@@ -43,6 +44,213 @@ use crate::experiment::Scale;
 /// Format version of the *section layout* (the envelope has its own
 /// wire version; this one governs what the sections mean).
 pub const SNAPSHOT_FORMAT: u64 = 1;
+
+/// Magic bytes identifying a vlpp model snapshot envelope.
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"VLPS";
+
+/// Snapshot envelope version.
+pub(crate) const SNAPSHOT_VERSION: u16 = 1;
+
+/// Longest section name the envelope accepts, in bytes.
+const MAX_SECTION_NAME_BYTES: usize = 4096;
+
+/// One named, checksummed section of a model snapshot. The envelope
+/// is payload-agnostic: [`encode_models`] puts model specs, hash
+/// assignments and per-shard plane state into sections; the envelope
+/// only guarantees integrity and exact-offset error reporting.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotSection {
+    /// The section name (`manifest`, `m:<model>:shard:<i>`, …);
+    /// non-empty UTF-8, at most 4096 bytes.
+    pub name: String,
+    /// The raw payload.
+    pub payload: Vec<u8>,
+}
+
+/// The snapshot envelope's per-section checksum: FNV-1a chained over
+/// the section name and then its payload.
+fn section_checksum(section: &SnapshotSection) -> u64 {
+    fnv1a64_continue(fnv1a64(section.name.as_bytes()), &section.payload)
+}
+
+/// Writes a model snapshot envelope:
+///
+/// ```text
+/// magic   : 4 bytes = b"VLPS"
+/// version : u16 le = 1
+/// reserved: u16 le = 0
+/// sections: u32 le
+/// per section:
+///     name_len : u16 le (1..=4096)
+///     name     : UTF-8 bytes
+///     len      : u64 le — total payload bytes
+///     checksum : u64 le — FNV-1a chained over name, then payload
+///     chunks   : repeated [u32 le chunk_len][bytes], each chunk in
+///                1..=MAX_FRAME_BYTES, lengths summing to `len`
+/// ```
+///
+/// Payloads are chunked at [`MAX_FRAME_BYTES`] so a reader can stream
+/// a snapshot of any size without ever trusting a single length field
+/// larger than the wire-frame cap.
+///
+/// # Panics
+///
+/// Panics if a section name is empty or longer than 4096 bytes (a
+/// caller bug, not a data fault).
+///
+/// # Errors
+///
+/// Returns [`TraceIoError::Io`] if the underlying writer fails.
+pub fn write_snapshot<W: Write>(
+    sections: &[SnapshotSection],
+    mut writer: W,
+) -> Result<(), TraceIoError> {
+    writer.write_all(&SNAPSHOT_MAGIC)?;
+    writer.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+    writer.write_all(&0u16.to_le_bytes())?;
+    writer.write_all(&(sections.len() as u32).to_le_bytes())?;
+    for section in sections {
+        let name = section.name.as_bytes();
+        assert!(
+            !name.is_empty() && name.len() <= MAX_SECTION_NAME_BYTES,
+            "section name must be 1..={MAX_SECTION_NAME_BYTES} bytes"
+        );
+        writer.write_all(&(name.len() as u16).to_le_bytes())?;
+        writer.write_all(name)?;
+        writer.write_all(&(section.payload.len() as u64).to_le_bytes())?;
+        writer.write_all(&section_checksum(section).to_le_bytes())?;
+        for chunk in section.payload.chunks(MAX_FRAME_BYTES) {
+            writer.write_all(&(chunk.len() as u32).to_le_bytes())?;
+            writer.write_all(chunk)?;
+        }
+    }
+    writer.flush()?;
+    Ok(())
+}
+
+/// Reads a model snapshot envelope written by [`write_snapshot`].
+///
+/// Every structural fault is a typed error carrying the byte offset at
+/// which it was detected: [`TraceIoError::Truncated`] for short reads,
+/// [`TraceIoError::Malformed`] for impossible lengths / non-UTF-8
+/// names / trailing bytes, [`TraceIoError::ChecksumMismatch`] for a
+/// payload that does not hash to its declared checksum. Hostile
+/// length fields never drive a large allocation: payloads grow chunk
+/// by chunk, each chunk capped at the 1 MiB frame limit.
+///
+/// # Errors
+///
+/// See above; plus [`TraceIoError::BadMagic`] /
+/// [`TraceIoError::UnsupportedVersion`] for foreign or future files.
+pub fn read_snapshot<R: Read>(reader: R) -> Result<Vec<SnapshotSection>, TraceIoError> {
+    let mut reader = Counting { inner: reader, position: 0 };
+    let mut header = [0u8; 12];
+    reader.read_exact_or(&mut header, 0)?;
+    if header[0..4] != SNAPSHOT_MAGIC {
+        let mut found = [0u8; 4];
+        found.copy_from_slice(&header[0..4]);
+        return Err(TraceIoError::BadMagic { found });
+    }
+    let version = u16::from_le_bytes([header[4], header[5]]);
+    if version != SNAPSHOT_VERSION {
+        return Err(TraceIoError::UnsupportedVersion { found: version });
+    }
+    let count = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
+    let mut sections = Vec::with_capacity((count as usize).min(4096));
+    for index in 0..count as u64 {
+        let at = reader.position;
+        let mut len_buf = [0u8; 2];
+        reader.read_exact_or(&mut len_buf, index)?;
+        let name_len = u16::from_le_bytes(len_buf) as usize;
+        if name_len == 0 || name_len > MAX_SECTION_NAME_BYTES {
+            return Err(TraceIoError::Malformed {
+                what: format!("section {index} name length {name_len}"),
+                byte_offset: at,
+            });
+        }
+        let mut name = vec![0u8; name_len];
+        reader.read_exact_or(&mut name, index)?;
+        let name = String::from_utf8(name).map_err(|_| TraceIoError::Malformed {
+            what: format!("section {index} name is not UTF-8"),
+            byte_offset: at,
+        })?;
+        let mut fixed = [0u8; 16];
+        reader.read_exact_or(&mut fixed, index)?;
+        let payload_len = u64::from_le_bytes(fixed[0..8].try_into().expect("8-byte slice"));
+        let checksum = u64::from_le_bytes(fixed[8..16].try_into().expect("8-byte slice"));
+        let mut payload = Vec::with_capacity(payload_len.min(MAX_FRAME_BYTES as u64) as usize);
+        let mut remaining = payload_len;
+        while remaining > 0 {
+            let at = reader.position;
+            let mut chunk_buf = [0u8; 4];
+            reader.read_exact_or(&mut chunk_buf, index)?;
+            let chunk_len = u32::from_le_bytes(chunk_buf) as u64;
+            if chunk_len == 0 || chunk_len > MAX_FRAME_BYTES as u64 {
+                return Err(TraceIoError::Malformed {
+                    what: format!("section `{name}` chunk length {chunk_len}"),
+                    byte_offset: at,
+                });
+            }
+            if chunk_len > remaining {
+                return Err(TraceIoError::Malformed {
+                    what: format!(
+                        "section `{name}` chunk length {chunk_len} exceeds the \
+                         {remaining} payload bytes remaining"
+                    ),
+                    byte_offset: at,
+                });
+            }
+            let start = payload.len();
+            payload.resize(start + chunk_len as usize, 0);
+            reader.read_exact_or(&mut payload[start..], index)?;
+            remaining -= chunk_len;
+        }
+        let section = SnapshotSection { name, payload };
+        let found = section_checksum(&section);
+        if found != checksum {
+            return Err(TraceIoError::ChecksumMismatch {
+                section: section.name,
+                expected: checksum,
+                found,
+                byte_offset: reader.position,
+            });
+        }
+        sections.push(section);
+    }
+    let mut probe = [0u8; 1];
+    match reader.inner.read(&mut probe) {
+        Ok(0) => Ok(sections),
+        Ok(_) => Err(TraceIoError::Malformed {
+            what: "trailing bytes after the last section".to_string(),
+            byte_offset: reader.position,
+        }),
+        Err(e) => Err(TraceIoError::Io(e)),
+    }
+}
+
+/// A reader that counts the bytes it has consumed, so every envelope
+/// fault can name its exact offset.
+struct Counting<R> {
+    inner: R,
+    position: u64,
+}
+
+impl<R: Read> Counting<R> {
+    /// Fills `buf`; a short read is `Truncated` at the offset it began,
+    /// with `sections_read` complete sections before it.
+    fn read_exact_or(&mut self, buf: &mut [u8], sections_read: u64) -> Result<(), TraceIoError> {
+        let at = self.position;
+        self.inner.read_exact(buf).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                TraceIoError::Truncated { records_read: sections_read, byte_offset: at }
+            } else {
+                TraceIoError::Io(e)
+            }
+        })?;
+        self.position += buf.len() as u64;
+        Ok(())
+    }
+}
 
 fn checkpoint_error(path: &Path, message: impl Into<String>) -> VlppError {
     VlppError::Checkpoint { path: path.to_path_buf(), message: message.into() }
@@ -494,6 +702,134 @@ mod tests {
     use super::*;
     use crate::experiment::Workloads;
     use vlpp_trace::BranchRecord;
+
+    fn snapshot_sample() -> Vec<SnapshotSection> {
+        vec![
+            SnapshotSection { name: "manifest".into(), payload: b"{\"version\":1}".to_vec() },
+            SnapshotSection { name: "m:loadgen:shard:0".into(), payload: vec![0xab; 100_000] },
+            SnapshotSection { name: "empty".into(), payload: Vec::new() },
+        ]
+    }
+
+    #[test]
+    fn snapshot_round_trips() {
+        let sections = snapshot_sample();
+        let mut buf = Vec::new();
+        write_snapshot(&sections, &mut buf).unwrap();
+        assert_eq!(read_snapshot(&buf[..]).unwrap(), sections);
+    }
+
+    #[test]
+    fn snapshot_round_trips_multi_chunk_payloads() {
+        // A payload over the 1 MiB frame cap must stream as several
+        // chunks and reassemble losslessly.
+        let big = SnapshotSection {
+            name: "m:x:shard:1".into(),
+            payload: (0..3 * MAX_FRAME_BYTES + 17).map(|i| i as u8).collect(),
+        };
+        let mut buf = Vec::new();
+        write_snapshot(std::slice::from_ref(&big), &mut buf).unwrap();
+        // Header, name record, then 3 full chunks + 1 tail, each behind
+        // a 4-byte length.
+        assert_eq!(buf.len(), 12 + 2 + big.name.len() + 16 + 4 * 4 + big.payload.len());
+        assert_eq!(read_snapshot(&buf[..]).unwrap(), vec![big]);
+    }
+
+    #[test]
+    fn snapshot_rejects_trace_magic() {
+        let record = BranchRecord::conditional(Addr::new(0x40), Addr::new(0x80), true);
+        let mut trace_bytes = Vec::new();
+        let mut writer = vlpp_trace::compact::ChunkedWriter::new(&mut trace_bytes, 16).unwrap();
+        writer.push(&record).unwrap();
+        writer.finish().unwrap();
+        assert!(matches!(
+            read_snapshot(&trace_bytes[..]).unwrap_err(),
+            TraceIoError::BadMagic { found } if &found == b"VLPC"
+        ));
+    }
+
+    #[test]
+    fn snapshot_rejects_future_version() {
+        let mut buf = Vec::new();
+        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
+        buf[4] = 99;
+        assert!(matches!(
+            read_snapshot(&buf[..]).unwrap_err(),
+            TraceIoError::UnsupportedVersion { found: 99 }
+        ));
+    }
+
+    #[test]
+    fn snapshot_detects_payload_corruption_with_offset() {
+        let mut buf = Vec::new();
+        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
+        // Flip one payload byte deep inside the big section.
+        let victim = buf.len() - 50_000;
+        buf[victim] ^= 0x40;
+        match read_snapshot(&buf[..]).unwrap_err() {
+            TraceIoError::ChecksumMismatch { section, byte_offset, .. } => {
+                assert_eq!(section, "m:loadgen:shard:0");
+                assert!(byte_offset > 0);
+            }
+            other => panic!("expected checksum mismatch, got {other}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_detects_truncation_with_offset() {
+        let mut buf = Vec::new();
+        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
+        buf.truncate(buf.len() / 2);
+        match read_snapshot(&buf[..]).unwrap_err() {
+            TraceIoError::Truncated { byte_offset, .. } => {
+                assert!(byte_offset > 0 && byte_offset <= buf.len() as u64);
+            }
+            other => panic!("expected truncation, got {other}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_trailing_bytes() {
+        let mut buf = Vec::new();
+        write_snapshot(&snapshot_sample(), &mut buf).unwrap();
+        buf.push(0);
+        assert!(matches!(
+            read_snapshot(&buf[..]).unwrap_err(),
+            TraceIoError::Malformed { what, .. } if what.contains("trailing")
+        ));
+    }
+
+    /// An envelope header announcing one section.
+    fn one_section_header() -> Vec<u8> {
+        [&SNAPSHOT_MAGIC[..], &SNAPSHOT_VERSION.to_le_bytes(), &[0, 0], &1u32.to_le_bytes()]
+            .concat()
+    }
+
+    #[test]
+    fn snapshot_rejects_oversized_chunk_before_allocating() {
+        // Hand-build an envelope declaring a chunk above the frame cap:
+        // the reader must fail on the length field itself.
+        let mut buf = one_section_header();
+        buf.extend_from_slice(&1u16.to_le_bytes());
+        buf.push(b'x');
+        buf.extend_from_slice(&(u64::MAX).to_le_bytes()); // payload len
+        buf.extend_from_slice(&0u64.to_le_bytes()); // checksum
+        buf.extend_from_slice(&(u32::MAX).to_le_bytes()); // chunk len
+        assert!(matches!(
+            read_snapshot(&buf[..]).unwrap_err(),
+            TraceIoError::Malformed { what, .. } if what.contains("chunk length")
+        ));
+    }
+
+    #[test]
+    fn snapshot_rejects_zero_length_section_name() {
+        let mut buf = one_section_header();
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        assert!(matches!(
+            read_snapshot(&buf[..]).unwrap_err(),
+            TraceIoError::Malformed { what, .. } if what.contains("name length")
+        ));
+    }
 
     fn trained(kind: ModelKind, shards: usize, workloads: &Workloads) -> Arc<Model> {
         let spec = ModelSpec {

@@ -46,13 +46,15 @@ use vlpp_synth::{hard, suite, InputSet};
 use vlpp_trace::json::JsonValue;
 use vlpp_trace::{Trace, VlppError};
 
+use crate::cli::{cli_error, print_metrics, Flags};
 use crate::experiment::{Kind, Scale};
 use crate::paper::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 use crate::runner::{
     run_conditional, run_indirect, run_path_conditional, run_path_indirect, RunStats,
 };
 
-const USAGE: &str = "\
+/// `vlpp tournament --help`.
+pub const USAGE: &str = "\
 usage: vlpp tournament [--scale ci|N] [--json] [--metrics]
                        [--only NAME,NAME,...] [--emit-baseline]
 
@@ -69,19 +71,13 @@ options:
   --only LIST      comma-separated predictor names to race; unknown
                    names are an error listing the valid ones
   --emit-baseline  print a TOURNEY_baseline.json document derived from
-                   this run (for vlpp-metrics-check --tourney) instead
+                   this run (the floors vlpp-metrics-check gates) instead
                    of the league table
   --metrics        print a metrics table on stderr and a METRICS line
                    on stdout after the run
 ";
 
-/// The CI scale divisor `--scale ci` pins (every workload lands on the
-/// 50 000-conditional floor, so the smoke run is fast and scale-stable).
-pub const CI_SCALE_DIVISOR: u64 = 1_000_000;
-
-fn cli_error(message: impl Into<String>) -> VlppError {
-    VlppError::Cli { message: message.into() }
-}
+pub use crate::experiment::CI_SCALE_DIVISOR;
 
 fn cond_budget() -> Budget {
     Budget::from_bytes(FIG5_COND_BYTES)
@@ -624,52 +620,35 @@ impl TournamentResult {
     }
 }
 
-/// Entry point for `vlpp tournament`.
-pub fn tournament_main(args: &[String]) -> Result<(), VlppError> {
-    let mut scale = Scale::from_env();
-    let mut json_only = false;
-    let mut metrics = false;
-    let mut emit_baseline = false;
-    let mut only: Option<Vec<String>> = None;
+/// Parsed `vlpp tournament` options.
+pub(crate) struct TournamentOptions {
+    scale: Scale,
+    json_only: bool,
+    metrics: bool,
+    emit_baseline: bool,
+    only: Option<Vec<String>>,
+}
 
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let value = iter.next().ok_or_else(|| cli_error("--scale needs a value"))?;
-                scale = if value == "ci" {
-                    Scale::new(CI_SCALE_DIVISOR)
-                } else {
-                    match value.parse::<u64>() {
-                        Ok(divisor) if divisor >= 1 => Scale::new(divisor),
-                        _ => {
-                            return Err(cli_error(format!(
-                                "--scale needs `ci` or a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                };
-            }
-            "--only" => {
-                let value = iter.next().ok_or_else(|| {
-                    cli_error(format!(
-                        "--only needs a comma-separated predictor list; valid names: {}",
-                        predictor_names().join(", ")
-                    ))
-                })?;
-                only = Some(validate_only(value)?);
-            }
+/// Parses `vlpp tournament` arguments.
+pub(crate) fn parse_tournament_args(args: &[String]) -> Result<TournamentOptions, VlppError> {
+    let mut flags = Flags::with_scale(args);
+    let (mut json_only, mut metrics, mut emit_baseline, mut only) = (false, false, false, None);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--only" => only = Some(validate_only(flags.value()?)?),
             "--json" => json_only = true,
             "--metrics" => metrics = true,
             "--emit-baseline" => emit_baseline = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            other => return Err(cli_error(format!("unexpected argument `{other}`\n{USAGE}"))),
+            _ => return Err(flags.unknown()),
         }
     }
+    Ok(TournamentOptions { scale: flags.scale(), json_only, metrics, emit_baseline, only })
+}
 
+/// Entry point for `vlpp tournament`.
+pub fn tournament_main(args: &[String]) -> Result<(), VlppError> {
+    let TournamentOptions { scale, json_only, metrics, emit_baseline, only } =
+        parse_tournament_args(args)?;
     eprintln!("# tournament: scale 1/{} of paper dynamic counts", scale.divisor());
     let result = run_tournament(scale, only.as_deref());
     if emit_baseline {
@@ -680,11 +659,7 @@ pub fn tournament_main(args: &[String]) -> Result<(), VlppError> {
         }
         println!("TOURNEY {}", result.to_json());
     }
-    if metrics {
-        let registry = vlpp_metrics::Registry::global();
-        eprint!("{}", registry.render_table());
-        println!("METRICS {}", registry.snapshot());
-    }
+    print_metrics(metrics);
     Ok(())
 }
 

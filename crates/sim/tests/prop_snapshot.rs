@@ -5,7 +5,7 @@
 
 use vlpp_check::fault::{DataFault, FaultPlan};
 use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig, Gen};
-use vlpp_trace::compact::{read_snapshot, write_snapshot, SnapshotSection};
+use vlpp_sim::serve::snapshot::{read_snapshot, write_snapshot, SnapshotSection};
 use vlpp_trace::TraceIoError;
 
 fn arb_sections(g: &mut Gen) -> Vec<SnapshotSection> {

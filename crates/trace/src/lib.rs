@@ -21,8 +21,7 @@
 //! * [`ingest`] — streaming adapters for foreign trace formats
 //!   (ChampSim binary, CSV, JSONL); see `TRACES.md` for the grammars.
 //! * [`compact`] — VLPC v3, the one native trace file format: chunked
-//!   delta/varint records that stream in bounded memory (plus the
-//!   `VLPS` model-snapshot envelope).
+//!   delta/varint records that stream in bounded memory.
 //! * [`frame`] — length-prefixed wire framing for the serving protocol.
 //! * [`stats`] — static/dynamic branch demographics (the paper's Table 1).
 //! * [`json`] — a minimal hand-rolled JSON emitter/parser so reports can

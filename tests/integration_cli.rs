@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use vlpp_sim::cli::VERBS;
+
 fn vlpp() -> Command {
     let mut command = Command::new(env!("CARGO_BIN_EXE_vlpp"));
     // Isolate from the ambient environment so the knobs under test have
@@ -156,5 +158,37 @@ fn bad_scale_is_rejected() {
     for bad in [&["headline", "--scale", "0"][..], &["headline", "--scale", "x"][..]] {
         let output = vlpp().args(bad).output().expect("binary runs");
         assert!(!output.status.success(), "args {bad:?} must fail");
+    }
+}
+
+#[test]
+fn help_is_a_success_for_every_verb() {
+    for (i, verb) in VERBS.iter().enumerate() {
+        for help in ["--help", "-h"] {
+            let output =
+                vlpp().args((i > 0).then_some(verb.name)).arg(help).output().expect("binary runs");
+            let stdout = String::from_utf8(output.stdout).expect("utf-8");
+            assert!(output.status.success(), "{} {help} must exit 0", verb.name);
+            assert!(stdout.starts_with("usage: vlpp"), "{} {help}:\n{stdout}", verb.name);
+            assert_eq!(stdout, verb.usage, "{} {help} prints its own usage", verb.name);
+        }
+    }
+}
+
+/// Usage and parser cannot drift apart: every `--flag` a usage text
+/// shows is one its verb's parser knows.
+#[test]
+fn every_flag_in_a_usage_text_is_known_to_its_verb() {
+    for verb in &VERBS {
+        let words = verb.usage.split(|c: char| c.is_whitespace() || c == '/');
+        for flag in words.map(|w| w.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '-'))
+        {
+            if flag.starts_with("--") && flag != "--help" {
+                let result = (verb.parse)(&[flag.to_string(), "1".to_string()]);
+                let message = result.err().map(|error| error.to_string()).unwrap_or_default();
+                let unknown = format!("unknown flag `{flag}`");
+                assert!(!message.contains(&unknown), "{}: {message}", verb.name);
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use vlpp_trace::compact::read_snapshot;
+use vlpp_sim::serve::snapshot::read_snapshot;
 use vlpp_trace::frame::{net_faults_injected, read_frame, write_frame};
 use vlpp_trace::json::JsonValue;
 
