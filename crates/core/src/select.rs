@@ -247,14 +247,6 @@ impl DynamicSelector {
         self.candidates[best]
     }
 
-    /// Index of the currently selected candidate within
-    /// [`candidates`](Self::candidates), for callers that track per-
-    /// candidate state.
-    pub fn selected_index(&self, pc: Addr) -> usize {
-        let n = self.select(pc);
-        self.candidates.iter().position(|&c| c == n).expect("selected from candidates")
-    }
-
     /// Rewards (`correct = true`) or penalizes candidate
     /// `candidate_index` for `pc`'s branch set.
     ///

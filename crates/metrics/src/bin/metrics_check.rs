@@ -39,7 +39,9 @@
 use std::io::Read;
 use std::process::ExitCode;
 
+use vlpp_trace::flags::{cli_error, Flags};
 use vlpp_trace::json::JsonValue;
+use vlpp_trace::VlppError;
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("vlpp-metrics-check: {message}");
@@ -68,76 +70,82 @@ from the run, any cell's miss_rate exceeds its ceiling, or the matrix
 shrank below min_cells.
 ";
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut bench_mode = false;
-    let mut tourney_mode = false;
-    let mut baseline_path: Option<String> = None;
-    let mut max_regress_pct = 30.0f64;
-    let mut required: Vec<(String, u64)> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--bench" => bench_mode = true,
-            "--tourney" => tourney_mode = true,
-            "--require" => {
-                let Some(spec) = iter.next() else {
-                    return fail("--require needs NAME[:MIN]");
-                };
-                let (name, min) = match spec.rsplit_once(':') {
-                    None => (spec.as_str(), 0u64),
-                    Some((name, min)) => match min.parse::<u64>() {
-                        Ok(min) => (name, min),
-                        Err(_) => {
-                            return fail(&format!(
-                                "--require {spec}: MIN must be a non-negative integer"
-                            ));
-                        }
-                    },
-                };
-                if name.is_empty() {
-                    return fail(&format!("--require {spec}: counter name is empty"));
-                }
-                required.push((name.to_string(), min));
-            }
-            "--baseline" => {
-                let Some(path) = iter.next() else {
-                    return fail("--baseline needs a file path");
-                };
-                baseline_path = Some(path.clone());
-            }
+/// The parsed command line.
+#[derive(Default)]
+struct Options {
+    bench: bool,
+    tourney: bool,
+    baseline: Option<String>,
+    /// `--max-regress`, default 30.
+    max_regress_pct: Option<f64>,
+    required: Vec<(String, u64)>,
+}
+
+const REQUIREMENT: &str = "NAME[:MIN] with a non-empty NAME and an integer MIN >= 0";
+
+/// A `--require NAME[:MIN]` value: MIN defaults to 0.
+fn requirement(spec: &str) -> Option<(String, u64)> {
+    let (name, min) = match spec.rsplit_once(':') {
+        None => (spec, 0),
+        Some((name, min)) => (name, min.parse().ok()?),
+    };
+    (!name.is_empty()).then(|| (name.to_string(), min))
+}
+
+/// Reads argv through the workspace's flag cursor; `None` asks for
+/// `--help`.
+fn parse_args(args: &[String]) -> Result<Option<Options>, VlppError> {
+    let mut flags = Flags::new(args);
+    let mut options = Options::default();
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--bench" => options.bench = true,
+            "--tourney" => options.tourney = true,
+            "--require" => options.required.push(flags.parse(requirement, REQUIREMENT)?),
+            "--baseline" => options.baseline = Some(flags.value()?.to_string()),
             "--max-regress" => {
-                let Some(pct) = iter.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return fail("--max-regress needs a percentage");
-                };
-                max_regress_pct = pct;
+                options.max_regress_pct = Some(flags.parse(
+                    |pct| pct.parse().ok().filter(|pct: &f64| pct.is_finite()),
+                    "a percentage",
+                )?)
             }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return fail(&format!("unexpected argument `{other}`\n{USAGE}")),
+            "--help" | "-h" => return Ok(None),
+            _ => return Err(flags.unknown()),
         }
     }
-    if bench_mode && tourney_mode {
-        return fail("--bench and --tourney are mutually exclusive");
+    if options.bench && options.tourney {
+        return Err(cli_error("--bench and --tourney are mutually exclusive"));
     }
-    if baseline_path.is_some() && !bench_mode && !tourney_mode {
-        return fail("--baseline only applies with --bench or --tourney");
+    if options.baseline.is_some() && !options.bench && !options.tourney {
+        return Err(cli_error("--baseline only applies with --bench or --tourney"));
     }
-    if (bench_mode || tourney_mode) && !required.is_empty() {
-        return fail("--require only applies to METRICS mode (drop --bench/--tourney)");
+    if (options.bench || options.tourney) && !options.required.is_empty() {
+        return Err(cli_error("--require only applies to METRICS mode (drop --bench/--tourney)"));
     }
+    Ok(Some(options))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = match parse_args(&args) {
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(error) => return fail(&format!("error ({}): {error}", error.phase())),
+    };
+    let Options { bench, tourney, baseline, max_regress_pct, required } = options;
 
     let mut input = String::new();
     if let Err(error) = std::io::stdin().read_to_string(&mut input) {
         return fail(&format!("cannot read stdin: {error}"));
     }
 
-    if bench_mode {
-        check_bench_lines(&input, baseline_path.as_deref(), max_regress_pct)
-    } else if tourney_mode {
-        check_tourney_line(&input, baseline_path.as_deref())
+    if bench {
+        check_bench_lines(&input, baseline.as_deref(), max_regress_pct.unwrap_or(30.0))
+    } else if tourney {
+        check_tourney_line(&input, baseline.as_deref())
     } else {
         check_metrics_line(&input, &required)
     }

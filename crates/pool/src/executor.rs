@@ -20,10 +20,8 @@
 //! Two map flavors share the queue:
 //!
 //! * [`Pool::map`] — results in input order, panics re-raised on the
-//!   caller with their **original payload** (worker id and payload text
-//!   are additionally recorded, see [`Pool::last_panic`]). The caller
-//!   always joins its whole batch, so task closures may borrow from the
-//!   caller's stack.
+//!   caller with their **original payload**. The caller always joins its
+//!   whole batch, so task closures may borrow from the caller's stack.
 //! * [`Pool::try_map`] — per-task `Result`s instead of propagation:
 //!   panics are contained as [`TaskError::Panicked`], and when the
 //!   caller passes a watchdog deadline, a task that runs past it is
@@ -80,12 +78,9 @@ fn current_worker() -> Option<usize> {
     WORKER_ID.with(|cell| cell.get())
 }
 
-/// A [`Pool::map`] task that panicked: the original payload, kept to be
-/// re-raised on the caller, and the worker that ran it.
-struct Panicked {
-    payload: Box<dyn Any + Send>,
-    worker: Option<usize>,
-}
+/// The payload of a [`Pool::map`] task that panicked, kept to be
+/// re-raised on the caller.
+type Panicked = Box<dyn Any + Send>;
 
 /// Why a [`Pool::try_map`] task failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,20 +118,6 @@ impl std::fmt::Display for TaskError {
 }
 
 impl std::error::Error for TaskError {}
-
-/// Context for the most recent panic a [`Pool::map`] re-raised — the
-/// original payload crosses the unwind untouched, and this report
-/// preserves the scheduling context (which item, which worker) that the
-/// unwind cannot carry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PanicReport {
-    /// Input index of the panicking item.
-    pub index: usize,
-    /// Worker that ran it (`None` = the mapping caller's own thread).
-    pub worker: Option<usize>,
-    /// The payload rendered as text.
-    pub payload: String,
-}
 
 /// Completion tracking for one borrowed (`map`) batch of `n` tasks.
 struct BatchState<R> {
@@ -218,7 +199,6 @@ pub struct Pool {
     workers: Vec<JoinHandle<()>>,
     threads: usize,
     metrics: PoolMetrics,
-    last_panic: Mutex<Option<PanicReport>>,
 }
 
 impl std::fmt::Debug for Pool {
@@ -295,7 +275,7 @@ impl Pool {
                 })
             })
             .collect();
-        Pool { shared, workers, threads, metrics, last_panic: Mutex::new(None) }
+        Pool { shared, workers, threads, metrics }
     }
 
     /// The process-wide pool, sized by `VLPP_THREADS` (default: the
@@ -309,15 +289,6 @@ impl Pool {
     /// The configured concurrency bound (workers + mapping caller).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Context for the most recent panic [`Pool::map`] re-raised on a
-    /// caller: which input index failed, on which worker, with what
-    /// payload text. The unwound payload itself crosses [`Pool::map`]
-    /// unmodified; this is the side channel for the context it cannot
-    /// carry.
-    pub fn last_panic(&self) -> Option<PanicReport> {
-        lock(&self.last_panic).clone()
     }
 
     /// Applies `work` to every item, in parallel, returning results in
@@ -339,8 +310,7 @@ impl Pool {
     /// If one or more tasks panic, the panic of the lowest-indexed
     /// failing item is re-raised on the caller with its **original
     /// payload** (after the whole batch has finished, so no result slot
-    /// is ever abandoned mid-write). The item index, worker id, and
-    /// payload text are recorded first — see [`Pool::last_panic`].
+    /// is ever abandoned mid-write).
     pub fn map<T, R, F>(&self, items: Vec<T>, work: F) -> Vec<R>
     where
         T: Send,
@@ -353,20 +323,10 @@ impl Pool {
         }
 
         if n == 1 || self.threads == 1 {
-            // Nothing to distribute: run inline. Panics are caught only
-            // to record their context, then re-raised untouched.
+            // Nothing to distribute: run inline, so the first panic
+            // unwinds straight to the caller.
             self.metrics.inline.add(n as u64);
-            let mut results = Vec::with_capacity(n);
-            for (index, item) in items.into_iter().enumerate() {
-                match catch_unwind(AssertUnwindSafe(|| work(item))) {
-                    Ok(value) => results.push(value),
-                    Err(payload) => {
-                        self.record_panic(index, current_worker(), &payload);
-                        resume_unwind(payload);
-                    }
-                }
-            }
-            return results;
+            return items.into_iter().map(work).collect();
         }
 
         let batch_id = self.shared.next_batch.fetch_add(1, Ordering::Relaxed);
@@ -381,8 +341,7 @@ impl Pool {
             let mut queue = lock(&self.shared.queue);
             for (i, item) in items.into_iter().enumerate() {
                 let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| work(item)))
-                        .map_err(|payload| Panicked { payload, worker: current_worker() });
+                    let result = catch_unwind(AssertUnwindSafe(|| work(item)));
                     let mut state = lock(&batch.state);
                     state.slots[i] = Some(result);
                     state.remaining -= 1;
@@ -423,28 +382,9 @@ impl Pool {
         }
 
         let state = batch.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        let mut results = Vec::with_capacity(n);
-        let mut first_panic = None;
-        for (index, slot) in state.slots.into_iter().enumerate() {
-            match slot.expect("a completed batch has every slot filled") {
-                Ok(result) => results.push(result),
-                Err(Panicked { payload, worker }) => {
-                    if first_panic.is_none() {
-                        self.record_panic(index, worker, &payload);
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        results
-    }
-
-    fn record_panic(&self, index: usize, worker: Option<usize>, payload: &Box<dyn Any + Send>) {
-        *lock(&self.last_panic) =
-            Some(PanicReport { index, worker, payload: payload_text(payload.as_ref()) });
+        // `collect` stops at the first `Err`: the lowest-indexed panic.
+        let slots = state.slots.into_iter().map(|slot| slot.expect("every slot is filled"));
+        slots.collect::<Result<_, Panicked>>().unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// Removes and returns the first queued task of batch `batch_id`.
@@ -709,9 +649,6 @@ mod tests {
         let payload = result.expect_err("a panicking task must fail the map");
         let message = payload.downcast_ref::<String>().expect("panic message");
         assert_eq!(message, "boom at 1", "the lowest failing index wins");
-        let report = pool.last_panic().expect("panic context is recorded");
-        assert_eq!(report.index, 1);
-        assert_eq!(report.payload, "boom at 1");
     }
 
     #[test]
@@ -732,13 +669,6 @@ mod tests {
             .downcast_ref::<Box<u64>>()
             .expect("original typed payload survives propagation");
         assert_eq!(**boxed, 0xdead_beef);
-        let report = pool.last_panic().expect("context recorded");
-        assert_eq!(report.index, 2);
-        assert_eq!(report.payload, "<non-string panic payload>");
-        // Distributed batches run on workers 0..=2 or the caller.
-        if let Some(worker) = report.worker {
-            assert!(worker < 3, "worker id {worker} out of range");
-        }
     }
 
     #[test]

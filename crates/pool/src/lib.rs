@@ -57,7 +57,7 @@
 mod executor;
 mod memo;
 
-pub use executor::{PanicReport, Pool, TaskError};
+pub use executor::{Pool, TaskError};
 pub use memo::Memo;
 
 use std::sync::{Mutex, MutexGuard};

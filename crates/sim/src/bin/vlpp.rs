@@ -17,7 +17,8 @@
 //!               --checkpoint makes it resumable)
 //! ```
 //!
-//! Every verb reads its flags through `vlpp_sim::cli::Flags`; the verbs
+//! Every verb reads its flags through `vlpp_sim::cli::Flags` (the
+//! workspace's one cursor, `vlpp_trace::flags`, plus `--scale`); the verbs
 //! and their usage texts are `vlpp_sim::cli::VERBS`.
 
 use std::process::ExitCode;

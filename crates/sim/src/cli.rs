@@ -1,19 +1,15 @@
-//! The one flag grammar every `vlpp` verb reads its arguments through.
-//!
-//! A verb matches each flag `Flags` yields and asks the cursor for its
-//! value, so every verb fails alike: an unknown flag or a missing value
-//! is [`VlppError::Cli`] naming the flag, and a value that does not parse
-//! or is out of range is [`VlppError::Config`] with the flag, the value
-//! and the expected range. Checks that compare several flags (`--trace`
-//! with `--benchmark`, loadgen's target rules, `--only` lists) stay with
-//! their verb and stay `Cli`. [`VERBS`] is the table the `vlpp` binary
-//! dispatches from, answering `--help` and `-h` for every verb.
+//! How every `vlpp` verb reads its arguments: through
+//! [`vlpp_trace::flags::Flags`], the workspace's one flag grammar, with
+//! `--scale` read by the cursor for the verbs that take it. Checks that
+//! compare several flags (`--trace` with `--benchmark`, loadgen's target
+//! rules, `--only` lists) stay with their verb and stay `Cli`. [`VERBS`]
+//! is the table the `vlpp` binary dispatches from, answering `--help`
+//! and `-h` for every verb.
 
-use std::fmt::Display;
-use std::ops::{Bound, RangeBounds};
+use std::ops::{Deref, DerefMut};
 use std::process::ExitCode;
-use std::str::FromStr;
 
+pub(crate) use vlpp_trace::flags::cli_error;
 use vlpp_trace::VlppError;
 
 use crate::experiment::Scale;
@@ -22,25 +18,21 @@ use crate::serve::{self, cluster, loadgen};
 use crate::tournament::{self, parse_tournament_args, tournament_main};
 use crate::{ingest, paper};
 
-/// A command-line error that names no single flag value.
-pub(crate) fn cli_error(message: impl Into<String>) -> VlppError {
-    VlppError::Cli { message: message.into() }
-}
-
-/// A cursor over one verb's arguments.
+/// The flag cursor of one verb; it derefs to the core cursor for
+/// `value`, `parse`, `num` and `unknown`.
 #[derive(Debug)]
 pub(crate) struct Flags<'a> {
-    args: std::slice::Iter<'a, String>,
-    /// The word [`Flags::next_flag`] returned last.
-    flag: &'a str,
+    cursor: vlpp_trace::flags::Flags<'a>,
     /// `Some` when the verb takes `--scale`, which the cursor reads.
     scale: Option<Scale>,
+    /// Whether `--scale` was given, not taken from `VLPP_SCALE`.
+    scale_given: bool,
 }
 
 impl<'a> Flags<'a> {
     /// A cursor for a verb without `--scale`.
     pub(crate) fn new(args: &'a [String]) -> Self {
-        Flags { args: args.iter(), flag: "", scale: None }
+        Flags { cursor: vlpp_trace::flags::Flags::new(args), scale: None, scale_given: false }
     }
 
     /// A cursor for a verb that takes `--scale` (default `VLPP_SCALE`).
@@ -51,11 +43,11 @@ impl<'a> Flags<'a> {
     /// The next word the verb must match, a flag or a positional; a
     /// `--scale` the verb takes is read here.
     pub(crate) fn next_flag(&mut self) -> Result<Option<&'a str>, VlppError> {
-        while let Some(word) = self.args.next() {
-            self.flag = word;
-            match word.as_str() {
+        while let Some(word) = self.cursor.next_flag() {
+            match word {
                 "--scale" if self.scale.is_some() => {
-                    self.scale = Some(self.parse(Scale::parse, Scale::EXPECTED)?);
+                    self.scale = Some(self.cursor.parse(Scale::parse, Scale::EXPECTED)?);
+                    self.scale_given = true;
                 }
                 _ => return Ok(Some(word)),
             }
@@ -63,53 +55,29 @@ impl<'a> Flags<'a> {
         Ok(None)
     }
 
-    /// The current flag's value, taken as given.
-    pub(crate) fn value(&mut self) -> Result<&'a str, VlppError> {
-        let flag = self.flag;
-        self.args
-            .next()
-            .map(String::as_str)
-            .ok_or_else(|| cli_error(format!("{flag} needs a value")))
-    }
-
-    /// The current flag's value through `parse`, which may reject it as
-    /// not the `expected` value.
-    pub(crate) fn parse<T>(
-        &mut self,
-        parse: impl FnOnce(&str) -> Option<T>,
-        expected: &str,
-    ) -> Result<T, VlppError> {
-        let value = self.value()?;
-        parse(value).ok_or_else(|| VlppError::Config {
-            name: self.flag.to_string(),
-            value: value.to_string(),
-            message: format!("expected {expected}"),
-        })
-    }
-
-    /// The current flag's value as an integer within `range`.
-    pub(crate) fn num<T>(&mut self, range: impl RangeBounds<T>) -> Result<T, VlppError>
-    where
-        T: FromStr + PartialOrd + Display,
-    {
-        let expected = match (range.start_bound(), range.end_bound()) {
-            (Bound::Included(lo), Bound::Included(hi)) => format!("an integer in {lo}..={hi}"),
-            (Bound::Included(lo), _) => format!("an integer >= {lo}"),
-            _ => "an integer".to_string(),
-        };
-        self.parse(|value| value.parse().ok().filter(|n| range.contains(n)), &expected)
-    }
-
-    /// The error for a word the verb does not take.
-    pub(crate) fn unknown(&self) -> VlppError {
-        let what = if self.flag.starts_with('-') { "unknown flag" } else { "unexpected argument" };
-        cli_error(format!("{what} `{}`", self.flag))
-    }
-
     /// The `--scale` read so far, for a cursor made by
     /// [`Flags::with_scale`].
     pub(crate) fn scale(&self) -> Scale {
         self.scale.expect("a verb reading --scale builds its cursor with Flags::with_scale")
+    }
+
+    /// Whether the arguments held a `--scale`.
+    pub(crate) fn scale_given(&self) -> bool {
+        self.scale_given
+    }
+}
+
+impl<'a> Deref for Flags<'a> {
+    type Target = vlpp_trace::flags::Flags<'a>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.cursor
+    }
+}
+
+impl DerefMut for Flags<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.cursor
     }
 }
 

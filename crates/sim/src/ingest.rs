@@ -394,8 +394,16 @@ fn parse_replay_args(args: &[String], run: bool) -> Result<ReplayOptions, VlppEr
     }
     let usage = if run { RUN_USAGE } else { PROFILE_USAGE };
     let workload = match (trace, benchmark) {
+        (Some(_), None) if flags.scale_given() => {
+            return Err(cli_error(
+                "--scale needs a benchmark (--benchmark NAME), not a trace file",
+            ));
+        }
         (Some(path), None) => {
             WorkloadArg::TraceFile { format: resolve_format(&path, format)?, path }
+        }
+        (None, Some(_)) if format.is_some() => {
+            return Err(cli_error("--format needs a trace file (--trace FILE), not a benchmark"));
         }
         (None, Some(name)) => WorkloadArg::Benchmark { name, scale: flags.scale() },
         (Some(_), Some(_)) => {

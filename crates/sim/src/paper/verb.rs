@@ -120,6 +120,11 @@ pub(crate) fn parse_experiment_args(args: &[String]) -> Result<ExperimentOptions
         }
     }
     let experiment = experiment.ok_or_else(|| cli_error(format!("missing experiment\n{USAGE}")))?;
+    for (flag, given) in [("--only", only.is_some()), ("--checkpoint", checkpoint.is_some())] {
+        if given && experiment != "all" {
+            return Err(cli_error(format!("{flag} needs `vlpp all`, not `{experiment}`")));
+        }
+    }
     Ok(ExperimentOptions { experiment, scale: flags.scale(), json, metrics, checkpoint, only })
 }
 
@@ -144,10 +149,11 @@ pub fn experiment_main(args: &[String]) -> Result<ExitCode, VlppError> {
     ];
     let ids: Vec<&str> = if all { all_ids.to_vec() } else { vec![experiment.as_str()] };
 
-    // `--only` narrows `all` to a subset; an unknown id must be a typed
-    // error listing the valid ones, never a silently empty run.
+    // `--only` (parsed only with `all`) narrows it to a subset; an
+    // unknown id must be a typed error listing the valid ones, never a
+    // silently empty run.
     let ids: Vec<&str> = match &only {
-        Some(list) if all => {
+        Some(list) => {
             let requested: Vec<&str> =
                 list.split(',').map(str::trim).filter(|t| !t.is_empty()).collect();
             let unknown: Vec<&str> =
@@ -163,21 +169,11 @@ pub fn experiment_main(args: &[String]) -> Result<ExitCode, VlppError> {
             // Keep canonical order regardless of how --only was spelled.
             ids.into_iter().filter(|id| requested.contains(id)).collect()
         }
-        Some(_) => {
-            eprintln!("warning: --only only applies to `all`; ignoring");
-            ids
-        }
         None => ids,
     };
 
-    let checkpoint = match &checkpoint {
-        Some(dir) if all => Some(Arc::new(Checkpoint::open(dir, scale.divisor())?)),
-        Some(_) => {
-            eprintln!("warning: --checkpoint only applies to `all`; ignoring");
-            None
-        }
-        None => None,
-    };
+    let checkpoint =
+        checkpoint.map(|dir| Checkpoint::open(&dir, scale.divisor())).transpose()?.map(Arc::new);
 
     if !all {
         // A single experiment keeps the strict contract: any failure is

@@ -84,16 +84,6 @@ impl TextTable {
         }
         out.push('\n');
     }
-
-    /// Renders the table as CSV (header + rows, comma-separated).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 impl vlpp_trace::json::ToJson for TextTable {
@@ -224,13 +214,6 @@ mod tests {
         let mut t = TextTable::new(vec!["a".into(), "b".into(), "c".into()]);
         t.row(vec!["x".into()]);
         assert!(t.render().contains('x'));
-    }
-
-    #[test]
-    fn csv_output() {
-        let mut t = TextTable::new(vec!["a".into(), "b".into()]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

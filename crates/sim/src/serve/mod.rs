@@ -650,8 +650,8 @@ fn process_frame(payload: &[u8], shared: &Shared) -> Reply {
 type Reply = (Vec<u8>, Vec<Vec<u8>>);
 
 /// Executes one verb. `predict` and `update`, the per-record verbs,
-/// encode their responses straight to bytes; the control verbs build an
-/// [`protocol::ok_response`] tree.
+/// write their responses through the JSON writer with no tree in
+/// between; the control verbs build an [`protocol::ok_response`] tree.
 fn execute(id: Option<u64>, verb: Verb, shared: &Shared) -> Result<Reply, VlppError> {
     let name = verb.name();
     let ok = |body: Vec<(String, JsonValue)>| {

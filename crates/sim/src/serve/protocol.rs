@@ -10,13 +10,11 @@
 //! The per-record verbs carry the traffic, so their codec builds no
 //! owned JSON tree: [`parse_request`] walks a borrowed [`JsonRef`] and
 //! copies only the strings a [`Request`] keeps, and [`predict_response`]
-//! / [`update_response`] write the canonical compact bytes that
-//! [`ok_response`] would render. Control verbs and errors build a
-//! [`JsonValue`].
+//! / [`update_response`] write through [`JsonWriter`], which renders
+//! every tree too, the bytes [`ok_response`] would render. Control verbs
+//! and errors build a [`JsonValue`].
 
-use std::io::Write as _;
-
-use vlpp_trace::json::{JsonRef, JsonValue, ToJson};
+use vlpp_trace::json::{JsonRef, JsonValue, JsonWriter, ToJson};
 use vlpp_trace::{Addr, BranchKind, BranchRecord, VlppError};
 
 use super::model::{ModelKind, ModelSpec, Prediction};
@@ -152,12 +150,7 @@ fn optional_str_field(
     verb: &str,
     key: &str,
 ) -> Result<Option<String>, VlppError> {
-    match object.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_str().map(|s| Some(s.to_string())).ok_or_else(|| {
-            VlppError::protocol(Some(verb.to_string()), format!("field `{key}` must be a string"))
-        }),
-    }
+    object.get(key).map(|_| str_field(object, Some(verb), key).map(str::to_string)).transpose()
 }
 
 /// Decodes one wire record: `{"pc":u64,"target":u64,"kind":"cond",
@@ -340,65 +333,56 @@ pub fn predictions_to_json(predictions: &[Option<Prediction>]) -> JsonValue {
     JsonValue::Array(predictions.iter().map(|slot| slot.to_json()).collect())
 }
 
-/// Encodes a `predict` response straight to bytes, in the canonical
+/// Encodes a `predict` response with no tree in between, in the canonical
 /// compact form: exactly `ok_response("predict", id,
 /// [("predictions", predictions_to_json(predictions))]).to_string()`,
 /// byte for byte, without building the tree.
 pub fn predict_response(id: Option<u64>, predictions: &[Option<Prediction>]) -> Vec<u8> {
     // `{"target":18446744073709551615,"correct":false}` is the longest
     // slot (47 bytes), so one allocation covers any batch.
-    let mut out = response_head("predict", id, 64 + 48 * predictions.len());
-    out.extend_from_slice(b",\"predictions\":[");
-    for (i, slot) in predictions.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        let correct = match *slot {
-            None => {
-                out.extend_from_slice(b"null");
-                continue;
+    encode_ok("predict", id, 64 + 48 * predictions.len(), |json| {
+        json.key("predictions").array(|json| {
+            for slot in predictions {
+                match *slot {
+                    None => json.null(),
+                    Some(Prediction::Taken { taken, correct }) => json.object(|json| {
+                        json.key("taken").bool(taken).key("correct").bool(correct);
+                    }),
+                    Some(Prediction::Target { target, correct }) => json.object(|json| {
+                        json.key("target").u64(target.raw()).key("correct").bool(correct);
+                    }),
+                };
             }
-            Some(Prediction::Taken { taken, correct }) => {
-                out.extend_from_slice(if taken { b"{\"taken\":true" } else { b"{\"taken\":false" });
-                correct
-            }
-            Some(Prediction::Target { target, correct }) => {
-                out.extend_from_slice(b"{\"target\":");
-                let _ = write!(out, "{}", target.raw());
-                correct
-            }
-        };
-        out.extend_from_slice(if correct { b",\"correct\":true}" } else { b",\"correct\":false}" });
-    }
-    out.extend_from_slice(b"]}");
-    out
+        });
+    })
 }
 
-/// Encodes an `update` response straight to bytes: exactly
+/// Encodes an `update` response with no tree in between: exactly
 /// `ok_response("update", id, [("records", records)]).to_string()`.
 pub fn update_response(id: Option<u64>, records: usize) -> Vec<u8> {
-    let mut out = response_head("update", id, 64);
-    out.extend_from_slice(b",\"records\":");
-    let _ = write!(out, "{records}");
-    out.push(b'}');
-    out
+    encode_ok("update", id, 64, |json| {
+        json.key("records").u64(records as u64);
+    })
 }
 
-/// `{"ok":true,"verb":"<verb>"[,"id":N]` — the fields every success
-/// response opens with, in [`ok_response`]'s order. Verb names are
-/// plain ASCII words, so they need no escaping. Numbers are written
-/// with `write!`, which renders a `u64` as `JsonValue::UInt` does and
-/// cannot fail on a `Vec`.
-fn response_head(verb: &str, id: Option<u64>, capacity: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(capacity);
-    out.extend_from_slice(b"{\"ok\":true,\"verb\":\"");
-    out.extend_from_slice(verb.as_bytes());
-    out.push(b'"');
-    if let Some(id) = id {
-        out.extend_from_slice(b",\"id\":");
-        let _ = write!(out, "{id}");
-    }
-    out
+/// A success response written by the JSON writer into one buffer of
+/// `capacity` bytes: the fields [`ok_response`] opens with, in its
+/// order, then what `body` writes.
+fn encode_ok(
+    verb: &str,
+    id: Option<u64>,
+    capacity: usize,
+    body: impl FnOnce(&mut JsonWriter<&mut String>),
+) -> Vec<u8> {
+    let mut out = String::with_capacity(capacity);
+    JsonWriter::compact(&mut out).object(|json| {
+        json.key("ok").bool(true).key("verb").str(verb);
+        if let Some(id) = id {
+            json.key("id").u64(id);
+        }
+        body(json);
+    });
+    out.into_bytes()
 }
 
 #[cfg(test)]

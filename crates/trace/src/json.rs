@@ -8,16 +8,14 @@
 //!   order, so emitted field order is *stable by construction*;
 //! * [`ToJson`] — the trait experiment-report types implement (usually
 //!   via the [`impl_to_json!`](crate::impl_to_json) macro);
-//! * an emitter (`JsonValue::to_string` via `Display`, and
-//!   [`JsonValue::pretty`]) with full string escaping;
-//! * one small recursive-descent parser, [`JsonRef::parse`], which builds
-//!   a borrowed tree: every string is a slice of the input unless it
-//!   holds an escape. [`JsonValue::parse`] is that parse followed by
-//!   [`JsonRef::into_owned`], so the owned and borrowed trees share one
-//!   grammar, one set of error messages and byte offsets, and one
-//!   [`MAX_PARSE_DEPTH`]. The serve protocol decodes request frames from
-//!   the borrowed tree; tests and tools that read `BENCH_*.json` lines
-//!   back use the owned one.
+//! * [`JsonWriter`] — the one streaming writer, compact or indented,
+//!   that `JsonValue::to_string` (via `Display`), [`JsonValue::pretty`]
+//!   and the serve protocol's direct response encoders all go through;
+//! * one recursive-descent parser, [`JsonRef::parse`], which builds a
+//!   borrowed tree (strings are input slices unless escaped) for the
+//!   serve protocol's request frames; [`JsonValue::parse`] is that parse
+//!   made owned, so both trees share one grammar, one set of errors and
+//!   one [`MAX_PARSE_DEPTH`].
 //!
 //! # Example
 //!
@@ -62,38 +60,9 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Looks up a field of an object by key. Returns `None` for other
-    /// variants or missing keys.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// The element at `index` of an array.
     pub fn at(&self, index: usize) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Array(items) => items.get(index),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::UInt(n) => Some(*n),
-            JsonValue::Int(n) => u64::try_from(*n).ok(),
-            _ => None,
-        }
+        self.as_array()?.get(index)
     }
 
     /// The value as an `f64` (any numeric variant).
@@ -106,131 +75,17 @@ impl JsonValue {
         }
     }
 
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The value as ordered object fields, if it is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// Renders the value as multi-line JSON with two-space indentation
     /// (the replacement for `serde_json::to_string_pretty`).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        let _ = JsonWriter::pretty(&mut out).value(self).finish();
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            JsonValue::Array(items) if !items.is_empty() => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            JsonValue::Object(fields) if !fields.is_empty() => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    let _ = write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
-            compact => {
-                let _ = compact.write_compact(out);
-            }
-        }
-    }
-
-    /// Writes the compact (single-line) rendering into any
-    /// `fmt::Write` sink: the formatter itself for `Display`, so
-    /// `to_string()` builds the document once, or `pretty()`'s buffer
-    /// for its leaves.
-    fn write_compact<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        match self {
-            JsonValue::Null => out.write_str("null"),
-            JsonValue::Bool(true) => out.write_str("true"),
-            JsonValue::Bool(false) => out.write_str("false"),
-            JsonValue::UInt(n) => write!(out, "{n}"),
-            JsonValue::Int(n) => write!(out, "{n}"),
-            // `{:?}` is the shortest representation that parses back to
-            // the same bits, and always keeps a decimal point ("1.0",
-            // not "1").
-            JsonValue::Float(x) if x.is_finite() => write!(out, "{x:?}"),
-            JsonValue::Float(_) => out.write_str("null"),
-            JsonValue::Str(s) => write_escaped(out, s),
-            JsonValue::Array(items) => {
-                out.write_char('[')?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    item.write_compact(out)?;
-                }
-                out.write_char(']')
-            }
-            JsonValue::Object(fields) => {
-                out.write_char('{')?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    write_escaped(out, key)?;
-                    out.write_char(':')?;
-                    value.write_compact(out)?;
-                }
-                out.write_char('}')
-            }
-        }
-    }
-
     /// Parses a JSON document into an owned tree: [`JsonRef::parse`]
-    /// followed by [`JsonRef::into_owned`], so both trees share one
-    /// grammar, one set of error messages and one [`MAX_PARSE_DEPTH`].
-    ///
-    /// Parsing never panics: any malformed input — including nesting
-    /// deeper than [`MAX_PARSE_DEPTH`], which would otherwise overflow
-    /// the recursive-descent stack and abort the process — is reported
-    /// as a [`ParseJsonError`] with the offending byte offset.
+    /// (one grammar, one set of errors, one [`MAX_PARSE_DEPTH`], never a
+    /// panic) followed by [`JsonRef::into_owned`].
     pub fn parse(text: &str) -> Result<JsonValue, ParseJsonError> {
         JsonRef::parse(text).map(JsonRef::into_owned)
     }
@@ -239,7 +94,7 @@ impl JsonValue {
 impl fmt::Display for JsonValue {
     /// Compact (single-line) rendering, streamed into the formatter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_compact(f)
+        JsonWriter::compact(f).value(self).finish()
     }
 }
 
@@ -278,11 +133,11 @@ impl<'a> JsonRef<'a> {
     /// deeper than [`MAX_PARSE_DEPTH`] — is reported as a
     /// [`ParseJsonError`] with the offending byte offset.
     pub fn parse(text: &'a str) -> Result<JsonRef<'a>, ParseJsonError> {
-        let mut parser = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut parser = Parser { text, pos: 0, depth: 0 };
         parser.skip_whitespace();
         let value = parser.value()?;
         parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != text.len() {
             return Err(parser.error("trailing characters after JSON value"));
         }
         Ok(value)
@@ -308,90 +163,257 @@ impl<'a> JsonRef<'a> {
             ),
         }
     }
+}
 
-    /// Looks up a field of an object by key (the first, if the key
-    /// repeats). Returns `None` for other variants or missing keys.
-    pub fn get(&self, key: &str) -> Option<&JsonRef<'a>> {
-        match self {
-            JsonRef::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+/// The lookups [`JsonValue`] and [`JsonRef`] share, written once.
+macro_rules! tree_accessors {
+    ($tree:ident $(<$lt:lifetime>)?, $key:ty) => {
+        impl$(<$lt>)? $tree$(<$lt>)? {
+            /// Looks up a field of an object by key (the first, if the key
+            /// repeats). Returns `None` for other variants or missing keys.
+            pub fn get(&self, key: &str) -> Option<&Self> {
+                self.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+            }
+
+            /// The value as a bool, if it is one.
+            pub fn as_bool(&self) -> Option<bool> {
+                if let $tree::Bool(b) = self { Some(*b) } else { None }
+            }
+
+            /// The value as a `u64`, if it is a non-negative integer.
+            pub fn as_u64(&self) -> Option<u64> {
+                match self {
+                    $tree::UInt(n) => Some(*n),
+                    $tree::Int(n) => u64::try_from(*n).ok(),
+                    _ => None,
+                }
+            }
+
+            /// The value as a string slice, if it is a string.
+            pub fn as_str(&self) -> Option<&str> {
+                if let $tree::Str(s) = self { Some(s) } else { None }
+            }
+
+            /// The value as an array slice, if it is an array.
+            pub fn as_array(&self) -> Option<&[Self]> {
+                if let $tree::Array(items) = self { Some(items) } else { None }
+            }
+
+            /// The value as ordered object fields, if it is an object.
+            pub fn as_object(&self) -> Option<&[($key, Self)]> {
+                if let $tree::Object(fields) = self { Some(fields) } else { None }
+            }
+        }
+    };
+}
+tree_accessors!(JsonValue, String);
+tree_accessors!(JsonRef<'a>, Cow<'a, str>);
+
+/// The one JSON writer: [`JsonValue`]'s `Display` and
+/// [`JsonValue::pretty`] and the serve protocol's direct response
+/// encoders all stream through it into a `fmt::Write` sink, compact or
+/// with two-space indentation. It alone knows JSON syntax: separators,
+/// `:` versus `": "`, empty `[]`/`{}`, escaping and number forms. Calls
+/// chain, and [`JsonWriter::finish`] reports whether a write failed.
+///
+/// ```
+/// use vlpp_trace::json::JsonWriter;
+///
+/// let mut text = String::new();
+/// JsonWriter::compact(&mut text).object(|json| { json.key("n").u64(3).key("s").str("a\n"); });
+/// assert_eq!(text, r#"{"n":3,"s":"a\n"}"#);
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<W> {
+    out: W,
+    pretty: bool,
+    /// Open containers.
+    depth: usize,
+    /// Nothing has been written into the innermost open container yet.
+    first: bool,
+    /// A key was written last, so its value follows with no separator.
+    after_key: bool,
+    result: fmt::Result,
+}
+
+impl<W: fmt::Write> JsonWriter<W> {
+    /// A writer of compact, single-line JSON.
+    pub fn compact(out: W) -> Self {
+        JsonWriter { out, pretty: false, depth: 0, first: true, after_key: false, result: Ok(()) }
+    }
+
+    /// A writer of multi-line JSON with two-space indentation.
+    pub fn pretty(out: W) -> Self {
+        JsonWriter { pretty: true, ..JsonWriter::compact(out) }
+    }
+
+    /// `Err` if any write to the sink failed.
+    pub fn finish(&self) -> fmt::Result {
+        self.result
+    }
+
+    /// Writes `null`.
+    #[inline(always)]
+    pub fn null(&mut self) -> &mut Self {
+        self.separate().put("null")
+    }
+
+    /// Writes `true` or `false`.
+    #[inline(always)]
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        // One literal per branch, so each write has a constant length.
+        if b {
+            self.separate().put("true")
+        } else {
+            self.separate().put("false")
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonRef::Bool(b) => Some(*b),
-            _ => None,
+    /// Writes a non-negative integer.
+    #[inline(always)]
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        self.separate().put_with(|out| write!(out, "{n}"))
+    }
+
+    /// Writes a string literal.
+    #[inline(always)]
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.separate().put("\"").put_escaped(s).put("\"")
+    }
+
+    /// Writes an object key; the next call writes its value.
+    #[inline(always)]
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate().put("\"").put_escaped(key);
+        self.after_key = true;
+        if self.pretty {
+            self.put("\": ")
+        } else {
+            self.put("\":")
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonRef::UInt(n) => Some(*n),
-            JsonRef::Int(n) => u64::try_from(*n).ok(),
-            _ => None,
+    /// Writes an array whose elements `items` writes.
+    pub fn array(&mut self, items: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container("[", items, "]")
+    }
+
+    /// Writes an object whose keys and values `fields` writes.
+    pub fn object(&mut self, fields: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container("{", fields, "}")
+    }
+
+    /// Writes a whole tree.
+    pub fn value(&mut self, value: &JsonValue) -> &mut Self {
+        match value {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::UInt(n) => self.u64(*n),
+            JsonValue::Int(n) => self.separate().put_with(|out| write!(out, "{n}")),
+            // `{:?}` is the shortest form that parses back to the same
+            // bits, and always keeps a decimal point ("1.0", not "1").
+            JsonValue::Float(x) if x.is_finite() => {
+                self.separate().put_with(|out| write!(out, "{x:?}"))
+            }
+            JsonValue::Float(_) => self.null(),
+            JsonValue::Str(s) => self.str(s),
+            JsonValue::Array(items) => self.array(|json| {
+                for item in items {
+                    json.value(item);
+                }
+            }),
+            JsonValue::Object(fields) => self.object(|json| {
+                for (key, value) in fields {
+                    json.key(key).value(value);
+                }
+            }),
         }
     }
 
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonRef::Str(s) => Some(s),
-            _ => None,
+    /// What separates a value or key from the one before: nothing after
+    /// a key, else a comma after a sibling and, when pretty and inside a
+    /// container, a new line.
+    #[inline(always)]
+    fn separate(&mut self) -> &mut Self {
+        if std::mem::take(&mut self.after_key) {
+            return self;
+        }
+        if !std::mem::replace(&mut self.first, false) {
+            self.put(",");
+        }
+        if self.pretty && self.depth > 0 {
+            self.newline();
+        }
+        self
+    }
+
+    /// `open`, what `inside` writes, then `close`: on a line of its own
+    /// when pretty, unless the container is empty.
+    fn container(&mut self, open: &str, inside: impl FnOnce(&mut Self), close: &str) -> &mut Self {
+        self.separate().put(open);
+        self.depth += 1;
+        self.first = true;
+        inside(self);
+        self.depth -= 1;
+        if self.pretty && !self.first {
+            self.newline();
+        }
+        self.first = false;
+        self.put(close)
+    }
+
+    #[cold]
+    fn newline(&mut self) {
+        self.put("\n");
+        for _ in 0..self.depth {
+            self.put("  ");
         }
     }
 
-    /// The value as an array slice, if it is an array.
-    pub fn as_array(&self) -> Option<&[JsonRef<'a>]> {
-        match self {
-            JsonRef::Array(items) => Some(items),
-            _ => None,
+    #[inline(always)]
+    fn put(&mut self, text: &str) -> &mut Self {
+        self.put_with(|out| out.write_str(text))
+    }
+
+    /// `s` escaped; one plain write when nothing needs escaping, which
+    /// for a literal key is decided at compile time.
+    #[inline(always)]
+    fn put_escaped(&mut self, s: &str) -> &mut Self {
+        if s.bytes().all(|byte| byte >= 0x20 && byte != b'"' && byte != b'\\') {
+            self.put(s)
+        } else {
+            self.put_with(|out| write_escaped(out, s))
         }
     }
 
-    /// The value as ordered object fields, if it is an object.
-    pub fn as_object(&self) -> Option<&[(Cow<'a, str>, JsonRef<'a>)]> {
-        match self {
-            JsonRef::Object(fields) => Some(fields),
-            _ => None,
+    /// Runs one write, keeping its failure for [`JsonWriter::finish`]
+    /// (a `String` sink never fails, so the check folds away there).
+    #[inline(always)]
+    fn put_with(&mut self, write: impl FnOnce(&mut W) -> fmt::Result) -> &mut Self {
+        if write(&mut self.out).is_err() {
+            self.result = Err(fmt::Error);
         }
+        self
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-/// Writes `s` as a JSON string literal, copying each run of characters
-/// that need no escape in one write.
+/// Writes `s` escaped for the inside of a JSON string literal, one
+/// character at a time (`put_escaped` writes escape-free strings whole).
 fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
-    out.write_char('"')?;
-    let mut start = 0;
-    // Every escaped character is ASCII, so each index below is a char
-    // boundary.
-    for (i, &byte) in s.as_bytes().iter().enumerate() {
-        if byte != b'"' && byte != b'\\' && byte >= 0x20 {
-            continue;
-        }
-        out.write_str(&s[start..i])?;
-        start = i + 1;
-        match byte {
-            b'"' => out.write_str("\\\"")?,
-            b'\\' => out.write_str("\\\\")?,
-            b'\n' => out.write_str("\\n")?,
-            b'\r' => out.write_str("\\r")?,
-            b'\t' => out.write_str("\\t")?,
-            0x08 => out.write_str("\\b")?,
-            0x0c => out.write_str("\\f")?,
-            _ => write!(out, "\\u{byte:04x}")?,
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            '\u{08}' => out.write_str("\\b")?,
+            '\u{0c}' => out.write_str("\\f")?,
+            c if c < ' ' => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.write_str(&s[start..])?;
-    out.write_char('"')
+    Ok(())
 }
 
 /// A JSON parse error with the byte offset where parsing failed.
@@ -428,7 +450,6 @@ pub const MAX_PARSE_DEPTH: usize = 128;
 /// The one recursive-descent JSON parser; it builds a [`JsonRef`].
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
@@ -438,18 +459,8 @@ impl<'a> Parser<'a> {
         ParseJsonError { message: message.to_string(), offset: self.pos }
     }
 
-    /// Bumps the nesting depth on container entry; errors out instead of
-    /// letting recursion overflow the stack.
-    fn descend(&mut self) -> Result<(), ParseJsonError> {
-        self.depth += 1;
-        if self.depth > MAX_PARSE_DEPTH {
-            return Err(self.error("nesting deeper than MAX_PARSE_DEPTH"));
-        }
-        Ok(())
-    }
-
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -468,7 +479,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: JsonRef<'a>) -> Result<JsonRef<'a>, ParseJsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -491,60 +502,56 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<JsonRef<'a>, ParseJsonError> {
-        self.expect(b'[')?;
-        self.descend()?;
         let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonRef::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonRef::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
+        self.sequence(b'[', b']', "expected `,` or `]` in array", |parser| {
+            items.push(parser.value()?);
+            Ok(())
+        })?;
+        Ok(JsonRef::Array(items))
     }
 
     fn object(&mut self) -> Result<JsonRef<'a>, ParseJsonError> {
-        self.expect(b'{')?;
-        self.descend()?;
         let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonRef::Object(fields));
+        self.sequence(b'{', b'}', "expected `,` or `}` in object", |parser| {
+            let key = parser.string()?;
+            parser.skip_whitespace();
+            parser.expect(b':')?;
+            parser.skip_whitespace();
+            fields.push((key, parser.value()?));
+            Ok(())
+        })?;
+        Ok(JsonRef::Object(fields))
+    }
+
+    /// `open`, then what `item` parses, comma-separated, then `close`;
+    /// nesting past [`MAX_PARSE_DEPTH`] is an error, not a stack overflow.
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        error: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseJsonError>,
+    ) -> Result<(), ParseJsonError> {
+        self.expect(open)?;
+        self.depth += 1;
+        if self.depth > MAX_PARSE_DEPTH {
+            return Err(self.error("nesting deeper than MAX_PARSE_DEPTH"));
         }
-        loop {
+        self.skip_whitespace();
+        let mut done = self.peek() == Some(close);
+        while !done {
             self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.value()?;
-            fields.push((key, value));
+            item(self)?;
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonRef::Object(fields));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
+                Some(byte) if byte == close => done = true,
+                _ => return Err(self.error(error)),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
     /// A string literal: a slice of the input when it holds no escape,
@@ -947,7 +954,6 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 1);
         assert!(v.get("missing").is_none());
-        assert!(!v.is_null());
     }
 
     #[test]

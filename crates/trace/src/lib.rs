@@ -49,6 +49,7 @@ mod trace;
 
 pub mod compact;
 pub mod fault;
+pub mod flags;
 pub mod frame;
 pub mod ingest;
 pub mod json;

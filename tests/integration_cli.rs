@@ -192,3 +192,43 @@ fn every_flag_in_a_usage_text_is_known_to_its_verb() {
         }
     }
 }
+
+/// Runs `vlpp args` expecting a `cli` error that mentions `needle`.
+fn assert_cli_error(args: &[&str], needle: &str) {
+    let output = vlpp().args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{args:?} must fail");
+    assert!(stderr.starts_with("error (cli): "), "{args:?}:\n{stderr}");
+    assert!(stderr.contains(needle), "{args:?}: expected `{needle}` in:\n{stderr}");
+}
+
+fn sample_csv() -> String {
+    format!("{}/../../tests/data/sample.csv", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn format_with_a_benchmark_is_a_cli_error() {
+    for verb in ["run", "profile"] {
+        assert_cli_error(&[verb, "--benchmark", "gcc", "--format", "csv"], "--format needs");
+    }
+}
+
+#[test]
+fn explicit_scale_with_a_trace_file_is_a_cli_error() {
+    let trace = sample_csv();
+    for verb in ["run", "profile"] {
+        assert_cli_error(&[verb, "--trace", &trace, "--scale", "4"], "--scale needs");
+    }
+    // The environment's default scale is not a flag: a trace run ignores it.
+    let output =
+        vlpp().env("VLPP_SCALE", "4").args(["run", "--trace", &trace]).output().expect("runs");
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+}
+
+#[test]
+fn only_and_checkpoint_without_all_are_cli_errors() {
+    assert_cli_error(&["fig5", "--only", "table1"], "--only needs `vlpp all`");
+    let dir = std::env::temp_dir().join(format!("vlpp-cli-checkpoint-{}", std::process::id()));
+    assert_cli_error(&["headline", "--checkpoint", dir.to_str().unwrap()], "--checkpoint needs");
+    assert!(!dir.exists(), "a rejected --checkpoint must not create its directory");
+}
