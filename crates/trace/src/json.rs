@@ -362,6 +362,11 @@ impl<W: fmt::Write> JsonWriter<W> {
         self.put(close)
     }
 
+    // The helpers below and the scalar writers above are
+    // `#[inline(always)]`: the direct encoders make about a dozen calls
+    // per slot, and left to the inliner an 8-slot `predict` response took
+    // three times as long to encode.
+
     #[cold]
     fn newline(&mut self) {
         self.put("\n");

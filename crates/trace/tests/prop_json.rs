@@ -21,14 +21,19 @@ fn arb_string(g: &mut Gen) -> String {
     .collect()
 }
 
-/// A finite float from arbitrary bits: subnormals, huge exponents and
-/// negative zero included.
+/// A finite float: arbitrary bits (subnormals, huge exponents, negative
+/// zero), or an integral value, which must keep its decimal point to
+/// parse back as a float.
 fn arb_float(g: &mut Gen) -> f64 {
-    let x = f64::from_bits(g.u64());
+    let x = match g.below(3) {
+        0 => f64::from_bits(g.u64()),
+        1 => g.range_u64(0, 1 << 20) as f64 - (1u64 << 19) as f64,
+        _ => g.range_f64(-1e6, 1e6),
+    };
     if x.is_finite() {
         x
     } else {
-        g.range_f64(-1e6, 1e6)
+        0.5
     }
 }
 
