@@ -5,14 +5,18 @@
 //! exactly — where every history-based scheme sees noise.
 //!
 //! The simulator side of the contract is the synthetic load channel:
-//! `vlpp-synth`'s executor emits one load value per retired record
-//! (`Program::execute_with_loads`), and the harness hands that stream to
-//! [`Ldbp::with_channel`]. The predictor advances a cursor on every
-//! [`observe`](crate::BranchObserver::observe) call, so the value it
-//! reads when predicting record *i* is exactly the value the program saw
-//! — mimicking hardware that has the load's result in flight by the time
-//! the branch fetches. Without a channel the predictor degenerates to a
-//! PC-indexed bimodal (load 0 for every branch).
+//! `vlpp-synth`'s executor emits one load value per retired record, and
+//! the harness hands the predictor a window of that stream — the whole
+//! channel at once through [`Ldbp::with_channel`], or one chunk's loads
+//! before each chunk through
+//! [`feed_loads`](crate::ConditionalPredictor::feed_loads), which
+//! replaces the window. The predictor advances a cursor through the
+//! window on every [`observe`](crate::BranchObserver::observe) call, so
+//! the value it reads when predicting record *i* is exactly the value
+//! the program saw — mimicking hardware that has the load's result in
+//! flight by the time the branch fetches. Without a channel the
+//! predictor degenerates to a PC-indexed bimodal (load 0 for every
+//! branch).
 
 use std::sync::Arc;
 
@@ -42,10 +46,11 @@ pub struct Ldbp {
     table: Vec<Counter2>,
     mask: u64,
     index_bits: u32,
-    /// The retired-load value stream, aligned with record indices.
-    channel: Arc<Vec<u64>>,
-    /// Index of the record currently being predicted (advanced by
-    /// `observe`, which the runner calls once per record).
+    /// The current window of the retired-load value stream: `window[i]`
+    /// belongs to the `i`-th record since the window was set.
+    window: Arc<Vec<u64>>,
+    /// Index into `window` of the record currently being predicted
+    /// (advanced by `observe`, which the runner calls once per record).
     cursor: usize,
 }
 
@@ -62,7 +67,7 @@ impl Ldbp {
             table: vec![Counter2::default(); 1 << index_bits],
             mask: (1u64 << index_bits) - 1,
             index_bits,
-            channel: Arc::new(Vec::new()),
+            window: Arc::new(Vec::new()),
             cursor: 0,
         }
     }
@@ -71,7 +76,7 @@ impl Ldbp {
     /// run over (`loads[i]` = value visible at record `i`), resetting
     /// the cursor.
     pub fn with_channel(mut self, loads: Arc<Vec<u64>>) -> Self {
-        self.channel = loads;
+        self.window = loads;
         self.cursor = 0;
         self
     }
@@ -84,7 +89,7 @@ impl Ldbp {
     }
 
     fn current_load(&self) -> u64 {
-        self.channel.get(self.cursor).copied().unwrap_or(0)
+        self.window.get(self.cursor).copied().unwrap_or(0)
     }
 
     fn index(&self, pc: Addr) -> usize {
@@ -112,11 +117,21 @@ impl ConditionalPredictor for Ldbp {
     fn name(&self) -> String {
         format!("ldbp-{}b", self.index_bits)
     }
+
+    /// Replaces the window with `loads` and resets the cursor; the
+    /// window's buffer is reused once this predictor owns it alone.
+    fn feed_loads(&mut self, loads: &[u64]) {
+        let window = Arc::make_mut(&mut self.window);
+        window.clear();
+        window.extend_from_slice(loads);
+        self.cursor = 0;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunStats;
 
     #[test]
     fn learns_a_load_keyed_branch_exactly() {
@@ -160,6 +175,40 @@ mod tests {
         assert_eq!(p.current_load(), 3);
         p.observe(&BranchRecord::conditional(Addr::new(16), Addr::new(20), true));
         assert_eq!(p.current_load(), 0, "past the channel end reads 0");
+    }
+
+    #[test]
+    fn loads_fed_per_chunk_match_the_whole_channel() {
+        let loads: Vec<u64> = (0..3_000u64).map(|i| mix(i) % 8).collect();
+        let records: Vec<BranchRecord> = (0..3_000u64)
+            .map(|i| {
+                let taken = mix(loads[i as usize] ^ (i % 3)) & 1 == 1;
+                match i % 5 {
+                    4 => BranchRecord::indirect(Addr::new(0x900), Addr::new(0x40 * (i % 7))),
+                    _ => BranchRecord::conditional(
+                        Addr::new(0x100 + 4 * (i % 3)),
+                        Addr::new(0),
+                        taken,
+                    ),
+                }
+            })
+            .collect();
+        let mut whole = Ldbp::new(10).with_channel(Arc::new(loads.clone()));
+        let want = whole.run(&records);
+        let mut chunked = Ldbp::new(10).with_channel(Arc::new(vec![5; 40]));
+        let mut got = RunStats::default();
+        let mut start = 0;
+        for len in [0, 1, 999, 0, 1, 1_500, 499].into_iter().cycle() {
+            if start == records.len() {
+                break;
+            }
+            let end = (start + len).min(records.len());
+            chunked.feed_loads(&loads[start..end]);
+            got += chunked.run(&records[start..end]);
+            start = end;
+        }
+        assert_eq!(got, want);
+        assert!(want.mispredictions * 4 < want.predictions, "the channel must be read: {want:?}");
     }
 
     #[test]

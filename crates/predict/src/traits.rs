@@ -55,6 +55,15 @@ impl RunStats {
     }
 }
 
+/// Adds another run's totals: a stream run in chunks sums to the totals
+/// of one run over the whole stream.
+impl std::ops::AddAssign for RunStats {
+    fn add_assign(&mut self, other: RunStats) {
+        self.predictions += other.predictions;
+        self.mispredictions += other.mispredictions;
+    }
+}
+
 /// A component that watches the retired branch stream.
 ///
 /// Global history structures — outcome shift registers, path registers,
@@ -94,6 +103,16 @@ pub trait ConditionalPredictor: BranchObserver {
 
     /// A short human-readable name ("gshare", "vlp", …) used in reports.
     fn name(&self) -> String;
+
+    /// Hands the predictor the synthetic load channel of the records it
+    /// is about to see: `loads[i]` is the value visible when the `i`-th
+    /// record after this call retires. A stream run in chunks calls it
+    /// once before each chunk with that chunk's loads, so a predictor
+    /// that reads the channel sees the same values as over the whole
+    /// stream. Predictors that ignore loads keep this no-op.
+    fn feed_loads(&mut self, loads: &[u64]) {
+        let _ = loads;
+    }
 
     /// Drives the protocol over `records`: predict → train on each
     /// conditional branch, observe on every record. Returns the
@@ -176,6 +195,10 @@ impl<T: ConditionalPredictor + ?Sized> ConditionalPredictor for Box<T> {
         (**self).name()
     }
 
+    fn feed_loads(&mut self, loads: &[u64]) {
+        (**self).feed_loads(loads)
+    }
+
     fn run(&mut self, records: &[BranchRecord]) -> RunStats {
         (**self).run(records)
     }
@@ -238,5 +261,12 @@ mod tests {
         ];
         let mut p: Box<dyn ConditionalPredictor> = Box::new(AlwaysTaken);
         assert_eq!(p.run(&records), RunStats { predictions: 2, mispredictions: 1 });
+    }
+
+    #[test]
+    fn run_stats_add_up_across_chunks() {
+        let mut total = RunStats { predictions: 3, mispredictions: 1 };
+        total += RunStats { predictions: 2, mispredictions: 2 };
+        assert_eq!(total, RunStats { predictions: 5, mispredictions: 3 });
     }
 }

@@ -18,14 +18,21 @@
 //!   never exceeds the budget, at every tournament budget;
 //! * **one protocol loop** — the trait's provided `run`, called through
 //!   `Box<dyn _>` as the tournament calls it, returns the same totals as
-//!   the hand-written predict → train → observe loop.
+//!   the hand-written predict → train → observe loop;
+//! * **chunking is invisible** — a stream cut into random chunks (empty
+//!   and one-record chunks included), with each chunk's loads handed over
+//!   by `feed_loads` before it as the streaming league does, yields the
+//!   same `RunStats` and the same prediction stream as one run over the
+//!   whole stream with the whole load channel.
 //!
 //! True `Clone`-determinism (clone mid-stream, run both) is checked for
 //! the concrete zoo types below, outside the macro, since boxed trait
 //! objects cannot clone.
 
+use std::ops::Range;
 use std::sync::Arc;
 
+use vlpp_check::{check, prop_assert_eq, CheckConfig, Gen};
 use vlpp_predict::{
     for_each_zoo_conditional, for_each_zoo_indirect, Budget, Bullseye, ClusteredTargetCache,
     ConditionalPredictor, IndirectPredictor, Ldbp, RunStats, Tage, ZooContext,
@@ -114,7 +121,35 @@ fn totals<T: PartialEq>(guesses: &[T], truth: impl Iterator<Item = T>) -> RunSta
     RunStats { predictions: guesses.len() as u64, mispredictions: mispredictions as u64 }
 }
 
+/// A generated stream, its load channel, and a random cut of it into
+/// consecutive chunks — empty and one-record chunks included.
+fn chunked_case(g: &mut Gen) -> (Vec<BranchRecord>, Vec<u64>, Vec<Range<usize>>) {
+    let n = g.range_usize(0, CHUNKED_STREAM_MAX);
+    let records = record_stream(g.u64(), n);
+    let loads = (0..n).map(|_| g.below(64)).collect();
+    let mut cuts: Vec<Range<usize>> = Vec::new();
+    let mut start = 0;
+    while start < n || cuts.is_empty() {
+        // An empty chunk is followed by a non-empty one, so a shrunk case
+        // (every draw 0) still reaches the end of the stream.
+        let floor = usize::from(cuts.last().is_some_and(Range::is_empty));
+        let len = match g.below(4) {
+            0 => 0,
+            1 => 1,
+            _ => g.range_usize(2, 1_000),
+        };
+        let end = (start + len.max(floor)).min(n);
+        cuts.push(start..end);
+        start = end;
+    }
+    (records, loads, cuts)
+}
+
 const STREAM_LEN: usize = 6_000;
+/// The longest stream the chunking property generates.
+const CHUNKED_STREAM_MAX: usize = 3_000;
+/// Cases per member for the chunking property.
+const CHUNKED_CASES: u32 = 48;
 const COND_BUDGETS: [u64; 2] = [4 << 10, 16 << 10];
 const IND_BUDGETS: [u64; 2] = [2 << 10, 8 << 10];
 
@@ -160,6 +195,32 @@ macro_rules! cond_conformance {
                 let guesses = drive_cond(&mut *build(budget), &records, false);
                 let truth = records.iter().filter(|r| r.is_conditional()).map(|r| r.taken());
                 assert_eq!(build(budget).run(&records), totals(&guesses, truth), "{}", $name);
+            }
+
+            #[test]
+            fn chunked_run_with_fed_loads_matches_one_run() {
+                let builder: fn(Budget, &ZooContext) -> Box<dyn ConditionalPredictor> = $build;
+                let budget = Budget::from_bytes(COND_BUDGETS[1]);
+                let name = format!("{}_chunked_run_with_fed_loads_matches_one_run", $name);
+                check(&name, CheckConfig::with_cases(CHUNKED_CASES), |g| {
+                    let (records, loads, cuts) = chunked_case(g);
+                    let whole =
+                        || builder(budget, &ZooContext::with_loads(Arc::new(loads.clone())));
+                    let want_stats = whole().run(&records);
+                    let want_stream = drive_cond(&mut *whole(), &records, false);
+                    let mut by_run = builder(budget, &ZooContext::default());
+                    let mut by_drive = builder(budget, &ZooContext::default());
+                    let (mut stats, mut stream) = (RunStats::default(), Vec::new());
+                    for cut in cuts {
+                        by_run.feed_loads(&loads[cut.clone()]);
+                        stats += by_run.run(&records[cut.clone()]);
+                        by_drive.feed_loads(&loads[cut.clone()]);
+                        stream.extend(drive_cond(&mut *by_drive, &records[cut], false));
+                    }
+                    prop_assert_eq!(stats, want_stats);
+                    prop_assert_eq!(stream, want_stream);
+                    Ok(())
+                });
             }
 
             #[test]
@@ -229,6 +290,26 @@ macro_rules! ind_conformance {
                 let guesses = drive_ind(&mut *build(budget), &records, false);
                 let truth = records.iter().filter(|r| r.is_indirect()).map(|r| r.target());
                 assert_eq!(build(budget).run(&records), totals(&guesses, truth), "{}", $name);
+            }
+
+            #[test]
+            fn chunked_run_matches_one_run() {
+                let budget = Budget::from_bytes(IND_BUDGETS[1]);
+                let name = format!("{}_chunked_run_matches_one_run", $name);
+                check(&name, CheckConfig::with_cases(CHUNKED_CASES), |g| {
+                    let (records, _, cuts) = chunked_case(g);
+                    let want_stats = build(budget).run(&records);
+                    let want_stream = drive_ind(&mut *build(budget), &records, false);
+                    let (mut by_run, mut by_drive) = (build(budget), build(budget));
+                    let (mut stats, mut stream) = (RunStats::default(), Vec::new());
+                    for cut in cuts {
+                        stats += by_run.run(&records[cut.clone()]);
+                        stream.extend(drive_ind(&mut *by_drive, &records[cut], false));
+                    }
+                    prop_assert_eq!(stats, want_stats);
+                    prop_assert_eq!(stream, want_stream);
+                    Ok(())
+                });
             }
 
             #[test]

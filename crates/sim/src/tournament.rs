@@ -10,24 +10,35 @@
 //! committed baseline (`TOURNEY_baseline.json`, checked by
 //! `vlpp-metrics-check --tourney`).
 //!
+//! ## Streaming
+//!
+//! The league is one pool task per workload. A task first builds the
+//! profile reports its `vlp-*` entrants need from the workload's
+//! profile-input trace, and drops that trace. It then runs the test
+//! input through one [`ConditionalRun`] in chunks of 8,192 records and
+//! their load values, and drives every raced entrant over a chunk
+//! before it makes the next, while the chunk is still in cache.
+//! No test trace is ever held whole, so a league's memory does not grow
+//! with its scale. Each entrant's totals add up across chunks; the
+//! chunking property in `crates/predict/tests/conformance.rs` and the
+//! materialised oracle in `crates/sim/tests/tourney_stream.rs` pin that
+//! this changes no cell. Tasks are submitted largest workload first, so
+//! the long ones do not start last.
+//!
 //! ## Determinism
 //!
-//! Cells run on the shared worker pool ([`vlpp_pool::Pool::map`] is
-//! order-preserving) and every expensive artifact — traces with their
-//! load channels, profile reports — is memoized compute-once-per-key,
-//! so stdout is byte-identical at any `VLPP_THREADS`. The league is
-//! part of `scripts/verify.sh`'s thread-determinism diff.
-//!
-//! The artifacts are built first, one pool task per workload, so the
-//! builds run in parallel and no cell blocks on another thread's build:
-//! every cell's memo lookups are hits.
+//! A task's results are a pure function of its workload and the
+//! [`vlpp_pool::Pool::map`] results are placed back in report order, so
+//! stdout is byte-identical at any `VLPP_THREADS`. The league is part of
+//! `scripts/verify.sh`'s thread-determinism diff.
 //!
 //! ## Fairness notes
 //!
 //! * Every conditional entrant sees the same trace; the LDBP entrant
-//!   additionally receives the trace's synthetic load-value channel
-//!   (`Program::execute_conditionals_with_loads`), modeling values the
-//!   core already has in flight — its table storage is still charged.
+//!   additionally receives the trace's synthetic load-value channel,
+//!   chunk by chunk through `ConditionalPredictor::feed_loads`, modeling
+//!   values the core already has in flight — its table storage is still
+//!   charged.
 //! * `vlp-var` uses the §3.5 two-step profile (profiling input, as in
 //!   the paper); `vlp-fixed` uses the *per-workload best* fixed length
 //!   from the same profile, a stronger baseline than Table 2's
@@ -36,22 +47,23 @@
 //!   workload's trace, so conditional and indirect entrants are
 //!   penalized on a common denominator.
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 
-use vlpp_core::{HashAssignment, PathConfig, ProfileBuilder, ProfileConfig, ProfileReport};
+use vlpp_core::{
+    CondKernel, HashAssignment, IndKernel, PathConfig, ProfileBuilder, ProfileConfig, ProfileReport,
+};
 use vlpp_metrics::Counter;
-use vlpp_pool::{Memo, Pool};
-use vlpp_predict::{zoo, Budget, ZooContext};
-use vlpp_synth::{hard, suite, InputSet};
+use vlpp_pool::Pool;
+use vlpp_predict::{zoo, Budget, ConditionalPredictor, IndirectPredictor, ZooContext};
+use vlpp_synth::{hard, suite, ConditionalRun, InputSet, Program};
 use vlpp_trace::json::JsonValue;
-use vlpp_trace::{Trace, VlppError};
+use vlpp_trace::{BranchRecord, Trace, VlppError};
 
 use crate::cli::{cli_error, print_metrics, Flags};
 use crate::experiment::{Kind, Scale};
 use crate::paper::{FIG5_COND_BYTES, FIG7_IND_BYTES};
-use crate::runner::{
-    run_conditional, run_indirect, run_path_conditional, run_path_indirect, RunStats,
-};
+use crate::runner::RunStats;
 
 /// `vlpp tournament --help`.
 pub const USAGE: &str = "\
@@ -152,89 +164,161 @@ pub fn predictor_names() -> Vec<&'static str> {
     names
 }
 
-/// Memoized per-tournament artifacts: traces (with their load-value
-/// channels) and profile reports, built once per workload and shared by
-/// every cell that needs them. Deliberately separate from
-/// [`Workloads`](crate::Workloads) — the tournament profiles at its own
-/// index widths and must not disturb the experiment caches.
-#[derive(Debug)]
-pub struct TournamentData {
-    scale: Scale,
-    traces: Memo<(String, InputSet), TraceWithLoads>,
-    profiles: Memo<(String, Kind), ProfileReport>,
+/// Records per chunk of a streamed test trace. A chunk — 8,192 records
+/// of 24 bytes plus their 8-byte load values, 256 KiB — stays inside a
+/// 2 MiB L2 while every entrant runs over it.
+const CHUNK_RECORDS: usize = 8_192;
+
+/// A workload's program: a suite benchmark or a `hard-*` member.
+fn program(name: &str) -> Program {
+    match suite::benchmark(name) {
+        Some(spec) => spec.build_program(),
+        None => hard::workload(name).expect("workload exists").build_program(),
+    }
 }
 
-/// A built trace plus its aligned load-value channel (`loads[i]` is the
-/// value visible at record `i`).
-type TraceWithLoads = (Trace, Arc<Vec<u64>>);
-
-impl TournamentData {
-    /// Creates a context at the given scale.
-    pub fn new(scale: Scale) -> Self {
-        TournamentData {
-            scale,
-            traces: Memo::named("tourney_traces"),
-            profiles: Memo::named("tourney_profiles"),
+/// The scaled dynamic conditional count for a workload.
+fn dynamic_conditionals(scale: Scale, name: &str) -> u64 {
+    match suite::benchmark(name) {
+        Some(spec) => scale.dynamic_conditionals(&spec),
+        None => {
+            let workload = hard::workload(name).expect("workload exists");
+            (workload.default_dynamic_conditional / scale.divisor()).max(50_000)
         }
     }
+}
 
-    /// The context's scale.
-    pub fn scale(&self) -> Scale {
-        self.scale
+/// The §3.5 profile report of `trace` at the tournament budget of the
+/// given kind.
+fn profile(trace: &Trace, kind: Kind) -> ProfileReport {
+    let _span = vlpp_metrics::span("sim.profile_ns");
+    let bits = match kind {
+        Kind::Conditional => cond_budget().cond_index_bits(),
+        Kind::Indirect => ind_budget().ind_index_bits(),
+    };
+    let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(bits)));
+    match kind {
+        Kind::Conditional => builder.profile_conditional(trace),
+        Kind::Indirect => builder.profile_indirect(trace),
     }
+}
 
-    /// The scaled dynamic conditional count for a workload.
-    fn dynamic_conditionals(&self, name: &str) -> u64 {
-        match suite::benchmark(name) {
-            Some(spec) => self.scale.dynamic_conditionals(&spec),
-            None => {
-                let workload = hard::workload(name).expect("workload exists");
-                (workload.default_dynamic_conditional / self.scale.divisor()).max(50_000)
+/// The hash assignment a `vlp-*` scheme races with, from its profile.
+fn assignment(scheme: Scheme, report: &ProfileReport) -> HashAssignment {
+    match scheme {
+        Scheme::VlpVar => report.assignment.clone(),
+        _ => HashAssignment::fixed(report.best_fixed_hash()),
+    }
+}
+
+/// One raced entrant's live predictor inside a workload task.
+enum Racer {
+    Cond(Box<dyn ConditionalPredictor>),
+    Ind(Box<dyn IndirectPredictor>),
+    CondPath(CondKernel),
+    IndPath(IndKernel),
+}
+
+impl Racer {
+    /// Drives the entrant over one chunk whose load values are `loads`,
+    /// returning the chunk's totals.
+    fn run(&mut self, records: &[BranchRecord], loads: &[u64]) -> RunStats {
+        match self {
+            Racer::Cond(predictor) => {
+                predictor.feed_loads(loads);
+                predictor.run(records)
             }
+            Racer::Ind(predictor) => predictor.run(records),
+            Racer::CondPath(kernel) => tally(records, |r| kernel.apply(r).map(|(_, hit)| hit)),
+            Racer::IndPath(kernel) => tally(records, |r| kernel.apply(r).map(|(_, hit)| hit)),
         }
     }
+}
 
-    /// The trace and aligned load channel for a workload and input set.
-    /// Memoized.
-    fn trace(&self, name: &str, input: InputSet) -> Arc<(Trace, Arc<Vec<u64>>)> {
-        self.traces.get_or_compute((name.to_string(), input), || {
+/// The totals of a kernel's fused loop over `records`: `step` runs one
+/// record and says whether its prediction was correct, if it made one.
+fn tally(
+    records: &[BranchRecord],
+    mut step: impl FnMut(&BranchRecord) -> Option<bool>,
+) -> RunStats {
+    let mut stats = RunStats::default();
+    for record in records {
+        if let Some(correct) = step(record) {
+            stats.record(correct);
+        }
+    }
+    stats
+}
+
+/// Races the `cond` and then the `ind` entrants over one workload: the
+/// profiles the `vlp-*` entrants need come from the profile-input trace,
+/// which is dropped before the test input streams through every entrant
+/// chunk by chunk. Returns each entrant's totals, in entrant order, and
+/// the length of the test trace.
+fn race_workload(
+    scale: Scale,
+    workload: &str,
+    cond: &[(&'static str, Scheme)],
+    ind: &[(&'static str, Scheme)],
+) -> (Vec<RunStats>, u64) {
+    let program = program(workload);
+    let conditionals = dynamic_conditionals(scale, workload);
+    let profiled = |entrants: &[(&str, Scheme)]| {
+        entrants.iter().any(|&(_, scheme)| !matches!(scheme, Scheme::Zoo(_)))
+    };
+    let (mut cond_report, mut ind_report) = (None, None);
+    if profiled(cond) || profiled(ind) {
+        let trace = {
             let _span = vlpp_metrics::span("sim.trace_build_ns");
-            let program = match suite::benchmark(name) {
-                Some(spec) => spec.build_program(),
-                None => hard::workload(name).expect("workload exists").build_program(),
-            };
-            let (trace, loads) =
-                program.execute_conditionals_with_loads(input, self.dynamic_conditionals(name));
-            (trace, Arc::new(loads))
-        })
+            program.execute_conditionals(InputSet::Profile, conditionals)
+        };
+        cond_report = profiled(cond).then(|| profile(&trace, Kind::Conditional));
+        ind_report = profiled(ind).then(|| profile(&trace, Kind::Indirect));
     }
 
-    /// Builds every artifact a cell of `workload` reads: its test trace
-    /// and the profile reports of the `profiled` kinds.
-    fn prepare(&self, workload: &str, profiled: &[Kind]) {
-        self.trace(workload, InputSet::Test);
-        for &kind in profiled {
-            self.profile(workload, kind);
+    let (cond_zoo, ind_zoo) = (zoo::conditional_zoo(), zoo::indirect_zoo());
+    let ctx = ZooContext::default();
+    let cond_config = PathConfig::new(cond_budget().cond_index_bits());
+    let ind_config = PathConfig::new(ind_budget().ind_index_bits());
+    let mut racers: Vec<Racer> = Vec::with_capacity(cond.len() + ind.len());
+    for &(_, scheme) in cond {
+        racers.push(match scheme {
+            Scheme::Zoo(i) => Racer::Cond((cond_zoo[i].build)(cond_budget(), &ctx)),
+            vlp => {
+                let report = cond_report.as_ref().expect("profiled");
+                Racer::CondPath(CondKernel::new(&cond_config, &assignment(vlp, report)))
+            }
+        });
+    }
+    for &(_, scheme) in ind {
+        racers.push(match scheme {
+            Scheme::Zoo(i) => Racer::Ind((ind_zoo[i].build)(ind_budget(), &ctx)),
+            vlp => {
+                let report = ind_report.as_ref().expect("profiled");
+                Racer::IndPath(IndKernel::new(&ind_config, &assignment(vlp, report)))
+            }
+        });
+    }
+
+    let mut run = ConditionalRun::new(&program, InputSet::Test, conditionals);
+    let mut records = Vec::with_capacity(CHUNK_RECORDS);
+    let mut loads = Vec::with_capacity(CHUNK_RECORDS);
+    let mut stats = vec![RunStats::default(); racers.len()];
+    let mut trace_len = 0;
+    while !run.is_done() {
+        records.clear();
+        loads.clear();
+        {
+            let _span = vlpp_metrics::span("sim.trace_build_ns");
+            run.fill(&mut records, Some(&mut loads), CHUNK_RECORDS);
+        }
+        trace_len += records.len() as u64;
+        let _span = vlpp_metrics::span("sim.simulate_ns");
+        for (racer, totals) in racers.iter_mut().zip(&mut stats) {
+            *totals += racer.run(&records, &loads);
         }
     }
-
-    /// The §3.5 profile report for a workload at the tournament budget
-    /// of the given kind. Memoized.
-    fn profile(&self, name: &str, kind: Kind) -> Arc<ProfileReport> {
-        self.profiles.get_or_compute((name.to_string(), kind), || {
-            let _span = vlpp_metrics::span("sim.profile_ns");
-            let trace = self.trace(name, InputSet::Profile);
-            let bits = match kind {
-                Kind::Conditional => cond_budget().cond_index_bits(),
-                Kind::Indirect => ind_budget().ind_index_bits(),
-            };
-            let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(bits)));
-            match kind {
-                Kind::Conditional => builder.profile_conditional(&trace.0),
-                Kind::Indirect => builder.profile_indirect(&trace.0),
-            }
-        })
-    }
+    (stats, trace_len)
 }
 
 /// One finished cell of the league matrix.
@@ -274,44 +358,6 @@ fn kind_tag(kind: Kind) -> &'static str {
         Kind::Conditional => "cond",
         Kind::Indirect => "ind",
     }
-}
-
-fn run_cell(data: &TournamentData, kind: Kind, scheme: Scheme, workload: &str) -> (RunStats, u64) {
-    let test = data.trace(workload, InputSet::Test);
-    let (trace, loads) = (&test.0, &test.1);
-    let stats = match (kind, scheme) {
-        (Kind::Conditional, Scheme::Zoo(i)) => {
-            let entry = &zoo::conditional_zoo()[i];
-            let ctx = ZooContext::with_loads(Arc::clone(loads));
-            let mut predictor = (entry.build)(cond_budget(), &ctx);
-            run_conditional(&mut predictor, trace)
-        }
-        (Kind::Indirect, Scheme::Zoo(i)) => {
-            let entry = &zoo::indirect_zoo()[i];
-            let ctx = ZooContext::with_loads(Arc::clone(loads));
-            let mut predictor = (entry.build)(ind_budget(), &ctx);
-            run_indirect(&mut predictor, trace)
-        }
-        (Kind::Conditional, vlp) => {
-            let report = data.profile(workload, Kind::Conditional);
-            let config = PathConfig::new(cond_budget().cond_index_bits());
-            let assignment = match vlp {
-                Scheme::VlpVar => report.assignment.clone(),
-                _ => HashAssignment::fixed(report.best_fixed_hash()),
-            };
-            run_path_conditional(&config, &assignment, trace)
-        }
-        (Kind::Indirect, vlp) => {
-            let report = data.profile(workload, Kind::Indirect);
-            let config = PathConfig::new(ind_budget().ind_index_bits());
-            let assignment = match vlp {
-                Scheme::VlpVar => report.assignment.clone(),
-                _ => HashAssignment::fixed(report.best_fixed_hash()),
-            };
-            run_path_indirect(&config, &assignment, trace)
-        }
-    };
-    (stats, trace.len() as u64)
 }
 
 fn storage_bytes(kind: Kind, scheme: Scheme) -> u64 {
@@ -370,7 +416,6 @@ pub fn validate_only(raw: &str) -> Result<Vec<String>, VlppError> {
 /// One entrant's `sim.tourney.<kind>.<predictor>.*` counters, resolved
 /// once per tournament so a cell formats no name and takes no registry
 /// lock.
-#[derive(Clone)]
 struct EntrantCounters {
     predictions: Arc<Counter>,
     mispredictions: Arc<Counter>,
@@ -389,7 +434,8 @@ impl EntrantCounters {
 }
 
 /// Runs the full matrix (optionally restricted to the `only` predictor
-/// names, which must already be validated) on the shared worker pool.
+/// names, which must already be validated) on the shared worker pool,
+/// one task per workload.
 pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult {
     let keep = |name: &str| only.map(|list| list.iter().any(|o| o == name)).unwrap_or(true);
     let cond: Vec<(&'static str, Scheme)> =
@@ -398,35 +444,40 @@ pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult
         ind_entrants().into_iter().filter(|(name, _)| keep(name)).collect();
     let workloads = workloads();
 
-    let mut specs = Vec::new();
-    let mut profiled = Vec::new();
-    for (kind, entrants) in [(Kind::Conditional, &cond), (Kind::Indirect, &ind)] {
+    // Largest workload first: the FIFO pool then starts the long tasks
+    // first and fills in with the short ones.
+    let mut order: Vec<usize> = (0..workloads.len()).collect();
+    order.sort_by_key(|&w| Reverse(dynamic_conditionals(scale, workloads[w].name)));
+    let mut raced = {
+        let _span = vlpp_metrics::span("sim.tourney.run_ns");
+        Pool::global().map(order, |w| (w, race_workload(scale, workloads[w].name, &cond, &ind)))
+    };
+    raced.sort_unstable_by_key(|&(w, _)| w);
+
+    // Report order: the conditional section first, workload-major.
+    let cells_raced = vlpp_metrics::counter("sim.tourney.cells");
+    let mut cells = Vec::with_capacity(workloads.len() * (cond.len() + ind.len()));
+    for (kind, entrants, offset) in
+        [(Kind::Conditional, &cond, 0), (Kind::Indirect, &ind, cond.len())]
+    {
         let counters: Vec<EntrantCounters> =
             entrants.iter().map(|&(name, _)| EntrantCounters::resolve(kind, name)).collect();
-        for workload in &workloads {
-            for (&(name, scheme), counters) in entrants.iter().zip(&counters) {
-                specs.push((kind, name, scheme, workload.name, counters.clone()));
+        for (workload, (_, (stats, trace_len))) in workloads.iter().zip(&raced) {
+            let row = entrants.iter().zip(&counters).zip(&stats[offset..]);
+            for ((&(predictor, _), counters), &stats) in row {
+                cells_raced.incr();
+                counters.predictions.add(stats.predictions);
+                counters.mispredictions.add(stats.mispredictions);
+                cells.push(TourneyCell {
+                    kind,
+                    predictor,
+                    workload: workload.name,
+                    stats,
+                    trace_len: *trace_len,
+                });
             }
         }
-        if entrants.iter().any(|&(_, scheme)| !matches!(scheme, Scheme::Zoo(_))) {
-            profiled.push(kind);
-        }
     }
-
-    let data = TournamentData::new(scale);
-    let cells_raced = vlpp_metrics::counter("sim.tourney.cells");
-    let cells = {
-        let _span = vlpp_metrics::span("sim.tourney.run_ns");
-        let names: Vec<&'static str> = workloads.iter().map(|w| w.name).collect();
-        Pool::global().map(names, |name| data.prepare(name, &profiled));
-        Pool::global().map(specs, |(kind, predictor, scheme, workload, counters)| {
-            let (stats, trace_len) = run_cell(&data, kind, scheme, workload);
-            cells_raced.incr();
-            counters.predictions.add(stats.predictions);
-            counters.mispredictions.add(stats.mispredictions);
-            TourneyCell { kind, predictor, workload, stats, trace_len }
-        })
-    };
 
     TournamentResult {
         scale,
@@ -700,16 +751,13 @@ mod tests {
     #[test]
     fn single_cell_is_deterministic() {
         let scale = Scale::new(CI_SCALE_DIVISOR);
-        let run = || {
-            let data = TournamentData::new(scale);
-            run_cell(&data, Kind::Conditional, Scheme::Zoo(1), "hard-noise")
-        };
+        let run = || race_workload(scale, "hard-noise", &[("gshare", Scheme::Zoo(1))], &[]);
         let (a, a_len) = run();
         let (b, b_len) = run();
-        assert_eq!(a.predictions, b.predictions);
-        assert_eq!(a.mispredictions, b.mispredictions);
+        assert_eq!(a, b);
         assert_eq!(a_len, b_len);
-        assert!(a.predictions >= 50_000);
+        assert!(a[0].predictions >= 50_000);
+        assert!(a_len > CHUNK_RECORDS as u64, "the trace spans several chunks");
     }
 
     #[test]

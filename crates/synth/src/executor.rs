@@ -80,7 +80,7 @@ const LOAD_SALT: u64 = 0x4c4f_4144_4348_414e; // "LOADCHAN"
 const LOAD_DOMAIN: u64 = 64;
 
 /// An upper bound on records emitted per conditional record, used to
-/// pre-size [`Program::execute_conditionals_with_loads`]'s output. Over
+/// pre-size [`Program::execute_conditionals`]'s output. Over
 /// the 16 suite benchmarks and 6 hard workloads the measured ratio runs
 /// from 1.08 (m88ksim) to 1.90 (hard-phase-fast) on either input set;
 /// a program that exceeds the bound only costs a reallocation.
@@ -173,6 +173,7 @@ impl<'a> Executor<'a> {
     ///
     /// This is the ground-truth side channel [`CondBehavior::LoadDependent`]
     /// sites read; an LDBP-style predictor gets the same stream via
+    /// [`ConditionalRun::fill`] or
     /// [`Program::execute_conditionals_with_loads`] — mimicking hardware
     /// that snoops retired load values — while history-only predictors
     /// never see it.
@@ -253,6 +254,85 @@ impl Iterator for Executor<'_> {
     }
 }
 
+/// A run of a [`Program`] bounded by its dynamic conditional count (the
+/// paper sizes workloads that way), handed out in chunks of records and,
+/// when asked, their load values. It is the one place the "stop after the
+/// N-th conditional" rule lives: [`Program::execute_conditionals`] drains
+/// it into one trace, and a streaming consumer refills a fixed buffer
+/// from it, so no more than a chunk of the run is ever held.
+///
+/// # Example
+///
+/// ```
+/// use vlpp_synth::{suite, ConditionalRun, InputSet};
+///
+/// let program = suite::benchmark("compress").unwrap().build_program();
+/// let mut run = ConditionalRun::new(&program, InputSet::Test, 5_000);
+/// let (mut records, mut loads) = (Vec::new(), Vec::new());
+/// let mut total = 0;
+/// while !run.is_done() {
+///     records.clear();
+///     loads.clear();
+///     total += run.fill(&mut records, Some(&mut loads), 1024);
+///     assert_eq!(records.len(), loads.len());
+/// }
+/// assert_eq!(total, program.execute_conditionals(InputSet::Test, 5_000).len());
+/// ```
+#[derive(Debug)]
+pub struct ConditionalRun<'a> {
+    exec: Executor<'a>,
+    /// Conditional records still to emit.
+    left: u64,
+}
+
+impl<'a> ConditionalRun<'a> {
+    /// Starts a run of `program` on `input` that ends with its
+    /// `conditionals`-th conditional record.
+    pub fn new(program: &'a Program, input: InputSet, conditionals: u64) -> Self {
+        ConditionalRun {
+            exec: Executor::new(program, input, ExecutionLimits::default()),
+            left: conditionals,
+        }
+    }
+
+    /// Whether the run has emitted its last record.
+    pub fn is_done(&self) -> bool {
+        self.left == 0
+    }
+
+    /// Appends the run's next records to `records` — at most `max`, fewer
+    /// when the run ends first — and, when `loads` is given, each
+    /// record's load value to it (`loads` stays aligned with `records` if
+    /// both start aligned). Returns the number of records appended: 0
+    /// once the run is done.
+    pub fn fill(
+        &mut self,
+        records: &mut Vec<BranchRecord>,
+        mut loads: Option<&mut Vec<u64>>,
+        max: usize,
+    ) -> usize {
+        let mut appended = 0;
+        while appended < max && self.left > 0 {
+            let record = self.exec.next().expect("executor is infinite");
+            self.left -= u64::from(record.is_conditional());
+            if let Some(loads) = &mut loads {
+                loads.push(self.exec.load_value());
+            }
+            records.push(record);
+            appended += 1;
+        }
+        appended
+    }
+}
+
+/// Room for a whole run of `conditionals` conditionals, from the
+/// measured records-per-conditional ratio, so a collected run never
+/// grows by doubling (and copying).
+fn run_capacity(conditionals: u64) -> usize {
+    usize::try_from(conditionals.saturating_mul(RECORDS_PER_CONDITIONAL_BOUND))
+        .unwrap_or(usize::MAX)
+}
+
 impl Program {
     /// Runs the program on `input`, collecting `records` branch records
     /// into a [`Trace`].
@@ -263,7 +343,9 @@ impl Program {
     /// Runs until `conditionals` conditional-branch records have been
     /// emitted (the paper sizes workloads by dynamic conditional count).
     pub fn execute_conditionals(&self, input: InputSet, conditionals: u64) -> Trace {
-        self.execute_conditionals_with_loads(input, conditionals).0
+        let mut records = Vec::with_capacity(run_capacity(conditionals));
+        ConditionalRun::new(self, input, conditionals).fill(&mut records, None, usize::MAX);
+        Trace::from(records)
     }
 
     /// Like [`execute`](Self::execute), additionally returning the
@@ -288,23 +370,14 @@ impl Program {
         input: InputSet,
         conditionals: u64,
     ) -> (Trace, Vec<u64>) {
-        // Sized up front from the measured ratio, so neither vector grows
-        // by doubling (and copying) as the run proceeds.
-        let capacity = usize::try_from(conditionals.saturating_mul(RECORDS_PER_CONDITIONAL_BOUND))
-            .unwrap_or(usize::MAX);
-        let mut trace = Trace::with_capacity(capacity);
-        let mut loads = Vec::with_capacity(capacity);
-        let mut seen = 0u64;
-        let mut exec = Executor::new(self, input, ExecutionLimits::default());
-        while seen < conditionals {
-            let record = exec.next().expect("executor is infinite");
-            if record.is_conditional() {
-                seen += 1;
-            }
-            loads.push(exec.load_value());
-            trace.push(record);
-        }
-        (trace, loads)
+        let capacity = run_capacity(conditionals);
+        let (mut records, mut loads) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        ConditionalRun::new(self, input, conditionals).fill(
+            &mut records,
+            Some(&mut loads),
+            usize::MAX,
+        );
+        (Trace::from(records), loads)
     }
 }
 
@@ -446,6 +519,31 @@ mod tests {
         let trace = program.execute_conditionals(InputSet::Test, 50);
         assert_eq!(trace.conditionals().count(), 50);
         assert!(trace.records().last().unwrap().is_conditional());
+    }
+
+    #[test]
+    fn chunked_run_matches_the_collected_run() {
+        let program = looping_program();
+        let (trace, loads) = program.execute_conditionals_with_loads(InputSet::Test, 60);
+        assert_eq!(trace, program.execute_conditionals(InputSet::Test, 60));
+        let mut run = ConditionalRun::new(&program, InputSet::Test, 60);
+        let (mut records, mut chunk_loads) = (Vec::new(), Vec::new());
+        for max in [0, 1, 7, 0, 3].into_iter().cycle() {
+            if run.is_done() {
+                break;
+            }
+            let before = records.len();
+            let appended = run.fill(&mut records, Some(&mut chunk_loads), max);
+            assert!(appended <= max);
+            assert_eq!(records.len() - before, appended);
+        }
+        assert_eq!(
+            run.fill(&mut records, Some(&mut chunk_loads), 5),
+            0,
+            "a done run emits nothing"
+        );
+        assert_eq!(records, trace.records());
+        assert_eq!(chunk_loads, loads);
     }
 
     #[test]

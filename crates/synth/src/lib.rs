@@ -51,6 +51,6 @@ pub mod suite;
 
 pub use behavior::{CondBehavior, IndBehavior};
 pub use cfg::{Block, BlockId, FuncId, Function, Program, Terminator};
-pub use executor::{ExecutionLimits, Executor, InputSet};
+pub use executor::{ConditionalRun, ExecutionLimits, Executor, InputSet};
 pub use rng::SplitMix64;
 pub use spec::{BehaviorMix, BenchmarkSpec};
