@@ -1,6 +1,7 @@
 //! End-to-end tests of the `vlpp` CLI binary: argument handling, text
 //! and JSON output, and error paths.
 
+use std::path::Path;
 use std::process::Command;
 
 use vlpp_sim::cli::VERBS;
@@ -128,11 +129,18 @@ fn json_output_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn all_json_emits_one_object_keyed_by_experiment() {
-    let output =
-        vlpp().args(["all", "--json", "--scale", "1000000"]).output().expect("binary runs");
+    let output = vlpp().args(["all", "--json", "--scale", "ci"]).output().expect("binary runs");
     assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
     let text = String::from_utf8(output.stdout).expect("utf-8");
     assert!(!text.contains("== "), "JSON mode must not interleave text headers:\n{text}");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/golden_all_ci.json");
+    let golden = std::fs::read_to_string(golden).expect("golden file is checked in");
+    assert!(
+        text == golden,
+        "`vlpp all --json --scale ci` diverged from tests/data/golden_all_ci.json; if the \
+         change is intended, regenerate it with `vlpp all --json --scale ci > \
+         tests/data/golden_all_ci.json` and list every changed value in CHANGES.md"
+    );
     // The whole stdout is one parseable object, keyed by experiment id
     // in run order.
     let value = vlpp_trace::json::JsonValue::parse(text.trim()).expect("valid JSON");

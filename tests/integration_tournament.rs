@@ -3,6 +3,7 @@
 //! *and* for `vlpp all`), thread determinism, and a sanity check that
 //! the load-correlated entrant actually wins the workload built for it.
 
+use std::path::Path;
 use std::process::Command;
 
 use vlpp_trace::json::JsonValue;
@@ -14,7 +15,8 @@ fn vlpp() -> Command {
 }
 
 /// Runs `vlpp tournament --json --scale ci` (plus `extra`) and parses
-/// the TOURNEY line.
+/// the TOURNEY line. The full league (no `extra`) must also match
+/// `tests/data/golden_tourney_ci.json` byte for byte.
 fn tourney_json(extra: &[&str]) -> JsonValue {
     let output = vlpp()
         .args(["tournament", "--json", "--scale", "ci"])
@@ -25,6 +27,18 @@ fn tourney_json(extra: &[&str]) -> JsonValue {
     let stdout = String::from_utf8(output.stdout).expect("utf-8");
     let line =
         stdout.lines().find_map(|l| l.strip_prefix("TOURNEY ")).expect("stdout has a TOURNEY line");
+    if extra.is_empty() {
+        let golden =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/golden_tourney_ci.json");
+        let golden = std::fs::read_to_string(golden).expect("golden file is checked in");
+        assert!(
+            format!("{line}\n") == golden,
+            "the CI-scale league diverged from tests/data/golden_tourney_ci.json; if the change \
+             is intended, regenerate it with `vlpp tournament --json --scale ci | sed -n \
+             's/^TOURNEY //p' > tests/data/golden_tourney_ci.json` and list every changed cell \
+             in CHANGES.md"
+        );
+    }
     JsonValue::parse(line).expect("TOURNEY payload parses")
 }
 
