@@ -1,8 +1,19 @@
 //! The structure-of-arrays path predictor: the paper's predictor as
 //! flat state, and the only implementation production runs — the
 //! offline runners, the §3.5 profiler, the paper experiments, the
-//! hybrids and the serve shards all drive [`CondKernel`] /
+//! league, the hybrids and the serve shards all drive [`CondKernel`] /
 //! [`IndKernel`].
+//!
+//! A whole stream goes through the protocol's one entry point,
+//! `ConditionalPredictor::run` / `IndirectPredictor::run`, which the
+//! kernels override with their fused per-record step
+//! ([`CondKernel::apply`] / [`IndKernel::apply`]): one pc resolve per
+//! predicted record instead of the three calls the provided loop makes.
+//! These two `run` bodies are the only whole-stream kernel loops. Two
+//! drivers call `apply` record by record because they need something
+//! per record: the serve shards answer each record, and
+//! `vlpp_sim::ingest::replay_streaming` pulls one record at a time
+//! from its trace source.
 //!
 //! * the second-level table is one contiguous plane — packed 2-bit
 //!   counters ([`CounterPlane`]) or packed target registers
@@ -29,7 +40,9 @@
 
 use std::collections::HashMap;
 
-use vlpp_predict::{BranchObserver, ConditionalPredictor, CounterPlane, IndirectPredictor};
+use vlpp_predict::{
+    BranchObserver, ConditionalPredictor, CounterPlane, IndirectPredictor, RunStats,
+};
 use vlpp_trace::{Addr, BranchKind, BranchRecord};
 
 use crate::hash::RollingHashers;
@@ -429,12 +442,13 @@ impl KernelCore {
 /// one gives the paper's *fixed length path* predictor, a profiled one
 /// the *variable length path* predictor.
 ///
-/// Drive it record-at-a-time through the fused [`apply`](Self::apply)
-/// (which also accumulates [`RunStats`-shaped](Self::predictions)
-/// statistics internally, with no per-record `HashMap` traffic), or
-/// through the standard `ConditionalPredictor` trait (predict → train →
-/// observe as three calls) where a call site is generic over
-/// predictors.
+/// Drive a whole stream through the protocol's
+/// [`run`](ConditionalPredictor::run), which this kernel overrides with
+/// its fused [`apply`](Self::apply) step; call `apply` directly only
+/// where each record needs its own answer. `apply` also accumulates
+/// per-branch statistics ([`branch_stats`](Self::branch_stats)) with no
+/// per-record `HashMap` traffic. The trait's `predict` → `train` →
+/// `observe` methods give the same results as three calls.
 ///
 /// # Example
 ///
@@ -566,11 +580,26 @@ impl ConditionalPredictor for CondKernel {
     fn name(&self) -> String {
         self.core.name()
     }
+
+    /// The protocol over `records` through the fused
+    /// [`apply`](CondKernel::apply) step: the same predictions, table
+    /// state and totals as the provided loop.
+    fn run(&mut self, records: &[BranchRecord]) -> RunStats {
+        let mut stats = RunStats::default();
+        for record in records {
+            if let Some((_, correct)) = self.apply(record) {
+                stats.record(correct);
+            }
+        }
+        stats
+    }
 }
 
 /// The indirect path predictor (paper Figure 1 with a table of target
-/// registers) over a static hash assignment. See [`CondKernel`] and the
-/// module docs for the layout.
+/// registers) over a static hash assignment. Like [`CondKernel`], it
+/// overrides the protocol's [`run`](IndirectPredictor::run) with its
+/// fused [`apply`](Self::apply) step; see the module docs for the
+/// layout.
 ///
 /// # Example
 ///
@@ -705,6 +734,19 @@ impl IndirectPredictor for IndKernel {
 
     fn name(&self) -> String {
         self.core.name()
+    }
+
+    /// The protocol over `records` through the fused
+    /// [`apply`](IndKernel::apply) step (returns excluded): the same
+    /// predictions, table state and totals as the provided loop.
+    fn run(&mut self, records: &[BranchRecord]) -> RunStats {
+        let mut stats = RunStats::default();
+        for record in records {
+            if let Some((_, correct)) = self.apply(record) {
+                stats.record(correct);
+            }
+        }
+        stats
     }
 }
 

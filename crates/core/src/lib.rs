@@ -36,8 +36,9 @@
 //! (static hash assignment) and [`DynamicPathConditional`] (§3.4
 //! hardware selection). All implement the `vlpp-predict` traits, so the
 //! `vlpp-sim` runner drives them interchangeably with the baselines;
-//! the kernels also have a fused [`CondKernel::apply`] that keeps
-//! per-branch statistics. A boxed, one-structure-per-concept rendering
+//! the kernels override the traits' `run` with their fused per-record
+//! step ([`CondKernel::apply`]), which also keeps per-branch
+//! statistics. A boxed, one-structure-per-concept rendering
 //! of the same predictor lives in the crate's `tests/reference/` as the
 //! differential oracle.
 //!

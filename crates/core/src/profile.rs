@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 
+use vlpp_predict::{ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::{Addr, BranchKind, Trace};
 
 use crate::hash::RollingHashers;
@@ -442,16 +443,12 @@ impl ProfileBuilder {
         match population {
             Population::Conditional => {
                 let mut kernel = CondKernel::new(path, assignment);
-                for record in trace.iter() {
-                    kernel.apply(record);
-                }
+                kernel.run(trace.records());
                 kernel.branch_stats().map(|(pc, _, misses)| (pc, misses)).collect()
             }
             Population::Indirect => {
                 let mut kernel = IndKernel::new(path, assignment);
-                for record in trace.iter() {
-                    kernel.apply(record);
-                }
+                kernel.run(trace.records());
                 kernel.branch_stats().map(|(pc, _, misses)| (pc, misses)).collect()
             }
         }

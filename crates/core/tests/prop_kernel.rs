@@ -8,10 +8,13 @@
 //! side and assert that per-record predictions, final counter/target
 //! state, and final statistics are exactly equal — not approximately,
 //! not statistically: any single differing bit fails the property.
+//! The kernels' `run` overrides, the loops every offline driver uses,
+//! are pinned to the per-record `apply` step the same way.
 
 mod reference;
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use reference::hash::hash_path;
 use reference::path::{PathConditional, PathIndirect};
@@ -20,7 +23,7 @@ use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig};
 use vlpp_core::{
     CondKernel, HashAssignment, IndKernel, PathConfig, RollingHashers, MAX_PATH_LENGTH,
 };
-use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
+use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor, RunStats};
 use vlpp_trace::{Addr, BranchRecord, Trace};
 
 /// A random predictor configuration: index width, THB capacity, the
@@ -183,6 +186,79 @@ fn kernel_trait_protocol_matches_fused_apply() {
             stepwise.observe(record);
         }
         prop_assert_eq!(fused.counter_values(), stepwise.counter_values());
+        Ok(())
+    });
+}
+
+/// A random cut of `0..n` into consecutive chunks, empty and one-record
+/// chunks included.
+fn random_cuts(g: &mut vlpp_check::Gen, n: usize) -> Vec<Range<usize>> {
+    let mut cuts: Vec<Range<usize>> = Vec::new();
+    let mut start = 0;
+    while start < n || cuts.is_empty() {
+        // An empty chunk is followed by a non-empty one, so a shrunk case
+        // (every draw 0) still reaches the end of the stream.
+        let floor = usize::from(cuts.last().is_some_and(Range::is_empty));
+        let len = match g.below(4) {
+            0 => 0,
+            1 => 1,
+            _ => g.range_usize(2, 200),
+        };
+        let end = (start + len.max(floor)).min(n);
+        cuts.push(start..end);
+        start = end;
+    }
+    cuts
+}
+
+/// The kernels' `run` overrides keep the protocol: a stream cut into
+/// random chunks and run chunk by chunk sums to the totals a per-record
+/// `apply` loop over a second kernel scores, and both kernels end with
+/// the same table and the same per-branch statistics. Both kinds.
+#[test]
+fn chunked_run_matches_per_record_apply() {
+    check("chunked_run_matches_per_record_apply", CheckConfig::default(), |g| {
+        let config = random_config(g);
+        let assignment = random_assignment(g);
+        let n = g.range_usize(0, 600);
+        let trace = random_trace(g, n);
+        let records = trace.records();
+        let cuts = random_cuts(g, records.len());
+
+        let mut cond_run = CondKernel::new(&config, &assignment);
+        let mut ind_run = IndKernel::new(&config, &assignment);
+        let (mut cond_got, mut ind_got) = (RunStats::default(), RunStats::default());
+        for cut in cuts {
+            cond_got += cond_run.run(&records[cut.clone()]);
+            ind_got += ind_run.run(&records[cut]);
+        }
+
+        let mut cond_apply = CondKernel::new(&config, &assignment);
+        let mut ind_apply = IndKernel::new(&config, &assignment);
+        let (mut cond_want, mut ind_want) = (RunStats::default(), RunStats::default());
+        for record in records {
+            if let Some((_, correct)) = cond_apply.apply(record) {
+                cond_want.record(correct);
+            }
+            if let Some((_, correct)) = ind_apply.apply(record) {
+                ind_want.record(correct);
+            }
+        }
+
+        prop_assert_eq!(cond_got, cond_want, "conditional totals");
+        prop_assert_eq!(cond_run.counter_values(), cond_apply.counter_values(), "counter state");
+        prop_assert_eq!(
+            cond_run.branch_stats().collect::<Vec<_>>(),
+            cond_apply.branch_stats().collect::<Vec<_>>(),
+            "conditional per-branch stats"
+        );
+        prop_assert_eq!(ind_got, ind_want, "indirect totals");
+        prop_assert_eq!(ind_run.target_entries(), ind_apply.target_entries(), "target state");
+        prop_assert_eq!(
+            ind_run.branch_stats().collect::<Vec<_>>(),
+            ind_apply.branch_stats().collect::<Vec<_>>(),
+            "indirect per-branch stats"
+        );
         Ok(())
     });
 }

@@ -6,7 +6,9 @@
 //! in which `predict`, `train` and `observe` are static calls the
 //! compiler can inline; a `Box<dyn _>` forwards `run` through its
 //! vtable, so a boxed predictor costs one virtual call per trace rather
-//! than three per record.
+//! than three per record. The path predictor's structure-of-arrays
+//! kernels in `vlpp-core` override `run` with their fused per-record
+//! step, which keeps the same protocol.
 
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord};
@@ -87,8 +89,8 @@ pub trait BranchObserver {
 /// 3. [`observe`](BranchObserver::observe) with the full record
 ///    (also called for non-conditional branches).
 ///
-/// [`run`](Self::run) is that protocol over a whole trace; it is the
-/// only place the loop is written.
+/// [`run`](Self::run) is that protocol over a whole trace; its default
+/// body is the only place the generic loop is written.
 ///
 /// `predict` takes `&mut self` because some predictors record prediction
 /// metadata (e.g. which hash function produced the used index) that
@@ -118,9 +120,12 @@ pub trait ConditionalPredictor: BranchObserver {
     /// conditional branch, observe on every record. Returns the
     /// conditional predictions made and how many missed.
     ///
-    /// Implementors should not override this (forwarding wrappers such
-    /// as `Box` aside): it is the protocol, and its default body is
-    /// already monomorphized per type.
+    /// The default body is the protocol, already monomorphized per
+    /// type; a predictor overrides it only with a loop that keeps the
+    /// same protocol and totals. Besides forwarding wrappers such as
+    /// `Box`, the path predictor's kernels in `vlpp-core` do: their
+    /// `run` is a fused per-record step, and `vlpp-core`'s
+    /// `prop_kernel` suite pins it to this loop.
     fn run(&mut self, records: &[BranchRecord]) -> RunStats {
         let mut stats = RunStats::default();
         for record in records {
@@ -160,7 +165,7 @@ pub trait IndirectPredictor: BranchObserver {
     /// indirect branch (returns excluded), observe on every record.
     /// Returns the indirect predictions made and how many missed.
     ///
-    /// Implementors should not override this (see
+    /// Overrides must keep the protocol and its totals (see
     /// [`ConditionalPredictor::run`]).
     fn run(&mut self, records: &[BranchRecord]) -> RunStats {
         let mut stats = RunStats::default();

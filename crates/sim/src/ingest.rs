@@ -535,8 +535,10 @@ mod tests {
         let trace = sample_trace(5000);
         let assignment = HashAssignment::fixed(8);
         let config = PathConfig::new(10);
-        let expected_cond = crate::runner::run_path_conditional(&config, &assignment, &trace);
-        let expected_ind = crate::runner::run_path_indirect(&config, &assignment, &trace);
+        let expected_cond =
+            crate::runner::run_conditional(&mut CondKernel::new(&config, &assignment), &trace);
+        let expected_ind =
+            crate::runner::run_indirect(&mut IndKernel::new(&config, &assignment), &trace);
         let mut source = MemorySource::new(trace.clone());
         let report = replay_streaming(&mut source, 10, &assignment).unwrap();
         assert_eq!(report.records, trace.len() as u64);

@@ -62,6 +62,4 @@ pub mod tournament;
 pub use checkpoint::{Checkpoint, SavedOutput};
 pub use experiment::{Scale, Workloads};
 pub use frontend::{run_frontend, FrontendCost, Penalties};
-pub use runner::{
-    run_conditional, run_indirect, run_path_conditional, run_path_indirect, RunStats,
-};
+pub use runner::{run_conditional, run_indirect, RunStats};

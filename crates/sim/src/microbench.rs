@@ -5,26 +5,28 @@
 //! stream `scripts/bench_record.sh` collects and `vlpp-metrics-check
 //! --bench` gates against `BENCH_baseline.json`):
 //!
-//! * `kernel/cond_soa` — the conditional path predictor through the
-//!   fused [`CondKernel`](vlpp_core::CondKernel) loop;
-//! * `kernel/ind_soa` — the indirect analogue through
-//!   [`IndKernel`](vlpp_core::IndKernel);
+//! * `kernel/cond_soa` — the conditional path predictor:
+//!   `run_conditional` over a fresh [`CondKernel`], whose `run` is its
+//!   fused per-record step;
+//! * `kernel/ind_soa` — the indirect analogue, `run_indirect` over a
+//!   fresh [`IndKernel`];
 //! * `serve/codec` — the serve path's JSON codec: `parse_request` of an
 //!   8-record `predict` frame (gcc records, as `vlpp loadgen` sends
 //!   them) plus the encode of its response.
 //!
-//! Each line carries one field the plain harness lines don't:
-//! `records_per_sec`, derived from the median iteration — the
-//! floor-gated throughput contract.
+//! Each kernel iteration builds its kernel inside the timed closure, so
+//! it times construction plus one whole-trace run. Each line carries
+//! one field the plain harness lines don't: `records_per_sec`, derived
+//! from the median iteration — the floor-gated throughput contract.
 
 use vlpp_check::{measure, BenchConfig, BenchReport};
-use vlpp_core::{HashAssignment, PathConfig};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord, Trace, VlppError};
 
 use crate::cli::Flags;
 use crate::experiment::{Scale, Workloads};
-use crate::runner::{run_path_conditional, run_path_indirect};
+use crate::runner::{run_conditional, run_indirect};
 use crate::serve::protocol;
 use crate::serve::Prediction;
 
@@ -181,14 +183,14 @@ pub fn run(records: usize) {
     let cond_trace = synthetic_trace(records, false, 7);
     let cond_config = PathConfig::new(COND_INDEX_BITS);
     let cond = measure("kernel/cond_soa", config, || {
-        run_path_conditional(&cond_config, &assignment, &cond_trace)
+        run_conditional(&mut CondKernel::new(&cond_config, &assignment), &cond_trace)
     });
     print_with_throughput(&cond, records);
 
     let ind_trace = synthetic_trace(records, true, 21);
     let ind_config = PathConfig::new(IND_INDEX_BITS);
     let ind = measure("kernel/ind_soa", config, || {
-        run_path_indirect(&ind_config, &assignment, &ind_trace)
+        run_indirect(&mut IndKernel::new(&ind_config, &assignment), &ind_trace)
     });
     print_with_throughput(&ind, records);
 

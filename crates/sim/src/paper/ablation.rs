@@ -3,14 +3,15 @@
 //! (indirect).
 
 use vlpp_core::{
-    DynamicPathConditional, HashAssignment, PathConfig, ProfileBuilder, ProfileConfig,
+    CondKernel, DynamicPathConditional, HashAssignment, IndKernel, PathConfig, ProfileBuilder,
+    ProfileConfig,
 };
 use vlpp_predict::Budget;
 use vlpp_synth::suite;
 
 use crate::experiment::Workloads;
 use crate::report::{percent, TextTable};
-use crate::runner::{run_conditional, run_path_conditional, run_path_indirect};
+use crate::runner::{run_conditional, run_indirect};
 
 /// One ablation variant's outcome.
 #[derive(Debug, Clone)]
@@ -49,10 +50,10 @@ pub fn ablate_subset_hashes(workloads: &Workloads) -> Vec<AblationRow> {
     let run_with_hash_set = |hash_set: Vec<u8>, label: &str| {
         let config = ProfileConfig::new(PathConfig::new(bits)).with_hash_set(hash_set);
         let report = ProfileBuilder::new(config).profile_conditional(&profile);
+        let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
         AblationRow {
             variant: label.to_string(),
-            rate: run_path_conditional(&PathConfig::new(bits), &report.assignment, &test)
-                .miss_rate(),
+            rate: run_conditional(&mut kernel, &test).miss_rate(),
         }
     };
 
@@ -71,19 +72,16 @@ pub fn ablate_dynamic_select(workloads: &Workloads) -> Vec<AblationRow> {
     let test = workloads.test_trace(&spec);
     let report = workloads.profile_conditional(&spec, bits);
 
-    let profile_rate =
-        run_path_conditional(&PathConfig::new(bits), &report.assignment, &test).miss_rate();
+    let mut profiled = CondKernel::new(&PathConfig::new(bits), &report.assignment);
+    let profile_rate = run_conditional(&mut profiled, &test).miss_rate();
 
     let mut dynamic =
         DynamicPathConditional::new(&PathConfig::new(bits), &[1, 2, 4, 8, 16, 32], 10);
     let dynamic_rate = run_conditional(&mut dynamic, &test).miss_rate();
 
-    let fixed_rate = run_path_conditional(
-        &PathConfig::new(bits),
-        &HashAssignment::fixed(report.default_hash),
-        &test,
-    )
-    .miss_rate();
+    let mut fixed =
+        CondKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(report.default_hash));
+    let fixed_rate = run_conditional(&mut fixed, &test).miss_rate();
 
     vec![
         AblationRow { variant: "profile-selected (VLP)".into(), rate: profile_rate },
@@ -103,9 +101,10 @@ pub fn ablate_returns(workloads: &Workloads) -> Vec<AblationRow> {
     let run_variant = |config: PathConfig, label: &str| {
         let profile_config = ProfileConfig::new(config.clone());
         let report = ProfileBuilder::new(profile_config).profile_conditional(&profile);
+        let mut kernel = CondKernel::new(&config, &report.assignment);
         AblationRow {
             variant: label.to_string(),
-            rate: run_path_conditional(&config, &report.assignment, &test).miss_rate(),
+            rate: run_conditional(&mut kernel, &test).miss_rate(),
         }
     };
 
@@ -128,10 +127,10 @@ pub fn ablate_candidates(workloads: &Workloads) -> Vec<AblationRow> {
             .with_candidates(candidates)
             .with_iterations(iterations);
         let report = ProfileBuilder::new(config).profile_conditional(&profile);
+        let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
         AblationRow {
             variant: format!("{candidates} candidates, {iterations} iterations"),
-            rate: run_path_conditional(&PathConfig::new(bits), &report.assignment, &test)
-                .miss_rate(),
+            rate: run_conditional(&mut kernel, &test).miss_rate(),
         }
     };
 
@@ -154,10 +153,10 @@ pub fn ablate_interference(workloads: &Workloads) -> Vec<AblationRow> {
     let run_variant = |iterations: usize, label: &str| {
         let config = ProfileConfig::new(PathConfig::new(bits)).with_iterations(iterations);
         let report = ProfileBuilder::new(config).profile_conditional(&profile);
+        let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
         AblationRow {
             variant: label.to_string(),
-            rate: run_path_conditional(&PathConfig::new(bits), &report.assignment, &test)
-                .miss_rate(),
+            rate: run_conditional(&mut kernel, &test).miss_rate(),
         }
     };
 
@@ -181,7 +180,7 @@ pub fn ablate_history_stack(workloads: &Workloads) -> Vec<AblationRow> {
         let report = ProfileBuilder::new(profile_config).profile_indirect(&profile);
         AblationRow {
             variant: label.to_string(),
-            rate: run_path_indirect(&config, &report.assignment, &test).miss_rate(),
+            rate: run_indirect(&mut IndKernel::new(&config, &report.assignment), &test).miss_rate(),
         }
     };
 

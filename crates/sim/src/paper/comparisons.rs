@@ -1,13 +1,13 @@
 //! Figures 5–8: per-benchmark predictor comparisons at a fixed table
 //! size.
 
-use vlpp_core::{HashAssignment, PathConfig};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{Budget, Gshare, PathTargetCache, PatternTargetCache};
 use vlpp_synth::suite;
 
 use crate::experiment::Workloads;
 use crate::report::TextTable;
-use crate::runner::{run_conditional, run_indirect, run_path_conditional, run_path_indirect};
+use crate::runner::{run_conditional, run_indirect};
 
 use super::{BASELINE_PATH_BITS_PER_TARGET, FIG5_COND_BYTES, FIG7_IND_BYTES};
 
@@ -59,11 +59,12 @@ pub fn conditional_comparison(workloads: &Workloads, names: &[&str], bytes: u64)
         let gshare_stats = run_conditional(&mut gshare, &test);
 
         let config = PathConfig::new(index_bits);
-        let fixed_stats =
-            run_path_conditional(&config, &HashAssignment::fixed(fixed_length), &test);
+        let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(fixed_length));
+        let fixed_stats = run_conditional(&mut fixed, &test);
 
         let report = workloads.profile_conditional(&spec, index_bits);
-        let variable_stats = run_path_conditional(&config, &report.assignment, &test);
+        let mut variable = CondKernel::new(&config, &report.assignment);
+        let variable_stats = run_conditional(&mut variable, &test);
 
         CondRow {
             benchmark: name.to_string(),
@@ -96,10 +97,12 @@ pub fn indirect_comparison(workloads: &Workloads, names: &[&str], bytes: u64) ->
         let pattern_stats = run_indirect(&mut pattern, &test);
 
         let config = PathConfig::new(index_bits);
-        let fixed_stats = run_path_indirect(&config, &HashAssignment::fixed(fixed_length), &test);
+        let mut fixed = IndKernel::new(&config, &HashAssignment::fixed(fixed_length));
+        let fixed_stats = run_indirect(&mut fixed, &test);
 
         let report = workloads.profile_indirect(&spec, index_bits);
-        let variable_stats = run_path_indirect(&config, &report.assignment, &test);
+        let mut variable = IndKernel::new(&config, &report.assignment);
+        let variable_stats = run_indirect(&mut variable, &test);
 
         IndRow {
             benchmark: name.to_string(),

@@ -1,13 +1,13 @@
 //! The gcc case study: Figures 9–10 (size sweeps) and the abstract's
 //! headline numbers.
 
-use vlpp_core::{HashAssignment, PathConfig};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{Budget, Gshare, PathTargetCache, PatternTargetCache};
 use vlpp_synth::suite;
 
 use crate::experiment::Workloads;
 use crate::report::{percent, TextTable};
-use crate::runner::{run_conditional, run_indirect, run_path_conditional, run_path_indirect};
+use crate::runner::{run_conditional, run_indirect};
 
 use super::{BASELINE_PATH_BITS_PER_TARGET, COND_SIZES, IND_SIZES};
 
@@ -61,18 +61,16 @@ pub fn figure9(workloads: &Workloads) -> Vec<GccCondPoint> {
             let gshare_rate = run_conditional(&mut gshare, &test).miss_rate();
 
             let fixed_length = workloads.best_fixed_conditional_length(index_bits);
-            let fixed_rate =
-                run_path_conditional(&config, &HashAssignment::fixed(fixed_length), &test)
-                    .miss_rate();
+            let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(fixed_length));
+            let fixed_rate = run_conditional(&mut fixed, &test).miss_rate();
 
             let report = workloads.profile_conditional(&spec, index_bits);
-            let tuned_length = report.best_fixed_hash();
-            let tuned_rate =
-                run_path_conditional(&config, &HashAssignment::fixed(tuned_length), &test)
-                    .miss_rate();
+            let mut tuned =
+                CondKernel::new(&config, &HashAssignment::fixed(report.best_fixed_hash()));
+            let tuned_rate = run_conditional(&mut tuned, &test).miss_rate();
 
-            let variable_rate =
-                run_path_conditional(&config, &report.assignment, &test).miss_rate();
+            let mut variable = CondKernel::new(&config, &report.assignment);
+            let variable_rate = run_conditional(&mut variable, &test).miss_rate();
 
             GccCondPoint {
                 bytes,
@@ -102,15 +100,16 @@ pub fn figure10(workloads: &Workloads) -> Vec<GccIndPoint> {
             let pattern_rate = run_indirect(&mut pattern, &test).miss_rate();
 
             let fixed_length = workloads.best_fixed_indirect_length(index_bits);
-            let fixed_rate =
-                run_path_indirect(&config, &HashAssignment::fixed(fixed_length), &test).miss_rate();
+            let mut fixed = IndKernel::new(&config, &HashAssignment::fixed(fixed_length));
+            let fixed_rate = run_indirect(&mut fixed, &test).miss_rate();
 
             let report = workloads.profile_indirect(&spec, index_bits);
-            let tuned_length = report.best_fixed_hash();
-            let tuned_rate =
-                run_path_indirect(&config, &HashAssignment::fixed(tuned_length), &test).miss_rate();
+            let mut tuned =
+                IndKernel::new(&config, &HashAssignment::fixed(report.best_fixed_hash()));
+            let tuned_rate = run_indirect(&mut tuned, &test).miss_rate();
 
-            let variable_rate = run_path_indirect(&config, &report.assignment, &test).miss_rate();
+            let mut variable = IndKernel::new(&config, &report.assignment);
+            let variable_rate = run_indirect(&mut variable, &test).miss_rate();
 
             GccIndPoint {
                 bytes,
@@ -205,8 +204,8 @@ pub fn headline(workloads: &Workloads) -> Headline {
     let mut gshare = Gshare::new(cond_bits);
     let gshare_rate = run_conditional(&mut gshare, &test).miss_rate();
     let report = workloads.profile_conditional(&spec, cond_bits);
-    let vlp_rate =
-        run_path_conditional(&PathConfig::new(cond_bits), &report.assignment, &test).miss_rate();
+    let mut vlp = CondKernel::new(&PathConfig::new(cond_bits), &report.assignment);
+    let vlp_rate = run_conditional(&mut vlp, &test).miss_rate();
 
     let ind_bits = Budget::from_bytes(512).ind_index_bits();
     let mut pattern = PatternTargetCache::new(ind_bits);
@@ -214,8 +213,8 @@ pub fn headline(workloads: &Workloads) -> Headline {
     let mut path = PathTargetCache::new(ind_bits, BASELINE_PATH_BITS_PER_TARGET);
     let path_rate = run_indirect(&mut path, &test).miss_rate();
     let ind_report = workloads.profile_indirect(&spec, ind_bits);
-    let ivlp_rate =
-        run_path_indirect(&PathConfig::new(ind_bits), &ind_report.assignment, &test).miss_rate();
+    let mut ivlp = IndKernel::new(&PathConfig::new(ind_bits), &ind_report.assignment);
+    let ivlp_rate = run_indirect(&mut ivlp, &test).miss_rate();
 
     Headline {
         vlp_cond_4kb: vlp_rate,

@@ -6,7 +6,10 @@
 //! schemes (DHLF, elastic gshare), hybrids (McFarling, Driesen–Hölzle
 //! dual-length), and the per-address-vs-global path question.
 
-use vlpp_core::{elastic, DualLengthPathIndirect, ElasticGshare, HashAssignment, PathConfig};
+use vlpp_core::{
+    elastic, CondKernel, DualLengthPathIndirect, ElasticGshare, HashAssignment, IndKernel,
+    PathConfig,
+};
 use vlpp_predict::{
     Agree, BiMode, Bimodal, Budget, Dhlf, Gshare, Hybrid, LastTargetBtb, PathTargetCache,
     PatternTargetCache, PerAddressPathCache,
@@ -15,7 +18,7 @@ use vlpp_synth::suite;
 
 use crate::experiment::Workloads;
 use crate::report::{percent, TextTable};
-use crate::runner::{run_conditional, run_indirect, run_path_conditional, run_path_indirect};
+use crate::runner::{run_conditional, run_indirect};
 
 use super::{BASELINE_PATH_BITS_PER_TARGET, FIG5_COND_BYTES, FIG7_IND_BYTES};
 
@@ -72,16 +75,16 @@ pub fn related_conditional(workloads: &Workloads) -> Vec<RelatedRow> {
         run_conditional(&mut ElasticGshare::new(bits, lengths), &test).miss_rate(),
     );
 
-    let fixed_length = workloads.best_fixed_conditional_length(bits);
+    let config = PathConfig::new(bits);
+    let fixed = HashAssignment::fixed(workloads.best_fixed_conditional_length(bits));
     push(
         "fixed length path",
-        run_path_conditional(&PathConfig::new(bits), &HashAssignment::fixed(fixed_length), &test)
-            .miss_rate(),
+        run_conditional(&mut CondKernel::new(&config, &fixed), &test).miss_rate(),
     );
     let report = workloads.profile_conditional(&spec, bits);
     push(
         "variable length path",
-        run_path_conditional(&PathConfig::new(bits), &report.assignment, &test).miss_rate(),
+        run_conditional(&mut CondKernel::new(&config, &report.assignment), &test).miss_rate(),
     );
     rows
 }
@@ -116,16 +119,16 @@ pub fn related_indirect(workloads: &Workloads) -> Vec<RelatedRow> {
         run_indirect(&mut DualLengthPathIndirect::new(PathConfig::new(bits - 1), 2, 12, 10), &test)
             .miss_rate(),
     );
-    let fixed_length = workloads.best_fixed_indirect_length(bits);
+    let config = PathConfig::new(bits);
+    let fixed = HashAssignment::fixed(workloads.best_fixed_indirect_length(bits));
     push(
         "fixed length path",
-        run_path_indirect(&PathConfig::new(bits), &HashAssignment::fixed(fixed_length), &test)
-            .miss_rate(),
+        run_indirect(&mut IndKernel::new(&config, &fixed), &test).miss_rate(),
     );
     let report = workloads.profile_indirect(&spec, bits);
     push(
         "variable length path",
-        run_path_indirect(&PathConfig::new(bits), &report.assignment, &test).miss_rate(),
+        run_indirect(&mut IndKernel::new(&config, &report.assignment), &test).miss_rate(),
     );
     rows
 }

@@ -1,30 +1,26 @@
 //! The trace-driven simulation entry points.
 //!
-//! Two kinds of loop run here. [`run_conditional`] / [`run_indirect`]
-//! drive *any* predictor through the standard predict → train → observe
-//! protocol. That loop is not written here: it is the traits' provided
-//! `run` method in `vlpp-predict` ([`ConditionalPredictor::run`],
-//! [`IndirectPredictor::run`]), monomorphized per predictor type, so
-//! these functions call it once per trace and a boxed zoo predictor
-//! pays one virtual call per trace, not three per record.
-//! [`run_path_conditional`] / [`run_path_indirect`] are the throughput
-//! path for the paper's own predictor: they instantiate the
-//! structure-of-arrays kernels from `vlpp-core` and run the fused
-//! per-record step, which the differential suite pins bit-for-bit to
-//! the test-only boxed reference in `vlpp-core`. Run over the same
-//! kernel, both emit the same [`RunStats`]; the kernel loops
-//! additionally publish `sim.predict_ns` and `sim.records_per_sec`
-//! metrics.
+//! [`run_conditional`] / [`run_indirect`] drive *any* predictor over a
+//! trace through the standard predict → train → observe protocol, and
+//! time it as one `sim.simulate_ns` span. The loop is not written here:
+//! it is the traits' `run` method in `vlpp-predict`
+//! ([`ConditionalPredictor::run`], [`IndirectPredictor::run`]),
+//! monomorphized per predictor type, so these functions call it once
+//! per trace and a boxed zoo predictor pays one virtual call per trace,
+//! not three per record. The paper's own predictor takes the same road:
+//! `run_conditional(&mut CondKernel::new(&config, &assignment), &trace)`
+//! runs the structure-of-arrays kernel's `run`, which is its fused
+//! per-record `apply` step over the trace (see [`vlpp_core::kernel`]).
 //!
 //! [`RunStats`] holds run totals only. Per-static-branch counts live
 //! in the kernels ([`CondKernel::branch_stats`] /
 //! [`IndKernel::branch_stats`]), where the §3.5 profiler reads them;
 //! the trait loop keeps no per-branch tally, so a zoo predictor pays
 //! nothing per record beyond its own predict and train.
+//!
+//! [`CondKernel::branch_stats`]: vlpp_core::CondKernel::branch_stats
+//! [`IndKernel::branch_stats`]: vlpp_core::IndKernel::branch_stats
 
-use std::time::Instant;
-
-use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::Trace;
 
@@ -60,57 +56,10 @@ pub fn run_indirect<P: IndirectPredictor>(predictor: &mut P, trace: &Trace) -> R
     predictor.run(trace.records())
 }
 
-/// Publishes the kernel loops' throughput metrics: the records-per-
-/// second gauge derived from the wall-clock the `sim.predict_ns` span
-/// also measured.
-fn record_throughput(records: usize, started: Instant) {
-    let elapsed = started.elapsed().as_secs_f64();
-    if elapsed > 0.0 {
-        vlpp_metrics::gauge("sim.records_per_sec").record((records as f64 / elapsed) as u64);
-    }
-}
-
-/// Runs the paper's conditional path predictor over a trace through the
-/// kernel's fused [`CondKernel::apply`] loop — the same protocol (and
-/// bit-identical results) as [`run_conditional`] over the kernel's
-/// trait interface, at a fraction of the per-record cost.
-pub fn run_path_conditional(
-    config: &PathConfig,
-    assignment: &HashAssignment,
-    trace: &Trace,
-) -> RunStats {
-    let _span = vlpp_metrics::span("sim.predict_ns");
-    let started = Instant::now();
-    let mut kernel = CondKernel::new(config, assignment);
-    for record in trace.iter() {
-        kernel.apply(record);
-    }
-    record_throughput(trace.len(), started);
-    RunStats { predictions: kernel.predictions(), mispredictions: kernel.mispredictions() }
-}
-
-/// Runs the paper's indirect path predictor over a trace through the
-/// kernel's fused [`IndKernel::apply`] loop — the same protocol (and
-/// bit-identical results) as [`run_indirect`] over the kernel's trait
-/// interface. Returns are excluded, as in the paper.
-pub fn run_path_indirect(
-    config: &PathConfig,
-    assignment: &HashAssignment,
-    trace: &Trace,
-) -> RunStats {
-    let _span = vlpp_metrics::span("sim.predict_ns");
-    let started = Instant::now();
-    let mut kernel = IndKernel::new(config, assignment);
-    for record in trace.iter() {
-        kernel.apply(record);
-    }
-    record_throughput(trace.len(), started);
-    RunStats { predictions: kernel.predictions(), mispredictions: kernel.mispredictions() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
     use vlpp_predict::{Bimodal, LastTargetBtb};
     use vlpp_trace::{Addr, BranchRecord};
 
@@ -179,6 +128,35 @@ mod tests {
             .collect()
     }
 
+    /// The protocol written out by hand over the trait's three methods,
+    /// independent of any `run` override.
+    fn stepwise_conditional<P: ConditionalPredictor>(p: &mut P, trace: &Trace) -> RunStats {
+        let mut stats = RunStats::default();
+        for record in trace.iter() {
+            if record.is_conditional() {
+                let prediction = p.predict(record.pc());
+                stats.record(prediction == record.taken());
+                p.train(record.pc(), record.taken());
+            }
+            p.observe(record);
+        }
+        stats
+    }
+
+    /// [`stepwise_conditional`]'s indirect twin; returns are excluded.
+    fn stepwise_indirect<P: IndirectPredictor>(p: &mut P, trace: &Trace) -> RunStats {
+        let mut stats = RunStats::default();
+        for record in trace.iter() {
+            if record.is_indirect() {
+                let prediction = p.predict(record.pc());
+                stats.record(prediction == record.target());
+                p.train(record.pc(), record.target());
+            }
+            p.observe(record);
+        }
+        stats
+    }
+
     #[test]
     fn kernel_conditional_runner_matches_trait_protocol_exactly() {
         let trace = mixed_trace(5000, 99);
@@ -187,9 +165,11 @@ mod tests {
         assignment.assign(Addr::new(0x44), 2);
         assignment.assign(Addr::new(0x48), 19);
         let mut stepwise = CondKernel::new(&config, &assignment);
-        let expected = run_conditional(&mut stepwise, &trace);
-        let got = run_path_conditional(&config, &assignment, &trace);
+        let expected = stepwise_conditional(&mut stepwise, &trace);
+        let mut fused = CondKernel::new(&config, &assignment);
+        let got = run_conditional(&mut fused, &trace);
         assert_eq!(got, expected, "totals must be bit-identical");
+        assert_eq!(fused.counter_values(), stepwise.counter_values());
     }
 
     #[test]
@@ -199,8 +179,10 @@ mod tests {
         let mut assignment = HashAssignment::fixed(4);
         assignment.assign(Addr::new(0x50), 11);
         let mut stepwise = IndKernel::new(&config, &assignment);
-        let expected = run_indirect(&mut stepwise, &trace);
-        let got = run_path_indirect(&config, &assignment, &trace);
+        let expected = stepwise_indirect(&mut stepwise, &trace);
+        let mut fused = IndKernel::new(&config, &assignment);
+        let got = run_indirect(&mut fused, &trace);
         assert_eq!(got, expected, "totals must be bit-identical");
+        assert_eq!(fused.target_entries(), stepwise.target_entries());
     }
 }

@@ -53,12 +53,12 @@ use std::sync::Arc;
 use vlpp_core::{
     CondKernel, HashAssignment, IndKernel, PathConfig, ProfileBuilder, ProfileConfig, ProfileReport,
 };
-use vlpp_metrics::Counter;
+use vlpp_metrics::{Counter, Histogram, Span};
 use vlpp_pool::Pool;
 use vlpp_predict::{zoo, Budget, ConditionalPredictor, IndirectPredictor, ZooContext};
 use vlpp_synth::{hard, suite, ConditionalRun, InputSet, Program};
 use vlpp_trace::json::JsonValue;
-use vlpp_trace::{BranchRecord, Trace, VlppError};
+use vlpp_trace::{Trace, VlppError};
 
 use crate::cli::{cli_error, print_metrics, Flags};
 use crate::experiment::{Kind, Scale};
@@ -211,43 +211,22 @@ fn assignment(scheme: Scheme, report: &ProfileReport) -> HashAssignment {
     }
 }
 
-/// One raced entrant's live predictor inside a workload task.
-enum Racer {
-    Cond(Box<dyn ConditionalPredictor>),
-    Ind(Box<dyn IndirectPredictor>),
-    CondPath(CondKernel),
-    IndPath(IndKernel),
+/// The league's two spans, resolved from the registry once per league
+/// so a chunk takes no registry lock.
+struct LeagueSpans {
+    /// `sim.trace_build_ns`: one per profile-input trace and per chunk.
+    trace_build: Arc<Histogram>,
+    /// `sim.simulate_ns`: one per chunk through every raced entrant.
+    simulate: Arc<Histogram>,
 }
 
-impl Racer {
-    /// Drives the entrant over one chunk whose load values are `loads`,
-    /// returning the chunk's totals.
-    fn run(&mut self, records: &[BranchRecord], loads: &[u64]) -> RunStats {
-        match self {
-            Racer::Cond(predictor) => {
-                predictor.feed_loads(loads);
-                predictor.run(records)
-            }
-            Racer::Ind(predictor) => predictor.run(records),
-            Racer::CondPath(kernel) => tally(records, |r| kernel.apply(r).map(|(_, hit)| hit)),
-            Racer::IndPath(kernel) => tally(records, |r| kernel.apply(r).map(|(_, hit)| hit)),
+impl LeagueSpans {
+    fn resolve() -> Self {
+        LeagueSpans {
+            trace_build: vlpp_metrics::histogram("sim.trace_build_ns"),
+            simulate: vlpp_metrics::histogram("sim.simulate_ns"),
         }
     }
-}
-
-/// The totals of a kernel's fused loop over `records`: `step` runs one
-/// record and says whether its prediction was correct, if it made one.
-fn tally(
-    records: &[BranchRecord],
-    mut step: impl FnMut(&BranchRecord) -> Option<bool>,
-) -> RunStats {
-    let mut stats = RunStats::default();
-    for record in records {
-        if let Some(correct) = step(record) {
-            stats.record(correct);
-        }
-    }
-    stats
 }
 
 /// Races the `cond` and then the `ind` entrants over one workload: the
@@ -260,6 +239,7 @@ fn race_workload(
     workload: &str,
     cond: &[(&'static str, Scheme)],
     ind: &[(&'static str, Scheme)],
+    spans: &LeagueSpans,
 ) -> (Vec<RunStats>, u64) {
     let program = program(workload);
     let conditionals = dynamic_conditionals(scale, workload);
@@ -269,7 +249,7 @@ fn race_workload(
     let (mut cond_report, mut ind_report) = (None, None);
     if profiled(cond) || profiled(ind) {
         let trace = {
-            let _span = vlpp_metrics::span("sim.trace_build_ns");
+            let _span = Span::enter(Arc::clone(&spans.trace_build));
             program.execute_conditionals(InputSet::Profile, conditionals)
         };
         cond_report = profiled(cond).then(|| profile(&trace, Kind::Conditional));
@@ -280,42 +260,50 @@ fn race_workload(
     let ctx = ZooContext::default();
     let cond_config = PathConfig::new(cond_budget().cond_index_bits());
     let ind_config = PathConfig::new(ind_budget().ind_index_bits());
-    let mut racers: Vec<Racer> = Vec::with_capacity(cond.len() + ind.len());
-    for &(_, scheme) in cond {
-        racers.push(match scheme {
-            Scheme::Zoo(i) => Racer::Cond((cond_zoo[i].build)(cond_budget(), &ctx)),
+    // A `vlp-*` entrant is boxed like a zoo member: its kernel's `run`
+    // is one virtual call per chunk.
+    let mut cond_racers: Vec<Box<dyn ConditionalPredictor>> = cond
+        .iter()
+        .map(|&(_, scheme)| match scheme {
+            Scheme::Zoo(i) => (cond_zoo[i].build)(cond_budget(), &ctx),
             vlp => {
                 let report = cond_report.as_ref().expect("profiled");
-                Racer::CondPath(CondKernel::new(&cond_config, &assignment(vlp, report)))
+                Box::new(CondKernel::new(&cond_config, &assignment(vlp, report)))
             }
-        });
-    }
-    for &(_, scheme) in ind {
-        racers.push(match scheme {
-            Scheme::Zoo(i) => Racer::Ind((ind_zoo[i].build)(ind_budget(), &ctx)),
+        })
+        .collect();
+    let mut ind_racers: Vec<Box<dyn IndirectPredictor>> = ind
+        .iter()
+        .map(|&(_, scheme)| match scheme {
+            Scheme::Zoo(i) => (ind_zoo[i].build)(ind_budget(), &ctx),
             vlp => {
                 let report = ind_report.as_ref().expect("profiled");
-                Racer::IndPath(IndKernel::new(&ind_config, &assignment(vlp, report)))
+                Box::new(IndKernel::new(&ind_config, &assignment(vlp, report)))
             }
-        });
-    }
+        })
+        .collect();
 
     let mut run = ConditionalRun::new(&program, InputSet::Test, conditionals);
     let mut records = Vec::with_capacity(CHUNK_RECORDS);
     let mut loads = Vec::with_capacity(CHUNK_RECORDS);
-    let mut stats = vec![RunStats::default(); racers.len()];
+    let mut stats = vec![RunStats::default(); cond.len() + ind.len()];
+    let (cond_stats, ind_stats) = stats.split_at_mut(cond.len());
     let mut trace_len = 0;
     while !run.is_done() {
         records.clear();
         loads.clear();
         {
-            let _span = vlpp_metrics::span("sim.trace_build_ns");
+            let _span = Span::enter(Arc::clone(&spans.trace_build));
             run.fill(&mut records, Some(&mut loads), CHUNK_RECORDS);
         }
         trace_len += records.len() as u64;
-        let _span = vlpp_metrics::span("sim.simulate_ns");
-        for (racer, totals) in racers.iter_mut().zip(&mut stats) {
-            *totals += racer.run(&records, &loads);
+        let _span = Span::enter(Arc::clone(&spans.simulate));
+        for (racer, totals) in cond_racers.iter_mut().zip(cond_stats.iter_mut()) {
+            racer.feed_loads(&loads);
+            *totals += racer.run(&records);
+        }
+        for (racer, totals) in ind_racers.iter_mut().zip(ind_stats.iter_mut()) {
+            *totals += racer.run(&records);
         }
     }
     (stats, trace_len)
@@ -448,9 +436,11 @@ pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult
     // first and fills in with the short ones.
     let mut order: Vec<usize> = (0..workloads.len()).collect();
     order.sort_by_key(|&w| Reverse(dynamic_conditionals(scale, workloads[w].name)));
+    let spans = LeagueSpans::resolve();
     let mut raced = {
         let _span = vlpp_metrics::span("sim.tourney.run_ns");
-        Pool::global().map(order, |w| (w, race_workload(scale, workloads[w].name, &cond, &ind)))
+        Pool::global()
+            .map(order, |w| (w, race_workload(scale, workloads[w].name, &cond, &ind, &spans)))
     };
     raced.sort_unstable_by_key(|&(w, _)| w);
 
@@ -751,7 +741,8 @@ mod tests {
     #[test]
     fn single_cell_is_deterministic() {
         let scale = Scale::new(CI_SCALE_DIVISOR);
-        let run = || race_workload(scale, "hard-noise", &[("gshare", Scheme::Zoo(1))], &[]);
+        let spans = LeagueSpans::resolve();
+        let run = || race_workload(scale, "hard-noise", &[("gshare", Scheme::Zoo(1))], &[], &spans);
         let (a, a_len) = run();
         let (b, b_len) = run();
         assert_eq!(a, b);

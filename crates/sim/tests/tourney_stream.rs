@@ -9,8 +9,9 @@
 //!   capacity.
 //! * A materialised oracle — each workload's whole test trace and load
 //!   channel from `execute_conditionals_with_loads`, raced with
-//!   `run_conditional` / `run_indirect` / `run_path_*` — must equal every
-//!   cell of the full CI-scale league, `vlp-*` entrants included.
+//!   `run_conditional` / `run_indirect` (the `vlp-*` entrants over a
+//!   fresh `CondKernel` / `IndKernel`) — must equal every cell of the
+//!   full CI-scale league.
 //!
 //! This is its own test binary because the allocator and the global
 //! pool are process-wide; the two tests take one lock so the oracle's
@@ -20,13 +21,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use vlpp_core::{HashAssignment, PathConfig, ProfileBuilder, ProfileConfig};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig, ProfileBuilder, ProfileConfig};
 use vlpp_pool::Pool;
 use vlpp_predict::{zoo, Budget, ZooContext};
 use vlpp_sim::experiment::Kind;
 use vlpp_sim::paper::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 use vlpp_sim::tournament::{run_tournament, CI_SCALE_DIVISOR};
-use vlpp_sim::{run_conditional, run_indirect, run_path_conditional, run_path_indirect, Scale};
+use vlpp_sim::{run_conditional, run_indirect, Scale};
 use vlpp_synth::{hard, suite, InputSet};
 
 struct Counting;
@@ -138,19 +139,20 @@ fn every_cell_matches_a_materialised_oracle() {
             .profile_indirect(&profile_input);
         for cell in result.cells.iter().filter(|cell| cell.workload == workload.name) {
             let want = match (cell.kind, cell.predictor) {
-                (Kind::Conditional, "vlp-var") => {
-                    run_path_conditional(&cond_config, &cond_report.assignment, &trace)
-                }
+                (Kind::Conditional, "vlp-var") => run_conditional(
+                    &mut CondKernel::new(&cond_config, &cond_report.assignment),
+                    &trace,
+                ),
                 (Kind::Conditional, "vlp-fixed") => {
                     let fixed = HashAssignment::fixed(cond_report.best_fixed_hash());
-                    run_path_conditional(&cond_config, &fixed, &trace)
+                    run_conditional(&mut CondKernel::new(&cond_config, &fixed), &trace)
                 }
                 (Kind::Indirect, "vlp-var") => {
-                    run_path_indirect(&ind_config, &ind_report.assignment, &trace)
+                    run_indirect(&mut IndKernel::new(&ind_config, &ind_report.assignment), &trace)
                 }
                 (Kind::Indirect, "vlp-fixed") => {
                     let fixed = HashAssignment::fixed(ind_report.best_fixed_hash());
-                    run_path_indirect(&ind_config, &fixed, &trace)
+                    run_indirect(&mut IndKernel::new(&ind_config, &fixed), &trace)
                 }
                 (Kind::Conditional, name) => {
                     let entry = cond_zoo.iter().find(|e| e.name == name).expect("a zoo entrant");

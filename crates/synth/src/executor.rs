@@ -348,21 +348,6 @@ impl Program {
         Trace::from(records)
     }
 
-    /// Like [`execute`](Self::execute), additionally returning the
-    /// synthetic load-value channel: `loads[i]` is the load value visible
-    /// when record `i` retires.
-    pub fn execute_with_loads(&self, input: InputSet, records: usize) -> (Trace, Vec<u64>) {
-        let mut trace = Trace::new();
-        let mut loads = Vec::with_capacity(records);
-        let mut exec = Executor::new(self, input, ExecutionLimits::default());
-        while trace.len() < records {
-            let record = exec.next().expect("executor is infinite");
-            loads.push(exec.load_value());
-            trace.push(record);
-        }
-        (trace, loads)
-    }
-
     /// Like [`execute_conditionals`](Self::execute_conditionals),
     /// additionally returning the load channel aligned with the trace.
     pub fn execute_conditionals_with_loads(
@@ -546,10 +531,23 @@ mod tests {
         assert_eq!(chunk_loads, loads);
     }
 
+    /// The first `n` records of a run with each one's load value, read
+    /// from the executor as the record retires.
+    fn with_loads(program: &Program, input: InputSet, n: usize) -> (Trace, Vec<u64>) {
+        let mut exec = Executor::new(program, input, ExecutionLimits::default());
+        let (records, loads): (Vec<BranchRecord>, Vec<u64>) = (0..n)
+            .map(|_| {
+                let record = exec.next().expect("executor is infinite");
+                (record, exec.load_value())
+            })
+            .unzip();
+        (Trace::from(records), loads)
+    }
+
     #[test]
     fn load_channel_aligns_with_records() {
         let program = looping_program();
-        let (trace, loads) = program.execute_with_loads(InputSet::Test, 300);
+        let (trace, loads) = with_loads(&program, InputSet::Test, 300);
         assert_eq!(loads.len(), trace.len());
         assert!(loads.iter().all(|&v| v < LOAD_DOMAIN));
         // The channel is its own stream: the trace matches a plain run.
@@ -586,7 +584,7 @@ mod tests {
             f0,
             3,
         );
-        let (trace, loads) = program.execute_with_loads(InputSet::Test, 200);
+        let (trace, loads) = with_loads(&program, InputSet::Test, 200);
         let mut rng = SplitMix64::new(0);
         let mut counter = 0;
         for (record, &load) in trace.iter().zip(&loads) {

@@ -35,8 +35,8 @@ fn fold(records: &[BranchRecord], loads: &[u64]) -> u64 {
 }
 
 /// `[test, profile]` by conditional count, then `[test, profile]` by
-/// record count (loads from `execute_with_loads`, which must agree with
-/// the iterator).
+/// record count (the iterator, with each record's load read from
+/// `Executor::load_value` as it retires).
 fn hashes(program: &Program) -> [u64; 4] {
     let by_conditionals = |input| {
         let (trace, loads) = program.execute_conditionals_with_loads(input, CONDITIONALS);
@@ -44,10 +44,13 @@ fn hashes(program: &Program) -> [u64; 4] {
         fold(trace.records(), &loads)
     };
     let by_take = |input| {
-        let records: Vec<_> =
-            Executor::new(program, input, ExecutionLimits::default()).take(RECORDS).collect();
-        let (trace, loads) = program.execute_with_loads(input, RECORDS);
-        assert_eq!(trace.records(), &records[..]);
+        let mut exec = Executor::new(program, input, ExecutionLimits::default());
+        let (records, loads): (Vec<BranchRecord>, Vec<u64>) = (0..RECORDS)
+            .map(|_| {
+                let record = exec.next().expect("executor is infinite");
+                (record, exec.load_value())
+            })
+            .unzip();
         fold(&records, &loads)
     };
     [
