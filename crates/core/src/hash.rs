@@ -115,6 +115,21 @@ impl RollingHashers {
     #[inline]
     pub fn index(&self, x: usize) -> u64 {
         assert!(x >= 1 && x <= self.count, "hash number must be in 1..=count, got {x}");
+        self.lookup(x)
+    }
+
+    /// [`index`](Self::index) of every `x` in `xs`, in order — one
+    /// hash group's lookups for the step-1 sweep, without `index`'s
+    /// per-lookup range assertion. The caller guarantees `xs` lies in
+    /// `1..=count` (a profile's hash set is validated when its builder
+    /// is made).
+    #[inline]
+    pub(crate) fn indices<'a>(&'a self, xs: &'a [u8]) -> impl Iterator<Item = u64> + 'a {
+        xs.iter().map(move |&x| self.lookup(x as usize))
+    }
+
+    #[inline]
+    fn lookup(&self, x: usize) -> u64 {
         let past = self.ring[(self.t.wrapping_sub(x as u64) & self.ring_mask) as usize];
         let amount = self.rots[x] as u32;
         // Branchless k-bit rotate: `past` is already masked to k bits,

@@ -25,9 +25,15 @@
 //!   rotate-XOR *total* (not one per register) and a lookup is one ring
 //!   read plus one rotate-XOR (no THB walk, no re-hash) — with the ring
 //!   sized to the longest hash the assignment actually uses;
-//! * the per-branch hash number and statistics slot resolve through a
-//!   direct-mapped, exact-tag cache in front of the `HashMap`s, so in
-//!   steady state a record costs zero hash probes.
+//! * a predicted record's pc resolves to its statistics row — which
+//!   also holds the branch's hash number — through one exact
+//!   open-addressing table keyed by pc and indexed by a multiplicative
+//!   hash of it (`ids.rs`), so only a branch's first sight
+//!   takes the slow path (the assignment's `HashMap` plus a row push).
+//!   The direct-mapped cache on `word & 4095` this replaced aliased on
+//!   the synthetic layout, where every branch word is ≡ 15 mod 16: over
+//!   the 1/64 profile traces gcc took the slow path (two `HashMap`
+//!   probes) on 15.2% of its conditionals and vortex on 36.2%.
 //!
 //! The kernels are **bit-for-bit** equal to the paper's predictor
 //! written one structure per concept (a THB, §4.1 registers, boxed
@@ -46,6 +52,7 @@ use vlpp_predict::{
 use vlpp_trace::{Addr, BranchKind, BranchRecord};
 
 use crate::hash::RollingHashers;
+use crate::ids::BranchIds;
 use crate::path::PathConfig;
 use crate::select::HashAssignment;
 use crate::stack::HistoryStack;
@@ -164,9 +171,8 @@ impl TargetPlane {
 /// as records are applied. The static configuration and hash
 /// assignment are *not* here — snapshot loaders rebuild the kernel
 /// from its `PathConfig`/`HashAssignment` first and then restore this
-/// state into it. The pc-resolution cache is also excluded: it is an
-/// exact-tag cache over the assignment and row maps, so rebuilding it
-/// empty changes no observable value.
+/// state into it. The pc → row table is also excluded: restoring the
+/// rows rebuilds it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KernelState {
     /// The rolling §4.1 partial-sum state, as
@@ -180,26 +186,17 @@ pub struct KernelState {
     pub rows: Vec<(u64, u64, u64)>,
 }
 
-/// Index bits of the pc-resolution cache: 4096 lines.
-const CACHE_BITS: u32 = 12;
-
-/// One direct-mapped line of the pc-resolution cache. `hash == 0`
-/// marks an empty line (real hash numbers are `1..=32`).
-#[derive(Debug, Clone, Copy)]
-struct CacheLine {
-    tag: u64,
-    hash: u8,
-    row: u32,
-}
-
-/// One static branch's statistics row (structure-of-arrays would split
-/// these further, but one cache line per branch is already flat enough
-/// — the point is replacing the per-record `HashMap` probe).
+/// One static branch's row: its hash number and statistics
+/// (structure-of-arrays would split these further, but one row per
+/// branch is already flat enough — the point is that a record resolves
+/// it with one table probe and no `HashMap`).
 #[derive(Debug, Clone, Copy)]
 struct BranchRow {
     pc: u64,
     predictions: u64,
     mispredictions: u64,
+    /// The branch's hash number, already clamped to the THB capacity.
+    hash: u8,
 }
 
 /// First-level history: the §4.1 partial sums in rolling form, the
@@ -273,9 +270,11 @@ struct KernelCore {
     /// capacity (the reference clamps on every lookup; the kernel
     /// clamps once at build time).
     assigned: HashMap<u64, u8>,
-    cache: Box<[CacheLine]>,
+    /// Statistics rows in first-seen order; `ids` maps a pc to its row.
     rows: Vec<BranchRow>,
-    row_of: HashMap<u64, u32>,
+    ids: BranchIds,
+    /// Slow-path resolves: one per static branch, at its first sight.
+    slow_resolves: u64,
 }
 
 impl KernelCore {
@@ -294,42 +293,36 @@ impl KernelCore {
             mask: (1u64 << config.index_bits) - 1,
             default_hash,
             assigned,
-            cache: vec![CacheLine { tag: 0, hash: 0, row: 0 }; 1 << CACHE_BITS].into_boxed_slice(),
             rows: Vec::new(),
-            row_of: HashMap::new(),
+            ids: BranchIds::new(),
+            slow_resolves: 0,
         }
     }
 
-    /// Resolves `pc` to its hash number and statistics row: a
-    /// direct-mapped exact-tag cache probe in steady state, the
-    /// `HashMap`s only on a miss.
+    /// Resolves `pc` to its hash number and statistics row: one probe
+    /// of the pc → row table, and the slow path only on the branch's
+    /// first sight.
     #[inline]
     fn resolve(&mut self, pc: Addr) -> (u8, u32) {
-        let tag = pc.raw();
-        let line = (pc.word() as usize) & ((1usize << CACHE_BITS) - 1);
-        let entry = self.cache[line];
-        // Non-short-circuit `&`: both compares fold into one predictable
-        // branch instead of two.
-        if (entry.tag == tag) & (entry.hash != 0) {
-            return (entry.hash, entry.row);
-        }
-        self.resolve_slow(tag, line)
+        let row = match self.ids.get(pc.raw()) {
+            Some(row) => row,
+            None => self.first_sight(pc.raw()),
+        };
+        (self.rows[row as usize].hash, row)
     }
 
+    /// Looks up a new branch's hash number and gives it a row.
     #[cold]
-    fn resolve_slow(&mut self, tag: u64, line: usize) -> (u8, u32) {
-        let hash = self.assigned.get(&tag).copied().unwrap_or(self.default_hash);
-        let row = match self.row_of.get(&tag) {
-            Some(&row) => row,
-            None => {
-                let row = self.rows.len() as u32;
-                self.rows.push(BranchRow { pc: tag, predictions: 0, mispredictions: 0 });
-                self.row_of.insert(tag, row);
-                row
-            }
-        };
-        self.cache[line] = CacheLine { tag, hash, row };
-        (hash, row)
+    fn first_sight(&mut self, pc: u64) -> u32 {
+        self.slow_resolves += 1;
+        let hash = self.hash_of(pc);
+        self.rows.push(BranchRow { pc, predictions: 0, mispredictions: 0, hash });
+        self.ids.insert(pc)
+    }
+
+    /// The clamped hash number of the branch at `pc`.
+    fn hash_of(&self, pc: u64) -> u8 {
+        self.assigned.get(&pc).copied().unwrap_or(self.default_hash)
     }
 
     /// The table index the current history produces for hash number
@@ -412,11 +405,12 @@ impl KernelCore {
                 }
             }
         }
-        let mut row_of = HashMap::with_capacity(state.rows.len());
-        for (i, &(pc, _, _)) in state.rows.iter().enumerate() {
-            if row_of.insert(pc, i as u32).is_some() {
+        let mut ids = BranchIds::new();
+        for &(pc, _, _) in &state.rows {
+            if ids.get(pc).is_some() {
                 return Err(format!("duplicate branch row for pc {pc:#x}"));
             }
+            ids.insert(pc);
         }
         self.history.hashers.restore(&state.hashers);
         if let Some(stack) = &mut self.history.stack {
@@ -428,11 +422,14 @@ impl KernelCore {
         self.rows = state
             .rows
             .iter()
-            .map(|&(pc, predictions, mispredictions)| BranchRow { pc, predictions, mispredictions })
+            .map(|&(pc, predictions, mispredictions)| BranchRow {
+                pc,
+                predictions,
+                mispredictions,
+                hash: self.hash_of(pc),
+            })
             .collect();
-        self.row_of = row_of;
-        self.cache =
-            vec![CacheLine { tag: 0, hash: 0, row: 0 }; 1 << CACHE_BITS].into_boxed_slice();
+        self.ids = ids;
         Ok(())
     }
 }
@@ -799,6 +796,42 @@ mod tests {
         assert_eq!(by_pc[&0x44], (1, 0), "cold counter predicts not-taken: correct");
         let total: u64 = by_pc.values().map(|v| v.1).sum();
         assert_eq!(total, kernel.mispredictions());
+    }
+
+    #[test]
+    fn synthetic_layout_resolves_slowly_once_per_static_branch() {
+        // The synthetic generator's layout: every branch ends a 64-byte
+        // block (word address ≡ 15 mod 16), and function windows sit
+        // 16 KiB (4,096 words) apart. A direct-mapped cache on
+        // `word & 4095` gives these 800 branches 200 lines, four
+        // branches each, and misses on every record of this stream.
+        let pcs: Vec<u64> = (0..200u64)
+            .flat_map(|block| {
+                (0..4u64).map(move |window| 0x40_0000 + window * 0x4000 + block * 64 + 60)
+            })
+            .collect();
+        let mut assignment = HashAssignment::fixed(7);
+        for (i, &pc) in pcs.iter().enumerate().step_by(3) {
+            assignment.assign(Addr::new(pc), (i % 32 + 1) as u8);
+        }
+        let config = PathConfig::new(12);
+        let mut conditional = CondKernel::new(&config, &assignment);
+        let mut indirect = IndKernel::new(&config, &assignment);
+        for pass in 0..10u64 {
+            for (i, &pc) in pcs.iter().enumerate() {
+                let target = 0x80_0000 + ((i as u64 * 7 + pass) % 64) * 4;
+                conditional.apply(&cond(pc, target, (i as u64 + pass).is_multiple_of(3)));
+                indirect.apply(&BranchRecord::indirect(Addr::new(pc), Addr::new(target)));
+            }
+        }
+        for core in [&conditional.core, &indirect.core] {
+            assert_eq!(core.predictions(), 8000);
+            assert_eq!(core.slow_resolves, pcs.len() as u64, "one slow resolve per branch");
+            for (row, &pc) in core.rows.iter().zip(&pcs) {
+                assert_eq!(row.pc, pc, "rows in first-seen order");
+                assert_eq!(row.hash, assignment.get(Addr::new(pc)));
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,7 @@ pub mod cascade;
 pub mod elastic;
 pub mod hash;
 pub mod hfnt;
+mod ids;
 pub mod kernel;
 pub mod path;
 pub mod profile;
@@ -83,7 +84,7 @@ pub use hash::RollingHashers;
 pub use hfnt::{Hfnt, HfntStats};
 pub use kernel::{CondKernel, IndKernel, KernelState, TargetPlane};
 pub use path::PathConfig;
-pub use profile::{ProfileBuilder, ProfileConfig, ProfileReport};
+pub use profile::{FanOut, ProfileBuilder, ProfileConfig, ProfileReport};
 pub use select::{DynamicPathConditional, DynamicSelector, HashAssignment};
 pub use stack::HistoryStack;
 

@@ -6,6 +6,19 @@
 //! recording per static branch how many times each predictor was correct.
 //! The `candidates` best hash numbers per branch survive.
 //!
+//! Step 1 resolves each profiled record's pc to a dense branch id
+//! (first-seen order) through an exact open-addressing table and keeps
+//! the per-hash correct counts in one flat `u32` array, so no record
+//! pays a `HashMap` probe. Its sweeps are independent, so the hash set
+//! splits into contiguous groups, each an independent task with its own
+//! rolling history and tables, merged in hash order. This crate has no
+//! executor: [`ProfileBuilder::profile_conditional`] runs one group in
+//! order, and [`ProfileBuilder::profile_conditional_on`] lets a caller's
+//! [`FanOut`] (e.g. a worker pool) choose the group count and run them.
+//! The report is identical at any grouping. A group holds its hashes'
+//! tables, one `u32` per (static branch, group hash) and its id table;
+//! nothing grows with the trace length.
+//!
 //! **Step 2** reduces the interference that appears when all hash
 //! functions share the *single* table of the real predictor: it simulates
 //! the variable length path predictor `iterations` times (the paper uses
@@ -24,12 +37,13 @@
 //! how the workspace reproduces Table 2 (best fixed length per table
 //! size) and the "tuned" fixed length predictor of Figures 9–10.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use vlpp_predict::{ConditionalPredictor, IndirectPredictor};
-use vlpp_trace::{Addr, BranchKind, Trace};
+use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
 
 use crate::hash::RollingHashers;
+use crate::ids::BranchIds;
 use crate::kernel::{CondKernel, IndKernel};
 use crate::path::PathConfig;
 use crate::select::HashAssignment;
@@ -173,6 +187,42 @@ fn best_hash(stats: &[HashStat]) -> u8 {
         .unwrap_or(1)
 }
 
+/// How a caller runs step 1's hash groups. `vlpp-core` has no executor
+/// of its own, so a caller that owns a worker pool hands its fan-out
+/// in; [`ProfileBuilder::profile_conditional`] and
+/// [`profile_indirect`](ProfileBuilder::profile_indirect) run one group
+/// on the calling thread.
+///
+/// Step 1 splits the hash set into [`width`](Self::width) contiguous
+/// groups (at most one per hash number) and hands them to
+/// [`map`](Self::map) as independent tasks. Each task re-reads the
+/// profile input with its own rolling history and private tables, and
+/// the results merge in hash order, so the report is the same at every
+/// width.
+pub trait FanOut {
+    /// How many tasks can run at once: step 1 makes this many groups.
+    fn width(&self) -> usize;
+
+    /// Runs `work` on every item and returns the results in input
+    /// order.
+    fn map<T: Send, R: Send>(&self, items: Vec<T>, work: &(dyn Fn(T) -> R + Sync)) -> Vec<R>;
+}
+
+/// The fan-out that runs step 1 as one group on the calling thread: a
+/// single pass over the profile input for the whole hash set.
+#[derive(Debug, Clone, Copy)]
+struct InOrder;
+
+impl FanOut for InOrder {
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn map<T: Send, R: Send>(&self, items: Vec<T>, work: &(dyn Fn(T) -> R + Sync)) -> Vec<R> {
+        items.into_iter().map(work).collect()
+    }
+}
+
 /// Runs the §3.5 heuristic over profile traces.
 ///
 /// # Example
@@ -195,13 +245,70 @@ pub struct ProfileBuilder {
     config: ProfileConfig,
 }
 
-/// Per-branch step-1 bookkeeping.
-#[derive(Debug, Clone)]
-struct BranchTally {
-    /// Correct predictions per hash-set position.
+/// Step 1's result. Static branches carry dense ids in first-seen
+/// order over the profiled population.
+#[derive(Debug)]
+struct Step1 {
+    /// Branch pcs by id.
+    pcs: Vec<u64>,
+    /// Correct predictions, `correct[id * hash_set.len() + position]`.
     correct: Vec<u32>,
-    /// Dynamic executions of this branch.
-    executed: u32,
+    /// Per-hash totals, in hash-set order.
+    totals: Vec<HashStat>,
+}
+
+/// One hash group's step-1 tallies.
+#[derive(Debug)]
+struct GroupTally {
+    /// The hash-set positions this group simulated.
+    positions: Range<usize>,
+    /// Branch pcs by id.
+    pcs: Vec<u64>,
+    /// `correct[id * positions.len() + j]` for the group's `j`-th hash.
+    correct: Vec<u32>,
+    /// Records of the profiled population: each predicted once per hash.
+    predicted: u64,
+}
+
+/// A group's per-branch rows: one correct count per group hash, for
+/// each static branch in first-seen order.
+#[derive(Debug)]
+struct TallyRows {
+    ids: BranchIds,
+    pcs: Vec<u64>,
+    /// `correct[id * width + j]` for the group's `j`-th hash.
+    correct: Vec<u32>,
+    width: usize,
+}
+
+impl TallyRows {
+    fn new(width: usize) -> Self {
+        TallyRows { ids: BranchIds::new(), pcs: Vec::new(), correct: Vec::new(), width }
+    }
+
+    /// The row of the branch at `pc`, added zeroed on its first sight.
+    #[inline]
+    fn row(&mut self, pc: u64) -> &mut [u32] {
+        let id = match self.ids.get(pc) {
+            Some(id) => id,
+            None => self.add(pc),
+        } as usize;
+        &mut self.correct[id * self.width..(id + 1) * self.width]
+    }
+
+    #[cold]
+    fn add(&mut self, pc: u64) -> u32 {
+        self.pcs.push(pc);
+        self.correct.resize(self.correct.len() + self.width, 0);
+        self.ids.insert(pc)
+    }
+}
+
+/// Splits hash-set positions `0..n` into `width` contiguous groups
+/// (clamped to `1..=n`) whose sizes differ by at most one.
+fn hash_groups(n: usize, width: usize) -> Vec<Range<usize>> {
+    let groups = width.clamp(1, n);
+    (0..groups).map(|g| g * n / groups..(g + 1) * n / groups).collect()
 }
 
 impl ProfileBuilder {
@@ -230,94 +337,155 @@ impl ProfileBuilder {
 
     /// Profiles conditional branches over `trace` and produces the
     /// assignment for a conditional variable length path predictor.
+    /// Step 1 runs as one group on the calling thread.
     pub fn profile_conditional(&self, trace: &Trace) -> ProfileReport {
-        let (tallies, step1) = self.step1(trace, Population::Conditional);
-        let default_hash = best_hash(&step1);
-        let candidates = self.pick_candidates(&tallies);
-        let assignment = self.step2(trace, Population::Conditional, &candidates, default_hash);
-        ProfileReport { assignment, default_hash, step1, profiled_branches: tallies.len() }
+        self.profile(trace, Population::Conditional, &InOrder)
+    }
+
+    /// [`profile_conditional`](Self::profile_conditional) with step 1's
+    /// hash groups run by `fan_out`; the report is the same.
+    pub fn profile_conditional_on(&self, trace: &Trace, fan_out: &impl FanOut) -> ProfileReport {
+        self.profile(trace, Population::Conditional, fan_out)
     }
 
     /// Profiles indirect branches over `trace` and produces the
     /// assignment for an indirect variable length path predictor.
+    /// Step 1 runs as one group on the calling thread.
     pub fn profile_indirect(&self, trace: &Trace) -> ProfileReport {
-        let (tallies, step1) = self.step1(trace, Population::Indirect);
-        let default_hash = best_hash(&step1);
-        let candidates = self.pick_candidates(&tallies);
-        let assignment = self.step2(trace, Population::Indirect, &candidates, default_hash);
-        ProfileReport { assignment, default_hash, step1, profiled_branches: tallies.len() }
+        self.profile(trace, Population::Indirect, &InOrder)
     }
 
-    /// Step 1: one private-table fixed-length predictor per hash number,
-    /// all simulated in a single *fused* pass.
-    ///
-    /// This is the hottest loop in the repo (32 predictors × every
-    /// dynamic branch), so instead of 32 separately-allocated tables
-    /// and a per-hash `match` on the population, the per-hash state
-    /// lives in one contiguous `[hash × index]` array (hash `hi`'s table
-    /// occupies `hi·2^k .. (hi+1)·2^k`) and the population dispatch is
-    /// hoisted out of the per-record work entirely. Each `(hash, index)`
-    /// cell sees exactly the predict/train sequence a private table per
-    /// hash would, so the results are bit-identical — a property test
-    /// checks the fused loop against a per-table reference.
-    fn step1(
+    /// [`profile_indirect`](Self::profile_indirect) with step 1's hash
+    /// groups run by `fan_out`; the report is the same.
+    pub fn profile_indirect_on(&self, trace: &Trace, fan_out: &impl FanOut) -> ProfileReport {
+        self.profile(trace, Population::Indirect, fan_out)
+    }
+
+    fn profile(
         &self,
         trace: &Trace,
         population: Population,
-    ) -> (HashMap<u64, BranchTally>, Vec<HashStat>) {
+        fan_out: &impl FanOut,
+    ) -> ProfileReport {
+        let step1 = self.step1(trace, population, fan_out);
+        let default_hash = best_hash(&step1.totals);
+        let candidates = self.pick_candidates(&step1);
+        let assignment = self.step2(trace, population, &step1.pcs, &candidates, default_hash);
+        ProfileReport {
+            assignment,
+            default_hash,
+            profiled_branches: step1.pcs.len(),
+            step1: step1.totals,
+        }
+    }
+
+    /// Step 1: one private-table fixed-length predictor per hash number,
+    /// the hash set split into groups that `fan_out` runs as independent
+    /// tasks (see the module docs), merged in hash order. Each
+    /// `(hash, index)` cell sees exactly the predict/train sequence a
+    /// private table per hash would, so the results are bit-identical at
+    /// any grouping — property tests check the groups against a
+    /// per-table reference and one group against many.
+    fn step1(&self, trace: &Trace, population: Population, fan_out: &impl FanOut) -> Step1 {
+        let hash_set = &self.config.hash_set;
+        let n = hash_set.len();
+        let groups = hash_groups(n, fan_out.width());
+        let mut parts =
+            fan_out.map(groups, &|positions| self.step1_group(trace, population, positions));
+
+        // `core.profile.step1_records`: profile-input records step 1
+        // covered (once, at any grouping), process-wide (see
+        // OBSERVABILITY.md).
+        vlpp_metrics::counter("core.profile.step1_records").add(trace.len() as u64);
+
+        // Every group saw the same branches in the same order.
+        let predictions = parts[0].predicted;
+        let pcs = std::mem::take(&mut parts[0].pcs);
+        let mut correct = vec![0u32; pcs.len() * n];
+        for part in parts {
+            let width = part.positions.len();
+            for (id, row) in part.correct.chunks_exact(width).enumerate() {
+                correct[id * n + part.positions.start..][..width].copy_from_slice(row);
+            }
+        }
+        // Every profiled record produced one prediction per hash.
+        let mut totals: Vec<HashStat> =
+            hash_set.iter().map(|&hash| HashStat { hash, predictions, correct: 0 }).collect();
+        for row in correct.chunks_exact(n) {
+            for (total, &count) in totals.iter_mut().zip(row) {
+                total.correct += count as u64;
+            }
+        }
+        Step1 { pcs, correct, totals }
+    }
+
+    /// One step-1 group: the hashes at `positions` of the hash set,
+    /// simulated in a single fused pass with their own rolling history.
+    /// Their tables live in one contiguous `[hash × index]` array
+    /// (position `j`'s table occupies `j·2^k .. (j+1)·2^k`), the
+    /// population dispatch is hoisted out of the per-record work, and a
+    /// profiled record resolves its pc to its tally row with one probe
+    /// of an exact open-addressing table.
+    fn step1_group(
+        &self,
+        trace: &Trace,
+        population: Population,
+        positions: Range<usize>,
+    ) -> GroupTally {
         let cfg = &self.config;
         let k = cfg.path.index_bits;
-        let n_hashes = cfg.hash_set.len();
+        let hashes = &cfg.hash_set[positions.clone()];
         let table_len = 1usize << k;
-        let longest = cfg.hash_set.iter().copied().max().expect("non-empty hash set") as usize;
+        let longest = *hashes.last().expect("groups are non-empty") as usize;
         let mut hashers = RollingHashers::new(longest, k);
-        let mut tallies: HashMap<u64, BranchTally> = HashMap::new();
+        let mut rows = TallyRows::new(hashes.len());
+        let mut predicted = 0u64;
+        let enters_path = |record: &BranchRecord| {
+            record.enters_thb() || (cfg.path.store_returns && record.kind() == BranchKind::Return)
+        };
+        // A record's table cells, one per group hash, computed in a loop
+        // of their own: splitting the lookups from the table updates
+        // keeps each loop's state in registers.
+        let bases: Vec<usize> = (0..hashes.len()).map(|j| j * table_len).collect();
+        let mut cells = vec![0usize; hashes.len()];
+        let fill_cells = |hashers: &RollingHashers, cells: &mut [usize]| {
+            for ((cell, index), base) in cells.iter_mut().zip(hashers.indices(hashes)).zip(&bases) {
+                *cell = base + index as usize;
+            }
+        };
 
         match population {
             Population::Conditional => {
-                let mut counters = vec![vlpp_predict::Counter2::default(); n_hashes * table_len];
+                let mut counters =
+                    vec![vlpp_predict::Counter2::default(); hashes.len() * table_len];
                 for record in trace.iter() {
                     if record.is_conditional() {
+                        predicted += 1;
                         let taken = record.taken();
-                        let tally = tallies.entry(record.pc().raw()).or_insert_with(|| {
-                            BranchTally { correct: vec![0; n_hashes], executed: 0 }
-                        });
-                        tally.executed += 1;
+                        fill_cells(&hashers, &mut cells);
                         // Branchless per hash: which of the predictors
                         // were right is data-dependent, so a branch on
                         // each verdict would mispredict often.
-                        for (hi, (&hash, correct)) in
-                            cfg.hash_set.iter().zip(tally.correct.iter_mut()).enumerate()
-                        {
-                            let cell = hi * table_len + hashers.index(hash as usize) as usize;
+                        for (&cell, correct) in cells.iter().zip(rows.row(record.pc().raw())) {
                             let counter = counters[cell];
                             *correct += (counter.predict_taken() == taken) as u32;
                             counters[cell] = counter.updated(taken);
                         }
                     }
-                    if record.enters_thb()
-                        || (cfg.path.store_returns && record.kind() == BranchKind::Return)
-                    {
+                    if enters_path(record) {
                         hashers.push(record.target());
                     }
                 }
             }
             Population::Indirect => {
-                let mut targets = vec![0u64; n_hashes * table_len];
-                let mut valid = vec![false; n_hashes * table_len];
+                let mut targets = vec![0u64; hashes.len() * table_len];
+                let mut valid = vec![false; hashes.len() * table_len];
                 for record in trace.iter() {
                     if record.is_indirect() {
-                        let pc = record.pc();
+                        predicted += 1;
                         let target = record.target();
-                        let tally = tallies.entry(pc.raw()).or_insert_with(|| BranchTally {
-                            correct: vec![0; n_hashes],
-                            executed: 0,
-                        });
-                        tally.executed += 1;
-                        for (hi, (&hash, correct)) in
-                            cfg.hash_set.iter().zip(tally.correct.iter_mut()).enumerate()
-                        {
-                            let cell = hi * table_len + hashers.index(hash as usize) as usize;
+                        fill_cells(&hashers, &mut cells);
+                        for (&cell, correct) in cells.iter().zip(rows.row(record.pc().raw())) {
                             let prediction =
                                 if valid[cell] { Addr::new(targets[cell]) } else { Addr::NULL };
                             *correct += (prediction == target) as u32;
@@ -325,122 +493,102 @@ impl ProfileBuilder {
                             valid[cell] = true;
                         }
                     }
-                    if record.enters_thb()
-                        || (cfg.path.store_returns && record.kind() == BranchKind::Return)
-                    {
+                    if enters_path(record) {
                         hashers.push(record.target());
                     }
                 }
             }
         }
-
-        // `core.profile.step1_records`: trace records scanned by the
-        // fused step-1 kernel, process-wide (see OBSERVABILITY.md).
-        vlpp_metrics::counter("core.profile.step1_records").add(trace.len() as u64);
-
-        // Per-hash totals follow from the tallies: every relevant record
-        // produced one prediction per hash.
-        let executed: u64 = tallies.values().map(|t| t.executed as u64).sum();
-        let mut totals: Vec<HashStat> = cfg
-            .hash_set
-            .iter()
-            .map(|&hash| HashStat { hash, predictions: executed, correct: 0 })
-            .collect();
-        for tally in tallies.values() {
-            for (hi, &correct) in tally.correct.iter().enumerate() {
-                totals[hi].correct += correct as u64;
-            }
-        }
-        (tallies, totals)
+        // The id table is not needed past the pass.
+        let TallyRows { pcs, correct, .. } = rows;
+        GroupTally { positions, pcs, correct, predicted }
     }
 
     /// Picks each branch's `candidates` best hash numbers from the step-1
-    /// tallies (most correct predictions; ties toward shorter paths).
-    fn pick_candidates(&self, tallies: &HashMap<u64, BranchTally>) -> HashMap<u64, Vec<u8>> {
+    /// tallies (most correct predictions; ties toward shorter paths), by
+    /// branch id.
+    fn pick_candidates(&self, step1: &Step1) -> Vec<Vec<u8>> {
         let cfg = &self.config;
-        tallies
-            .iter()
-            .map(|(&pc, tally)| {
+        step1
+            .correct
+            .chunks_exact(cfg.hash_set.len())
+            .map(|correct| {
                 let mut order: Vec<usize> = (0..cfg.hash_set.len()).collect();
                 // Most correct first; tie toward earlier (shorter) hash.
-                order.sort_by(|&a, &b| tally.correct[b].cmp(&tally.correct[a]).then(a.cmp(&b)));
-                let picked: Vec<u8> =
-                    order.iter().take(cfg.candidates).map(|&i| cfg.hash_set[i]).collect();
-                (pc, picked)
+                order.sort_by(|&a, &b| correct[b].cmp(&correct[a]).then(a.cmp(&b)));
+                order.iter().take(cfg.candidates).map(|&i| cfg.hash_set[i]).collect()
             })
             .collect()
     }
 
     /// Step 2: iterated candidate refinement against the shared table.
+    /// `pcs` and `candidates` are indexed by branch id.
     fn step2(
         &self,
         trace: &Trace,
         population: Population,
-        candidates: &HashMap<u64, Vec<u8>>,
+        pcs: &[u64],
+        candidates: &[Vec<u8>],
         default_hash: u8,
     ) -> HashAssignment {
-        let cfg = &self.config;
-        // misses[pc][candidate index]: misprediction count from the
+        // misses[id][candidate index]: misprediction count from the
         // iteration that tested this candidate; None = never tested, and
         // per the paper "untested candidates will always be chosen first"
         // because they count as zero mispredictions.
-        let mut misses: HashMap<u64, Vec<Option<u64>>> =
-            candidates.iter().map(|(&pc, cands)| (pc, vec![None; cands.len()])).collect();
+        let mut misses: Vec<Vec<Option<u64>>> =
+            candidates.iter().map(|cands| vec![None; cands.len()]).collect();
 
-        let choose = |misses: &HashMap<u64, Vec<Option<u64>>>| -> HashMap<u64, usize> {
-            candidates
-                .keys()
-                .map(|&pc| {
-                    let record = &misses[&pc];
-                    let best = record
+        let choose = |misses: &[Vec<Option<u64>>]| -> Vec<usize> {
+            misses
+                .iter()
+                .map(|tested| {
+                    tested
                         .iter()
                         .enumerate()
                         .min_by_key(|(i, m)| (m.unwrap_or(0), *i))
                         .map(|(i, _)| i)
-                        .expect("every branch has at least one candidate");
-                    (pc, best)
+                        .expect("every branch has at least one candidate")
                 })
                 .collect()
+        };
+        let assign = |chosen: &[usize]| {
+            let mut assignment = HashAssignment::fixed(default_hash);
+            for (id, &ci) in chosen.iter().enumerate() {
+                assignment.assign(Addr::new(pcs[id]), candidates[id][ci]);
+            }
+            assignment
         };
 
         // `core.profile.step2_iterations`: refinement simulations run,
         // process-wide (see OBSERVABILITY.md).
         let iterations = vlpp_metrics::counter("core.profile.step2_iterations");
 
-        for _ in 0..cfg.iterations {
+        for _ in 0..self.config.iterations {
             iterations.incr();
             let chosen = choose(&misses);
-            let mut assignment = HashAssignment::fixed(default_hash);
-            for (&pc, &ci) in &chosen {
-                assignment.assign(Addr::new(pc), candidates[&pc][ci]);
-            }
-            let iteration_misses = self.simulate(trace, population, &assignment);
-            for (&pc, &ci) in &chosen {
-                let count = iteration_misses.get(&pc).copied().unwrap_or(0);
-                misses.get_mut(&pc).expect("tracked branch")[ci] = Some(count);
+            let iteration_misses = self.simulate(trace, population, &assign(&chosen), pcs);
+            for ((tested, &ci), count) in misses.iter_mut().zip(&chosen).zip(iteration_misses) {
+                tested[ci] = Some(count);
             }
         }
 
         // Final selection: fewest recorded mispredictions per branch.
-        let chosen = choose(&misses);
-        let mut assignment = HashAssignment::fixed(default_hash);
-        for (&pc, &ci) in &chosen {
-            assignment.assign(Addr::new(pc), candidates[&pc][ci]);
-        }
-        assignment
+        assign(&choose(&misses))
     }
 
     /// Simulates one variable length path predictor over the profile
-    /// trace through the kernel, returning each predicted branch's
-    /// misprediction count.
+    /// trace through the kernel, returning each branch's misprediction
+    /// count by id. The kernel's rows come out in first-seen order over
+    /// the same population, so its row `id` is step 1's branch `id`.
     fn simulate(
         &self,
         trace: &Trace,
         population: Population,
         assignment: &HashAssignment,
-    ) -> HashMap<u64, u64> {
+        pcs: &[u64],
+    ) -> Vec<u64> {
         let path = &self.config.path;
-        match population {
+        let rows: Vec<(u64, u64)> = match population {
             Population::Conditional => {
                 let mut kernel = CondKernel::new(path, assignment);
                 kernel.run(trace.records());
@@ -451,7 +599,12 @@ impl ProfileBuilder {
                 kernel.run(trace.records());
                 kernel.branch_stats().map(|(pc, _, misses)| (pc, misses)).collect()
             }
-        }
+        };
+        assert!(
+            rows.len() == pcs.len() && rows.iter().zip(pcs).all(|(row, &pc)| row.0 == pc),
+            "kernel rows follow step 1's branch ids"
+        );
+        rows.into_iter().map(|(_, misses)| misses).collect()
     }
 }
 
@@ -465,7 +618,6 @@ enum Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlpp_trace::BranchRecord;
 
     /// A workload with two conditional branches: one determined by the
     /// immediately preceding target (needs length 1) and one determined
@@ -649,12 +801,22 @@ mod tests {
     }
 
     #[test]
+    fn hash_groups_cover_the_set_in_order_with_sizes_within_one() {
+        assert_eq!(hash_groups(32, 1), vec![0..32]);
+        assert_eq!(hash_groups(32, 2), vec![0..16, 16..32]);
+        assert_eq!(hash_groups(7, 3), vec![0..2, 2..4, 4..7]);
+        assert_eq!(hash_groups(3, 8), vec![0..1, 1..2, 2..3], "at most one group per hash");
+        assert_eq!(hash_groups(5, 0), vec![0..5], "at least one group");
+    }
+
+    #[test]
     fn candidate_count_is_respected() {
         let trace = two_needs_trace(300, 21);
         let cfg = config().with_candidates(1).with_iterations(2);
         let builder = ProfileBuilder::new(cfg);
-        let (tallies, _) = builder.step1(&trace, Population::Conditional);
-        let candidates = builder.pick_candidates(&tallies);
-        assert!(candidates.values().all(|c| c.len() == 1));
+        let step1 = builder.step1(&trace, Population::Conditional, &InOrder);
+        let candidates = builder.pick_candidates(&step1);
+        assert_eq!(candidates.len(), 4);
+        assert!(candidates.iter().all(|c| c.len() == 1));
     }
 }

@@ -12,8 +12,8 @@ use reference::table::{CounterTable, TargetTable};
 use reference::thb::Thb;
 use vlpp_check::{check, prop_assert, prop_assert_eq, CheckConfig};
 use vlpp_core::{
-    CondKernel, DynamicPathConditional, HashAssignment, PathConfig, ProfileBuilder, ProfileConfig,
-    RollingHashers, MAX_PATH_LENGTH,
+    CondKernel, DynamicPathConditional, FanOut, HashAssignment, PathConfig, ProfileBuilder,
+    ProfileConfig, RollingHashers, MAX_PATH_LENGTH,
 };
 use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor};
 use vlpp_trace::{Addr, BranchKind, BranchRecord, Trace};
@@ -390,6 +390,72 @@ fn profile_report_matches_reference_step2() {
             let totals: Vec<(u8, u64, u64)> =
                 report.step1.iter().map(|s| (s.hash, s.predictions, s.correct)).collect();
             prop_assert_eq!(totals, step1, "step-1 totals (conditional {})", conditional);
+        }
+        Ok(())
+    });
+}
+
+/// A fan-out that makes `.0` groups and runs them in order on the
+/// calling thread: step 1's grouping without a pool.
+struct Groups(usize);
+
+impl FanOut for Groups {
+    fn width(&self) -> usize {
+        self.0
+    }
+
+    fn map<T: Send, R: Send>(&self, items: Vec<T>, work: &(dyn Fn(T) -> R + Sync)) -> Vec<R> {
+        items.into_iter().map(work).collect()
+    }
+}
+
+/// Splitting step 1's hash set into groups changes nothing: the whole
+/// report — assignment, default hash, step-1 totals and branch count —
+/// is the same from one group as from `N`, for either population.
+/// Covers `N` that does not divide the set, `N` above the set size,
+/// sparse sets and a one-hash set.
+#[test]
+fn profile_report_is_the_same_at_any_step1_grouping() {
+    check("profile_report_is_the_same_at_any_step1_grouping", CheckConfig::default(), |g| {
+        let path = random_config(g);
+        let capacity = path.thb_capacity as u8;
+        let hash_set: Vec<u8> = match g.below(3) {
+            0 => (1..=capacity).collect(),
+            1 => vec![g.range_u8(1, capacity)],
+            _ => {
+                let sparse: Vec<u8> = (1..=capacity).filter(|_| g.below(3) == 0).collect();
+                if sparse.is_empty() {
+                    vec![capacity]
+                } else {
+                    sparse
+                }
+            }
+        };
+        let config = ProfileConfig::new(path)
+            .with_hash_set(hash_set.clone())
+            .with_candidates(g.range_usize(1, 4))
+            .with_iterations(g.range_usize(0, 4));
+        let groups = g.range_usize(2, hash_set.len() + 2);
+        let trace = call_return_trace(g, 400);
+        let builder = ProfileBuilder::new(config);
+        for conditional in [true, false] {
+            let (one, many) = if conditional {
+                (
+                    builder.profile_conditional(&trace),
+                    builder.profile_conditional_on(&trace, &Groups(groups)),
+                )
+            } else {
+                (
+                    builder.profile_indirect(&trace),
+                    builder.profile_indirect_on(&trace, &Groups(groups)),
+                )
+            };
+            let context =
+                format!("{} groups over {:?}, conditional {}", groups, hash_set, conditional);
+            prop_assert_eq!(&many.assignment, &one.assignment, "assignment, {}", context);
+            prop_assert_eq!(many.default_hash, one.default_hash, "default hash, {}", context);
+            prop_assert_eq!(&many.step1, &one.step1, "step-1 totals, {}", context);
+            prop_assert_eq!(many.profiled_branches, one.profiled_branches, "branches, {}", context);
         }
         Ok(())
     });

@@ -38,6 +38,22 @@ fn random_config(g: &mut vlpp_check::Gen) -> PathConfig {
     config
 }
 
+/// A pc from the small universe every generator here draws branches
+/// from: half are consecutive words, half sit where the synthetic
+/// generator puts branches — the last word of a 64-byte block (word
+/// address ≡ 15 mod 16) in one of four function windows 16 KiB apart,
+/// so the four windows' pcs of one block slot alias under a
+/// direct-mapped pc cache indexed by `word & 4095`.
+fn branch_pc(g: &mut vlpp_check::Gen) -> u64 {
+    let i = g.below(64);
+    if i < 32 {
+        0x1000 | i << 2
+    } else {
+        let slot = i - 32;
+        0x10_0000 + (slot % 4) * 0x4000 + (slot / 4) * 64 + 60
+    }
+}
+
 /// A random hash assignment over the small pc universe
 /// [`random_trace`] draws branches from. Hash numbers deliberately
 /// range over all of `1..=32` so some exceed the THB capacity and
@@ -45,7 +61,7 @@ fn random_config(g: &mut vlpp_check::Gen) -> PathConfig {
 fn random_assignment(g: &mut vlpp_check::Gen) -> HashAssignment {
     let mut assignment = HashAssignment::fixed(g.range_u8(1, 32));
     for _ in 0..g.range_usize(0, 12) {
-        assignment.assign(Addr::new(0x1000 | (g.below(64) << 2)), g.range_u8(1, 32));
+        assignment.assign(Addr::new(branch_pc(g)), g.range_u8(1, 32));
     }
     assignment
 }
@@ -62,7 +78,7 @@ fn random_trace(g: &mut vlpp_check::Gen, n: usize) -> Trace {
     for _ in 0..n {
         let pc_high = if g.below(4) == 0 { (1 + g.below(3)) << 32 } else { 0 };
         let target_high = if g.below(4) == 0 { (1 + g.below(3)) << 33 } else { 0 };
-        let pc = Addr::new(pc_high | 0x1000 | (g.below(64) << 2));
+        let pc = Addr::new(pc_high | branch_pc(g));
         let target = Addr::new(target_high | 0x2000 | (g.below(256) << 2));
         match g.below(8) {
             0 => trace.push(BranchRecord::indirect(pc, target)),
@@ -279,7 +295,7 @@ fn kernel_matches_reference_under_deep_call_return_nesting() {
         // Heavily call/return-biased stream: nesting routinely exceeds
         // the stack depth, and returns often outnumber calls.
         for i in 0..500 {
-            let pc = Addr::new(0x1000 | (g.below(64) << 2));
+            let pc = Addr::new(branch_pc(g));
             let target = Addr::new(0x2000 | (g.below(256) << 2));
             let record = match g.below(4) {
                 0 => BranchRecord::call(pc, target),
@@ -409,7 +425,7 @@ fn kernel_clamps_overlong_hashes_like_reference() {
         // Every hash number in the assignment exceeds the capacity.
         let mut assignment = HashAssignment::fixed(g.range_u8(9, 32));
         for _ in 0..g.range_usize(0, 6) {
-            assignment.assign(Addr::new(0x1000 | (g.below(64) << 2)), g.range_u8(9, 32));
+            assignment.assign(Addr::new(branch_pc(g)), g.range_u8(9, 32));
         }
         let trace = random_trace(g, 300);
         let mut kernel = CondKernel::new(&config, &assignment);

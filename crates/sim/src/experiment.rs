@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use vlpp_core::{PathConfig, ProfileBuilder, ProfileConfig, ProfileReport};
+use vlpp_core::{FanOut, PathConfig, ProfileBuilder, ProfileConfig, ProfileReport};
 use vlpp_pool::{Memo, Pool};
 use vlpp_synth::{suite, BenchmarkSpec, InputSet};
 use vlpp_trace::Trace;
@@ -100,6 +100,33 @@ pub enum Kind {
     Indirect,
 }
 
+/// Step 1 of the §3.5 profile on the shared worker pool: one hash group
+/// per pool thread, so `VLPP_THREADS=1` runs it in one group on the
+/// calling thread.
+#[derive(Debug, Clone, Copy)]
+struct OnPool;
+
+impl FanOut for OnPool {
+    fn width(&self) -> usize {
+        Pool::global().threads()
+    }
+
+    fn map<T: Send, R: Send>(&self, items: Vec<T>, work: &(dyn Fn(T) -> R + Sync)) -> Vec<R> {
+        Pool::global().map(items, work)
+    }
+}
+
+/// The §3.5 profile of `trace`'s `kind` branches under `config`, with
+/// step 1's hash groups on the shared worker pool. The report is the
+/// one `ProfileBuilder::profile_conditional` / `profile_indirect` give.
+pub(crate) fn profile_on_pool(kind: Kind, config: ProfileConfig, trace: &Trace) -> ProfileReport {
+    let builder = ProfileBuilder::new(config);
+    match kind {
+        Kind::Conditional => builder.profile_conditional_on(trace, &OnPool),
+        Kind::Indirect => builder.profile_indirect_on(trace, &OnPool),
+    }
+}
+
 /// The experiment context: memoizes every expensive artifact — the
 /// multi-million-branch traces themselves (Arc-shared, built once per
 /// `(benchmark, input set)` instead of once per experiment), the
@@ -168,11 +195,7 @@ impl Workloads {
         self.profiles.get_or_compute((spec.name.clone(), kind, index_bits), || {
             let _span = vlpp_metrics::span("sim.profile_ns");
             let trace = self.profile_trace(spec);
-            let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(index_bits)));
-            match kind {
-                Kind::Conditional => builder.profile_conditional(&trace),
-                Kind::Indirect => builder.profile_indirect(&trace),
-            }
+            profile_on_pool(kind, ProfileConfig::new(PathConfig::new(index_bits)), &trace)
         })
     }
 

@@ -1,7 +1,7 @@
 //! `vlpp microbench` — predictions-per-second microbenchmarks of the
 //! path predictor's hot loop.
 //!
-//! Three benches run, each printed as one `BENCH {json}` line (the same
+//! Four benches run, each printed as one `BENCH {json}` line (the same
 //! stream `scripts/bench_record.sh` collects and `vlpp-metrics-check
 //! --bench` gates against `BENCH_baseline.json`):
 //!
@@ -12,7 +12,13 @@
 //!   fresh [`IndKernel`];
 //! * `serve/codec` — the serve path's JSON codec: `parse_request` of an
 //!   8-record `predict` frame (gcc records, as `vlpp loadgen` sends
-//!   them) plus the encode of its response.
+//!   them) plus the encode of its response;
+//! * `core/profile` — the §3.5 two-step profile of gcc's profile input
+//!   at CI scale with a 12-bit index (`vlpp run --trace`'s default),
+//!   step 1 as one group on the calling thread. Unlike the kernel
+//!   benches' consecutive word pcs, its branches sit where the
+//!   synthetic generator puts them, so it pays what real traces pay to
+//!   resolve a pc.
 //!
 //! Each kernel iteration builds its kernel inside the timed closure, so
 //! it times construction plus one whole-trace run. Each line carries
@@ -20,12 +26,12 @@
 //! from the median iteration — the floor-gated throughput contract.
 
 use vlpp_check::{measure, BenchConfig, BenchReport};
-use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig, ProfileBuilder, ProfileConfig};
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord, Trace, VlppError};
 
 use crate::cli::Flags;
-use crate::experiment::{Scale, Workloads};
+use crate::experiment::{Scale, Workloads, CI_SCALE_DIVISOR};
 use crate::runner::{run_conditional, run_indirect};
 use crate::serve::protocol;
 use crate::serve::Prediction;
@@ -82,6 +88,9 @@ fn spread_assignment() -> HashAssignment {
     }
     assignment
 }
+
+/// `core/profile`'s index width: `vlpp run --trace`'s default.
+const PROFILE_INDEX_BITS: u32 = 12;
 
 /// Records per `serve/codec` frame: `serve-tcp-small`'s batch size.
 const CODEC_BATCH: usize = 8;
@@ -175,7 +184,7 @@ pub fn microbench_main(args: &[String]) -> Result<(), VlppError> {
     Ok(())
 }
 
-/// Runs both benches and prints their `BENCH` lines.
+/// Runs the benches and prints their `BENCH` lines.
 pub fn run(records: usize) {
     let config = BenchConfig::from_env();
     let assignment = spread_assignment();
@@ -197,6 +206,12 @@ pub fn run(records: usize) {
     let frames = codec_frames();
     let codec = measure("serve/codec", config, || codec_pass(&frames, records));
     print_with_throughput(&codec, records.div_ceil(CODEC_BATCH) * CODEC_BATCH);
+
+    let gcc = vlpp_synth::suite::benchmark("gcc").expect("gcc is in the suite");
+    let profile_input = Workloads::new(Scale::new(CI_SCALE_DIVISOR)).profile_trace(&gcc);
+    let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(PROFILE_INDEX_BITS)));
+    let profile = measure("core/profile", config, || builder.profile_conditional(&profile_input));
+    print_with_throughput(&profile, profile_input.len());
 }
 
 #[cfg(test)]

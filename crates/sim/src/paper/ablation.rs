@@ -3,13 +3,12 @@
 //! (indirect).
 
 use vlpp_core::{
-    CondKernel, DynamicPathConditional, HashAssignment, IndKernel, PathConfig, ProfileBuilder,
-    ProfileConfig,
+    CondKernel, DynamicPathConditional, HashAssignment, IndKernel, PathConfig, ProfileConfig,
 };
 use vlpp_predict::Budget;
 use vlpp_synth::suite;
 
-use crate::experiment::Workloads;
+use crate::experiment::{profile_on_pool, Kind, Workloads};
 use crate::report::{percent, TextTable};
 use crate::runner::{run_conditional, run_indirect};
 
@@ -49,7 +48,7 @@ pub fn ablate_subset_hashes(workloads: &Workloads) -> Vec<AblationRow> {
 
     let run_with_hash_set = |hash_set: Vec<u8>, label: &str| {
         let config = ProfileConfig::new(PathConfig::new(bits)).with_hash_set(hash_set);
-        let report = ProfileBuilder::new(config).profile_conditional(&profile);
+        let report = profile_on_pool(Kind::Conditional, config, &profile);
         let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
         AblationRow {
             variant: label.to_string(),
@@ -100,7 +99,7 @@ pub fn ablate_returns(workloads: &Workloads) -> Vec<AblationRow> {
 
     let run_variant = |config: PathConfig, label: &str| {
         let profile_config = ProfileConfig::new(config.clone());
-        let report = ProfileBuilder::new(profile_config).profile_conditional(&profile);
+        let report = profile_on_pool(Kind::Conditional, profile_config, &profile);
         let mut kernel = CondKernel::new(&config, &report.assignment);
         AblationRow {
             variant: label.to_string(),
@@ -126,7 +125,7 @@ pub fn ablate_candidates(workloads: &Workloads) -> Vec<AblationRow> {
         let config = ProfileConfig::new(PathConfig::new(bits))
             .with_candidates(candidates)
             .with_iterations(iterations);
-        let report = ProfileBuilder::new(config).profile_conditional(&profile);
+        let report = profile_on_pool(Kind::Conditional, config, &profile);
         let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
         AblationRow {
             variant: format!("{candidates} candidates, {iterations} iterations"),
@@ -152,7 +151,7 @@ pub fn ablate_interference(workloads: &Workloads) -> Vec<AblationRow> {
 
     let run_variant = |iterations: usize, label: &str| {
         let config = ProfileConfig::new(PathConfig::new(bits)).with_iterations(iterations);
-        let report = ProfileBuilder::new(config).profile_conditional(&profile);
+        let report = profile_on_pool(Kind::Conditional, config, &profile);
         let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
         AblationRow {
             variant: label.to_string(),
@@ -177,7 +176,7 @@ pub fn ablate_history_stack(workloads: &Workloads) -> Vec<AblationRow> {
 
     let run_variant = |config: PathConfig, label: &str| {
         let profile_config = ProfileConfig::new(config.clone());
-        let report = ProfileBuilder::new(profile_config).profile_indirect(&profile);
+        let report = profile_on_pool(Kind::Indirect, profile_config, &profile);
         AblationRow {
             variant: label.to_string(),
             rate: run_indirect(&mut IndKernel::new(&config, &report.assignment), &test).miss_rate(),

@@ -46,9 +46,9 @@ subcommands (own flags; see SERVING.md and TRACES.md):
   cluster    N serve processes behind a shard routing table (failover)
   loadgen    drive a running `vlpp serve` or cluster and verify its
              predictions (byte-exact oracle, optional kill drill)
-  microbench records/sec of the conditional and indirect kernels and
-             of the serve JSON codec (BENCH lines; see DESIGN.md
-             \"hot-loop kernel\")
+  microbench records/sec of the conditional and indirect kernels, the
+             serve JSON codec and the section 3.5 profile (BENCH lines;
+             see DESIGN.md \"hot-loop kernel\")
   ingest     convert a ChampSim/CSV/JSONL trace to the chunked compact
              format for bounded-memory replay (see TRACES.md)
   run        replay an ingested or foreign trace (or a benchmark)

@@ -61,9 +61,19 @@ use vlpp_trace::VlppError;
 
 use super::loadgen::Client;
 use super::routing::{Node, RoutingTable};
-use super::{sig, ListenSpec};
+use super::{sig, LazyCounter, ListenSpec};
 use crate::cli::{cli_error, print_metrics, Flags};
 use crate::experiment::Scale;
+
+// The supervisor's counters (see OBSERVABILITY.md), each resolved from
+// the registry once.
+static NODES: LazyCounter = LazyCounter::new("cluster.nodes");
+static NODES_DIED: LazyCounter = LazyCounter::new("cluster.nodes_died");
+static HEARTBEATS: LazyCounter = LazyCounter::new("cluster.heartbeats");
+static SUSPECT: LazyCounter = LazyCounter::new("cluster.suspect");
+static RESPAWNS: LazyCounter = LazyCounter::new("cluster.respawns");
+static RESYNCS: LazyCounter = LazyCounter::new("cluster.resyncs");
+static RESYNC_BYTES: LazyCounter = LazyCounter::new("cluster.resync_bytes");
 
 /// Deadline for a supervisor-initiated probe, drain, or announce read:
 /// long enough for a loaded child to answer, short enough that a dead
@@ -280,7 +290,7 @@ fn write_routing(path: &Path, wire: &JsonValue) -> Result<(), VlppError> {
 fn pull_sections(addr: &str, timeout_ms: u64) -> Result<Vec<SnapshotSection>, VlppError> {
     let mut client = Client::connect(&ListenSpec::Tcp(addr.to_string()), timeout_ms)?;
     let (bytes, _header) = client.fetch_sync(None)?;
-    vlpp_metrics::counter("cluster.resync_bytes").add(bytes.len() as u64);
+    RESYNC_BYTES.get().add(bytes.len() as u64);
     read_snapshot(&bytes[..]).map_err(|source| {
         VlppError::protocol(
             None,
@@ -492,14 +502,8 @@ fn publish_update(table: &RoutingTable, routing_out: Option<&Path>) -> Result<()
 ///
 /// See [`cluster_main`].
 pub fn run_cluster(options: &ClusterOptions) -> Result<(), VlppError> {
-    for name in [
-        "cluster.respawns",
-        "cluster.resyncs",
-        "cluster.resync_bytes",
-        "cluster.heartbeats",
-        "cluster.suspect",
-    ] {
-        vlpp_metrics::counter(name);
+    for counter in [&RESPAWNS, &RESYNCS, &RESYNC_BYTES, &HEARTBEATS, &SUSPECT] {
+        counter.get();
     }
     sig::install();
     let mut children = Vec::with_capacity(options.nodes);
@@ -509,7 +513,7 @@ pub fn run_cluster(options: &ClusterOptions) -> Result<(), VlppError> {
     let nodes = children.iter_mut().map(read_announce).collect::<Result<Vec<Node>, _>>()?;
     let mut table = RoutingTable::build(options.shards, nodes.clone())
         .map_err(|message| cli_error(format!("cannot build routing table: {message}")))?;
-    vlpp_metrics::counter("cluster.nodes").add(options.nodes as u64);
+    NODES.get().add(options.nodes as u64);
 
     let wire = table.to_json();
     if let Some(path) = &options.routing_out {
@@ -584,7 +588,7 @@ pub fn run_cluster(options: &ClusterOptions) -> Result<(), VlppError> {
                 continue;
             }
             died += 1;
-            vlpp_metrics::counter("cluster.nodes_died").incr();
+            NODES_DIED.get().incr();
             let dead_id = slots[index].node.id.clone();
             eprintln!("cluster: node `{dead_id}` terminated abnormally");
             if draining || respawns_left == 0 {
@@ -597,8 +601,8 @@ pub fn run_cluster(options: &ClusterOptions) -> Result<(), VlppError> {
                     respawns += 1;
                     resyncs += 1;
                     respawns_left -= 1;
-                    vlpp_metrics::counter("cluster.respawns").incr();
-                    vlpp_metrics::counter("cluster.resyncs").incr();
+                    RESPAWNS.get().incr();
+                    RESYNCS.get().incr();
                     publish_update(&table, options.routing_out.as_deref())?;
                     let announce = JsonValue::Object(vec![
                         ("id".to_string(), JsonValue::Str(slot.node.id.clone())),
@@ -630,7 +634,7 @@ pub fn run_cluster(options: &ClusterOptions) -> Result<(), VlppError> {
         if !draining && Instant::now() >= next_probe {
             next_probe = Instant::now() + Duration::from_millis(options.probe_interval_ms);
             for slot in slots.iter_mut().filter(|s| !s.gone) {
-                vlpp_metrics::counter("cluster.heartbeats").incr();
+                HEARTBEATS.get().incr();
                 match call_node(&slot.node.addr, PROBE_TIMEOUT_MS, "ping") {
                     Ok(_) => slot.liveness = Liveness::Alive,
                     Err(_) => {
@@ -639,7 +643,7 @@ pub fn run_cluster(options: &ClusterOptions) -> Result<(), VlppError> {
                             Liveness::Suspect(misses) => misses + 1,
                         };
                         slot.liveness = Liveness::Suspect(misses);
-                        vlpp_metrics::counter("cluster.suspect").incr();
+                        SUSPECT.get().incr();
                         eprintln!(
                             "cluster: node `{}` missed probe {misses}/{}",
                             slot.node.id, options.miss_budget

@@ -67,9 +67,14 @@ use vlpp_trace::{BranchRecord, VlppError};
 use super::model::{Model, ModelKind, ModelSpec};
 use super::protocol::record_to_json;
 use super::routing::RoutingTable;
-use super::ListenSpec;
+use super::{LazyCounter, ListenSpec};
 use crate::cli::{cli_error, Flags, INDEX_BITS};
 use crate::experiment::{Scale, Workloads};
+
+// The routing client's counters (see OBSERVABILITY.md), each resolved
+// from the registry once.
+static FAILOVERS: LazyCounter = LazyCounter::new("cluster.failovers");
+static KILLS: LazyCounter = LazyCounter::new("cluster.kills");
 
 /// Parsed `vlpp loadgen` options.
 #[derive(Debug, Clone)]
@@ -609,7 +614,7 @@ impl Shared {
     }
 
     fn mark_dead(&self, id: &str, error: &VlppError) {
-        vlpp_metrics::counter("cluster.failovers").incr();
+        FAILOVERS.get().incr();
         if lock(&self.dead).insert(id.to_string()) {
             eprintln!("loadgen: node `{id}` is down ({error})");
         }
@@ -1161,7 +1166,7 @@ pub fn run_loadgen(options: &LoadgenOptions) -> Result<JsonValue, VlppError> {
                     if shared.batches_done.load(Ordering::SeqCst) >= options.kill_after {
                         if kill_process(pid).is_ok() {
                             killed.store(true, Ordering::SeqCst);
-                            vlpp_metrics::counter("cluster.kills").incr();
+                            KILLS.get().incr();
                             eprintln!("loadgen: killed node `{kill}` (pid {pid})");
                         }
                         return;

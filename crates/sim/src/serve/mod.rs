@@ -88,6 +88,28 @@ pub const DEFAULT_IO_TIMEOUT_MS: u64 = 30_000;
 /// comfortably under `MAX_FRAME_BYTES`.
 const SYNC_CHUNK_BYTES: usize = 256 * 1024;
 
+/// A counter handle resolved from the registry on its first use and
+/// kept: later uses take no registry lock, and a counter only some runs
+/// touch (a failover, a kill) still appears exactly when it first
+/// counts. For the cluster supervisor's and the routing client's
+/// counters, declared as `static`s.
+pub(crate) struct LazyCounter {
+    name: &'static str,
+    handle: OnceLock<Arc<Counter>>,
+}
+
+impl LazyCounter {
+    /// The handle for counter `name`, not yet registered.
+    pub(crate) const fn new(name: &'static str) -> Self {
+        LazyCounter { name, handle: OnceLock::new() }
+    }
+
+    /// The counter, registered on the first call.
+    pub(crate) fn get(&self) -> &Counter {
+        self.handle.get_or_init(|| vlpp_metrics::counter(self.name))
+    }
+}
+
 /// The serve path's instruments (see `OBSERVABILITY.md`), resolved from
 /// the registry once per process, so a request formats no instrument
 /// name and takes no registry lock.

@@ -31,7 +31,7 @@ use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord, TraceSource, VlppError};
 
 use super::{routing, ServeMetrics};
-use crate::experiment::Workloads;
+use crate::experiment::{profile_on_pool, Kind, Workloads};
 
 /// Which branch population a served model predicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,13 +272,12 @@ impl Model {
         }
         let report: Arc<ProfileReport> = if let Some(path) = &spec.trace {
             let trace = load_training_trace(std::path::Path::new(path))?;
-            let builder = vlpp_core::ProfileBuilder::new(vlpp_core::ProfileConfig::new(
-                PathConfig::new(spec.index_bits),
-            ));
-            Arc::new(match spec.kind {
-                ModelKind::Conditional => builder.profile_conditional(&trace),
-                ModelKind::Indirect => builder.profile_indirect(&trace),
-            })
+            let kind = match spec.kind {
+                ModelKind::Conditional => Kind::Conditional,
+                ModelKind::Indirect => Kind::Indirect,
+            };
+            let config = vlpp_core::ProfileConfig::new(PathConfig::new(spec.index_bits));
+            Arc::new(profile_on_pool(kind, config, &trace))
         } else {
             let benchmark = vlpp_synth::suite::benchmark(&spec.benchmark).ok_or_else(|| {
                 VlppError::protocol(

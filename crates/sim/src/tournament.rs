@@ -50,9 +50,7 @@
 use std::cmp::Reverse;
 use std::sync::Arc;
 
-use vlpp_core::{
-    CondKernel, HashAssignment, IndKernel, PathConfig, ProfileBuilder, ProfileConfig, ProfileReport,
-};
+use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig, ProfileConfig, ProfileReport};
 use vlpp_metrics::{Counter, Histogram, Span};
 use vlpp_pool::Pool;
 use vlpp_predict::{zoo, Budget, ConditionalPredictor, IndirectPredictor, ZooContext};
@@ -61,7 +59,7 @@ use vlpp_trace::json::JsonValue;
 use vlpp_trace::{Trace, VlppError};
 
 use crate::cli::{cli_error, print_metrics, Flags};
-use crate::experiment::{Kind, Scale};
+use crate::experiment::{profile_on_pool, Kind, Scale};
 use crate::paper::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 use crate::runner::RunStats;
 
@@ -196,11 +194,7 @@ fn profile(trace: &Trace, kind: Kind) -> ProfileReport {
         Kind::Conditional => cond_budget().cond_index_bits(),
         Kind::Indirect => ind_budget().ind_index_bits(),
     };
-    let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(bits)));
-    match kind {
-        Kind::Conditional => builder.profile_conditional(trace),
-        Kind::Indirect => builder.profile_indirect(trace),
-    }
+    profile_on_pool(kind, ProfileConfig::new(PathConfig::new(bits)), trace)
 }
 
 /// The hash assignment a `vlp-*` scheme races with, from its profile.

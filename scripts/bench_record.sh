@@ -97,8 +97,8 @@ else
 fi
 echo "BENCH {\"bench\":\"$bench_name\",\"iters\":1,\"median_ns\":$wall_ns,\"mad_ns\":0,\"min_ns\":$wall_ns,\"max_ns\":$wall_ns}"
 
-# The predictions/sec microbench: two more BENCH lines (the conditional
-# and indirect kernels). Each carries a `records_per_sec` field, which
+# The records/sec microbench: four more BENCH lines (the conditional
+# and indirect kernels, the serve codec and the §3.5 profile). Each carries a `records_per_sec` field, which
 # `vlpp-metrics-check --bench` gates against the `min_records_per_sec`
 # floors in BENCH_baseline.json.
 ./target/release/vlpp microbench --records "${VLPP_MICROBENCH_RECORDS:-200000}"
