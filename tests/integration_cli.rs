@@ -161,6 +161,34 @@ fn all_json_emits_one_object_keyed_by_experiment() {
     assert!(vlp > 0.0 && vlp < 1.0);
 }
 
+/// The twelve experiments `vlpp all` does not run, each id's `--json`
+/// output at `--scale ci` nested under its id by
+/// `scripts/golden_experiments.sh`.
+#[test]
+fn other_experiments_json_matches_the_golden() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let output = Command::new("bash")
+        .arg(root.join("scripts/golden_experiments.sh"))
+        .arg(env!("CARGO_BIN_EXE_vlpp"))
+        .env_remove("VLPP_SCALE")
+        .env_remove("VLPP_THREADS")
+        .output()
+        .expect("bash runs");
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    let text = String::from_utf8(output.stdout).expect("utf-8");
+    let golden = std::fs::read_to_string(root.join("tests/data/golden_experiments_ci.json"))
+        .expect("golden file is checked in");
+    assert!(
+        text == golden,
+        "the CI-scale experiments outside `vlpp all` diverged from \
+         tests/data/golden_experiments_ci.json; if the change is intended, regenerate it with \
+         `scripts/golden_experiments.sh > tests/data/golden_experiments_ci.json` and list every \
+         changed value in CHANGES.md"
+    );
+    let value = vlpp_trace::json::JsonValue::parse(text.trim()).expect("valid JSON");
+    assert_eq!(value.as_object().expect("one object").len(), 12);
+}
+
 #[test]
 fn bad_scale_is_rejected() {
     for bad in [&["headline", "--scale", "0"][..], &["headline", "--scale", "x"][..]] {
