@@ -10,11 +10,14 @@
 //! misprediction. The HFNT entry is written at retire.
 //!
 //! This module models that structure so the re-prediction cost of the
-//! scheme can be measured (the `hfnt` experiment in `vlpp-sim`).
+//! scheme can be measured (the `hfnt` and `frontend` experiments in
+//! `vlpp-sim`, both through [`Hfnt::run`]).
 
 use std::fmt;
 
-use vlpp_trace::Addr;
+use vlpp_trace::{Addr, BranchRecord};
+
+use crate::HashAssignment;
 
 /// Statistics accumulated by an [`Hfnt`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,6 +134,22 @@ impl Hfnt {
         matched
     }
 
+    /// Drives the table over a branch stream: a [`lookup`](Self::lookup)
+    /// and a [`resolve`](Self::resolve) against the hash number
+    /// `assignment` gives for each conditional branch. Returns the
+    /// lookups and mismatches of these records alone.
+    pub fn run(&mut self, records: &[BranchRecord], assignment: &HashAssignment) -> HfntStats {
+        let before = self.stats;
+        for record in records.iter().filter(|record| record.is_conditional()) {
+            self.lookup(record.pc());
+            self.resolve(record.pc(), assignment.get(record.pc()));
+        }
+        HfntStats {
+            lookups: self.stats.lookups - before.lookups,
+            mismatches: self.stats.mismatches - before.mismatches,
+        }
+    }
+
     /// The accumulated lookup/mismatch statistics.
     pub fn stats(&self) -> HfntStats {
         self.stats
@@ -182,6 +201,23 @@ mod tests {
         hfnt.lookup(pc);
         assert!(hfnt.resolve(pc, 6));
         assert_eq!(hfnt.stats().mismatches, 0);
+    }
+
+    #[test]
+    fn run_counts_conditionals_only_and_returns_its_own_totals() {
+        let (a, b) = (Addr::new(0x40), Addr::new(0x80));
+        let mut assignment = HashAssignment::fixed(6);
+        assignment.assign(b, 3);
+        let records = [
+            BranchRecord::conditional(a, Addr::new(0x100), true),
+            BranchRecord::indirect(b, Addr::new(0x200)),
+            BranchRecord::conditional(b, Addr::new(0x100), false),
+            BranchRecord::conditional(b, Addr::new(0x100), true),
+        ];
+        let mut hfnt = Hfnt::new(8, 6);
+        assert_eq!(hfnt.run(&records, &assignment), HfntStats { lookups: 3, mismatches: 1 });
+        assert_eq!(hfnt.run(&records, &assignment), HfntStats { lookups: 3, mismatches: 0 });
+        assert_eq!(hfnt.stats(), HfntStats { lookups: 6, mismatches: 1 });
     }
 
     #[test]

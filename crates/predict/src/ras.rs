@@ -8,14 +8,15 @@
 
 use vlpp_trace::{Addr, BranchKind, BranchRecord};
 
-use crate::BranchObserver;
+use crate::{BranchObserver, RunStats};
 
 /// A fixed-depth return address stack with wrap-around overwrite on
 /// overflow (the classic hardware organization).
 ///
 /// Drive it with [`observe`](BranchObserver::observe) for every retired
 /// record (it pushes on calls) and call [`predict`](Self::predict) /
-/// [`resolve`](Self::resolve) around each return.
+/// [`resolve`](Self::resolve) around each return; [`run`](Self::run)
+/// does both over a branch stream.
 ///
 /// # Example
 ///
@@ -81,6 +82,21 @@ impl ReturnAddressStack {
         correct
     }
 
+    /// Drives the stack over a branch stream: each return is scored with
+    /// [`resolve`](Self::resolve), every other record is observed (a call
+    /// pushes). Returns the returns of these records and how many missed.
+    pub fn run(&mut self, records: &[BranchRecord]) -> RunStats {
+        let mut stats = RunStats::default();
+        for record in records {
+            if record.kind() == BranchKind::Return {
+                stats.record(self.resolve(record.target()));
+            } else {
+                self.observe(record);
+            }
+        }
+        stats
+    }
+
     /// Number of returns scored so far.
     pub fn predictions(&self) -> u64 {
         self.predictions
@@ -132,6 +148,16 @@ mod tests {
         assert!(ras.resolve(Addr::new(0x204)));
         assert!(ras.resolve(Addr::new(0x104)));
         assert_eq!(ras.hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn run_scores_returns_and_pushes_calls() {
+        let ret = |target: u64| BranchRecord::ret(Addr::new(0x900), Addr::new(target));
+        let records = [call(0x100), call(0x200), ret(0x204), ret(0x104), ret(0x999)];
+        let mut ras = ReturnAddressStack::new(8);
+        assert_eq!(ras.run(&records), RunStats { predictions: 3, mispredictions: 1 });
+        assert_eq!(ras.predictions(), 3);
+        assert_eq!(ras.depth_in_use(), 0);
     }
 
     #[test]

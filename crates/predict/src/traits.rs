@@ -9,6 +9,14 @@
 //! than three per record. The path predictor's structure-of-arrays
 //! kernels in `vlpp-core` override `run` with their fused per-record
 //! step, which keeps the same protocol.
+//!
+//! Three drivers in `vlpp-sim` still step a predictor one record at a
+//! time, because each needs every verdict rather than a run's totals:
+//! serve's shard step answers each served record with its own
+//! prediction; `ingest::replay_streaming` pulls one record per step
+//! from a source it must not materialise; and the `analyze` experiment
+//! (`paper::analyze_gcc`) charges each verdict to its branch's behavior
+//! class.
 
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{Addr, BranchRecord};
@@ -90,7 +98,8 @@ pub trait BranchObserver {
 ///    (also called for non-conditional branches).
 ///
 /// [`run`](Self::run) is that protocol over a whole trace; its default
-/// body is the only place the generic loop is written.
+/// body is the only place the generic loop is written (the module docs
+/// name the per-record drivers that need every verdict instead).
 ///
 /// `predict` takes `&mut self` because some predictors record prediction
 /// metadata (e.g. which hash function produced the used index) that

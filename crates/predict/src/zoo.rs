@@ -258,6 +258,16 @@ pub fn indirect_zoo() -> Vec<IndZooEntry> {
     entries
 }
 
+/// The conditional zoo member named `name`, if there is one.
+pub fn conditional_entry(name: &str) -> Option<CondZooEntry> {
+    conditional_zoo().into_iter().find(|entry| entry.name == name)
+}
+
+/// The indirect zoo member named `name`, if there is one.
+pub fn indirect_entry(name: &str) -> Option<IndZooEntry> {
+    indirect_zoo().into_iter().find(|entry| entry.name == name)
+}
+
 /// The conditional zoo's names, in registry order.
 pub fn conditional_names() -> Vec<&'static str> {
     conditional_zoo().iter().map(|e| e.name).collect()

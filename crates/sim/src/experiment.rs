@@ -8,10 +8,16 @@
 
 use std::sync::Arc;
 
-use vlpp_core::{FanOut, PathConfig, ProfileBuilder, ProfileConfig, ProfileReport};
+use vlpp_core::{
+    CondKernel, FanOut, HashAssignment, IndKernel, PathConfig, ProfileBuilder, ProfileConfig,
+    ProfileReport,
+};
 use vlpp_pool::{Memo, Pool};
+use vlpp_predict::{zoo, Budget, ConditionalPredictor, IndirectPredictor, ZooContext};
 use vlpp_synth::{suite, BenchmarkSpec, InputSet};
 use vlpp_trace::Trace;
+
+use crate::runner::{run_conditional, run_indirect};
 
 /// The divisor `--scale ci` pins: every workload lands on the 50 000
 /// conditional-branch floor, so CI runs are fast and scale-stable.
@@ -91,24 +97,161 @@ impl vlpp_trace::json::ToJson for Scale {
     }
 }
 
-/// Which branch population an artifact belongs to.
+/// Which branch population a predictor, profile or served model
+/// belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
-    /// Conditional branches.
+    /// Conditional branches (taken / not-taken).
     Conditional,
-    /// Indirect branches.
+    /// Indirect jumps and calls (target addresses; returns excluded).
     Indirect,
 }
 
+impl Kind {
+    /// Short name, matching `BranchKind`'s: `cond` or `ind`. The wire,
+    /// the CLI's `--kind` and the league's cell keys all use it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Conditional => "cond",
+            Kind::Indirect => "ind",
+        }
+    }
+
+    /// Parses a short name back into a kind.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "cond" => Some(Kind::Conditional),
+            "ind" => Some(Kind::Indirect),
+            _ => None,
+        }
+    }
+
+    /// The table index width of a `bytes`-byte predictor of this
+    /// population.
+    pub fn index_bits(self, bytes: u64) -> u32 {
+        let budget = Budget::from_bytes(bytes);
+        match self {
+            Kind::Conditional => budget.cond_index_bits(),
+            Kind::Indirect => budget.ind_index_bits(),
+        }
+    }
+}
+
+/// One predictor an experiment scores: a zoo member by its registry
+/// name, or the paper's path predictor with one of three hash
+/// assignments. The paper's figures, the related-work tables and the
+/// league all build their predictors from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entrant {
+    /// The `vlpp_predict::zoo` member of this name.
+    Zoo(&'static str),
+    /// The path predictor at Table 2's suite-averaged best fixed length.
+    Fixed,
+    /// The path predictor at the workload's own best fixed length, its
+    /// profile's `best_fixed_hash` (the league's `vlp-fixed`).
+    Tuned,
+    /// The path predictor with the workload's §3.5 per-branch assignment
+    /// (the league's `vlp-var`).
+    Variable,
+}
+
+impl Entrant {
+    /// The league's name: the zoo name, `vlp-fixed` for [`Tuned`],
+    /// `vlp-var` for [`Variable`] and `vlp-table2` for [`Fixed`], which
+    /// the league does not race.
+    ///
+    /// [`Tuned`]: Entrant::Tuned
+    /// [`Variable`]: Entrant::Variable
+    /// [`Fixed`]: Entrant::Fixed
+    pub fn name(self) -> &'static str {
+        match self {
+            Entrant::Zoo(name) => name,
+            Entrant::Fixed => "vlp-table2",
+            Entrant::Tuned => "vlp-fixed",
+            Entrant::Variable => "vlp-var",
+        }
+    }
+
+    /// A profiled path entrant's assignment, from the workload's
+    /// `report`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the entrant is [`Tuned`](Entrant::Tuned) or
+    /// [`Variable`](Entrant::Variable).
+    pub fn profiled(self, report: &ProfileReport) -> HashAssignment {
+        match self {
+            Entrant::Tuned => HashAssignment::fixed(report.best_fixed_hash()),
+            Entrant::Variable => report.assignment.clone(),
+            other => panic!("{other:?} is not a profiled path entrant"),
+        }
+    }
+
+    /// The entrant as a conditional predictor of `bytes`. A path entrant
+    /// takes its hash assignment from `assignment`, which is called with
+    /// the entrant and only for a path entrant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Zoo`](Entrant::Zoo) name is not a conditional zoo
+    /// member.
+    pub fn conditional(
+        self,
+        bytes: u64,
+        assignment: impl FnOnce(Entrant) -> HashAssignment,
+    ) -> Box<dyn ConditionalPredictor> {
+        let budget = Budget::from_bytes(bytes);
+        match self {
+            Entrant::Zoo(name) => {
+                let entry = zoo::conditional_entry(name)
+                    .unwrap_or_else(|| panic!("`{name}` is not a conditional zoo member"));
+                (entry.build)(budget, &ZooContext::default())
+            }
+            path => {
+                let config = PathConfig::new(budget.cond_index_bits());
+                Box::new(CondKernel::new(&config, &assignment(path)))
+            }
+        }
+    }
+
+    /// [`conditional`](Self::conditional)'s indirect twin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Zoo`](Entrant::Zoo) name is not an indirect zoo
+    /// member.
+    pub fn indirect(
+        self,
+        bytes: u64,
+        assignment: impl FnOnce(Entrant) -> HashAssignment,
+    ) -> Box<dyn IndirectPredictor> {
+        let budget = Budget::from_bytes(bytes);
+        match self {
+            Entrant::Zoo(name) => {
+                let entry = zoo::indirect_entry(name)
+                    .unwrap_or_else(|| panic!("`{name}` is not an indirect zoo member"));
+                (entry.build)(budget, &ZooContext::default())
+            }
+            path => {
+                let config = PathConfig::new(budget.ind_index_bits());
+                Box::new(IndKernel::new(&config, &assignment(path)))
+            }
+        }
+    }
+}
+
 /// Step 1 of the §3.5 profile on the shared worker pool: one hash group
-/// per pool thread, so `VLPP_THREADS=1` runs it in one group on the
-/// calling thread.
+/// per pool thread, capped at the cores the process may use, so
+/// `VLPP_THREADS=1` runs it in one group on the calling thread and a
+/// pool wider than the host does not split the hash set into groups
+/// that only take turns on the same cores.
 #[derive(Debug, Clone, Copy)]
 struct OnPool;
 
 impl FanOut for OnPool {
     fn width(&self) -> usize {
-        Pool::global().threads()
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Pool::global().threads().min(cores)
     }
 
     fn map<T: Send, R: Send>(&self, items: Vec<T>, work: &(dyn Fn(T) -> R + Sync)) -> Vec<R> {
@@ -179,19 +322,9 @@ impl Workloads {
         })
     }
 
-    /// The §3.5 profile report for a benchmark's conditional branches at
-    /// a given predictor-table index width. Memoized.
-    pub fn profile_conditional(&self, spec: &BenchmarkSpec, index_bits: u32) -> Arc<ProfileReport> {
-        self.profile(spec, Kind::Conditional, index_bits)
-    }
-
-    /// The §3.5 profile report for a benchmark's indirect branches.
-    /// Memoized.
-    pub fn profile_indirect(&self, spec: &BenchmarkSpec, index_bits: u32) -> Arc<ProfileReport> {
-        self.profile(spec, Kind::Indirect, index_bits)
-    }
-
-    fn profile(&self, spec: &BenchmarkSpec, kind: Kind, index_bits: u32) -> Arc<ProfileReport> {
+    /// The §3.5 profile report for a benchmark's `kind` branches at a
+    /// given predictor-table index width. Memoized.
+    pub fn profile(&self, spec: &BenchmarkSpec, kind: Kind, index_bits: u32) -> Arc<ProfileReport> {
         self.profiles.get_or_compute((spec.name.clone(), kind, index_bits), || {
             let _span = vlpp_metrics::span("sim.profile_ns");
             let trace = self.profile_trace(spec);
@@ -199,23 +332,12 @@ impl Workloads {
         })
     }
 
-    /// The benchmark-averaged best fixed path length for conditional
+    /// The benchmark-averaged best fixed path length for `kind`
     /// predictors of the given index width — the paper's Table 2
     /// methodology: "the length for which the average misprediction rate
     /// for all the benchmarks was the lowest", measured on the *profile*
     /// inputs. Memoized.
-    pub fn best_fixed_conditional_length(&self, index_bits: u32) -> u8 {
-        self.best_fixed_length(Kind::Conditional, index_bits)
-    }
-
-    /// As [`best_fixed_conditional_length`], for indirect predictors.
-    ///
-    /// [`best_fixed_conditional_length`]: Self::best_fixed_conditional_length
-    pub fn best_fixed_indirect_length(&self, index_bits: u32) -> u8 {
-        self.best_fixed_length(Kind::Indirect, index_bits)
-    }
-
-    fn best_fixed_length(&self, kind: Kind, index_bits: u32) -> u8 {
+    pub fn best_fixed_length(&self, kind: Kind, index_bits: u32) -> u8 {
         *self.fixed_lengths.get_or_compute((kind, index_bits), || {
             let _span = vlpp_metrics::span("sim.fixed_length_sweep_ns");
             // Average the per-length miss rates over all 16 benchmarks.
@@ -247,6 +369,64 @@ impl Workloads {
                 .expect("at least one length");
             lengths[best_index]
         })
+    }
+
+    /// The hash assignment of a path entrant of `bytes` on `spec`'s
+    /// `kind` branches: Table 2's length for [`Entrant::Fixed`], the
+    /// memoized profile for the others.
+    fn assignment(
+        &self,
+        spec: &BenchmarkSpec,
+        kind: Kind,
+        bytes: u64,
+        entrant: Entrant,
+    ) -> HashAssignment {
+        let index_bits = kind.index_bits(bytes);
+        match entrant {
+            Entrant::Fixed => HashAssignment::fixed(self.best_fixed_length(kind, index_bits)),
+            profiled => profiled.profiled(&self.profile(spec, kind, index_bits)),
+        }
+    }
+
+    /// `entrant` as a conditional predictor of `bytes`, profiled on
+    /// `spec` if it is a path entrant.
+    pub fn conditional(
+        &self,
+        spec: &BenchmarkSpec,
+        entrant: Entrant,
+        bytes: u64,
+    ) -> Box<dyn ConditionalPredictor> {
+        entrant.conditional(bytes, |path| self.assignment(spec, Kind::Conditional, bytes, path))
+    }
+
+    /// `entrant` as an indirect predictor of `bytes`, profiled on `spec`
+    /// if it is a path entrant.
+    pub fn indirect(
+        &self,
+        spec: &BenchmarkSpec,
+        entrant: Entrant,
+        bytes: u64,
+    ) -> Box<dyn IndirectPredictor> {
+        entrant.indirect(bytes, |path| self.assignment(spec, Kind::Indirect, bytes, path))
+    }
+
+    /// Each entrant's misprediction rate on `spec`'s test trace, as a
+    /// `kind` predictor of `bytes`, in entrant order.
+    pub fn rates(
+        &self,
+        spec: &BenchmarkSpec,
+        kind: Kind,
+        bytes: u64,
+        entrants: &[Entrant],
+    ) -> Vec<f64> {
+        let test = self.test_trace(spec);
+        let score = |&entrant: &Entrant| match kind {
+            Kind::Conditional => {
+                run_conditional(&mut self.conditional(spec, entrant, bytes), &test)
+            }
+            Kind::Indirect => run_indirect(&mut self.indirect(spec, entrant, bytes), &test),
+        };
+        entrants.iter().map(|entrant| score(entrant).miss_rate()).collect()
     }
 }
 
@@ -281,10 +461,10 @@ mod tests {
     fn profile_reports_are_memoized() {
         let w = Workloads::new(Scale::new(1_000_000));
         let spec = suite::benchmark("compress").unwrap();
-        let a = w.profile_conditional(&spec, 10);
-        let b = w.profile_conditional(&spec, 10);
+        let a = w.profile(&spec, Kind::Conditional, 10);
+        let b = w.profile(&spec, Kind::Conditional, 10);
         assert!(Arc::ptr_eq(&a, &b));
-        let c = w.profile_conditional(&spec, 12);
+        let c = w.profile(&spec, Kind::Conditional, 12);
         assert!(!Arc::ptr_eq(&a, &c));
     }
 }

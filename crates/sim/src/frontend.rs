@@ -17,9 +17,18 @@
 //! lets the `frontend` experiment rank predictors by cost rather than
 //! rate.
 
-use vlpp_core::Hfnt;
-use vlpp_predict::{BranchObserver, ConditionalPredictor, IndirectPredictor, ReturnAddressStack};
-use vlpp_trace::{BranchKind, Trace};
+use vlpp_core::{HashAssignment, Hfnt};
+use vlpp_predict::{ConditionalPredictor, IndirectPredictor, ReturnAddressStack};
+use vlpp_trace::Trace;
+
+use crate::runner::{run_conditional, run_indirect};
+
+/// HFNT set-index width of the model and of the `hfnt` experiment (1 Ki
+/// entries).
+pub const HFNT_SET_BITS: u32 = 10;
+
+/// Return address stack depth of the model and of the `ras` experiment.
+pub const RAS_DEPTH: usize = 16;
 
 /// Penalty parameters, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,17 +87,22 @@ impl FrontendCost {
 }
 
 /// Runs the front-end model: a conditional predictor, an indirect
-/// predictor, a 16-entry RAS for returns, and (optionally) an HFNT
-/// charging re-prediction bubbles for the conditional predictor's hash
-/// numbers.
+/// predictor, a [`RAS_DEPTH`]-entry RAS for returns, and (optionally)
+/// an HFNT charging re-prediction bubbles for the conditional
+/// predictor's hash numbers, which `hash_numbers` supplies per
+/// conditional pc (pass `None` for single-access predictors like
+/// gshare). The HFNT has 2^[`HFNT_SET_BITS`] entries, each starting at
+/// the assignment's default hash number.
 ///
-/// `hash_number_of` supplies the actual hash number per conditional pc
-/// when an HFNT is modeled (pass `None` for single-access predictors
-/// like gshare).
+/// The four structures share no state, so each runs over the whole
+/// trace through its own loop (the predictors' `run`,
+/// [`ReturnAddressStack::run`], [`Hfnt::run`]) and the cost is
+/// arithmetic over their totals. Direct jumps and calls are assumed
+/// BTB hits (the paper's predictors never see them either).
 pub fn run_frontend<C, I>(
     conditional: &mut C,
     indirect: &mut I,
-    hfnt: Option<(&mut Hfnt, &dyn Fn(vlpp_trace::Addr) -> u8)>,
+    hash_numbers: Option<&HashAssignment>,
     trace: &Trace,
     penalties: Penalties,
 ) -> FrontendCost
@@ -96,60 +110,33 @@ where
     C: ConditionalPredictor,
     I: IndirectPredictor,
 {
-    let mut ras = ReturnAddressStack::new(16);
-    let mut cost = FrontendCost::default();
-    let mut hfnt = hfnt;
-    for record in trace.iter() {
-        cost.branches += 1;
-        cost.cycles += 1;
-        match record.kind() {
-            BranchKind::Conditional => {
-                if let Some((hfnt, hash_number_of)) = hfnt.as_mut() {
-                    let actual = hash_number_of(record.pc());
-                    hfnt.lookup(record.pc());
-                    if !hfnt.resolve(record.pc(), actual) {
-                        cost.repredictions += 1;
-                        cost.cycles += penalties.repredict;
-                    }
-                }
-                let prediction = conditional.predict(record.pc());
-                if prediction != record.taken() {
-                    cost.conditional_misses += 1;
-                    cost.cycles += penalties.mispredict;
-                }
-                conditional.train(record.pc(), record.taken());
-            }
-            BranchKind::Indirect => {
-                let prediction = indirect.predict(record.pc());
-                if prediction != record.target() {
-                    cost.indirect_misses += 1;
-                    cost.cycles += penalties.mispredict;
-                }
-                indirect.train(record.pc(), record.target());
-            }
-            BranchKind::Return => {
-                if !ras.resolve(record.target()) {
-                    cost.return_misses += 1;
-                    cost.cycles += penalties.mispredict;
-                }
-            }
-            // Direct jumps and calls are assumed BTB-hit (the paper's
-            // predictors never see them either).
-            BranchKind::Unconditional | BranchKind::Call => {}
-        }
-        conditional.observe(record);
-        indirect.observe(record);
-        ras.observe(record);
+    let records = trace.records();
+    let conditional = run_conditional(conditional, trace);
+    let indirect = run_indirect(indirect, trace);
+    let returns = ReturnAddressStack::new(RAS_DEPTH).run(records);
+    let repredictions = hash_numbers.map_or(0, |assignment| {
+        let mut hfnt = Hfnt::new(HFNT_SET_BITS, assignment.default_hash());
+        hfnt.run(records, assignment).mismatches
+    });
+    let branches = records.len() as u64;
+    let misses = conditional.mispredictions + indirect.mispredictions + returns.mispredictions;
+    FrontendCost {
+        branches,
+        conditional_misses: conditional.mispredictions,
+        indirect_misses: indirect.mispredictions,
+        return_misses: returns.mispredictions,
+        repredictions,
+        cycles: branches + penalties.mispredict * misses + penalties.repredict * repredictions,
     }
-    cost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
-    use vlpp_predict::{Gshare, LastTargetBtb};
+    use vlpp_predict::{BranchObserver, Gshare, LastTargetBtb};
     use vlpp_synth::{suite, InputSet};
+    use vlpp_trace::BranchKind;
 
     fn workload() -> Trace {
         suite::benchmark("li").unwrap().build_program().execute(InputSet::Test, 120_000)
@@ -206,15 +193,95 @@ mod tests {
         };
         let mut vlp = CondKernel::new(&PathConfig::new(14), &assignment);
         let mut ind = IndKernel::new(&PathConfig::new(9), &HashAssignment::fixed(4));
-        let mut hfnt = Hfnt::new(10, 8);
-        let lookup = |pc: vlpp_trace::Addr| assignment.get(pc);
-        let cost = run_frontend(&mut vlp, &mut ind, Some((&mut hfnt, &lookup)), &trace, penalties);
+        let cost = run_frontend(&mut vlp, &mut ind, Some(&assignment), &trace, penalties);
         assert!(cost.repredictions > 0, "the varied assignment must cause re-predictions");
         // Bubbles must be a small cost component relative to flushes.
         let bubble_cycles = cost.repredictions * penalties.repredict;
         let flush_cycles = penalties.mispredict
             * (cost.conditional_misses + cost.indirect_misses + cost.return_misses);
         assert!(bubble_cycles < flush_cycles / 2, "{bubble_cycles} vs {flush_cycles}");
+    }
+
+    /// The model as one per-record loop over all four structures: the
+    /// oracle for [`run_frontend`]'s arithmetic over their separate runs.
+    fn stepwise<C: ConditionalPredictor, I: IndirectPredictor>(
+        conditional: &mut C,
+        indirect: &mut I,
+        hash_numbers: Option<&HashAssignment>,
+        trace: &Trace,
+        penalties: Penalties,
+    ) -> FrontendCost {
+        let mut ras = ReturnAddressStack::new(RAS_DEPTH);
+        let mut hfnt = hash_numbers.map(|a| (Hfnt::new(HFNT_SET_BITS, a.default_hash()), a));
+        let mut cost = FrontendCost::default();
+        for record in trace.iter() {
+            cost.branches += 1;
+            cost.cycles += 1;
+            let (pc, mispredict) = (record.pc(), penalties.mispredict);
+            match record.kind() {
+                BranchKind::Conditional => {
+                    if let Some((hfnt, assignment)) = hfnt.as_mut() {
+                        hfnt.lookup(pc);
+                        if !hfnt.resolve(pc, assignment.get(pc)) {
+                            cost.repredictions += 1;
+                            cost.cycles += penalties.repredict;
+                        }
+                    }
+                    if conditional.predict(pc) != record.taken() {
+                        cost.conditional_misses += 1;
+                        cost.cycles += mispredict;
+                    }
+                    conditional.train(pc, record.taken());
+                }
+                BranchKind::Indirect => {
+                    if indirect.predict(pc) != record.target() {
+                        cost.indirect_misses += 1;
+                        cost.cycles += mispredict;
+                    }
+                    indirect.train(pc, record.target());
+                }
+                BranchKind::Return if !ras.resolve(record.target()) => {
+                    cost.return_misses += 1;
+                    cost.cycles += mispredict;
+                }
+                _ => {}
+            }
+            conditional.observe(record);
+            indirect.observe(record);
+            ras.observe(record);
+        }
+        cost
+    }
+
+    #[test]
+    fn separate_runs_add_up_to_the_per_record_model() {
+        let trace = workload();
+        let penalties = Penalties { mispredict: 9, repredict: 2 };
+        let mut assignment = HashAssignment::fixed(8);
+        for (i, r) in trace.conditionals().take(300).enumerate() {
+            assignment.assign(r.pc(), (i % 24 + 1) as u8);
+        }
+        let (cond, ind) = (PathConfig::new(12), PathConfig::new(9));
+        let got = run_frontend(
+            &mut CondKernel::new(&cond, &assignment),
+            &mut IndKernel::new(&ind, &assignment),
+            Some(&assignment),
+            &trace,
+            penalties,
+        );
+        let want = stepwise(
+            &mut CondKernel::new(&cond, &assignment),
+            &mut IndKernel::new(&ind, &assignment),
+            Some(&assignment),
+            &trace,
+            penalties,
+        );
+        assert_eq!(got, want);
+        assert!(got.repredictions > 0 && got.indirect_misses > 0, "{got:?}");
+        let (mut gshare, mut btb) = (Gshare::new(12), LastTargetBtb::new(9));
+        let got = run_frontend(&mut gshare, &mut btb, None, &trace, penalties);
+        let (mut gshare, mut btb) = (Gshare::new(12), LastTargetBtb::new(9));
+        assert_eq!(got, stepwise(&mut gshare, &mut btb, None, &trace, penalties));
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vlpp_core::{
-    CondKernel, HashAssignment, IndKernel, PathConfig, ProfileBuilder, ProfileConfig,
-    ProfileReport, MAX_PATH_LENGTH,
+    CondKernel, HashAssignment, IndKernel, PathConfig, ProfileConfig, ProfileReport,
+    MAX_PATH_LENGTH,
 };
 use vlpp_synth::{suite, InputSet};
 use vlpp_trace::compact::{ChunkedWriter, DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
@@ -38,8 +38,7 @@ use vlpp_trace::source::MemorySource;
 use vlpp_trace::{Trace, TraceIoError, TraceSource, VlppError};
 
 use crate::cli::{cli_error, print_metrics, Flags, INDEX_BITS};
-use crate::experiment::Scale;
-use crate::serve::ModelKind;
+use crate::experiment::{profile_on_pool, Kind, Scale};
 
 /// `vlpp ingest --help`.
 pub const INGEST_USAGE: &str = "\
@@ -321,6 +320,11 @@ impl ReplayReport {
 /// indirect SoA kernel sharing one hash assignment, never holding more
 /// than the source's own buffer (one chunk, for compact traces).
 ///
+/// The kernels' `run` takes a slice of records, and a source yields
+/// one record per pull, so this stays a per-record loop over the
+/// kernels' `apply` step: collecting a slice first would hold what
+/// streaming exists to avoid.
+///
 /// # Errors
 ///
 /// The first error the source reports.
@@ -350,13 +354,13 @@ pub fn replay_streaming<S: TraceSource + ?Sized>(
 
 /// Parsed `vlpp run` and `vlpp profile` options: one workload, plus
 /// each verb's own flags (`run`: `fixed_hash`, `profile`, `metrics`;
-/// `profile`: `indirect`).
+/// `profile`: `kind`).
 pub(crate) struct ReplayOptions {
     workload: WorkloadArg,
     index_bits: u32,
     fixed_hash: u8,
     profile: bool,
-    indirect: bool,
+    kind: Kind,
     json: bool,
     metrics: bool,
 }
@@ -374,7 +378,7 @@ pub(crate) fn parse_profile_args(args: &[String]) -> Result<ReplayOptions, VlppE
 fn parse_replay_args(args: &[String], run: bool) -> Result<ReplayOptions, VlppError> {
     let mut flags = Flags::with_scale(args);
     let (mut trace, mut format, mut benchmark) = (None, None, None);
-    let (mut index_bits, mut fixed_hash, mut profile, mut indirect) = (12, 8, false, false);
+    let (mut index_bits, mut fixed_hash, mut profile, mut kind) = (12, 8, false, Kind::Conditional);
     let (mut json, mut metrics) = (false, false);
     while let Some(flag) = flags.next_flag()? {
         match flag {
@@ -386,9 +390,7 @@ fn parse_replay_args(args: &[String], run: bool) -> Result<ReplayOptions, VlppEr
             "--fixed" if run => fixed_hash = flags.num(1..=MAX_PATH_LENGTH as u8)?,
             "--profile" if run => profile = true,
             "--metrics" if run => metrics = true,
-            "--kind" if !run => {
-                indirect = flags.parse(ModelKind::from_name, "cond or ind")? == ModelKind::Indirect
-            }
+            "--kind" if !run => kind = flags.parse(Kind::from_name, "cond or ind")?,
             _ => return Err(flags.unknown()),
         }
     }
@@ -413,7 +415,7 @@ fn parse_replay_args(args: &[String], run: bool) -> Result<ReplayOptions, VlppEr
         }
         (None, None) => return Err(cli_error(format!("need --trace or --benchmark\n{usage}"))),
     };
-    Ok(ReplayOptions { workload, index_bits, fixed_hash, profile, indirect, json, metrics })
+    Ok(ReplayOptions { workload, index_bits, fixed_hash, profile, kind, json, metrics })
 }
 
 /// `vlpp run` entry point.
@@ -430,11 +432,10 @@ pub fn run_main(args: &[String]) -> Result<(), VlppError> {
         // The §3.5 heuristic reads the whole trace twice, so this path
         // materializes (documented in RUN_USAGE); plain replay streams.
         let trace = workload.materialize(Arc::clone(&bytes_in))?;
-        let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(index_bits)));
         let assignment = {
             let _span = vlpp_metrics::span("sim.profile_ns");
-            let cond_report = builder.profile_conditional(&trace);
-            cond_report.assignment
+            let config = ProfileConfig::new(PathConfig::new(index_bits));
+            profile_on_pool(Kind::Conditional, config, &trace).assignment
         };
         let mut source = MemorySource::new(trace);
         replay_streaming(&mut source, index_bits, &assignment)?
@@ -464,19 +465,14 @@ pub fn run_main(args: &[String]) -> Result<(), VlppError> {
 /// `Cli`/`Config` for flag misuse, `Trace` for a malformed trace, `Io`
 /// for filesystem failures.
 pub fn profile_main(args: &[String]) -> Result<(), VlppError> {
-    let ReplayOptions { workload, index_bits, indirect, json, .. } = parse_profile_args(args)?;
+    let ReplayOptions { workload, index_bits, kind, json, .. } = parse_profile_args(args)?;
     let bytes_in = Arc::new(AtomicU64::new(0));
     let trace = workload.materialize(Arc::clone(&bytes_in))?;
     vlpp_metrics::counter("ingest.records").add(trace.len() as u64);
     vlpp_metrics::counter("ingest.bytes").add(bytes_in.load(Ordering::Relaxed));
-    let builder = ProfileBuilder::new(ProfileConfig::new(PathConfig::new(index_bits)));
     let report = {
         let _span = vlpp_metrics::span("sim.profile_ns");
-        if indirect {
-            builder.profile_indirect(&trace)
-        } else {
-            builder.profile_conditional(&trace)
-        }
+        profile_on_pool(kind, ProfileConfig::new(PathConfig::new(index_bits)), &trace)
     };
     print_profile(&report, json);
     Ok(())

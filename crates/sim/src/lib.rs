@@ -60,6 +60,6 @@ pub mod serve;
 pub mod tournament;
 
 pub use checkpoint::{Checkpoint, SavedOutput};
-pub use experiment::{Scale, Workloads};
+pub use experiment::{Entrant, Kind, Scale, Workloads};
 pub use frontend::{run_frontend, FrontendCost, Penalties};
 pub use runner::{run_conditional, run_indirect, RunStats};

@@ -2,15 +2,14 @@
 //! gcc workload (the paper's case study) at 16 KB (conditional) / 2 KB
 //! (indirect).
 
-use vlpp_core::{
-    CondKernel, DynamicPathConditional, HashAssignment, IndKernel, PathConfig, ProfileConfig,
-};
-use vlpp_predict::Budget;
-use vlpp_synth::suite;
+use vlpp_core::{CondKernel, DynamicPathConditional, IndKernel, PathConfig, ProfileConfig};
+use vlpp_synth::{suite, BenchmarkSpec};
 
-use crate::experiment::{profile_on_pool, Kind, Workloads};
+use crate::experiment::{profile_on_pool, Entrant, Kind, Workloads};
 use crate::report::{percent, TextTable};
 use crate::runner::{run_conditional, run_indirect};
+
+use super::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 
 /// One ablation variant's outcome.
 #[derive(Debug, Clone)]
@@ -34,157 +33,111 @@ impl AblationRow {
     }
 }
 
-fn gcc_cond_bits() -> u32 {
-    Budget::from_bytes(super::FIG5_COND_BYTES).cond_index_bits()
+fn gcc() -> BenchmarkSpec {
+    suite::benchmark("gcc").expect("gcc")
+}
+
+/// The paper's profile of a 16 KB conditional table.
+fn cond_config() -> ProfileConfig {
+    ProfileConfig::new(PathConfig::new(Kind::Conditional.index_bits(FIG5_COND_BYTES)))
+}
+
+/// Profiles gcc's `kind` branches under each variant's config, then
+/// scores the assignment on gcc's test input with a path predictor of
+/// the structure that config profiled for.
+fn profile_then_score(
+    workloads: &Workloads,
+    kind: Kind,
+    variants: Vec<(String, ProfileConfig)>,
+) -> Vec<AblationRow> {
+    let gcc = gcc();
+    let (profile, test) = (workloads.profile_trace(&gcc), workloads.test_trace(&gcc));
+    let score = |(variant, config): (String, ProfileConfig)| {
+        let path = config.path.clone();
+        let assignment = profile_on_pool(kind, config, &profile).assignment;
+        let stats = match kind {
+            Kind::Conditional => run_conditional(&mut CondKernel::new(&path, &assignment), &test),
+            Kind::Indirect => run_indirect(&mut IndKernel::new(&path, &assignment), &test),
+        };
+        AblationRow { variant, rate: stats.miss_rate() }
+    };
+    variants.into_iter().map(score).collect()
 }
 
 /// §3.1 note: implementing only a subset of the hash functions
 /// (HF₁, HF₂, HF₄, … HF₃₂) instead of all 32.
 pub fn ablate_subset_hashes(workloads: &Workloads) -> Vec<AblationRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let bits = gcc_cond_bits();
-    let test = workloads.test_trace(&spec);
-    let profile = workloads.profile_trace(&spec);
-
-    let run_with_hash_set = |hash_set: Vec<u8>, label: &str| {
-        let config = ProfileConfig::new(PathConfig::new(bits)).with_hash_set(hash_set);
-        let report = profile_on_pool(Kind::Conditional, config, &profile);
-        let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
-        AblationRow {
-            variant: label.to_string(),
-            rate: run_conditional(&mut kernel, &test).miss_rate(),
-        }
-    };
-
-    vec![
-        run_with_hash_set((1..=32).collect(), "all 32 hash functions"),
-        run_with_hash_set(vec![1, 2, 4, 8, 16, 32], "powers of two only"),
-        run_with_hash_set(vec![1, 4, 16], "three hash functions"),
-        run_with_hash_set(vec![8], "single hash function (fixed length 8)"),
-    ]
+    let variant =
+        |hash_set: Vec<u8>, label: &str| (label.to_string(), cond_config().with_hash_set(hash_set));
+    let variants = vec![
+        variant((1..=32).collect(), "all 32 hash functions"),
+        variant(vec![1, 2, 4, 8, 16, 32], "powers of two only"),
+        variant(vec![1, 4, 16], "three hash functions"),
+        variant(vec![8], "single hash function (fixed length 8)"),
+    ];
+    profile_then_score(workloads, Kind::Conditional, variants)
 }
 
 /// §3.4 hardware-only selection vs profile-guided selection.
 pub fn ablate_dynamic_select(workloads: &Workloads) -> Vec<AblationRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let bits = gcc_cond_bits();
-    let test = workloads.test_trace(&spec);
-    let report = workloads.profile_conditional(&spec, bits);
-
-    let mut profiled = CondKernel::new(&PathConfig::new(bits), &report.assignment);
-    let profile_rate = run_conditional(&mut profiled, &test).miss_rate();
-
-    let mut dynamic =
-        DynamicPathConditional::new(&PathConfig::new(bits), &[1, 2, 4, 8, 16, 32], 10);
-    let dynamic_rate = run_conditional(&mut dynamic, &test).miss_rate();
-
-    let mut fixed =
-        CondKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(report.default_hash));
-    let fixed_rate = run_conditional(&mut fixed, &test).miss_rate();
-
+    let gcc = gcc();
+    let profiled = [Entrant::Variable, Entrant::Tuned];
+    let rates = workloads.rates(&gcc, Kind::Conditional, FIG5_COND_BYTES, &profiled);
+    let mut dynamic = DynamicPathConditional::new(&cond_config().path, &[1, 2, 4, 8, 16, 32], 10);
+    let dynamic_rate = run_conditional(&mut dynamic, &workloads.test_trace(&gcc)).miss_rate();
     vec![
-        AblationRow { variant: "profile-selected (VLP)".into(), rate: profile_rate },
+        AblationRow { variant: "profile-selected (VLP)".into(), rate: rates[0] },
         AblationRow { variant: "hardware-selected (§3.4)".into(), rate: dynamic_rate },
-        AblationRow { variant: "fixed default length".into(), rate: fixed_rate },
+        AblationRow { variant: "fixed default length".into(), rate: rates[1] },
     ]
 }
 
 /// §3.2: storing vs dropping return targets in the THB. The paper found
 /// accuracy "does not strongly depend" on this.
 pub fn ablate_returns(workloads: &Workloads) -> Vec<AblationRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let bits = gcc_cond_bits();
-    let test = workloads.test_trace(&spec);
-    let profile = workloads.profile_trace(&spec);
-
-    let run_variant = |config: PathConfig, label: &str| {
-        let profile_config = ProfileConfig::new(config.clone());
-        let report = profile_on_pool(Kind::Conditional, profile_config, &profile);
-        let mut kernel = CondKernel::new(&config, &report.assignment);
-        AblationRow {
-            variant: label.to_string(),
-            rate: run_conditional(&mut kernel, &test).miss_rate(),
-        }
-    };
-
-    vec![
-        run_variant(PathConfig::new(bits), "returns excluded (paper default)"),
-        run_variant(PathConfig::new(bits).with_returns(), "returns recorded"),
-    ]
+    let path = cond_config().path;
+    let variants = vec![
+        ("returns excluded (paper default)".to_string(), ProfileConfig::new(path.clone())),
+        ("returns recorded".to_string(), ProfileConfig::new(path.with_returns())),
+    ];
+    profile_then_score(workloads, Kind::Conditional, variants)
 }
 
 /// Sensitivity to the profiling heuristic's candidate count and
 /// iteration count (paper: 3 candidates, 7 iterations).
 pub fn ablate_candidates(workloads: &Workloads) -> Vec<AblationRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let bits = gcc_cond_bits();
-    let test = workloads.test_trace(&spec);
-    let profile = workloads.profile_trace(&spec);
-
-    let run_variant = |candidates: usize, iterations: usize| {
-        let config = ProfileConfig::new(PathConfig::new(bits))
-            .with_candidates(candidates)
-            .with_iterations(iterations);
-        let report = profile_on_pool(Kind::Conditional, config, &profile);
-        let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
-        AblationRow {
-            variant: format!("{candidates} candidates, {iterations} iterations"),
-            rate: run_conditional(&mut kernel, &test).miss_rate(),
-        }
-    };
-
-    vec![
-        run_variant(1, 1),
-        run_variant(2, 4),
-        run_variant(3, 7), // the paper's setting
-        run_variant(5, 10),
-    ]
+    // (3, 7) is the paper's setting.
+    let variants = [(1, 1), (2, 4), (3, 7), (5, 10)]
+        .into_iter()
+        .map(|(candidates, iterations)| {
+            let config = cond_config().with_candidates(candidates).with_iterations(iterations);
+            (format!("{candidates} candidates, {iterations} iterations"), config)
+        })
+        .collect();
+    profile_then_score(workloads, Kind::Conditional, variants)
 }
 
 /// Step 2's purpose is interference reduction: VLP accuracy with step 1
 /// only (candidates chosen on private tables) vs steps 1+2.
 pub fn ablate_interference(workloads: &Workloads) -> Vec<AblationRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let bits = gcc_cond_bits();
-    let test = workloads.test_trace(&spec);
-    let profile = workloads.profile_trace(&spec);
-
-    let run_variant = |iterations: usize, label: &str| {
-        let config = ProfileConfig::new(PathConfig::new(bits)).with_iterations(iterations);
-        let report = profile_on_pool(Kind::Conditional, config, &profile);
-        let mut kernel = CondKernel::new(&PathConfig::new(bits), &report.assignment);
-        AblationRow {
-            variant: label.to_string(),
-            rate: run_conditional(&mut kernel, &test).miss_rate(),
-        }
+    let variant = |iterations: usize, label: &str| {
+        (label.to_string(), cond_config().with_iterations(iterations))
     };
-
-    vec![
-        run_variant(0, "step 1 only (no interference pass)"),
-        run_variant(3, "3 step-2 iterations"),
-        run_variant(7, "7 step-2 iterations (paper)"),
-    ]
+    let variants = vec![
+        variant(0, "step 1 only (no interference pass)"),
+        variant(3, "3 step-2 iterations"),
+        variant(7, "7 step-2 iterations (paper)"),
+    ];
+    profile_then_score(workloads, Kind::Conditional, variants)
 }
 
 /// §6 future work: the call/return history stack, on the indirect side
 /// where the paper expected it to help.
 pub fn ablate_history_stack(workloads: &Workloads) -> Vec<AblationRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let bits = Budget::from_bytes(super::FIG7_IND_BYTES).ind_index_bits();
-    let test = workloads.test_trace(&spec);
-    let profile = workloads.profile_trace(&spec);
-
-    let run_variant = |config: PathConfig, label: &str| {
-        let profile_config = ProfileConfig::new(config.clone());
-        let report = profile_on_pool(Kind::Indirect, profile_config, &profile);
-        AblationRow {
-            variant: label.to_string(),
-            rate: run_indirect(&mut IndKernel::new(&config, &report.assignment), &test).miss_rate(),
-        }
-    };
-
-    vec![
-        run_variant(PathConfig::new(bits), "no history stack (paper)"),
-        run_variant(PathConfig::new(bits).with_history_stack(16), "16-entry history stack"),
-    ]
+    let path = PathConfig::new(Kind::Indirect.index_bits(FIG7_IND_BYTES));
+    let variants = vec![
+        ("no history stack (paper)".to_string(), ProfileConfig::new(path.clone())),
+        ("16-entry history stack".to_string(), ProfileConfig::new(path.with_history_stack(16))),
+    ];
+    profile_then_score(workloads, Kind::Indirect, variants)
 }

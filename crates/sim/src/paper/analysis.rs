@@ -19,12 +19,11 @@
 
 use std::collections::HashMap;
 
-use vlpp_core::{CondKernel, HashAssignment, PathConfig};
-use vlpp_predict::{BranchObserver, Budget, ConditionalPredictor, Gshare, ReturnAddressStack};
+use vlpp_predict::ReturnAddressStack;
 use vlpp_synth::{suite, CondBehavior};
-use vlpp_trace::BranchKind;
 
-use crate::experiment::Workloads;
+use crate::experiment::{Entrant, Kind, Workloads};
+use crate::frontend::RAS_DEPTH;
 use crate::report::{percent, TextTable};
 
 /// Ground-truth behavior classes for conditional branches.
@@ -125,6 +124,10 @@ impl AnalysisRow {
 /// Runs the §5.3 analysis on gcc at 16 KB: per-behavior-class rates for
 /// gshare, the fixed length path predictor, and the variable length path
 /// predictor.
+///
+/// This is one of the few per-record drivers left outside the
+/// predictors' `run`: it charges each verdict to its branch's class, so
+/// it needs every verdict, not a run's totals.
 pub fn analyze_gcc(workloads: &Workloads) -> Vec<AnalysisRow> {
     let spec = suite::benchmark("gcc").expect("gcc");
     let program = spec.build_program();
@@ -133,18 +136,10 @@ pub fn analyze_gcc(workloads: &Workloads) -> Vec<AnalysisRow> {
         .map(|(pc, behavior)| (pc.raw(), BehaviorClass::of(behavior)))
         .collect();
     let test = workloads.test_trace(&spec);
-    let bits = Budget::from_bytes(super::FIG5_COND_BYTES).cond_index_bits();
-
-    let fixed_length = workloads.best_fixed_conditional_length(bits);
-    let report = workloads.profile_conditional(&spec, bits);
-    let mut predictors: Vec<(&str, Box<dyn ConditionalPredictor>)> = vec![
-        ("gshare", Box::new(Gshare::new(bits))),
-        (
-            "fixed",
-            Box::new(CondKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(fixed_length))),
-        ),
-        ("variable", Box::new(CondKernel::new(&PathConfig::new(bits), &report.assignment))),
-    ];
+    let mut predictors: Vec<_> = [Entrant::Zoo("gshare"), Entrant::Fixed, Entrant::Variable]
+        .into_iter()
+        .map(|entrant| workloads.conditional(&spec, entrant, super::FIG5_COND_BYTES))
+        .collect();
 
     // misses[predictor][class], executions[class]
     let mut misses: Vec<HashMap<BehaviorClass, u64>> = vec![HashMap::new(); predictors.len()];
@@ -156,7 +151,7 @@ pub fn analyze_gcc(workloads: &Workloads) -> Vec<AnalysisRow> {
                 .copied()
                 .expect("every conditional pc is a known site");
             *executions.entry(class).or_insert(0) += 1;
-            for (i, (_, predictor)) in predictors.iter_mut().enumerate() {
+            for (i, predictor) in predictors.iter_mut().enumerate() {
                 let prediction = predictor.predict(record.pc());
                 if prediction != record.taken() {
                     *misses[i].entry(class).or_insert(0) += 1;
@@ -164,7 +159,7 @@ pub fn analyze_gcc(workloads: &Workloads) -> Vec<AnalysisRow> {
                 predictor.train(record.pc(), record.taken());
             }
         }
-        for (_, predictor) in predictors.iter_mut() {
+        for predictor in predictors.iter_mut() {
             predictor.observe(record);
         }
     }
@@ -214,22 +209,15 @@ impl RasRow {
     }
 }
 
-/// Measures a 16-entry return address stack over every benchmark —
+/// Measures a [`RAS_DEPTH`]-entry return address stack over every benchmark —
 /// quantifying why the paper can afford to exclude returns from its
 /// indirect predictors.
 pub fn ras_experiment(workloads: &Workloads) -> Vec<RasRow> {
     let names = suite::all_names();
     super::comparisons::run_parallel(&names, |name| {
         let spec = suite::benchmark(name).expect("suite name");
-        let test = workloads.test_trace(&spec);
-        let mut ras = ReturnAddressStack::new(16);
-        for record in test.iter() {
-            if record.kind() == BranchKind::Return {
-                ras.resolve(record.target());
-            } else {
-                ras.observe(record);
-            }
-        }
+        let mut ras = ReturnAddressStack::new(RAS_DEPTH);
+        ras.run(workloads.test_trace(&spec).records());
         RasRow {
             benchmark: spec.name.clone(),
             returns: ras.predictions(),
@@ -259,8 +247,8 @@ vlpp_trace::impl_to_json!(LengthHistogram { benchmark, histogram, default_hash }
 /// Panics if `name` is not a suite benchmark.
 pub fn length_histogram(workloads: &Workloads, name: &str) -> LengthHistogram {
     let spec = suite::benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let bits = Budget::from_bytes(super::FIG5_COND_BYTES).cond_index_bits();
-    let report = workloads.profile_conditional(&spec, bits);
+    let bits = Kind::Conditional.index_bits(super::FIG5_COND_BYTES);
+    let report = workloads.profile(&spec, Kind::Conditional, bits);
     LengthHistogram {
         benchmark: name.to_string(),
         histogram: report.assignment.length_histogram().to_vec(),

@@ -1,15 +1,12 @@
 //! Figures 5–8: per-benchmark predictor comparisons at a fixed table
 //! size.
 
-use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
-use vlpp_predict::{Budget, Gshare, PathTargetCache, PatternTargetCache};
 use vlpp_synth::suite;
 
-use crate::experiment::Workloads;
+use crate::experiment::{Entrant, Kind, Workloads};
 use crate::report::TextTable;
-use crate::runner::{run_conditional, run_indirect};
 
-use super::{BASELINE_PATH_BITS_PER_TARGET, FIG5_COND_BYTES, FIG7_IND_BYTES};
+use super::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 
 /// One benchmark's conditional misprediction rates (Figures 5–6).
 #[derive(Debug, Clone)]
@@ -46,72 +43,51 @@ vlpp_trace::impl_to_json!(IndRow { benchmark, path, pattern, fixed, variable });
 /// Runs the Figure 5/6 comparison (gshare vs fixed vs variable length
 /// path) for the named benchmarks at `bytes` of predictor table.
 pub fn conditional_comparison(workloads: &Workloads, names: &[&str], bytes: u64) -> Vec<CondRow> {
-    let budget = Budget::from_bytes(bytes);
-    let index_bits = budget.cond_index_bits();
-    let fixed_length = workloads.best_fixed_conditional_length(index_bits);
-    // Benchmarks are independent: run them on the shared pool (the
-    // Workloads caches are compute-once-per-key).
+    let entrants = [Entrant::Zoo("gshare"), Entrant::Fixed, Entrant::Variable];
+    comparison(workloads, names, Kind::Conditional, bytes, &entrants, |benchmark, rates| CondRow {
+        benchmark,
+        gshare: rates[0],
+        fixed: rates[1],
+        variable: rates[2],
+    })
+}
+
+/// Runs the Figure 7/8 comparison (path and pattern target caches vs
+/// fixed vs variable length path) for the named benchmarks.
+pub fn indirect_comparison(workloads: &Workloads, names: &[&str], bytes: u64) -> Vec<IndRow> {
+    let entrants =
+        [Entrant::Zoo("path"), Entrant::Zoo("pattern"), Entrant::Fixed, Entrant::Variable];
+    comparison(workloads, names, Kind::Indirect, bytes, &entrants, |benchmark, rates| IndRow {
+        benchmark,
+        path: rates[0],
+        pattern: rates[1],
+        fixed: rates[2],
+        variable: rates[3],
+    })
+}
+
+/// One row per named benchmark from its `entrants`' rates. Benchmarks
+/// are independent, so they run on the shared pool (the `Workloads`
+/// caches are compute-once-per-key); Table 2's length comes first, so
+/// their tasks share it instead of blocking on it.
+fn comparison<R: Send>(
+    workloads: &Workloads,
+    names: &[&str],
+    kind: Kind,
+    bytes: u64,
+    entrants: &[Entrant],
+    row: impl Fn(String, Vec<f64>) -> R + Sync,
+) -> Vec<R> {
+    workloads.best_fixed_length(kind, kind.index_bits(bytes));
     run_parallel(names, |name| {
         let spec = suite::benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-        let test = workloads.test_trace(&spec);
-
-        let mut gshare = Gshare::new(index_bits);
-        let gshare_stats = run_conditional(&mut gshare, &test);
-
-        let config = PathConfig::new(index_bits);
-        let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(fixed_length));
-        let fixed_stats = run_conditional(&mut fixed, &test);
-
-        let report = workloads.profile_conditional(&spec, index_bits);
-        let mut variable = CondKernel::new(&config, &report.assignment);
-        let variable_stats = run_conditional(&mut variable, &test);
-
-        CondRow {
-            benchmark: name.to_string(),
-            gshare: gshare_stats.miss_rate(),
-            fixed: fixed_stats.miss_rate(),
-            variable: variable_stats.miss_rate(),
-        }
+        row(name.to_string(), workloads.rates(&spec, kind, bytes, entrants))
     })
 }
 
 /// Maps `names` to rows on the shared worker pool, preserving order.
 pub(super) fn run_parallel<R: Send>(names: &[&str], work: impl Fn(&str) -> R + Sync) -> Vec<R> {
     vlpp_pool::Pool::global().map(names.to_vec(), work)
-}
-
-/// Runs the Figure 7/8 comparison (path and pattern target caches vs
-/// fixed vs variable length path) for the named benchmarks.
-pub fn indirect_comparison(workloads: &Workloads, names: &[&str], bytes: u64) -> Vec<IndRow> {
-    let budget = Budget::from_bytes(bytes);
-    let index_bits = budget.ind_index_bits();
-    let fixed_length = workloads.best_fixed_indirect_length(index_bits);
-    run_parallel(names, |name| {
-        let spec = suite::benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-        let test = workloads.test_trace(&spec);
-
-        let mut path = PathTargetCache::new(index_bits, BASELINE_PATH_BITS_PER_TARGET);
-        let path_stats = run_indirect(&mut path, &test);
-
-        let mut pattern = PatternTargetCache::new(index_bits);
-        let pattern_stats = run_indirect(&mut pattern, &test);
-
-        let config = PathConfig::new(index_bits);
-        let mut fixed = IndKernel::new(&config, &HashAssignment::fixed(fixed_length));
-        let fixed_stats = run_indirect(&mut fixed, &test);
-
-        let report = workloads.profile_indirect(&spec, index_bits);
-        let mut variable = IndKernel::new(&config, &report.assignment);
-        let variable_stats = run_indirect(&mut variable, &test);
-
-        IndRow {
-            benchmark: name.to_string(),
-            path: path_stats.miss_rate(),
-            pattern: pattern_stats.miss_rate(),
-            fixed: fixed_stats.miss_rate(),
-            variable: variable_stats.miss_rate(),
-        }
-    })
 }
 
 /// Figure 5: conditional misprediction rates, 16 KB predictor, SPEC.

@@ -3,13 +3,13 @@
 //! thrown away"); this experiment converts each predictor configuration's
 //! accuracy — plus the §4.3 HFNT bubble — into fetch cycles per branch.
 
-use vlpp_core::{CondKernel, HashAssignment, Hfnt, IndKernel, PathConfig};
-use vlpp_predict::{Budget, Gshare, LastTargetBtb, PatternTargetCache};
 use vlpp_synth::suite;
 
-use crate::experiment::Workloads;
+use crate::experiment::{Entrant, Kind, Workloads};
 use crate::frontend::{run_frontend, FrontendCost, Penalties};
 use crate::report::TextTable;
+
+use super::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 
 /// One front-end configuration's cycle cost on a benchmark.
 #[derive(Debug, Clone)]
@@ -58,62 +58,32 @@ impl FrontendRow {
 /// 4. variable length path for both, *including* the HFNT bubble —
 ///    i.e. the paper's predictor charged for its own pipelining cost.
 pub fn frontend_experiment(workloads: &Workloads) -> Vec<FrontendRow> {
-    let cond_bits = Budget::from_bytes(super::FIG5_COND_BYTES).cond_index_bits();
-    let ind_bits = Budget::from_bytes(super::FIG7_IND_BYTES).ind_index_bits();
-    let penalties = Penalties::default();
-    let names = ["gcc", "li", "perl", "go"];
+    let configurations = [
+        ("gshare + last-target", Entrant::Zoo("gshare"), Entrant::Zoo("btb")),
+        ("gshare + pattern cache", Entrant::Zoo("gshare"), Entrant::Zoo("pattern")),
+        ("fixed length path", Entrant::Fixed, Entrant::Fixed),
+        ("variable length path (+HFNT)", Entrant::Variable, Entrant::Variable),
+    ];
     let mut rows = Vec::new();
-
-    for name in names {
+    for name in ["gcc", "li", "perl", "go"] {
         let spec = suite::benchmark(name).expect("suite benchmark");
         let test = workloads.test_trace(&spec);
-
-        let mut gshare = Gshare::new(cond_bits);
-        let mut btb = LastTargetBtb::new(ind_bits);
-        rows.push(FrontendRow {
-            benchmark: name.into(),
-            configuration: "gshare + last-target".into(),
-            cost: run_frontend(&mut gshare, &mut btb, None, &test, penalties),
-        });
-
-        let mut gshare = Gshare::new(cond_bits);
-        let mut pattern = PatternTargetCache::new(ind_bits);
-        rows.push(FrontendRow {
-            benchmark: name.into(),
-            configuration: "gshare + pattern cache".into(),
-            cost: run_frontend(&mut gshare, &mut pattern, None, &test, penalties),
-        });
-
-        let cond_length = workloads.best_fixed_conditional_length(cond_bits);
-        let ind_length = workloads.best_fixed_indirect_length(ind_bits);
-        let mut flp_cond =
-            CondKernel::new(&PathConfig::new(cond_bits), &HashAssignment::fixed(cond_length));
-        let mut flp_ind =
-            IndKernel::new(&PathConfig::new(ind_bits), &HashAssignment::fixed(ind_length));
-        rows.push(FrontendRow {
-            benchmark: name.into(),
-            configuration: "fixed length path".into(),
-            cost: run_frontend(&mut flp_cond, &mut flp_ind, None, &test, penalties),
-        });
-
-        let cond_report = workloads.profile_conditional(&spec, cond_bits);
-        let ind_report = workloads.profile_indirect(&spec, ind_bits);
-        let mut vlp_cond = CondKernel::new(&PathConfig::new(cond_bits), &cond_report.assignment);
-        let mut vlp_ind = IndKernel::new(&PathConfig::new(ind_bits), &ind_report.assignment);
-        let mut hfnt = Hfnt::new(10, cond_report.default_hash);
-        let assignment = cond_report.assignment.clone();
-        let lookup = move |pc: vlpp_trace::Addr| assignment.get(pc);
-        rows.push(FrontendRow {
-            benchmark: name.into(),
-            configuration: "variable length path (+HFNT)".into(),
-            cost: run_frontend(
-                &mut vlp_cond,
-                &mut vlp_ind,
-                Some((&mut hfnt, &lookup)),
-                &test,
-                penalties,
-            ),
-        });
+        for (configuration, cond, ind) in configurations {
+            let mut conditional = workloads.conditional(&spec, cond, FIG5_COND_BYTES);
+            let mut indirect = workloads.indirect(&spec, ind, FIG7_IND_BYTES);
+            // The variable length predictor pays for its own pipelining.
+            let report = (cond == Entrant::Variable).then(|| {
+                let bits = Kind::Conditional.index_bits(FIG5_COND_BYTES);
+                workloads.profile(&spec, Kind::Conditional, bits)
+            });
+            let hash_numbers = report.as_ref().map(|report| &report.assignment);
+            let penalties = Penalties::default();
+            rows.push(FrontendRow {
+                benchmark: name.into(),
+                configuration: configuration.into(),
+                cost: run_frontend(&mut conditional, &mut indirect, hash_numbers, &test, penalties),
+            });
+        }
     }
     rows
 }

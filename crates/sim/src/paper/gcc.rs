@@ -1,15 +1,13 @@
 //! The gcc case study: Figures 9–10 (size sweeps) and the abstract's
 //! headline numbers.
 
-use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
-use vlpp_predict::{Budget, Gshare, PathTargetCache, PatternTargetCache};
+use vlpp_predict::Budget;
 use vlpp_synth::suite;
 
-use crate::experiment::Workloads;
+use crate::experiment::{Entrant, Kind, Workloads};
 use crate::report::{percent, TextTable};
-use crate::runner::{run_conditional, run_indirect};
 
-use super::{BASELINE_PATH_BITS_PER_TARGET, COND_SIZES, IND_SIZES};
+use super::{COND_SIZES, IND_SIZES};
 
 /// One size point of Figure 9 (gcc, conditional).
 #[derive(Debug, Clone)]
@@ -49,35 +47,18 @@ vlpp_trace::impl_to_json!(GccIndPoint { bytes, path, pattern, fixed, fixed_tuned
 
 /// Figure 9: gcc conditional misprediction over 1 KB – 256 KB.
 pub fn figure9(workloads: &Workloads) -> Vec<GccCondPoint> {
-    let spec = suite::benchmark("gcc").expect("gcc is in the suite");
-    let test = workloads.test_trace(&spec);
+    let gcc = suite::benchmark("gcc").expect("gcc is in the suite");
+    let entrants = [Entrant::Zoo("gshare"), Entrant::Fixed, Entrant::Tuned, Entrant::Variable];
     COND_SIZES
         .iter()
         .map(|&bytes| {
-            let index_bits = Budget::from_bytes(bytes).cond_index_bits();
-            let config = PathConfig::new(index_bits);
-
-            let mut gshare = Gshare::new(index_bits);
-            let gshare_rate = run_conditional(&mut gshare, &test).miss_rate();
-
-            let fixed_length = workloads.best_fixed_conditional_length(index_bits);
-            let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(fixed_length));
-            let fixed_rate = run_conditional(&mut fixed, &test).miss_rate();
-
-            let report = workloads.profile_conditional(&spec, index_bits);
-            let mut tuned =
-                CondKernel::new(&config, &HashAssignment::fixed(report.best_fixed_hash()));
-            let tuned_rate = run_conditional(&mut tuned, &test).miss_rate();
-
-            let mut variable = CondKernel::new(&config, &report.assignment);
-            let variable_rate = run_conditional(&mut variable, &test).miss_rate();
-
+            let rates = workloads.rates(&gcc, Kind::Conditional, bytes, &entrants);
             GccCondPoint {
                 bytes,
-                gshare: gshare_rate,
-                fixed: fixed_rate,
-                fixed_tuned: tuned_rate,
-                variable: variable_rate,
+                gshare: rates[0],
+                fixed: rates[1],
+                fixed_tuned: rates[2],
+                variable: rates[3],
             }
         })
         .collect()
@@ -85,39 +66,25 @@ pub fn figure9(workloads: &Workloads) -> Vec<GccCondPoint> {
 
 /// Figure 10: gcc indirect misprediction over 0.5 KB – 32 KB.
 pub fn figure10(workloads: &Workloads) -> Vec<GccIndPoint> {
-    let spec = suite::benchmark("gcc").expect("gcc is in the suite");
-    let test = workloads.test_trace(&spec);
+    let gcc = suite::benchmark("gcc").expect("gcc is in the suite");
+    let entrants = [
+        Entrant::Zoo("path"),
+        Entrant::Zoo("pattern"),
+        Entrant::Fixed,
+        Entrant::Tuned,
+        Entrant::Variable,
+    ];
     IND_SIZES
         .iter()
         .map(|&bytes| {
-            let index_bits = Budget::from_bytes(bytes).ind_index_bits();
-            let config = PathConfig::new(index_bits);
-
-            let mut path = PathTargetCache::new(index_bits, BASELINE_PATH_BITS_PER_TARGET);
-            let path_rate = run_indirect(&mut path, &test).miss_rate();
-
-            let mut pattern = PatternTargetCache::new(index_bits);
-            let pattern_rate = run_indirect(&mut pattern, &test).miss_rate();
-
-            let fixed_length = workloads.best_fixed_indirect_length(index_bits);
-            let mut fixed = IndKernel::new(&config, &HashAssignment::fixed(fixed_length));
-            let fixed_rate = run_indirect(&mut fixed, &test).miss_rate();
-
-            let report = workloads.profile_indirect(&spec, index_bits);
-            let mut tuned =
-                IndKernel::new(&config, &HashAssignment::fixed(report.best_fixed_hash()));
-            let tuned_rate = run_indirect(&mut tuned, &test).miss_rate();
-
-            let mut variable = IndKernel::new(&config, &report.assignment);
-            let variable_rate = run_indirect(&mut variable, &test).miss_rate();
-
+            let rates = workloads.rates(&gcc, Kind::Indirect, bytes, &entrants);
             GccIndPoint {
                 bytes,
-                path: path_rate,
-                pattern: pattern_rate,
-                fixed: fixed_rate,
-                fixed_tuned: tuned_rate,
-                variable: variable_rate,
+                path: rates[0],
+                pattern: rates[1],
+                fixed: rates[2],
+                fixed_tuned: rates[3],
+                variable: rates[4],
             }
         })
         .collect()
@@ -197,30 +164,16 @@ vlpp_trace::impl_to_json!(Headline {
 /// Reproduces the abstract's gcc numbers: conditional at 4 KB, indirect
 /// at 512 B.
 pub fn headline(workloads: &Workloads) -> Headline {
-    let spec = suite::benchmark("gcc").expect("gcc is in the suite");
-    let test = workloads.test_trace(&spec);
-
-    let cond_bits = Budget::from_bytes(4 << 10).cond_index_bits();
-    let mut gshare = Gshare::new(cond_bits);
-    let gshare_rate = run_conditional(&mut gshare, &test).miss_rate();
-    let report = workloads.profile_conditional(&spec, cond_bits);
-    let mut vlp = CondKernel::new(&PathConfig::new(cond_bits), &report.assignment);
-    let vlp_rate = run_conditional(&mut vlp, &test).miss_rate();
-
-    let ind_bits = Budget::from_bytes(512).ind_index_bits();
-    let mut pattern = PatternTargetCache::new(ind_bits);
-    let pattern_rate = run_indirect(&mut pattern, &test).miss_rate();
-    let mut path = PathTargetCache::new(ind_bits, BASELINE_PATH_BITS_PER_TARGET);
-    let path_rate = run_indirect(&mut path, &test).miss_rate();
-    let ind_report = workloads.profile_indirect(&spec, ind_bits);
-    let mut ivlp = IndKernel::new(&PathConfig::new(ind_bits), &ind_report.assignment);
-    let ivlp_rate = run_indirect(&mut ivlp, &test).miss_rate();
-
+    let gcc = suite::benchmark("gcc").expect("gcc is in the suite");
+    let cond = [Entrant::Zoo("gshare"), Entrant::Variable];
+    let cond = workloads.rates(&gcc, Kind::Conditional, 4 << 10, &cond);
+    let ind = [Entrant::Zoo("pattern"), Entrant::Zoo("path"), Entrant::Variable];
+    let ind = workloads.rates(&gcc, Kind::Indirect, 512, &ind);
     Headline {
-        vlp_cond_4kb: vlp_rate,
-        gshare_cond_4kb: gshare_rate,
-        vlp_ind_512b: ivlp_rate,
-        best_competing_ind_512b: pattern_rate.min(path_rate),
+        vlp_cond_4kb: cond[1],
+        gshare_cond_4kb: cond[0],
+        vlp_ind_512b: ind[2],
+        best_competing_ind_512b: ind[0].min(ind[1]),
     }
 }
 

@@ -6,14 +6,11 @@
 //! experiment supplies the measurement.
 
 use vlpp_core::Hfnt;
-use vlpp_predict::Budget;
 use vlpp_synth::suite;
 
-use crate::experiment::Workloads;
+use crate::experiment::{Kind, Workloads};
+use crate::frontend::HFNT_SET_BITS;
 use crate::report::{percent, TextTable};
-
-/// HFNT set-index width used by the experiment (1 Ki entries).
-pub const HFNT_SET_BITS: u32 = 10;
 
 /// Per-benchmark HFNT behavior.
 #[derive(Debug, Clone)]
@@ -33,19 +30,14 @@ vlpp_trace::impl_to_json!(HfntRow { benchmark, lookups, mismatches, rate });
 /// Runs the HFNT model over every benchmark using each benchmark's
 /// profiled 16 KB conditional hash assignment.
 pub fn hfnt_experiment(workloads: &Workloads) -> Vec<HfntRow> {
-    let index_bits = Budget::from_bytes(super::FIG5_COND_BYTES).cond_index_bits();
+    let index_bits = Kind::Conditional.index_bits(super::FIG5_COND_BYTES);
     let names = suite::all_names();
     super::comparisons::run_parallel(&names, |name| {
         let spec = suite::benchmark(name).expect("suite name");
-        let report = workloads.profile_conditional(&spec, index_bits);
-        let mut hfnt = Hfnt::new(HFNT_SET_BITS, report.default_hash);
+        let report = workloads.profile(&spec, Kind::Conditional, index_bits);
         let test = workloads.test_trace(&spec);
-        for record in test.conditionals() {
-            let actual = report.assignment.get(record.pc());
-            hfnt.lookup(record.pc());
-            hfnt.resolve(record.pc(), actual);
-        }
-        let stats = hfnt.stats();
+        let stats =
+            Hfnt::new(HFNT_SET_BITS, report.default_hash).run(test.records(), &report.assignment);
         HfntRow {
             benchmark: spec.name.clone(),
             lookups: stats.lookups,

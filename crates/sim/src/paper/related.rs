@@ -6,21 +6,15 @@
 //! schemes (DHLF, elastic gshare), hybrids (McFarling, Driesen–Hölzle
 //! dual-length), and the per-address-vs-global path question.
 
-use vlpp_core::{
-    elastic, CondKernel, DualLengthPathIndirect, ElasticGshare, HashAssignment, IndKernel,
-    PathConfig,
-};
-use vlpp_predict::{
-    Agree, BiMode, Bimodal, Budget, Dhlf, Gshare, Hybrid, LastTargetBtb, PathTargetCache,
-    PatternTargetCache, PerAddressPathCache,
-};
+use vlpp_core::{elastic, DualLengthPathIndirect, ElasticGshare, PathConfig};
+use vlpp_predict::{Agree, BiMode, Bimodal, ConditionalPredictor, Gshare, Hybrid};
 use vlpp_synth::suite;
 
-use crate::experiment::Workloads;
+use crate::experiment::{Entrant, Kind, Workloads};
 use crate::report::{percent, TextTable};
 use crate::runner::{run_conditional, run_indirect};
 
-use super::{BASELINE_PATH_BITS_PER_TARGET, FIG5_COND_BYTES, FIG7_IND_BYTES};
+use super::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 
 /// One predictor's result in a related-work comparison.
 #[derive(Debug, Clone)]
@@ -46,89 +40,74 @@ impl RelatedRow {
     }
 }
 
+fn rows(rates: Vec<(&str, f64)>) -> Vec<RelatedRow> {
+    rates
+        .into_iter()
+        .map(|(label, rate)| RelatedRow { predictor: label.to_string(), rate })
+        .collect()
+}
+
 /// Conditional predictors on gcc at the Figure 5 budget (16 KB of
-/// second-level table; multi-table schemes split it).
+/// second-level table; multi-table schemes split it). The zoo members
+/// and the path predictor come from the shared [`Entrant`] recipe; the
+/// designs the zoo lacks are built here.
 pub fn related_conditional(workloads: &Workloads) -> Vec<RelatedRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let test = workloads.test_trace(&spec);
-    let profile = workloads.profile_trace(&spec);
-    let bits = Budget::from_bytes(FIG5_COND_BYTES).cond_index_bits();
-    let mut rows = Vec::new();
-    let mut push =
-        |label: &str, rate: f64| rows.push(RelatedRow { predictor: label.to_string(), rate });
-
-    push("bimodal", run_conditional(&mut Bimodal::new(bits), &test).miss_rate());
-    push("gshare", run_conditional(&mut Gshare::new(bits), &test).miss_rate());
-    // Bi-mode: two direction tables + choice table, same total budget.
-    push("bi-mode", run_conditional(&mut BiMode::new(bits - 1, bits - 1), &test).miss_rate());
-    push("agree", run_conditional(&mut Agree::new(bits, bits - 2), &test).miss_rate());
-    push(
-        "hybrid gshare/bimodal",
-        run_conditional(&mut Hybrid::new(Gshare::new(bits - 1), Bimodal::new(bits - 1), 12), &test)
-            .miss_rate(),
-    );
-    push("dhlf", run_conditional(&mut Dhlf::new(bits, 4096), &test).miss_rate());
-
-    let lengths = elastic::profile_lengths(&profile, bits);
-    push(
-        "elastic gshare (profiled)",
-        run_conditional(&mut ElasticGshare::new(bits, lengths), &test).miss_rate(),
-    );
-
-    let config = PathConfig::new(bits);
-    let fixed = HashAssignment::fixed(workloads.best_fixed_conditional_length(bits));
-    push(
-        "fixed length path",
-        run_conditional(&mut CondKernel::new(&config, &fixed), &test).miss_rate(),
-    );
-    let report = workloads.profile_conditional(&spec, bits);
-    push(
-        "variable length path",
-        run_conditional(&mut CondKernel::new(&config, &report.assignment), &test).miss_rate(),
-    );
-    rows
+    let gcc = suite::benchmark("gcc").expect("gcc");
+    let test = workloads.test_trace(&gcc);
+    let bits = Kind::Conditional.index_bits(FIG5_COND_BYTES);
+    let shared = [
+        Entrant::Zoo("bimodal"),
+        Entrant::Zoo("gshare"),
+        Entrant::Zoo("dhlf"),
+        Entrant::Fixed,
+        Entrant::Variable,
+    ];
+    let rates = workloads.rates(&gcc, Kind::Conditional, FIG5_COND_BYTES, &shared);
+    let own = |mut predictor: Box<dyn ConditionalPredictor>| {
+        run_conditional(&mut predictor, &test).miss_rate()
+    };
+    let lengths = elastic::profile_lengths(&workloads.profile_trace(&gcc), bits);
+    rows(vec![
+        ("bimodal", rates[0]),
+        ("gshare", rates[1]),
+        // Bi-mode: two direction tables + choice table, same total budget.
+        ("bi-mode", own(Box::new(BiMode::new(bits - 1, bits - 1)))),
+        ("agree", own(Box::new(Agree::new(bits, bits - 2)))),
+        (
+            "hybrid gshare/bimodal",
+            own(Box::new(Hybrid::new(Gshare::new(bits - 1), Bimodal::new(bits - 1), 12))),
+        ),
+        ("dhlf", rates[2]),
+        ("elastic gshare (profiled)", own(Box::new(ElasticGshare::new(bits, lengths)))),
+        ("fixed length path", rates[3]),
+        ("variable length path", rates[4]),
+    ])
 }
 
 /// Indirect predictors on gcc at the Figure 7 budget (2 KB of target
 /// storage; the dual-length hybrid splits it).
 pub fn related_indirect(workloads: &Workloads) -> Vec<RelatedRow> {
-    let spec = suite::benchmark("gcc").expect("gcc");
-    let test = workloads.test_trace(&spec);
-    let bits = Budget::from_bytes(FIG7_IND_BYTES).ind_index_bits();
-    let mut rows = Vec::new();
-    let mut push =
-        |label: &str, rate: f64| rows.push(RelatedRow { predictor: label.to_string(), rate });
-
-    push("last-target", run_indirect(&mut LastTargetBtb::new(bits), &test).miss_rate());
-    push(
-        "per-address path",
-        run_indirect(&mut PerAddressPathCache::new(bits, 3, 10), &test).miss_rate(),
-    );
-    push(
-        "path (Chang, Hao, and Patt)",
-        run_indirect(&mut PathTargetCache::new(bits, BASELINE_PATH_BITS_PER_TARGET), &test)
-            .miss_rate(),
-    );
-    push(
-        "pattern (Chang, Hao, and Patt)",
-        run_indirect(&mut PatternTargetCache::new(bits), &test).miss_rate(),
-    );
+    let gcc = suite::benchmark("gcc").expect("gcc");
+    let test = workloads.test_trace(&gcc);
+    let bits = Kind::Indirect.index_bits(FIG7_IND_BYTES);
+    let shared = [
+        Entrant::Zoo("btb"),
+        Entrant::Zoo("peraddr"),
+        Entrant::Zoo("path"),
+        Entrant::Zoo("pattern"),
+        Entrant::Fixed,
+        Entrant::Variable,
+    ];
+    let rates = workloads.rates(&gcc, Kind::Indirect, FIG7_IND_BYTES, &shared);
     // Dual-length hybrid: two half-size components.
-    push(
-        "dual-length path hybrid",
-        run_indirect(&mut DualLengthPathIndirect::new(PathConfig::new(bits - 1), 2, 12, 10), &test)
-            .miss_rate(),
-    );
-    let config = PathConfig::new(bits);
-    let fixed = HashAssignment::fixed(workloads.best_fixed_indirect_length(bits));
-    push(
-        "fixed length path",
-        run_indirect(&mut IndKernel::new(&config, &fixed), &test).miss_rate(),
-    );
-    let report = workloads.profile_indirect(&spec, bits);
-    push(
-        "variable length path",
-        run_indirect(&mut IndKernel::new(&config, &report.assignment), &test).miss_rate(),
-    );
-    rows
+    let mut dual = DualLengthPathIndirect::new(PathConfig::new(bits - 1), 2, 12, 10);
+    rows(vec![
+        ("last-target", rates[0]),
+        ("per-address path", rates[1]),
+        ("path (Chang, Hao, and Patt)", rates[2]),
+        ("pattern (Chang, Hao, and Patt)", rates[3]),
+        ("dual-length path hybrid", run_indirect(&mut dual, &test).miss_rate()),
+        ("fixed length path", rates[4]),
+        ("variable length path", rates[5]),
+    ])
 }

@@ -4,7 +4,7 @@ use vlpp_predict::Budget;
 use vlpp_synth::suite;
 use vlpp_trace::stats::TraceStats;
 
-use crate::experiment::Workloads;
+use crate::experiment::{Kind, Workloads};
 use crate::report::{human_count, percent, TextTable};
 
 use super::comparisons::{indirect_comparison, IndRow};
@@ -92,21 +92,15 @@ vlpp_trace::impl_to_json!(Table2Data { conditional, indirect });
 /// path length minimizing the benchmark-averaged misprediction rate on
 /// the *profile* input sets.
 pub fn table2(workloads: &Workloads) -> Table2Data {
-    let conditional = COND_SIZES
-        .iter()
-        .map(|&bytes| {
-            let bits = Budget::from_bytes(bytes).cond_index_bits();
-            (bytes, workloads.best_fixed_conditional_length(bits))
-        })
-        .collect();
-    let indirect = IND_SIZES
-        .iter()
-        .map(|&bytes| {
-            let bits = Budget::from_bytes(bytes).ind_index_bits();
-            (bytes, workloads.best_fixed_indirect_length(bits))
-        })
-        .collect();
-    Table2Data { conditional, indirect }
+    let lengths = |kind: Kind, sizes: &[u64]| {
+        let best =
+            |&bytes: &u64| (bytes, workloads.best_fixed_length(kind, kind.index_bits(bytes)));
+        sizes.iter().map(best).collect()
+    };
+    Table2Data {
+        conditional: lengths(Kind::Conditional, &COND_SIZES),
+        indirect: lengths(Kind::Indirect, &IND_SIZES),
+    }
 }
 
 impl Table2Data {

@@ -12,12 +12,22 @@
 //! runs the structure-of-arrays kernel's `run`, which is its fused
 //! per-record `apply` step over the trace (see [`vlpp_core::kernel`]).
 //!
+//! Every experiment scores through these two functions, except three
+//! drivers that need each verdict rather than a run's totals and so step
+//! a predictor per record: serve's shard step (one prediction per
+//! served record), [`ingest::replay_streaming`] (one record per pull
+//! from a source it must not materialise) and
+//! [`paper::analyze_gcc`] (each verdict charged to its branch's
+//! behavior class).
+//!
 //! [`RunStats`] holds run totals only. Per-static-branch counts live
 //! in the kernels ([`CondKernel::branch_stats`] /
 //! [`IndKernel::branch_stats`]), where the §3.5 profiler reads them;
 //! the trait loop keeps no per-branch tally, so a zoo predictor pays
 //! nothing per record beyond its own predict and train.
 //!
+//! [`ingest::replay_streaming`]: crate::ingest::replay_streaming
+//! [`paper::analyze_gcc`]: crate::paper::analyze_gcc
 //! [`CondKernel::branch_stats`]: vlpp_core::CondKernel::branch_stats
 //! [`IndKernel::branch_stats`]: vlpp_core::IndKernel::branch_stats
 

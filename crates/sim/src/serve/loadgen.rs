@@ -64,12 +64,12 @@ use vlpp_trace::frame::{read_frame, write_frame};
 use vlpp_trace::json::{JsonValue, ToJson};
 use vlpp_trace::{BranchRecord, VlppError};
 
-use super::model::{Model, ModelKind, ModelSpec};
+use super::model::{Model, ModelSpec};
 use super::protocol::record_to_json;
 use super::routing::RoutingTable;
 use super::{LazyCounter, ListenSpec};
 use crate::cli::{cli_error, Flags, INDEX_BITS};
-use crate::experiment::{Scale, Workloads};
+use crate::experiment::{Kind, Scale, Workloads};
 
 // The routing client's counters (see OBSERVABILITY.md), each resolved
 // from the registry once.
@@ -88,7 +88,7 @@ pub struct LoadgenOptions {
     /// Benchmark whose test trace is replayed.
     pub benchmark: String,
     /// Population to predict.
-    pub kind: ModelKind,
+    pub kind: Kind,
     /// Prediction-table index width.
     pub index_bits: u32,
     /// Model shard count. `None` means: adopt the routing table's, or
@@ -171,7 +171,7 @@ pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> 
         target: None,
         connections: 4,
         benchmark: "compress".to_string(),
-        kind: ModelKind::Conditional,
+        kind: Kind::Conditional,
         index_bits: 10,
         shards: None,
         records: 20_000,
@@ -198,7 +198,7 @@ pub fn parse_loadgen_args(args: &[String]) -> Result<LoadgenOptions, VlppError> 
             "--routing" => options.routing = Some(PathBuf::from(flags.value()?)),
             "--connections" => options.connections = flags.num(1..)?,
             "--benchmark" => options.benchmark = flags.value()?.to_string(),
-            "--kind" => options.kind = flags.parse(ModelKind::from_name, "cond or ind")?,
+            "--kind" => options.kind = flags.parse(Kind::from_name, "cond or ind")?,
             "--index-bits" => options.index_bits = flags.num(INDEX_BITS)?,
             "--shards" => options.shards = Some(flags.num(1..)?),
             "--records" => options.records = flags.num(0..)?,

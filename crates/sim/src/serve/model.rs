@@ -33,33 +33,9 @@ use vlpp_trace::{Addr, BranchRecord, TraceSource, VlppError};
 use super::{routing, ServeMetrics};
 use crate::experiment::{profile_on_pool, Kind, Workloads};
 
-/// Which branch population a served model predicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Conditional branches (taken / not-taken).
-    Conditional,
-    /// Indirect jumps and calls (target addresses; returns excluded).
-    Indirect,
-}
-
-impl ModelKind {
-    /// Wire name, matching `BranchKind`'s short names.
-    pub fn name(self) -> &'static str {
-        match self {
-            ModelKind::Conditional => "cond",
-            ModelKind::Indirect => "ind",
-        }
-    }
-
-    /// Parses a wire name back into a kind.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "cond" => Some(ModelKind::Conditional),
-            "ind" => Some(ModelKind::Indirect),
-            _ => None,
-        }
-    }
-}
+/// Which branch population a served model predicts: the experiments'
+/// [`Kind`], under the name the serve API has always used.
+pub use crate::experiment::Kind as ModelKind;
 
 /// Everything the `train` verb needs to build a model.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +50,7 @@ pub struct ModelSpec {
     /// `benchmark` — the protocol layer enforces exactly one.
     pub trace: Option<String>,
     /// Branch population to predict.
-    pub kind: ModelKind,
+    pub kind: Kind,
     /// Prediction-table index width in bits.
     pub index_bits: u32,
     /// Number of independent predictor shards.
@@ -272,12 +248,8 @@ impl Model {
         }
         let report: Arc<ProfileReport> = if let Some(path) = &spec.trace {
             let trace = load_training_trace(std::path::Path::new(path))?;
-            let kind = match spec.kind {
-                ModelKind::Conditional => Kind::Conditional,
-                ModelKind::Indirect => Kind::Indirect,
-            };
             let config = vlpp_core::ProfileConfig::new(PathConfig::new(spec.index_bits));
-            Arc::new(profile_on_pool(kind, config, &trace))
+            Arc::new(profile_on_pool(spec.kind, config, &trace))
         } else {
             let benchmark = vlpp_synth::suite::benchmark(&spec.benchmark).ok_or_else(|| {
                 VlppError::protocol(
@@ -285,21 +257,16 @@ impl Model {
                     format!("unknown benchmark `{}`", spec.benchmark),
                 )
             })?;
-            match spec.kind {
-                ModelKind::Conditional => {
-                    workloads.profile_conditional(&benchmark, spec.index_bits)
-                }
-                ModelKind::Indirect => workloads.profile_indirect(&benchmark, spec.index_bits),
-            }
+            workloads.profile(&benchmark, spec.kind, spec.index_bits)
         };
         let shards = (0..spec.shards)
             .map(|_| {
                 let config = PathConfig::new(spec.index_bits);
                 let predictor = match spec.kind {
-                    ModelKind::Conditional => {
+                    Kind::Conditional => {
                         ShardPredictor::Conditional(CondKernel::new(&config, &report.assignment))
                     }
-                    ModelKind::Indirect => {
+                    Kind::Indirect => {
                         ShardPredictor::Indirect(IndKernel::new(&config, &report.assignment))
                     }
                 };
@@ -382,14 +349,14 @@ impl Model {
             .map(|(i, snapshot)| {
                 let config = PathConfig::new(spec.index_bits);
                 let predictor = match (spec.kind, snapshot) {
-                    (ModelKind::Conditional, ShardSnapshot::Conditional { state, words }) => {
+                    (Kind::Conditional, ShardSnapshot::Conditional { state, words }) => {
                         let mut kernel = CondKernel::new(&config, &assignment);
                         kernel
                             .restore_state(&state, words)
                             .map_err(|why| format!("shard {i}: {why}"))?;
                         ShardPredictor::Conditional(kernel)
                     }
-                    (ModelKind::Indirect, ShardSnapshot::Indirect { state, targets, valid }) => {
+                    (Kind::Indirect, ShardSnapshot::Indirect { state, targets, valid }) => {
                         let mut kernel = IndKernel::new(&config, &assignment);
                         kernel
                             .restore_state(&state, targets, valid)
@@ -534,7 +501,7 @@ mod tests {
             name: "m".to_string(),
             benchmark: "compress".to_string(),
             trace: None,
-            kind: ModelKind::Conditional,
+            kind: Kind::Conditional,
             index_bits: 10,
             shards,
         }
@@ -591,7 +558,7 @@ mod tests {
         let model = Model::train(spec(1), &workloads).unwrap();
         let predictions = model.apply_sequential(&records);
 
-        let report = workloads.profile_conditional(&benchmark, 10);
+        let report = workloads.profile(&benchmark, Kind::Conditional, 10);
         let mut offline = CondKernel::new(&PathConfig::new(10), &report.assignment);
         let mut stats = RunStats::default();
         for (record, slot) in records.iter().zip(&predictions) {
@@ -662,7 +629,7 @@ mod tests {
     fn indirect_models_score_null_targets_as_misses() {
         let workloads = Workloads::new(Scale::new(1_000_000));
         let mut indirect_spec = spec(2);
-        indirect_spec.kind = ModelKind::Indirect;
+        indirect_spec.kind = Kind::Indirect;
         let model = Model::train(indirect_spec, &workloads).unwrap();
         let records = vec![
             BranchRecord::indirect(Addr::new(0x4000), Addr::new(0x5000)),

@@ -17,7 +17,8 @@
 use vlpp_trace::json::{JsonRef, JsonValue, JsonWriter, ToJson};
 use vlpp_trace::{Addr, BranchKind, BranchRecord, VlppError};
 
-use super::model::{ModelKind, ModelSpec, Prediction};
+use super::model::{ModelSpec, Prediction};
+use crate::experiment::Kind;
 
 /// A parsed request: the echoed id plus the verb payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,7 +237,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, VlppError> {
     let verb = match str_field(&value, None, "verb")? {
         "train" => {
             let kind_name = str_field(&value, Some("train"), "kind")?;
-            let kind = ModelKind::from_name(kind_name).ok_or_else(|| {
+            let kind = Kind::from_name(kind_name).ok_or_else(|| {
                 VlppError::protocol(
                     Some("train".to_string()),
                     format!("unknown model kind `{kind_name}` (expected `cond` or `ind`)"),
@@ -403,7 +404,7 @@ mod tests {
         match request.verb {
             Verb::Train(spec) => {
                 assert_eq!(spec.name, "m");
-                assert_eq!(spec.kind, ModelKind::Conditional);
+                assert_eq!(spec.kind, Kind::Conditional);
                 assert_eq!(spec.index_bits, 12);
                 assert_eq!(spec.shards, 4);
             }

@@ -38,8 +38,8 @@ use vlpp_trace::frame::MAX_FRAME_BYTES;
 use vlpp_trace::json::JsonValue;
 use vlpp_trace::{Addr, TraceIoError, VlppError};
 
-use super::model::{Model, ModelKind, ModelSpec, ShardSnapshot};
-use crate::experiment::Scale;
+use super::model::{Model, ModelSpec, ShardSnapshot};
+use crate::experiment::{Kind, Scale};
 
 /// Format version of the *section layout* (the envelope has its own
 /// wire version; this one governs what the sections mean).
@@ -461,12 +461,12 @@ fn decode_assign(section: &SnapshotSection) -> Result<HashAssignment, String> {
     Ok(assignment)
 }
 
-fn decode_shard(section: &SnapshotSection, kind: ModelKind) -> Result<ShardSnapshot, String> {
+fn decode_shard(section: &SnapshotSection, kind: Kind) -> Result<ShardSnapshot, String> {
     let mut reader = SectionReader::new(&section.name, &section.payload);
     let tag = reader.u8("shard kind tag")?;
     let tagged = match tag {
-        0 => ModelKind::Conditional,
-        1 => ModelKind::Indirect,
+        0 => Kind::Conditional,
+        1 => Kind::Indirect,
         other => return Err(reader.fail(&format!("unknown shard kind tag {other}"))),
     };
     if tagged != kind {
@@ -495,10 +495,10 @@ fn decode_shard(section: &SnapshotSection, kind: ModelKind) -> Result<ShardSnaps
         .collect::<Result<Vec<_>, String>>()?;
     let state = KernelState { hashers, stack, rows };
     let shard = match kind {
-        ModelKind::Conditional => {
+        Kind::Conditional => {
             ShardSnapshot::Conditional { state, words: reader.u64s("counter plane")? }
         }
-        ModelKind::Indirect => ShardSnapshot::Indirect {
+        Kind::Indirect => ShardSnapshot::Indirect {
             state,
             targets: reader.u64s("target plane")?,
             valid: reader.u64s("valid bitmap")?,
@@ -657,7 +657,7 @@ fn decode_model(
         .get("kind")
         .and_then(|v| v.as_str())
         .ok_or_else(|| format!("spec for `{name}` is missing `kind`"))?;
-    let kind = ModelKind::from_name(kind_name)
+    let kind = Kind::from_name(kind_name)
         .ok_or_else(|| format!("spec for `{name}`: unknown kind `{kind_name}`"))?;
     let index_bits = field("index_bits")?;
     if !(4..=24).contains(&index_bits) {
@@ -831,7 +831,7 @@ mod tests {
         ));
     }
 
-    fn trained(kind: ModelKind, shards: usize, workloads: &Workloads) -> Arc<Model> {
+    fn trained(kind: Kind, shards: usize, workloads: &Workloads) -> Arc<Model> {
         let spec = ModelSpec {
             name: format!("{}-{shards}", kind.name()),
             benchmark: "compress".to_string(),
@@ -855,7 +855,7 @@ mod tests {
         let scale = Scale::new(1_000_000);
         let workloads = Workloads::new(scale);
         let stream = records(&workloads, 4000);
-        for kind in [ModelKind::Conditional, ModelKind::Indirect] {
+        for kind in [Kind::Conditional, Kind::Indirect] {
             let original = trained(kind, 3, &workloads);
             // Warm the model over the first half of the stream so the
             // snapshot carries real mid-stream state.
@@ -880,8 +880,8 @@ mod tests {
     fn save_and_load_round_trip_through_a_file() {
         let scale = Scale::new(1_000_000);
         let workloads = Workloads::new(scale);
-        let cond = trained(ModelKind::Conditional, 2, &workloads);
-        let ind = trained(ModelKind::Indirect, 1, &workloads);
+        let cond = trained(Kind::Conditional, 2, &workloads);
+        let ind = trained(Kind::Indirect, 1, &workloads);
         cond.apply_sequential(&records(&workloads, 1000));
 
         let dir = std::env::temp_dir().join(format!("vlpp-snap-{}", std::process::id()));
@@ -910,7 +910,7 @@ mod tests {
     fn damaged_sections_are_typed_checkpoint_errors() {
         let scale = Scale::new(1_000_000);
         let workloads = Workloads::new(scale);
-        let model = trained(ModelKind::Conditional, 2, &workloads);
+        let model = trained(Kind::Conditional, 2, &workloads);
         let pristine = encode_models(&[Arc::clone(&model)], scale);
         assert!(decode_sections(&pristine, scale).is_ok());
 
@@ -984,7 +984,7 @@ mod tests {
         let mut payload = vec![0u8]; // cond tag
         push_u32(&mut payload, u32::MAX); // hashers count: absurd
         let section = SnapshotSection { name: "m:x:shard:0".into(), payload };
-        let error = decode_shard(&section, ModelKind::Conditional).unwrap_err();
+        let error = decode_shard(&section, Kind::Conditional).unwrap_err();
         assert!(error.contains("overruns"), "{error}");
     }
 }

@@ -50,7 +50,7 @@
 use std::cmp::Reverse;
 use std::sync::Arc;
 
-use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig, ProfileConfig, ProfileReport};
+use vlpp_core::{PathConfig, ProfileConfig, ProfileReport};
 use vlpp_metrics::{Counter, Histogram, Span};
 use vlpp_pool::Pool;
 use vlpp_predict::{zoo, Budget, ConditionalPredictor, IndirectPredictor, ZooContext};
@@ -59,7 +59,7 @@ use vlpp_trace::json::JsonValue;
 use vlpp_trace::{Trace, VlppError};
 
 use crate::cli::{cli_error, print_metrics, Flags};
-use crate::experiment::{profile_on_pool, Kind, Scale};
+use crate::experiment::{profile_on_pool, Entrant, Kind, Scale};
 use crate::paper::{FIG5_COND_BYTES, FIG7_IND_BYTES};
 use crate::runner::RunStats;
 
@@ -89,12 +89,13 @@ options:
 
 pub use crate::experiment::CI_SCALE_DIVISOR;
 
-fn cond_budget() -> Budget {
-    Budget::from_bytes(FIG5_COND_BYTES)
-}
-
-fn ind_budget() -> Budget {
-    Budget::from_bytes(FIG7_IND_BYTES)
+/// The league's table size for a population: the paper's headline
+/// budgets.
+fn bytes(kind: Kind) -> u64 {
+    match kind {
+        Kind::Conditional => FIG5_COND_BYTES,
+        Kind::Indirect => FIG7_IND_BYTES,
+    }
 }
 
 /// One workload in the tournament matrix.
@@ -117,46 +118,24 @@ pub fn workloads() -> Vec<TourneyWorkload> {
     list
 }
 
-/// How an entrant is instantiated for a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scheme {
-    /// Index into the zoo registry of the entrant's kind.
-    Zoo(usize),
-    /// The paper's predictor with the per-workload best fixed length.
-    VlpFixed,
-    /// The paper's predictor with the §3.5 variable-length assignment.
-    VlpVar,
-}
-
-fn cond_entrants() -> Vec<(&'static str, Scheme)> {
-    let mut list: Vec<(&'static str, Scheme)> = zoo::conditional_names()
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| (name, Scheme::Zoo(i)))
-        .collect();
-    list.push(("vlp-fixed", Scheme::VlpFixed));
-    list.push(("vlp-var", Scheme::VlpVar));
-    list
-}
-
-fn ind_entrants() -> Vec<(&'static str, Scheme)> {
-    let mut list: Vec<(&'static str, Scheme)> = zoo::indirect_names()
-        .into_iter()
-        .enumerate()
-        .map(|(i, name)| (name, Scheme::Zoo(i)))
-        .collect();
-    list.push(("vlp-fixed", Scheme::VlpFixed));
-    list.push(("vlp-var", Scheme::VlpVar));
-    list
+/// A population's entrants: its zoo in registry order, then the paper's
+/// predictor at the workload's best fixed length (`vlp-fixed`) and with
+/// its §3.5 assignment (`vlp-var`).
+fn entrants(kind: Kind) -> Vec<Entrant> {
+    let zoo = match kind {
+        Kind::Conditional => zoo::conditional_names(),
+        Kind::Indirect => zoo::indirect_names(),
+    };
+    zoo.into_iter().map(Entrant::Zoo).chain([Entrant::Tuned, Entrant::Variable]).collect()
 }
 
 /// Every valid `--only` token, deduplicated in registry order (the
 /// paper's predictors appear once even though they race in both kinds).
 pub fn predictor_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = Vec::new();
-    for (name, _) in cond_entrants().into_iter().chain(ind_entrants()) {
-        if !names.contains(&name) {
-            names.push(name);
+    for entrant in entrants(Kind::Conditional).into_iter().chain(entrants(Kind::Indirect)) {
+        if !names.contains(&entrant.name()) {
+            names.push(entrant.name());
         }
     }
     names
@@ -190,19 +169,8 @@ fn dynamic_conditionals(scale: Scale, name: &str) -> u64 {
 /// given kind.
 fn profile(trace: &Trace, kind: Kind) -> ProfileReport {
     let _span = vlpp_metrics::span("sim.profile_ns");
-    let bits = match kind {
-        Kind::Conditional => cond_budget().cond_index_bits(),
-        Kind::Indirect => ind_budget().ind_index_bits(),
-    };
-    profile_on_pool(kind, ProfileConfig::new(PathConfig::new(bits)), trace)
-}
-
-/// The hash assignment a `vlp-*` scheme races with, from its profile.
-fn assignment(scheme: Scheme, report: &ProfileReport) -> HashAssignment {
-    match scheme {
-        Scheme::VlpVar => report.assignment.clone(),
-        _ => HashAssignment::fixed(report.best_fixed_hash()),
-    }
+    let config = ProfileConfig::new(PathConfig::new(kind.index_bits(bytes(kind))));
+    profile_on_pool(kind, config, trace)
 }
 
 /// The league's two spans, resolved from the registry once per league
@@ -231,15 +199,14 @@ impl LeagueSpans {
 fn race_workload(
     scale: Scale,
     workload: &str,
-    cond: &[(&'static str, Scheme)],
-    ind: &[(&'static str, Scheme)],
+    cond: &[Entrant],
+    ind: &[Entrant],
     spans: &LeagueSpans,
 ) -> (Vec<RunStats>, u64) {
     let program = program(workload);
     let conditionals = dynamic_conditionals(scale, workload);
-    let profiled = |entrants: &[(&str, Scheme)]| {
-        entrants.iter().any(|&(_, scheme)| !matches!(scheme, Scheme::Zoo(_)))
-    };
+    let profiled =
+        |entrants: &[Entrant]| entrants.iter().any(|entrant| !matches!(entrant, Entrant::Zoo(_)));
     let (mut cond_report, mut ind_report) = (None, None);
     if profiled(cond) || profiled(ind) {
         let trace = {
@@ -250,30 +217,22 @@ fn race_workload(
         ind_report = profiled(ind).then(|| profile(&trace, Kind::Indirect));
     }
 
-    let (cond_zoo, ind_zoo) = (zoo::conditional_zoo(), zoo::indirect_zoo());
-    let ctx = ZooContext::default();
-    let cond_config = PathConfig::new(cond_budget().cond_index_bits());
-    let ind_config = PathConfig::new(ind_budget().ind_index_bits());
     // A `vlp-*` entrant is boxed like a zoo member: its kernel's `run`
     // is one virtual call per chunk.
     let mut cond_racers: Vec<Box<dyn ConditionalPredictor>> = cond
         .iter()
-        .map(|&(_, scheme)| match scheme {
-            Scheme::Zoo(i) => (cond_zoo[i].build)(cond_budget(), &ctx),
-            vlp => {
-                let report = cond_report.as_ref().expect("profiled");
-                Box::new(CondKernel::new(&cond_config, &assignment(vlp, report)))
-            }
+        .map(|entrant| {
+            entrant.conditional(FIG5_COND_BYTES, |path| {
+                path.profiled(cond_report.as_ref().expect("profiled"))
+            })
         })
         .collect();
     let mut ind_racers: Vec<Box<dyn IndirectPredictor>> = ind
         .iter()
-        .map(|&(_, scheme)| match scheme {
-            Scheme::Zoo(i) => (ind_zoo[i].build)(ind_budget(), &ctx),
-            vlp => {
-                let report = ind_report.as_ref().expect("profiled");
-                Box::new(IndKernel::new(&ind_config, &assignment(vlp, report)))
-            }
+        .map(|entrant| {
+            entrant.indirect(FIG7_IND_BYTES, |path| {
+                path.profiled(ind_report.as_ref().expect("profiled"))
+            })
         })
         .collect();
 
@@ -322,7 +281,7 @@ pub struct TourneyCell {
 impl TourneyCell {
     /// The canonical cell key, `"cond:tage:gcc"` / `"ind:btb:perl"`.
     pub fn key(&self) -> String {
-        format!("{}:{}:{}", kind_tag(self.kind), self.predictor, self.workload)
+        format!("{}:{}:{}", self.kind.name(), self.predictor, self.workload)
     }
 
     /// Mispredictions per 1000 retired control transfers.
@@ -335,24 +294,16 @@ impl TourneyCell {
     }
 }
 
-fn kind_tag(kind: Kind) -> &'static str {
+/// The bytes of state a `kind` entrant named `predictor` is charged at
+/// the league budget: its zoo entry's count, or the whole budget for
+/// the paper's predictor.
+fn storage_bytes(kind: Kind, predictor: &str) -> u64 {
+    let (budget, ctx) = (Budget::from_bytes(bytes(kind)), ZooContext::default());
     match kind {
-        Kind::Conditional => "cond",
-        Kind::Indirect => "ind",
-    }
-}
-
-fn storage_bytes(kind: Kind, scheme: Scheme) -> u64 {
-    let ctx = ZooContext::default();
-    match (kind, scheme) {
-        (Kind::Conditional, Scheme::Zoo(i)) => {
-            (zoo::conditional_zoo()[i].storage_bytes)(cond_budget(), &ctx)
-        }
-        (Kind::Indirect, Scheme::Zoo(i)) => {
-            (zoo::indirect_zoo()[i].storage_bytes)(ind_budget(), &ctx)
-        }
-        (Kind::Conditional, _) => cond_budget().bytes(),
-        (Kind::Indirect, _) => ind_budget().bytes(),
+        Kind::Conditional => zoo::conditional_entry(predictor)
+            .map_or(budget.bytes(), |entry| (entry.storage_bytes)(budget, &ctx)),
+        Kind::Indirect => zoo::indirect_entry(predictor)
+            .map_or(budget.bytes(), |entry| (entry.storage_bytes)(budget, &ctx)),
     }
 }
 
@@ -405,7 +356,7 @@ struct EntrantCounters {
 
 impl EntrantCounters {
     fn resolve(kind: Kind, predictor: &str) -> Self {
-        let tag = kind_tag(kind);
+        let tag = kind.name();
         let counter =
             |stat: &str| vlpp_metrics::counter(&format!("sim.tourney.{tag}.{predictor}.{stat}"));
         EntrantCounters {
@@ -419,11 +370,11 @@ impl EntrantCounters {
 /// names, which must already be validated) on the shared worker pool,
 /// one task per workload.
 pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult {
-    let keep = |name: &str| only.map(|list| list.iter().any(|o| o == name)).unwrap_or(true);
-    let cond: Vec<(&'static str, Scheme)> =
-        cond_entrants().into_iter().filter(|(name, _)| keep(name)).collect();
-    let ind: Vec<(&'static str, Scheme)> =
-        ind_entrants().into_iter().filter(|(name, _)| keep(name)).collect();
+    let keep = |entrant: &Entrant| {
+        only.map(|list| list.iter().any(|o| o == entrant.name())).unwrap_or(true)
+    };
+    let cond: Vec<Entrant> = entrants(Kind::Conditional).into_iter().filter(keep).collect();
+    let ind: Vec<Entrant> = entrants(Kind::Indirect).into_iter().filter(keep).collect();
     let workloads = workloads();
 
     // Largest workload first: the FIFO pool then starts the long tasks
@@ -445,16 +396,16 @@ pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult
         [(Kind::Conditional, &cond, 0), (Kind::Indirect, &ind, cond.len())]
     {
         let counters: Vec<EntrantCounters> =
-            entrants.iter().map(|&(name, _)| EntrantCounters::resolve(kind, name)).collect();
+            entrants.iter().map(|entrant| EntrantCounters::resolve(kind, entrant.name())).collect();
         for (workload, (_, (stats, trace_len))) in workloads.iter().zip(&raced) {
             let row = entrants.iter().zip(&counters).zip(&stats[offset..]);
-            for ((&(predictor, _), counters), &stats) in row {
+            for ((entrant, counters), &stats) in row {
                 cells_raced.incr();
                 counters.predictions.add(stats.predictions);
                 counters.mispredictions.add(stats.mispredictions);
                 cells.push(TourneyCell {
                     kind,
-                    predictor,
+                    predictor: entrant.name(),
                     workload: workload.name,
                     stats,
                     trace_len: *trace_len,
@@ -466,8 +417,8 @@ pub fn run_tournament(scale: Scale, only: Option<&[String]>) -> TournamentResult
     TournamentResult {
         scale,
         workloads,
-        cond_predictors: cond.into_iter().map(|(name, _)| name).collect(),
-        ind_predictors: ind.into_iter().map(|(name, _)| name).collect(),
+        cond_predictors: cond.into_iter().map(Entrant::name).collect(),
+        ind_predictors: ind.into_iter().map(Entrant::name).collect(),
         cells,
     }
 }
@@ -479,23 +430,12 @@ impl TournamentResult {
             .find(|c| c.kind == kind && c.predictor == predictor && c.workload == workload)
     }
 
-    fn scheme_for(&self, kind: Kind, predictor: &str) -> Scheme {
-        let entrants = match kind {
-            Kind::Conditional => cond_entrants(),
-            Kind::Indirect => ind_entrants(),
-        };
-        entrants
-            .into_iter()
-            .find(|(name, _)| *name == predictor)
-            .map(|(_, scheme)| scheme)
-            .expect("predictor is registered")
-    }
-
     fn section(&self, kind: Kind, out: &mut String) {
-        let (title, budget, predictors) = match kind {
-            Kind::Conditional => ("Conditional", cond_budget(), &self.cond_predictors),
-            Kind::Indirect => ("Indirect", ind_budget(), &self.ind_predictors),
+        let (title, predictors) = match kind {
+            Kind::Conditional => ("Conditional", &self.cond_predictors),
+            Kind::Indirect => ("Indirect", &self.ind_predictors),
         };
+        let budget = Budget::from_bytes(bytes(kind));
         if predictors.is_empty() {
             return;
         }
@@ -534,7 +474,7 @@ impl TournamentResult {
                 let n = cells.len().max(1) as f64;
                 let mean_miss: f64 = cells.iter().map(|c| c.stats.miss_rate()).sum::<f64>() / n;
                 let mean_mpki: f64 = cells.iter().map(|c| c.mpki()).sum::<f64>() / n;
-                let storage = storage_bytes(kind, self.scheme_for(kind, predictor));
+                let storage = storage_bytes(kind, predictor);
                 (predictor, mean_miss, mean_mpki, storage)
             })
             .collect();
@@ -563,8 +503,8 @@ impl TournamentResult {
         out.push_str(&format!(
             "scale 1/{}; budgets: conditional {}, indirect {}; {} workloads, {} cells\n",
             self.scale.divisor(),
-            cond_budget(),
-            ind_budget(),
+            Budget::from_bytes(FIG5_COND_BYTES),
+            Budget::from_bytes(FIG7_IND_BYTES),
             self.workloads.len(),
             self.cells.len()
         ));
@@ -597,8 +537,8 @@ impl TournamentResult {
         {
             for &predictor in predictors.iter() {
                 storage.push((
-                    format!("{}:{}", kind_tag(kind), predictor),
-                    JsonValue::UInt(storage_bytes(kind, self.scheme_for(kind, predictor))),
+                    format!("{}:{}", kind.name(), predictor),
+                    JsonValue::UInt(storage_bytes(kind, predictor)),
                 ));
             }
         }
@@ -606,8 +546,8 @@ impl TournamentResult {
             (
                 "budgets".to_string(),
                 JsonValue::Object(vec![
-                    ("conditional".to_string(), JsonValue::UInt(cond_budget().bytes())),
-                    ("indirect".to_string(), JsonValue::UInt(ind_budget().bytes())),
+                    ("conditional".to_string(), JsonValue::UInt(FIG5_COND_BYTES)),
+                    ("indirect".to_string(), JsonValue::UInt(FIG7_IND_BYTES)),
                 ]),
             ),
             ("scale".to_string(), JsonValue::UInt(self.scale.divisor())),
@@ -705,8 +645,9 @@ mod tests {
     #[test]
     fn matrix_axes_meet_the_floor() {
         assert!(workloads().len() >= 8, "{} workloads", workloads().len());
-        assert!(cond_entrants().len() >= 6, "{} conditional entrants", cond_entrants().len());
-        assert!(ind_entrants().len() >= 6, "{} indirect entrants", ind_entrants().len());
+        for kind in [Kind::Conditional, Kind::Indirect] {
+            assert!(entrants(kind).len() >= 6, "{} {kind:?} entrants", entrants(kind).len());
+        }
     }
 
     #[test]
@@ -736,7 +677,7 @@ mod tests {
     fn single_cell_is_deterministic() {
         let scale = Scale::new(CI_SCALE_DIVISOR);
         let spans = LeagueSpans::resolve();
-        let run = || race_workload(scale, "hard-noise", &[("gshare", Scheme::Zoo(1))], &[], &spans);
+        let run = || race_workload(scale, "hard-noise", &[Entrant::Zoo("gshare")], &[], &spans);
         let (a, a_len) = run();
         let (b, b_len) = run();
         assert_eq!(a, b);

@@ -8,7 +8,7 @@
 
 use vlpp_core::{CondKernel, HashAssignment, PathConfig};
 use vlpp_predict::{Budget, Gshare};
-use vlpp_sim::{run_conditional, Scale, Workloads};
+use vlpp_sim::{run_conditional, Kind, Scale, Workloads};
 use vlpp_synth::suite;
 
 fn main() {
@@ -36,12 +36,12 @@ fn main() {
 
         // Fixed length: the cross-benchmark best length for this size
         // (Table 2's methodology, computed from profile inputs).
-        let length = workloads.best_fixed_conditional_length(bits);
+        let length = workloads.best_fixed_length(Kind::Conditional, bits);
         let mut fixed = CondKernel::new(&config, &HashAssignment::fixed(length));
         let fixed_rate = run_conditional(&mut fixed, &test).miss_percent();
 
         // Tuned fixed length: gcc's own profile-best length.
-        let report = workloads.profile_conditional(&spec, bits);
+        let report = workloads.profile(&spec, Kind::Conditional, bits);
         let tuned_length = report.best_fixed_hash();
         let mut tuned = CondKernel::new(&config, &HashAssignment::fixed(tuned_length));
         let tuned_rate = run_conditional(&mut tuned, &test).miss_percent();

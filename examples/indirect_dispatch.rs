@@ -9,7 +9,7 @@
 
 use vlpp_core::{HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{Budget, LastTargetBtb, PathTargetCache, PatternTargetCache};
-use vlpp_sim::{run_indirect, Scale, Workloads};
+use vlpp_sim::{run_indirect, Kind, Scale, Workloads};
 use vlpp_synth::suite;
 
 fn main() {
@@ -43,11 +43,11 @@ fn main() {
 
         // The paper's contribution, without and with profiling.
         let config = PathConfig::new(bits);
-        let fixed_length = workloads.best_fixed_indirect_length(bits);
+        let fixed_length = workloads.best_fixed_length(Kind::Indirect, bits);
         let mut fixed = IndKernel::new(&config, &HashAssignment::fixed(fixed_length));
         let fixed_rate = run_indirect(&mut fixed, &test).miss_percent();
 
-        let report = workloads.profile_indirect(&spec, bits);
+        let report = workloads.profile(&spec, Kind::Indirect, bits);
         let mut variable = IndKernel::new(&config, &report.assignment);
         let variable_rate = run_indirect(&mut variable, &test).miss_percent();
 

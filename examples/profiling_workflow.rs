@@ -8,6 +8,7 @@
 
 use vlpp_core::{CondKernel, HashAssignment, Hfnt, PathConfig, ProfileBuilder, ProfileConfig};
 use vlpp_predict::Budget;
+use vlpp_sim::frontend::HFNT_SET_BITS;
 use vlpp_sim::run_conditional;
 use vlpp_synth::{suite, InputSet};
 
@@ -56,10 +57,6 @@ fn main() {
     );
 
     // --- §4.3: what would the pipelined HFNT pay? ------------------------
-    let mut hfnt = Hfnt::new(10, report.default_hash);
-    for record in test_trace.conditionals() {
-        hfnt.lookup(record.pc());
-        hfnt.resolve(record.pc(), report.assignment.get(record.pc()));
-    }
-    println!("HFNT (1Ki entries): {}", hfnt.stats());
+    let mut hfnt = Hfnt::new(HFNT_SET_BITS, report.default_hash);
+    println!("HFNT (1Ki entries): {}", hfnt.run(test_trace.records(), &report.assignment));
 }

@@ -4,7 +4,7 @@
 
 use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{Gshare, LastTargetBtb, PathTargetCache, PatternTargetCache};
-use vlpp_sim::{run_conditional, run_indirect, RunStats, Scale, Workloads};
+use vlpp_sim::{run_conditional, run_indirect, Kind, RunStats, Scale, Workloads};
 use vlpp_synth::suite;
 use vlpp_trace::Trace;
 
@@ -42,7 +42,7 @@ fn gshare_is_deterministic() {
 fn variable_length_path_is_deterministic() {
     let spec = suite::benchmark("gcc").expect("gcc is in the suite");
     let workloads = Workloads::new(Scale::new(1_000_000));
-    let report = workloads.profile_conditional(&spec, 12);
+    let report = workloads.profile(&spec, Kind::Conditional, 12);
     assert_deterministic("vlpp", |trace| {
         let mut p = CondKernel::new(&PathConfig::new(12), &report.assignment);
         run_conditional(&mut p, trace)
@@ -75,8 +75,8 @@ fn profiling_is_deterministic() {
     let spec = suite::benchmark("gcc").expect("gcc is in the suite");
     let first = Workloads::new(Scale::new(1_000_000));
     let second = Workloads::new(Scale::new(1_000_000));
-    let a = first.profile_conditional(&spec, 10);
-    let b = second.profile_conditional(&spec, 10);
+    let a = first.profile(&spec, Kind::Conditional, 10);
+    let b = second.profile(&spec, Kind::Conditional, 10);
     assert_eq!(a.default_hash, b.default_hash);
     assert_eq!(a.assignment.assigned_count(), b.assignment.assigned_count());
     for (pc, n) in a.assignment.iter() {

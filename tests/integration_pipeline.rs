@@ -6,7 +6,7 @@ use vlpp_core::{CondKernel, HashAssignment, IndKernel, PathConfig};
 use vlpp_predict::{
     Bimodal, Budget, Gas, Gshare, LastTargetBtb, Pas, PathTargetCache, PatternTargetCache,
 };
-use vlpp_sim::{run_conditional, run_indirect, Scale, Workloads};
+use vlpp_sim::{run_conditional, run_indirect, Kind, Scale, Workloads};
 use vlpp_synth::suite;
 
 #[test]
@@ -80,7 +80,7 @@ fn profiling_transfers_across_inputs() {
     let names = ["gcc", "perl", "li", "go"];
     for name in names {
         let spec = suite::benchmark(name).unwrap();
-        let report = workloads.profile_conditional(&spec, bits);
+        let report = workloads.profile(&spec, Kind::Conditional, bits);
         let test = workloads.test_trace(&spec);
         let mut fixed =
             CondKernel::new(&PathConfig::new(bits), &HashAssignment::fixed(report.default_hash));
