@@ -195,6 +195,9 @@ macro_rules! for_each_zoo_indirect {
             "path",
             "Chang, Hao, and Patt 1997, path-based target cache",
             |budget: $crate::Budget, _ctx: &$crate::ZooContext| {
+                // 3 bits per target: the register covers `index_bits / 3`
+                // recent targets, the shallow fixed depth the paper's
+                // deep-path predictors beat in Figures 7-10.
                 Box::new($crate::PathTargetCache::new(budget.ind_index_bits(), 3))
             },
             |budget: $crate::Budget, _ctx: &$crate::ZooContext| budget.bytes()

@@ -156,13 +156,8 @@ pub enum Entrant {
 }
 
 impl Entrant {
-    /// The league's name: the zoo name, `vlp-fixed` for [`Tuned`],
-    /// `vlp-var` for [`Variable`] and `vlp-table2` for [`Fixed`], which
-    /// the league does not race.
-    ///
-    /// [`Tuned`]: Entrant::Tuned
-    /// [`Variable`]: Entrant::Variable
-    /// [`Fixed`]: Entrant::Fixed
+    /// The league's name: the zoo name, `vlp-fixed`, `vlp-var`, or
+    /// `vlp-table2` for `Fixed`, which the league does not race.
     pub fn name(self) -> &'static str {
         match self {
             Entrant::Zoo(name) => name,
@@ -173,12 +168,7 @@ impl Entrant {
     }
 
     /// A profiled path entrant's assignment, from the workload's
-    /// `report`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the entrant is [`Tuned`](Entrant::Tuned) or
-    /// [`Variable`](Entrant::Variable).
+    /// `report`. Panics unless the entrant is `Tuned` or `Variable`.
     pub fn profiled(self, report: &ProfileReport) -> HashAssignment {
         match self {
             Entrant::Tuned => HashAssignment::fixed(report.best_fixed_hash()),
@@ -187,14 +177,10 @@ impl Entrant {
         }
     }
 
-    /// The entrant as a conditional predictor of `bytes`. A path entrant
-    /// takes its hash assignment from `assignment`, which is called with
-    /// the entrant and only for a path entrant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`Zoo`](Entrant::Zoo) name is not a conditional zoo
-    /// member.
+    /// The entrant as a conditional predictor of `bytes`: a zoo member
+    /// from the registry, or the path predictor with the hash assignment
+    /// `assignment` gives for the entrant (called only for a path
+    /// entrant). Panics if a zoo name is not a conditional zoo member.
     pub fn conditional(
         self,
         bytes: u64,
@@ -215,11 +201,6 @@ impl Entrant {
     }
 
     /// [`conditional`](Self::conditional)'s indirect twin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`Zoo`](Entrant::Zoo) name is not an indirect zoo
-    /// member.
     pub fn indirect(
         self,
         bytes: u64,
@@ -455,6 +436,34 @@ mod tests {
         let profile = w.profile_trace(&spec);
         assert_ne!(test, profile);
         assert_eq!(test.conditionals().count(), 50_000);
+    }
+
+    #[test]
+    fn rates_score_the_entrants_like_hand_built_predictors() {
+        let w = Workloads::new(Scale::new(1_000_000));
+        let spec = suite::benchmark("li").unwrap();
+        let (kind, bytes) = (Kind::Conditional, 4 << 10);
+        let bits = kind.index_bits(bytes);
+        let (test, report) = (w.test_trace(&spec), w.profile(&spec, kind, bits));
+        let fixed = |length| HashAssignment::fixed(length);
+        let kernel = |assignment: &HashAssignment| {
+            run_conditional(&mut CondKernel::new(&PathConfig::new(bits), assignment), &test)
+        };
+        let by_hand = [
+            run_conditional(&mut vlpp_predict::Gshare::new(bits), &test),
+            kernel(&fixed(w.best_fixed_length(kind, bits))),
+            kernel(&fixed(report.best_fixed_hash())),
+            kernel(&report.assignment),
+        ]
+        .map(|stats| stats.miss_rate());
+        let entrants = [Entrant::Zoo("gshare"), Entrant::Fixed, Entrant::Tuned, Entrant::Variable];
+        assert_eq!(w.rates(&spec, kind, bytes, &entrants), by_hand);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an indirect zoo member")]
+    fn a_zoo_entrant_must_be_of_its_population() {
+        Entrant::Zoo("gshare").indirect(2 << 10, |_| unreachable!("a zoo entrant"));
     }
 
     #[test]

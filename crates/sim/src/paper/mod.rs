@@ -3,13 +3,17 @@
 //!
 //! Every function takes a [`Workloads`] context so expensive artifacts
 //! (profile reports, Table-2 fixed lengths) are shared across
-//! experiments run in the same process. Each returns plain data plus a
-//! [`TextTable`] rendering; the CLI (`vlpp`) and the Criterion benches
-//! both go through these functions, so the numbers in EXPERIMENTS.md,
-//! the bench output, and ad-hoc CLI runs are always the same
-//! computation.
+//! experiments run in the same process, and builds the predictors it
+//! scores from one recipe, [`Entrant`], through
+//! [`Workloads::rates`]; only designs the zoo lacks are built by hand
+//! (in `related` and the ablations). Each returns plain data plus a
+//! [`TextTable`] rendering; the CLI (`vlpp`) goes through these
+//! functions, so the numbers in EXPERIMENTS.md and ad-hoc CLI runs are
+//! always the same computation.
 //!
 //! [`Workloads`]: crate::Workloads
+//! [`Workloads::rates`]: crate::Workloads::rates
+//! [`Entrant`]: crate::Entrant
 //! [`TextTable`]: crate::report::TextTable
 
 mod ablation;
@@ -54,8 +58,3 @@ pub const FIG5_COND_BYTES: u64 = 16 << 10;
 
 /// The predictor-table size used by Figures 7–8 and Table 3 (2 KB).
 pub const FIG7_IND_BYTES: u64 = 2 << 10;
-
-/// Bits-per-target used by the Chang–Hao–Patt path-based target cache
-/// baseline (its register then covers `index_bits / 3` recent targets,
-/// the shallow fixed depth that the paper's deep-path predictors beat).
-pub const BASELINE_PATH_BITS_PER_TARGET: u32 = 3;

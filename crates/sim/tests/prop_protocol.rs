@@ -25,7 +25,8 @@ use vlpp_trace::{Addr, VlppError};
 /// apart from paths: the oracle for the borrowed-tree decoder.
 mod reference {
     use vlpp_sim::serve::protocol::{Request, Verb};
-    use vlpp_sim::serve::{ModelKind, ModelSpec};
+    use vlpp_sim::serve::ModelSpec;
+    use vlpp_sim::Kind;
     use vlpp_trace::json::JsonValue;
     use vlpp_trace::{Addr, BranchKind, BranchRecord, VlppError};
 
@@ -104,7 +105,7 @@ mod reference {
         let verb = match verb_name.as_str() {
             "train" => {
                 let kind_name = str_field(&value, Some("train"), "kind")?;
-                let kind = ModelKind::from_name(&kind_name).ok_or_else(|| {
+                let kind = Kind::from_name(&kind_name).ok_or_else(|| {
                     VlppError::protocol(
                         Some("train".to_string()),
                         format!("unknown model kind `{kind_name}` (expected `cond` or `ind`)"),

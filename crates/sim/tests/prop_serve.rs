@@ -6,7 +6,8 @@
 
 use vlpp_check::{check, prop_assert_eq, CheckConfig, Gen};
 use vlpp_sim::serve::protocol::predictions_to_json;
-use vlpp_sim::serve::{Model, ModelKind, ModelSpec};
+use vlpp_sim::serve::{Model, ModelSpec};
+use vlpp_sim::Kind;
 use vlpp_sim::{Scale, Workloads};
 use vlpp_trace::{Addr, BranchRecord};
 
@@ -17,7 +18,7 @@ fn spec(g: &mut Gen) -> ModelSpec {
         name: "m".to_string(),
         benchmark: g.choose(&BENCHMARKS).to_string(),
         trace: None,
-        kind: if g.bool() { ModelKind::Conditional } else { ModelKind::Indirect },
+        kind: if g.bool() { Kind::Conditional } else { Kind::Indirect },
         index_bits: g.range_u32(6, 12),
         shards: g.range_usize(1, 4),
     }
